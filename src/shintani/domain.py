@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from .dyadic import START_PREC, Iv, iv_det, log_iv
+from .dyadic import START_PREC, Iv, Ladder, iv_det, log_iv
 from .errors import (
     DependentUnits,
     NotAUnit,
@@ -23,20 +23,11 @@ from .errors import (
     UndecidableSign,
 )
 from .exactlinalg import mat_det
-from .field import FieldElement, NumberField, frac_to_str
+from .field import FieldElement, NumberField, _perm_sign, frac_to_str
 from .geometry import IvVec, Simplex, barycentric, cone_coordinates
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
 FLAG_OPEN = "open"       # coefficient > 0;  e_n on the far side
-
-
-def _perm_sign(perm) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
 
 
 def colmez_generators(units, sigma, field: NumberField):
@@ -124,29 +115,23 @@ class SignedCone:
         return dot
 
     def contains_vector(self, vfn, cap=None) -> bool:
-        """Membership for an adaptive vector evaluator (certified)."""
-        field = self.field
-        cap = cap or field.prec_cap
-        n = field.degree
+        """Membership for an adaptive vector evaluator (certified).  Each
+        rung tests the still-undecided coordinates in order and returns at
+        the first failed flag."""
         dot = self.coordinate_sign_fn(vfn)
-        pending = set(range(n))
-        prec = START_PREC
-        while True:
-            for i in sorted(pending):
+        pending = range(self.field.degree)
+        for prec in Ladder(self.field.prec_cap if cap is None else cap,
+                           "cone membership sign", zero_possible=True):
+            undecided = []
+            for i in pending:
                 s = dot(i, prec).sign()
                 if s is None:
-                    continue
-                if self.flags[i] == FLAG_OPEN:
-                    if s <= 0:
-                        return False
-                elif s < 0:
+                    undecided.append(i)
+                elif s < 0 or (s == 0 and self.flags[i] == FLAG_OPEN):
                     return False
-                pending.discard(i)
-            if not pending:
+            if not undecided:
                 return True
-            if prec >= cap:
-                raise UndecidableSign("cone membership sign not certified at cap")
-            prec = min(2 * prec, cap)
+            pending = undecided
 
     def contains_element(self, x: FieldElement) -> bool:
         """Exact membership for a field-rational point."""
@@ -194,11 +179,10 @@ def projected_simplex(cone: SignedCone) -> Simplex:
     return cone._simplex
 
 
-def cone_contains_via_simplex(cone: SignedCone, x, cap=None) -> bool:
+def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
     """Independent membership route: project to the hyperplane slice and test
     the half-open simplex via barycentric signs (same flag per vertex)."""
     field = cone.field
-    cap = cap or field.prec_cap
     simplex = projected_simplex(cone)
 
     if isinstance(x, FieldElement):
@@ -209,7 +193,7 @@ def cone_contains_via_simplex(cone: SignedCone, x, cap=None) -> bool:
     else:
         seq = tuple(Fraction(c) for c in x)
         p = tuple(c / seq[-1] for c in seq[:-1])
-    coords = barycentric(p, simplex, cap=cap)
+    coords = barycentric(p, simplex, cap=field.prec_cap)
     for b, flag in zip(coords.signs, cone.flags):
         if flag == FLAG_OPEN:
             if b <= 0:
@@ -270,13 +254,11 @@ class SignedDomain:
                 cols.append([logs[j] - logs[-1] for j in range(r)])
             return [[cols[i][j] for i in range(r)] for j in range(r)]
 
-        p = prec
-        mat = log_matrix(p)
-        det = iv_det(mat)
-        while det.sign() is None:
-            p = min(2 * p, field.prec_cap)
+        for p in Ladder(field.prec_cap, "log-matrix determinant", start=prec):
             mat = log_matrix(p)
             det = iv_det(mat)
+            if det.sign() is not None:
+                break
         # inverse enclosure via adjugate / det
         inv = [[None] * r for _ in range(r)]
         for i in range(r):
@@ -286,7 +268,6 @@ class SignedDomain:
                 if (i + j) % 2:
                     d = -d
                 inv[i][j] = d.div(det, prec)
-        data_mat = mat
         boxes = []
         for cone in self.cones:
             los = [None] * r
@@ -300,7 +281,7 @@ class SignedDomain:
                     if his[k] is None or lg.hi_fraction() > his[k]:
                         his[k] = lg.hi_fraction()
             boxes.append([Iv.bounds(lo, hi, prec) for lo, hi in zip(los, his)])
-        data = {"inv": inv, "mat": data_mat, "boxes": boxes}
+        data = {"inv": inv, "mat": mat, "boxes": boxes}
         self._enum_cache[prec] = data
         return data
 

@@ -4,8 +4,11 @@ This is the single numeric kernel every sign decision in the library goes
 through.  An interval stores exact dyadic endpoints as (mantissa, exponent)
 integer pairs, so +, -, * are exact; only division, conversion from a
 general rational, and the logarithm round, and they always round outward.
-Adaptive precision lives in :func:`adaptive_sign`: evaluate at 64 bits,
-double on demand, stop at the configured cap.
+
+Adaptive precision lives in one place, :class:`Ladder`: it owns the start
+(64 bits), the doubling, the cap, and the error class raised when a
+refinement would have to go past the cap.  Every refinement loop in the
+library iterates a ladder; :func:`adaptive_sign` is its simplest consumer.
 """
 
 from __future__ import annotations
@@ -232,11 +235,6 @@ class Iv:
     def width_fraction(self) -> Fraction:
         return self.hi_fraction() - self.lo_fraction()
 
-    def width_le(self, k: int) -> bool:
-        """True if the width is <= 2^k."""
-        wm, we = _add(self.um, self.ue, -self.lm, self.le)
-        return _cmp(wm, we, 1, k) <= 0
-
     def mid_fraction(self) -> Fraction:
         return (self.lo_fraction() + self.hi_fraction()) / 2
 
@@ -327,28 +325,51 @@ def log_iv(x: Iv, prec: int) -> Iv:
     return Iv(lo.lm, lo.le, hi.um, hi.ue).round(prec + 4)
 
 
-# ---- the adaptive certified-sign kernel ----
+# ---- the precision ladder ----
+
+class Ladder:
+    """The precision schedule of every refinement: iterating yields
+    ``start, 2*start, 4*start, ...`` clipped to ``cap``, so the last rung is
+    the cap itself.  Asking for a rung past the cap raises UndecidableSign
+    when ``zero_possible`` (the caller cannot rule out an exact zero of an
+    irrational quantity), PrecisionCapExceeded otherwise.
+
+    A caller whose pending quantity changes mid-climb (every sign certified,
+    only a known-nonzero denominator left) updates ``what`` and
+    ``zero_possible`` between rungs.
+    """
+
+    __slots__ = ("cap", "what", "zero_possible", "start")
+
+    def __init__(self, cap: int, what: str, zero_possible: bool = False,
+                 start: int = START_PREC):
+        self.cap = cap
+        self.what = what
+        self.zero_possible = zero_possible
+        self.start = start
+
+    def __iter__(self):
+        prec = self.start
+        while True:
+            yield prec
+            if prec >= self.cap:
+                cls = UndecidableSign if self.zero_possible else PrecisionCapExceeded
+                raise cls(f"{self.what}: not certified at {self.cap} bits")
+            prec = min(2 * prec, self.cap)
+
 
 def adaptive_sign(
     evaluate: Callable[[int], Iv],
     cap: int = DEFAULT_PREC_CAP,
-    start: int = START_PREC,
     zero_possible: bool = False,
     what: str = "sign",
 ) -> int:
     """Certify the sign of a quantity given an interval evaluator.
 
     ``evaluate(prec)`` must return an enclosure that (weakly) shrinks as prec
-    grows.  Raises PrecisionCapExceeded at the cap when the true value is
-    known to be nonzero, UndecidableSign when ``zero_possible`` (the caller
-    cannot rule out an exact zero of an irrational quantity).
+    grows; the precisions and the error at the cap are the ladder's.
     """
-    prec = start
-    while True:
+    for prec in Ladder(cap, what, zero_possible):
         s = evaluate(prec).sign()
         if s is not None:
             return s
-        if prec >= cap:
-            cls = UndecidableSign if zero_possible else PrecisionCapExceeded
-            raise cls(f"{what}: no certified sign at {cap} bits")
-        prec = min(2 * prec, cap)

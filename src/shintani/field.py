@@ -18,16 +18,17 @@ from .dyadic import (
     DEFAULT_PREC_CAP,
     START_PREC,
     Iv,
+    Ladder,
     adaptive_sign,
     iv_det,
     log_iv,
 )
 from .errors import (
     DegreeTooSmall,
+    InputError,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
-    PrecisionCapExceeded,
     ZeroElement,
 )
 from .exactlinalg import charpoly, mat_solve
@@ -152,9 +153,12 @@ class EmbeddedVector:
 
 class NumberField:
     """Context object: defining polynomial, ordered certified real roots,
-    and a working precision cap for all adaptive sign decisions."""
+    and a working precision cap (at least START_PREC bits) for all adaptive
+    sign decisions."""
 
     def __init__(self, coeffs, embedding_order=None, prec_cap: int = DEFAULT_PREC_CAP):
+        if prec_cap < START_PREC:
+            raise InputError(f"precision cap {prec_cap} is below {START_PREC} bits")
         coeffs = tuple(int(c) for c in coeffs)
         n = len(coeffs) - 1
         if n < 2:
@@ -284,15 +288,10 @@ class NumberField:
     def embed(self, elem: FieldElement, target_width: Fraction) -> EmbeddedVector:
         """Conjugate enclosures, each of width <= target_width."""
         target_width = Fraction(target_width)
-        prec = START_PREC
-        while True:
+        for prec in Ladder(self.prec_cap, f"embedding width {target_width}"):
             out = self.embed_iv(elem, prec)
             if all(iv.width_fraction() <= target_width for iv in out):
                 return EmbeddedVector(out, prec)
-            if prec >= self.prec_cap:
-                raise PrecisionCapExceeded(
-                    f"embedding width {target_width} unreachable at {self.prec_cap} bits")
-            prec = min(2 * prec, self.prec_cap)
 
     def conjugate_signs(self, elem: FieldElement):
         """Certified sign of every conjugate.  Exact zeros (possible only
@@ -348,15 +347,10 @@ class NumberField:
     def _positive_conjugates(self, elem: FieldElement, prec: int):
         """Conjugate enclosures certified positive, refining as needed past
         the requested precision (the element must be totally positive)."""
-        p = prec
-        while True:
+        for p in Ladder(self.prec_cap, "conjugate positivity", start=prec):
             conj = self.embed_iv(elem, p)
             if all(iv.is_positive() for iv in conj):
                 return conj
-            if p >= self.prec_cap:
-                raise PrecisionCapExceeded(
-                    "conjugates not certified positive at the cap")
-            p = min(2 * p, self.prec_cap)
 
     def log_embedding_iv(self, elem: FieldElement, prec: int):
         """Enclosures of (log x^(1), ..., log x^(n-1))."""
@@ -386,19 +380,12 @@ class NumberField:
         for u in units:
             if not self.is_totally_positive(u):
                 raise NotTotallyPositive("regulator needs totally positive units")
-        prec = START_PREC
-        while True:
-            det = iv_det(self._log_rows(units, prec))
-            s = det.sign()
+        for prec in Ladder(self.prec_cap, "regulator sign"):
+            s = iv_det(self._log_rows(units, prec)).sign()
             if s is not None:
                 return s
-            rel = self._dependence_relation(units, prec)
-            if rel is not None:
+            if self._dependence_relation(units, prec) is not None:
                 return 0
-            if prec >= self.prec_cap:
-                raise PrecisionCapExceeded(
-                    f"regulator sign not certified at {self.prec_cap} bits")
-            prec = min(2 * prec, self.prec_cap)
 
     def _dependence_relation(self, units, prec):
         """Integer-relation candidate among the unit logs, confirmed exactly
@@ -422,12 +409,13 @@ class NumberField:
         return tuple(int(a) for a in rel) if acc == self.one else None
 
     def check_regulator_identity(self, units, tol: float = 1e-10) -> bool:
-        """Diagnostic: det(LOG l(eps_i)) must equal n * det(Log eps_i)."""
+        """Diagnostic: det(LOG l(eps_i)) must equal n * det(Log eps_i) to
+        within tol, decided once the enclosure of the difference is narrower
+        than tol/10 (PrecisionCapExceeded if the cap comes first)."""
         units = [self.element_like(u) for u in units]
         n = self.degree
         r = n - 1
-        prec = START_PREC
-        while True:
+        for prec in Ladder(self.prec_cap, f"regulator identity at tolerance {tol}"):
             cols_plain = []
             cols_proj = []
             for u in units:
@@ -437,9 +425,8 @@ class NumberField:
             lhs = iv_det([[cols_proj[i][j] for i in range(r)] for j in range(r)])
             rhs = iv_det([[cols_plain[i][j] for i in range(r)] for j in range(r)])
             diff = lhs - rhs.mul_int(n)
-            if diff.width_fraction() < Fraction(tol) / 10 or prec >= self.prec_cap:
+            if diff.width_fraction() < Fraction(tol) / 10:
                 return abs(diff.mid_fraction()) <= Fraction(tol)
-            prec = min(2 * prec, self.prec_cap)
 
     def __repr__(self):
         return f"NumberField({list(self.poly)})"

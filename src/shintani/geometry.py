@@ -3,21 +3,20 @@ the piercing predicates.
 
 Sign decisions follow one rule everywhere: exact rational arithmetic when the
 inputs are field-rational (a FieldElement, or exact rational vertices), and
-adaptive interval refinement otherwise.  A refinement that cannot certify a
-strict sign ends in UndecidableSign; nothing is ever decided by tolerance.
+adaptive interval refinement on the dyadic ladder otherwise.  A refinement
+that reaches the cap ends in UndecidableSign, or in PrecisionCapExceeded for
+a quantity known to be nonzero; nothing is ever decided by tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import DEFAULT_PREC_CAP, START_PREC, Iv, adaptive_sign, iv_det
+from .dyadic import DEFAULT_PREC_CAP, Iv, Ladder, adaptive_sign, iv_det
 from .errors import (
     DegenerateSimplex,
     DependentBasis,
     LastCoordinateZero,
-    PrecisionCapExceeded,
-    UndecidableSign,
     YNotInSimplex,
 )
 from .exactlinalg import mat_det, mat_rank, mat_solve
@@ -52,7 +51,7 @@ def project_ell(x):
 
     Exact rational vectors map to exact rational vectors; everything else
     maps to an adaptive vector whose last coordinate is certified nonzero on
-    first evaluation.
+    first evaluation, refining up to the field's cap (UndecidableSign there).
     """
     if isinstance(x, (list, tuple)):
         seq = tuple(Fraction(c) for c in x)
@@ -60,16 +59,16 @@ def project_ell(x):
             raise LastCoordinateZero("projection needs x_n != 0")
         return tuple(c / seq[-1] for c in seq[:-1])
     vv = IvVec.wrap(x)
+    cap = x.field.prec_cap if isinstance(x, FieldElement) else DEFAULT_PREC_CAP
 
     def fn(prec):
-        p = prec
-        while True:
+        for p in Ladder(cap, "last coordinate sign", zero_possible=True, start=prec):
             ivs = vv.at(p)
-            if ivs[-1].sign() in (-1, 1):
+            s = ivs[-1].sign()
+            if s == 0:
+                raise LastCoordinateZero("projection needs x_n != 0")
+            if s is not None:
                 return [iv.div(ivs[-1], prec) for iv in ivs[:-1]]
-            if p >= DEFAULT_PREC_CAP:
-                raise LastCoordinateZero("last coordinate not certified nonzero")
-            p = min(2 * p, DEFAULT_PREC_CAP)
 
     return IvVec(fn)
 
@@ -98,6 +97,39 @@ def _embedded_basis_rows(basis, field, prec):
     return [[embs[i][j] for i in range(n)] for j in range(n)]
 
 
+def _replaced_det(rows, col, i):
+    """det(rows) with column i replaced by col."""
+    rep = [row[:] for row in rows]
+    for j, c in enumerate(col):
+        rep[j][i] = c
+    return iv_det(rep)
+
+
+def _certified_cramer(rows_at, col_at, cap, zero_possible, what):
+    """Cramer's rule on interval matrices: the certified sign of each
+    det(rows with column i -> col), and their quotients by det(rows), which
+    the caller knows to be nonzero.  One ladder climbs until every sign and
+    the denominator are certified; a sign missing at the cap raises per
+    ``zero_possible``, the denominator PrecisionCapExceeded."""
+    signs: dict[int, int] = {}
+    steps = Ladder(cap, f"{what} sign", zero_possible)
+    for prec in steps:
+        rows = rows_at(prec)
+        col = col_at(prec)
+        for i in range(len(rows)):
+            if i not in signs:
+                s = _replaced_det(rows, col, i).sign()
+                if s is not None:
+                    signs[i] = s
+        if len(signs) == len(rows):
+            det = iv_det(rows)
+            if det.sign() is not None:
+                break
+            steps.what, steps.zero_possible = f"{what} determinant", False
+    values = tuple(_replaced_det(rows, col, i).div(det, prec) for i in range(len(rows)))
+    return [signs[i] for i in range(len(rows))], values
+
+
 def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> ConeCoordinates:
     """Solve v = sum_i c_i f_i with certified coefficient signs.
 
@@ -106,51 +138,22 @@ def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -
     determinant.  Each replaced determinant is certified adaptively (or
     exactly, for field-rational v).  Pass ``zero_possible=False`` when a
     vanishing coefficient is ruled out (e.g. v = e_n), so hitting the cap
-    raises PrecisionCapExceeded rather than UndecidableSign.
+    raises PrecisionCapExceeded rather than UndecidableSign.  The embedded
+    basis determinant is nonzero, so failing to certify it at the cap raises
+    PrecisionCapExceeded.
     """
     basis = list(basis)
     m = _basis_matrix(basis, field)
-    n = field.degree
     if isinstance(v, FieldElement):
         c = mat_solve(m, list(v.coeffs))
         signs = tuple((x > 0) - (x < 0) for x in c)
         return ConeCoordinates(signs, tuple(c), True)
 
     det_sign = field.vandermonde_sign * (1 if mat_det(m) > 0 else -1)
-    vv = IvVec.wrap(v)
-    cap = field.prec_cap
-
-    def det_i(rows, col, i):
-        rep = [row[:] for row in rows]
-        for j in range(n):
-            rep[j][i] = col[j]
-        return iv_det(rep)
-
-    signs: dict[int, int] = {}
-    prec = START_PREC
-    while True:
-        rows = _embedded_basis_rows(basis, field, prec)
-        col = vv.at(prec)
-        for i in range(n):
-            if i in signs:
-                continue
-            s = det_i(rows, col, i).sign()
-            if s is not None:
-                signs[i] = s
-        if len(signs) == n:
-            break
-        if prec >= cap:
-            cls = UndecidableSign if zero_possible else PrecisionCapExceeded
-            raise cls("cone coordinate sign not certified at the cap")
-        prec = min(2 * prec, cap)
-    det_e = iv_det(rows)
-    while det_e.sign() is None:
-        prec = min(2 * prec, cap)
-        rows = _embedded_basis_rows(basis, field, prec)
-        col = vv.at(prec)
-        det_e = iv_det(rows)
-    values = tuple(det_i(rows, col, i).div(det_e, prec) for i in range(n))
-    return ConeCoordinates(tuple(signs[i] * det_sign for i in range(n)), values, False)
+    signs, values = _certified_cramer(
+        lambda p: _embedded_basis_rows(basis, field, p), IvVec.wrap(v).at,
+        field.prec_cap, zero_possible, "cone coordinate")
+    return ConeCoordinates(tuple(s * det_sign for s in signs), values, False)
 
 
 class Simplex:
@@ -181,11 +184,6 @@ class Simplex:
                     zero_possible=True, what="simplex determinant")
                 if self.det_sign == 0:
                     raise DegenerateSimplex("vertices affinely dependent")
-
-    def dim(self):
-        if self.exact:
-            return len(self.vertices) - 1
-        return len(self._rows_fn(START_PREC)) - 1
 
     def _lift_exact(self):
         r = len(self.vertices) - 1
@@ -225,39 +223,10 @@ def barycentric(p, simplex: Simplex, cap: int = DEFAULT_PREC_CAP) -> BaryCoordin
         return BaryCoordinates(signs, tuple(b), True)
 
     pv = IvVec.wrap(p)
-    r = simplex.dim()
-
-    def det_i(rows, col, i):
-        rep = [row[:] for row in rows]
-        for j in range(r + 1):
-            rep[j][i] = col[j]
-        return iv_det(rep)
-
-    signs: dict[int, int] = {}
-    prec = START_PREC
-    while True:
-        rows = simplex._lift_rows(prec)
-        col = list(pv.at(prec)) + [Iv.ONE]
-        for i in range(r + 1):
-            if i in signs:
-                continue
-            s = det_i(rows, col, i).sign()
-            if s is not None:
-                signs[i] = s
-        if len(signs) == r + 1:
-            break
-        if prec >= cap:
-            raise UndecidableSign("barycentric coordinate sign not certified at the cap")
-        prec = min(2 * prec, cap)
-    det_a = iv_det(rows)
-    while det_a.sign() is None:
-        prec = min(2 * prec, cap)
-        rows = simplex._lift_rows(prec)
-        col = list(pv.at(prec)) + [Iv.ONE]
-        det_a = iv_det(rows)
-    values = tuple(det_i(rows, col, i).div(det_a, prec) for i in range(r + 1))
-    return BaryCoordinates(tuple(signs[i] * simplex.det_sign for i in range(r + 1)),
-                           values, False)
+    signs, values = _certified_cramer(
+        simplex._lift_rows, lambda prec: list(pv.at(prec)) + [Iv.ONE],
+        cap, True, "barycentric coordinate")
+    return BaryCoordinates(tuple(s * simplex.det_sign for s in signs), values, False)
 
 
 def face_span_det_sign(simplex: Simplex, i: int, point, cap: int = DEFAULT_PREC_CAP) -> int:

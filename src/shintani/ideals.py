@@ -23,7 +23,7 @@ from .exactlinalg import (
     mat_solve,
     mat_vec,
 )
-from .field import FieldElement, NumberField, frac_to_str
+from .field import FieldElement, NumberField
 
 
 class Order:
@@ -300,13 +300,6 @@ class RSigmaSet:
         self.index = index
         self.scale = scale
         self.shift = shift
-
-    def elements(self):
-        return [z for z, _ in self.points]
-
-    def to_json(self):
-        return [{"z": [frac_to_str(c) for c in z.coeffs],
-                 "t": [frac_to_str(c) for c in t]} for z, t in self.points]
 
 
 def parallelepiped_index(cone, lattice: FractionalIdeal, scale: int = 1) -> int:

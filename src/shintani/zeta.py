@@ -36,6 +36,7 @@ from .ideals import (
     ideal_inverse,
     ideal_mul,
     integral_basis,
+    principal_ideal,
     smallest_positive_rational_integer,
 )
 
@@ -191,7 +192,7 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
         for cone in dom.cones:
             rset = coset_enumerate_R(cone, lattice, shift=0, scale=1)
             for z, _t in rset.points:
-                chi_val = chi.value_of(ideal_mul(principal(order, z), af))
+                chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af))
                 jobs.append((cone, z, n_af ** (-s), chi_val))
     per_term = params.target_error / (2 * len(jobs)) if jobs else params.target_error
     term_params = ZetaParams(target_error=per_term, m_cap=params.m_cap)
@@ -210,12 +211,6 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
     terms = sum(r[2] for r in results)
     radius = max((r[3] for r in results), default=0)
     return LValue(value, bound, terms, radius)
-
-
-def principal(order: Order, z: FieldElement) -> FractionalIdeal:
-    from .ideals import principal_ideal
-
-    return principal_ideal(order, z)
 
 
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,

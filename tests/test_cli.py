@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shintani.cli import main
 
 
@@ -164,3 +166,20 @@ def test_precision_cap_flag(tmp_path, capsys):
     job = write_job(tmp_path, {"field": Q2, "samples": 3, "seed": 2})
     code, out = run(capsys, ["verify", "--job", job, "--precision-cap", "512"])
     assert code == 0 and out["net_count_ok"] is True
+
+
+@pytest.mark.parametrize("cap", ["0", "8", "-5"])
+def test_precision_cap_below_start_exit_2(tmp_path, capsys, cap):
+    job = write_job(tmp_path, {"field": Q2, "samples": 3, "seed": 2})
+    code, out = run(capsys, ["verify", "--job", job, "--precision-cap", cap])
+    assert code == 2 and out["error"] == "InputError"
+
+
+def test_regcheck_at_cap_exit_3(tmp_path, capsys):
+    # the identity is true; at 256 bits it cannot be shown to 1e-300, which
+    # is a precision failure, not a falsification
+    job = write_job(tmp_path, {"field": Q2, "tolerance": 1e-300})
+    code, out = run(capsys, ["regcheck", "--job", job, "--precision-cap", "256"])
+    assert code == 3 and out["error"] == "PrecisionCapExceeded"
+    code, out = run(capsys, ["regcheck", "--job", job])
+    assert code == 0 and out["regulator_identity_ok"] is True

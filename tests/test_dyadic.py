@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shintani.dyadic import Iv, adaptive_sign, iv_det, log2_iv, log_iv
+from shintani.dyadic import Iv, Ladder, adaptive_sign, iv_det, log2_iv, log_iv
 from shintani.errors import PrecisionCapExceeded, UndecidableSign
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
@@ -115,3 +115,24 @@ def test_adaptive_sign_cap_errors():
         adaptive_sign(straddle, cap=256)
     with pytest.raises(UndecidableSign):
         adaptive_sign(straddle, cap=256, zero_possible=True)
+
+
+def test_ladder_rungs_end_at_the_cap():
+    seen = []
+    with pytest.raises(PrecisionCapExceeded, match="quantity: not certified at 300 bits"):
+        for prec in Ladder(300, "quantity"):
+            seen.append(prec)
+    assert seen == [64, 128, 256, 300]
+    seen = []
+    with pytest.raises(UndecidableSign):
+        for prec in Ladder(1024, "quantity", zero_possible=True, start=256):
+            seen.append(prec)
+    assert seen == [256, 512, 1024]
+
+
+def test_ladder_error_class_can_change_mid_climb():
+    # signs done, only a known-nonzero denominator left: a precision failure
+    steps = Ladder(128, "coordinate sign", zero_possible=True)
+    with pytest.raises(PrecisionCapExceeded, match="denominator"):
+        for prec in steps:
+            steps.what, steps.zero_possible = "denominator", False

@@ -4,6 +4,7 @@ import pytest
 
 from shintani.errors import (
     DegreeTooSmall,
+    InputError,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
@@ -288,3 +289,9 @@ def test_embedded_vector_width_halves(q2):
     w1 = q2.embed_iv(eps, 64)[0].width_fraction()
     w2 = q2.embed_iv(eps, 128)[0].width_fraction()
     assert w2 * 2 <= w1
+
+
+def test_precision_cap_starts_at_64_bits():
+    with pytest.raises(InputError):
+        NumberField([-2, 0, 1], prec_cap=63)
+    assert NumberField([-2, 0, 1], prec_cap=64).prec_cap == 64

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from shintani.errors import DependentBasis, LastCoordinateZero, YNotInSimplex
+from shintani.dyadic import START_PREC, Iv
+from shintani.errors import (
+    DependentBasis,
+    LastCoordinateZero,
+    PrecisionCapExceeded,
+    UndecidableSign,
+    YNotInSimplex,
+)
+from shintani.field import NumberField
 from shintani.geometry import (
     Simplex,
     barycentric,
@@ -42,6 +50,9 @@ def test_project_ell_adaptive():
     out = lv.at(64)
     # l(eps) = eps^(1)/eps^(2) = (3-2*sqrt2)/(3+2*sqrt2) = 17 - 12*sqrt2
     assert out[0].contains(17 - 12 * SQRT2)
+    # a last coordinate enclosed by the exact point 0 is an input error
+    with pytest.raises(LastCoordinateZero):
+        project_ell(fld.zero).at(64)
 
 
 def test_cone_coordinates_basis_vector():
@@ -255,3 +266,62 @@ def test_origin_piercing_matches_simplex_membership():
                 except YNotInSimplex:
                     pier = False
                 assert member == pier
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_cone_coordinates_basis_determinant_stops_at_cap():
+    # a + b x and c + d x with ad - bc = 1 (Cassini) and coefficients near
+    # 2^102: the coordinate signs of e_2 certify at 64 bits, the embedded
+    # basis determinant (2 sqrt2) only at 256
+    a, b, d = _fibonacci(149), _fibonacci(148), _fibonacci(147)
+    for cap, ok in ((128, False), (256, True)):
+        fld = NumberField([-2, 0, 1], prec_cap=cap)
+        basis = [fld.element([a, b]), fld.element([b, d])]
+        if ok:
+            cc = cone_coordinates((0, 1), basis, fld, zero_possible=False)
+            assert cc.signs == cone_coordinates(fld.element([0, 1]), basis, fld).signs
+        else:
+            with pytest.raises(PrecisionCapExceeded):
+                cone_coordinates((0, 1), basis, fld, zero_possible=False)
+
+
+def _around(c, k):
+    """The exact dyadic interval [c - 2^k, c + 2^k]."""
+    if k >= 0:
+        return Iv(c - (1 << k), 0, c + (1 << k), 0)
+    return Iv((c << -k) - 1, k, (c << -k) + 1, k)
+
+
+def test_barycentric_determinant_stops_at_cap():
+    # vertices 2^100 + 1 and 2^100 known to 2^(100 - prec): the coordinate
+    # signs of 0 certify at 64 bits, the lifted determinant (1) only at 128
+    big = 1 << 100
+    simplex = Simplex(rows_fn=lambda prec: [[_around(big + 1, 100 - prec)],
+                                            [_around(big, 100 - prec)]],
+                      known_sign=1)
+    with pytest.raises(PrecisionCapExceeded):
+        barycentric((0,), simplex, cap=64)
+    assert barycentric((0,), simplex, cap=128).signs == (-1, 1)
+
+
+def test_project_ell_respects_field_cap():
+    # p - q sqrt2 for a Pell convergent with q ~ 2^100: the last conjugate
+    # (~2^-101) certifies nonzero only at 256 bits
+    p, q = 1, 1
+    while q < 1 << 100:
+        p, q = p + 2 * q, p + q
+    for cap, ok in ((128, False), (256, True)):
+        fld = NumberField([-2, 0, 1], prec_cap=cap)
+        x = project_ell(fld.element([p, -q]))
+        if ok:
+            # the ratio's sign is that of p - q sqrt2, i.e. of p^2 - 2 q^2 = +-1
+            assert x.at(START_PREC)[0].sign() == p * p - 2 * q * q
+        else:
+            with pytest.raises(UndecidableSign):
+                x.at(START_PREC)
