@@ -15,6 +15,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .dyadic import START_PREC, Iv, Ladder, iv_det, log_iv
 from .errors import (
     DependentUnits,
@@ -203,6 +205,131 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
     return True
 
 
+# ---- the float64 stage ----
+#
+# Candidate pruning and membership are decided in float64 first; whatever
+# the float bounds cannot certify goes to the dyadic ladder (the interval
+# filter of Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  The
+# arithmetic is IEEE round-to-nearest with unit roundoff u = 2^-53, and every
+# bound rests on Higham's model (Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, section 2.2)
+#     fl(a op b) = (a op b)(1 + d),  |d| <= u,                            (M)
+# and two consequences of it: a product of k factors (1 + d_i)^(+-1) is
+# 1 + theta_k with |theta_k| <= gamma_k = ku/(1 - ku) <= 2ku for ku <= 1/2
+# (Lemmas 3.1 and 3.3), and a dot product of length m, in any order and with
+# or without FMA, is off by at most gamma_m * sum |x_i y_i| (eq. 3.5).
+#
+# (M) fails only for a product that underflows or overflows.  So every float
+# that enters a product is 0 or of magnitude in [2^-300, 2^300]: _tame
+# flushes smaller ones into their radius, unit powers, points and cofactors
+# outside the range go to the ladder, and logs, exponents and the log-lattice
+# data are far below 2^300 for any input that fits in memory (the inverse
+# too: its determinant is n times the regulator of the units, and every
+# regulator exceeds 0.2, Friedman 1989).  No product meets more than
+# three such factors and one constant >= 2^-53, so it is 0 or lies in
+# [2^-953, 2^900], in the normal range.  A sum below the normal range is exact.
+#
+# Every radius is a sum of products of nonnegative floats.  Evaluated with
+# k < 2^12 roundings its computed value is at least (1 - u)^k times the exact
+# one, so one more product with _UP gives an upper bound:
+# (1 - u)^(k+1) (1 + 2^-40) >= (1 - 2^-41)(1 + 2^-40) > 1.
+
+_U = 2.0 ** -53
+_SAFE = 2.0 ** -300
+_UP = 1.0 + 2.0 ** -40
+
+
+def _gamma(k: int) -> float:
+    """An upper bound of gamma_k for ku <= 1/2, exact in floats."""
+    return 2 * k * _U
+
+
+def _tame(mid, rad):
+    """Flush midpoints of magnitude below _SAFE to 0 and raise radii to at
+    least _SAFE; |q - mid| <= rad still holds: a flushed midpoint had
+    |mid| < _SAFE <= rad, so doubling rad (exact) covers it."""
+    rad = np.maximum(rad, _SAFE)
+    small = np.abs(mid) < _SAFE
+    return np.where(small, 0.0, mid), np.where(small, 2 * rad, rad)
+
+
+def _mid_rad(ivs):
+    """Float (mid, rad) arrays of a nested list of Iv: every point q of an
+    entry has |q - mid| <= rad.  mid = fl(lo + hi) / 2 lies in [lo, hi]
+    (rounding is monotone and 2 lo, 2 hi are floats); each of hi - mid and
+    mid - lo is rounded once, so one nextafter step up bounds it."""
+    cells = np.array(ivs, dtype=object)
+    bounds = np.array([iv.float_bounds() for iv in cells.flat]).reshape(cells.shape + (2,))
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    mid = (lo + hi) / 2
+    return _tame(mid, np.nextafter(np.maximum(hi - mid, mid - lo), np.inf))
+
+
+def _positive_floats(ivs):
+    """Lower float ends lo and one error count k for positive Iv's: every
+    point of entry j is lo[j] (1 + theta) with 0 <= theta <= k u, so
+    1 + theta = (1 + d)^k with 0 <= d <= u: a theta_k.  The relative width
+    is rounded upward (nextafter after each rounded step); the division by
+    u is exact.  When an end lies outside [2^-300, 2^300]
+    the ends are replaced by 1 and k is inf, which defers every decision."""
+    lo, hi = np.array([iv.float_bounds() for iv in ivs]).T
+    if not np.all((lo >= _SAFE) & (hi <= 1 / _SAFE)):
+        return np.ones_like(lo), math.inf
+    width = np.nextafter(np.nextafter(hi - lo, np.inf) / lo, np.inf)
+    return lo, float(np.ceil(width / _U).max())
+
+
+_LOG2 = 0.6931471805599453      # the float nearest log 2: |_LOG2 - log 2| < 2^-54
+_ATANH = [1.0 / (2 * j + 1) for j in range(10, -1, -1)]     # Horner order
+
+
+def _log_float(m: int, e: int) -> tuple[float, float]:
+    """(y, rad) with |log(m * 2^e) - y| <= rad, for an integer m > 0.
+
+    m * 2^e = f * 2^k with f in [2^-1/2, 2^1/2], and log f = 2 atanh t with
+    t = (f - 1)/(f + 1), |t| <= 3 - 2 sqrt2 < 0.1716.  The error budget, in
+    the notation of the float-stage comment:
+    - f^ = fl(f) = f (1 + theta_1) (int / int is correctly rounded), so
+      |log f^ - log f| <= gamma_1;
+    - f^ - 1 is exact (Sterbenz), so t^ = t (1 + theta_2) for
+      t = (f^ - 1)/(f^ + 1), and |atanh t^ - atanh t| <= 1.04 gamma_2 |t^|
+      (atanh' <= 1/(1 - 0.1716^2) < 1.031);
+    - 11 series terms leave a tail below
+      |t^| 0.1716^22 / (23 (1 - 0.1716^2)) < 2^-60 |t^|;
+    - Horner on z^ = fl(t^2) with positive terms: coefficients theta_1,
+      powers of z^ theta_10, 20 roundings, then the product with t^, so
+      S^ = t^ P (1 + theta_32) with P <= 1.011;
+    - fl(k _LOG2) = k log 2 (1 + theta_2) for |k| < 2^53; the last sum adds
+      u (|A| + 2 |S^|) with A = fl(k _LOG2).
+    In all |log - y| <= gamma_37 (1 + |A| + 2.1 |t^|) < 38 u (1 + |A| + 3 |t^|);
+    the radius 2^-46 (1 + |A| + 3 |t^|) = 128 u (...) stays above that after
+    its own 3 roundings.  |t^| is 0 or >= 2^-56 (f^ - 1 is a multiple of
+    2^-54), so nothing underflows.
+    """
+    bits = m.bit_length()
+    k = e + bits
+    f = m / (1 << bits)                 # in [1/2, 1]
+    if f < 0.7071067811865476:
+        f, k = 2 * f, k - 1
+    t = (f - 1) / (f + 1)
+    z = t * t
+    p = _ATANH[0]
+    for c in _ATANH[1:]:
+        p = p * z + c
+    a = k * _LOG2
+    return a + 2 * (t * p), 2.0 ** -46 * (1 + abs(a) + 3 * abs(t))
+
+
+def _log_enclosure(iv: Iv) -> tuple[float, float]:
+    """Float (mid, rad) with |log q - mid| <= rad on a positive interval:
+    log q lies in [y_lo - rad_lo, y_hi + rad_hi]."""
+    if not iv.is_positive():
+        raise ValueError("log over an interval not certified positive")
+    y, rad = _log_float(iv.lm, iv.le)
+    y_hi, rad_hi = _log_float(iv.um, iv.ue)
+    return y, _UP * (abs(y_hi - y) + rad + rad_hi)
+
+
 class SignedDomain:
     """The collection {(C_sigma, w_sigma)} for one (field, units) input."""
 
@@ -213,9 +340,11 @@ class SignedDomain:
         self.reg_sign = reg_sign
         self._power_cache: dict[tuple, FieldElement] = {}
         self._emb_cache: dict[tuple, list] = {}
-        self._enum_cache: dict[int, dict] = {}
+        self._enum = None
+        self._member = None
+        self._powers = (-1, None)
 
-    # ---- enumeration machinery ----
+    # ---- exact unit powers (ladder fallback) ----
 
     def unit_power(self, expo) -> FieldElement:
         elem = self._power_cache.get(expo)
@@ -235,14 +364,16 @@ class SignedDomain:
             self._emb_cache[key] = out
         return out
 
-    def _enum_data(self, prec: int):
-        """Projected-log lattice data: inverse of the LOG l(eps) matrix and,
-        per cone, the coordinatewise log-range box of the projected
-        generators."""
-        data = self._enum_cache.get(prec)
-        if data is not None:
-            return data
+    # ---- candidate enumeration ----
+
+    def _enum_data(self):
+        """Projected-log lattice data as float (mid, rad) pairs of START_PREC
+        enclosures: the LOG l(eps) matrix, its inverse and, per cone, the
+        coordinatewise log-range box of the projected generators."""
+        if self._enum is not None:
+            return self._enum
         field = self.field
+        prec = START_PREC
         n = field.degree
         r = n - 1
 
@@ -281,54 +412,141 @@ class SignedDomain:
                     if his[k] is None or lg.hi_fraction() > his[k]:
                         his[k] = lg.hi_fraction()
             boxes.append([Iv.bounds(lo, hi, prec) for lo, hi in zip(los, his)])
-        data = {"inv": inv, "mat": mat, "boxes": boxes}
-        self._enum_cache[prec] = data
-        return data
+        lm, lr = _mid_rad(mat)
+        im, ir = _mid_rad(inv)
+        bm, br = _mid_rad(boxes)
+        self._enum = {
+            # per unit of |a_i|, the radius of fl(sum_i lm[k, i] a_i) around
+            # sum_i mat[k, i] a_i: data radius plus the dot product's gamma_r
+            "lm": lm, "q": _UP * (lr + _gamma(r) * np.abs(lm)),
+            "im": im, "ir": ir, "bm": bm, "br": br,
+        }
+        return self._enum
 
-    def candidate_exponents(self, x, prec: int = START_PREC):
-        """Per cone, every integer exponent vector a for which eps^a * x can
-        lie in the closed cone (a certified superset)."""
+    def candidate_exponents(self, x):
+        """Per cone, an (N, n-1) int array of every exponent vector a for
+        which eps^a * x can lie in the closed cone (a certified superset), in
+        lexicographic order."""
         field = self.field
-        n = field.degree
-        r = n - 1
+        r = field.degree - 1
         if isinstance(x, FieldElement):
-            conj = field._positive_conjugates(x, prec)
-            loglx = [log_iv(conj[k].div(conj[-1], prec), prec) for k in range(r)]
+            conj = field._positive_conjugates(x, START_PREC)
+            ratios = [conj[k].div(conj[-1], START_PREC) for k in range(r)]
         else:
             seq = [Fraction(c) for c in x]
-            lx = [c / seq[-1] for c in seq[:-1]]
-            loglx = [log_iv(Iv.from_fraction(v, prec), prec) for v in lx]
-        data = self._enum_data(prec)
-        mat = data["mat"]
-        out = []
-        for cone, box in zip(self.cones, data["boxes"]):
-            target = [box[k] - loglx[k] for k in range(r)]
-            ranges = []
-            for i in range(r):
-                acc = data["inv"][i][0] * target[0]
-                for k in range(1, r):
-                    acc = acc + data["inv"][i][k] * target[k]
-                lo = math.ceil(acc.lo_fraction())
-                hi = math.floor(acc.hi_fraction())
-                ranges.append(range(lo, hi + 1))
-            # the ranges bound the parallelotope's bounding box; discard the
-            # corners certified outside the parallelotope itself
-            cands = []
-            tlo = [t.lo_fraction() for t in target]
-            thi = [t.hi_fraction() for t in target]
-            for a in itertools.product(*ranges):
-                ok = True
-                for k in range(r):
-                    acc = mat[k][0].mul_int(a[0])
-                    for i in range(1, r):
-                        acc = acc + mat[k][i].mul_int(a[i])
-                    if acc.lo_fraction() > thi[k] or acc.hi_fraction() < tlo[k]:
-                        ok = False
-                        break
-                if ok:
-                    cands.append(a)
-            out.append((cone, cands))
-        return out
+            ratios = [Iv.from_fraction(c / seq[-1], START_PREC) for c in seq[:-1]]
+        ym, yr = _tame(*np.array([_log_enclosure(v) for v in ratios]).T)
+        d = self._enum_data()
+        bm = d["bm"]
+        # target = box - log x per cone; the centre is rounded once, so it is
+        # off by at most u |bm - ym| <= u (|bm| + |ym|)
+        tm, tr = _tame(bm - ym, _UP * (d["br"] + yr + _U * (np.abs(bm) + np.abs(ym))))
+        # exponent box = inv @ target: per term |im| tr + ir (|tm| + tr), plus
+        # the dot product's gamma_r |im| |tm|
+        im, atm = d["im"], np.abs(tm)
+        cm = tm @ im.T
+        cr = _UP * ((tr + _gamma(r) * atm) @ np.abs(im).T + (atm + tr) @ d["ir"].T)
+        # one rounding each, so one nextafter step outward encloses the ends
+        lo = np.ceil(np.nextafter(cm - cr, -np.inf)).astype(np.int64)
+        hi = np.floor(np.nextafter(cm + cr, np.inf)).astype(np.int64)
+        # the ranges bound the parallelotope's bounding box; discard the
+        # corners certified outside the parallelotope itself
+        grids = [np.indices(np.maximum(h - l + 1, 0)).reshape(r, -1).T + l
+                 for l, h in zip(lo, hi)]
+        sizes = [len(g) for g in grids]
+        which = np.repeat(np.arange(len(grids)), sizes)
+        af = np.concatenate(grids).astype(float)
+        # the corner's log image mat @ a has centre fl(lm @ a) and radius
+        # q @ |a|; it meets the target iff the centres differ by at most the
+        # sum of the radii; the difference is rounded once, inside _UP
+        near = np.abs(af @ d["lm"].T - tm[which])
+        keep = (near <= _UP * (_UP * (np.abs(af) @ d["q"].T) + tr[which])).all(axis=1)
+        keeps = np.split(keep, np.cumsum(sizes)[:-1])
+        return [(cone, g[k]) for cone, g, k in zip(self.cones, grids, keeps)]
+
+    # ---- float membership ----
+
+    def _member_data(self):
+        """Per unit, the float conjugates of eps_i and eps_i^-1 with their
+        error counts; per cone, the cofactors' (mid, rad) pairs with the
+        orientation sign folded in, and whether they are in float range."""
+        if self._member is None:
+            field = self.field
+            units = [(_positive_floats(field._positive_conjugates(u, START_PREC)),
+                      _positive_floats(field._positive_conjugates(u.inverse(), START_PREC)))
+                     for u in self.units]
+            cm, cr = _mid_rad([c._cofactors(START_PREC) for c in self.cones])
+            cm = cm * np.array([c._det_sign for c in self.cones])[:, None, None]
+            usable = ((np.abs(cm) <= 1 / _SAFE) & (cr <= 1 / _SAFE)).all(axis=(1, 2))
+            self._member = (units, cm, cr, usable)
+        return self._member
+
+    def _power_floats(self, top: int):
+        """Per unit i, float conjugates of eps_i^a for a = -top..top (row
+        a + top), by repeated multiplication (np.cumprod is sequential), each
+        with its error count |a| (k + 1) and whether the row stays within
+        [2^-300, 2^300].  Powers are monotone in a, so a row in range was
+        built from rows in range.  Tables grow geometrically."""
+        have, tables = self._powers
+        if have >= top:
+            return have, tables
+        top = max(top, 2 * have)
+        units, _, _, _ = self._member_data()
+        n = self.field.degree
+        a = np.arange(-top, top + 1)
+        tables = []
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for (up, kup), (dn, kdn) in units:
+                pos = np.cumprod(np.vstack([np.ones(n), np.tile(up, (top, 1))]), axis=0)
+                neg = np.cumprod(np.vstack([np.ones(n), np.tile(dn, (top, 1))]), axis=0)
+                table = np.vstack([neg[:0:-1], pos])
+                valid = ((table >= _SAFE) & (table <= 1 / _SAFE)).all(axis=1)
+                count = np.where(a == 0, 0.0, np.abs(a) * np.where(a < 0, kdn + 1, kup + 1))
+                tables.append((np.where(valid[:, None], table, 1.0), count, valid))
+        self._powers = (top, tables)
+        return self._powers
+
+    def _float_verdicts(self, x, per_cone):
+        """Per cone, an int array over its candidates: 1 when eps^a x is
+        certified inside (every cone coordinate > 0), 0 when certified
+        outside (some coordinate < 0), -1 when the float bound cannot tell
+        (exact zeros, and with them every open/closed-flag case)."""
+        field = self.field
+        n = field.degree
+        if isinstance(x, FieldElement):
+            xf, kx = _positive_floats(field._positive_conjugates(x, START_PREC))
+        else:
+            xf, kx = _positive_floats([Iv.from_fraction(Fraction(c), START_PREC) for c in x])
+        expos = np.concatenate([cands for _, cands in per_cone])
+        sizes = [len(cands) for _, cands in per_cone]
+        which = np.repeat(np.arange(len(sizes)), sizes)
+        _, cm, cr, usable = self._member_data()
+        top, tables = self._power_floats(int(np.abs(expos).max(initial=0)))
+        # v = x * prod_i eps_i^(a_i): r products on top of the factors' counts
+        v = np.tile(xf, (len(expos), 1))
+        count = np.full(len(expos), kx + n - 1)
+        ok = usable[which]
+        for i, (table, cnt, valid) in enumerate(tables):
+            row = expos[:, i] + top
+            v = v * table[row]
+            count += cnt[row]
+            inside = ((v >= _SAFE) & (v <= 1 / _SAFE)).all(axis=1)
+            ok &= valid[row] & inside
+            v = np.where(inside[:, None], v, 1.0)
+        # The exact vector is v (1 + theta) with |theta| <= rho = 2 count u
+        # (count <= 2^40 keeps count u <= 1/2).  Its coordinate i is
+        # sum_j v_j (1 + theta_j) C[j, i], the computed one
+        # fl(sum_j v_j cm[j, i]), and they differ by at most
+        #   sum_j v_j ((1 + rho) cr[j, i] + (rho + gamma_n) |cm[j, i]|).
+        ok &= count <= 2.0 ** 40
+        rho = 2 * _U * np.where(ok, count, 0.0)
+        v = v[:, None, :]
+        coord = (v @ cm[which])[:, 0]
+        bound = _UP * ((1 + rho)[:, None] * (v @ cr[which])[:, 0]
+                       + (rho + _gamma(n))[:, None] * (v @ np.abs(cm)[which])[:, 0])
+        verdict = np.where(ok & (coord > bound).all(axis=1), 1,
+                           np.where(ok & (coord < -bound).any(axis=1), 0, -1))
+        return np.split(verdict, np.cumsum(sizes)[:-1])
 
     def __getstate__(self):
         raise TypeError("SignedDomain is rebuilt per process, not pickled")
@@ -374,19 +592,24 @@ def is_true_domain(dom: SignedDomain) -> bool:
 def orbit_net_count(dom: SignedDomain, x):
     """Signed number of intersections of the unit orbit of x with the cones:
     sum over cones of w * #(hits).  Returns (count, hits) with the hit list
-    of (sigma, exponent vector) pairs."""
-    field = dom.field
+    of (sigma, exponent vector) pairs.  The float stage decides most
+    candidates; the rest go to the certified ladder."""
+    per_cone = dom.candidate_exponents(x)
+    verdicts = dom._float_verdicts(x, per_cone)
+    exact = isinstance(x, FieldElement)
+    if not exact:
+        seq = [Fraction(c) for c in x]
     hits = []
     total = 0
-    for cone, cands in dom.candidate_exponents(x):
-        for a in cands:
-            if isinstance(x, FieldElement):
-                v = dom.unit_power(a) * x
-                inside = cone.contains_element(v)
+    for (cone, cands), verdict in zip(per_cone, verdicts):
+        for k in np.flatnonzero(verdict):       # inside, or undecided
+            a = tuple(cands[k].tolist())
+            if verdict[k] > 0:
+                inside = True
+            elif exact:
+                inside = cone.contains_element(dom.unit_power(a) * x)
             else:
-                seq = [Fraction(c) for c in x]
-
-                def vfn(prec, a=a, seq=seq):
+                def vfn(prec, a=a):
                     emb = dom._power_embedding(a, prec)
                     return [e * Iv.from_fraction(c, prec) for e, c in zip(emb, seq)]
 

@@ -14,6 +14,7 @@ library iterates a ladder; :func:`adaptive_sign` is its simplest consumer.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable
 
@@ -57,6 +58,24 @@ def _round_up(m: int, e: int, prec: int) -> tuple[int, int]:
     if excess <= 0:
         return m, e
     return -((-m) >> excess), e + excess
+
+
+def _float_down(m: int, e: int) -> float:
+    """Largest float64 <= m*2^e; -inf below the float range."""
+    s = m.bit_length() - 53
+    if s > 0:
+        m, e = m >> s, e + s          # floor: still <= m*2^e, now 53 bits
+    try:
+        f = math.ldexp(m, e)          # exact unless below the normal range
+    except OverflowError:
+        return -math.inf if m < 0 else sys.float_info.max
+    if abs(f) < sys.float_info.min:
+        # subnormal or zero: ldexp rounded to nearest, so one step down
+        # reaches a float <= m*2^e when it rounded up
+        p, q = f.as_integer_ratio()
+        if _cmp(p, 1 - q.bit_length(), m, e) > 0:
+            f = math.nextafter(f, -math.inf)
+    return f
 
 
 def _frac_down(fr: Fraction, prec: int) -> tuple[int, int]:
@@ -237,6 +256,11 @@ class Iv:
 
     def mid_fraction(self) -> Fraction:
         return (self.lo_fraction() + self.hi_fraction()) / 2
+
+    def float_bounds(self) -> tuple[float, float]:
+        """Outward float64 pair (lo, hi): lo <= every point <= hi.  Endpoints
+        past the float range become -inf / +inf."""
+        return _float_down(self.lm, self.le), -_float_down(-self.um, self.ue)
 
     def mid_float(self) -> float:
         try:

@@ -310,8 +310,11 @@ def euler_product_oracle(s: float, field: NumberField, prime_cap: int,
 def dedekind_zeta_via_domain(s: float, units, field: NumberField,
                              params: ZetaParams,
                              order: Order | None = None) -> LValue:
-    """zeta_k(s) assembled from the signed domain (trivial character, one
-    class); the fixture fields have narrow class number 1."""
+    """The partial zeta function of the principal narrow ideal class at s,
+    assembled from the signed domain (trivial character on one class).
+    This is zeta_k(s) only when k has narrow class number 1; Q(sqrt3), for
+    one, has narrow class number 2 (its fundamental unit 2 + sqrt3 has
+    norm +1), and there this is the principal class's part alone."""
     order = order or integral_basis(field)
     return l_function(s, trivial_character(order), units, field, params,
                       order=order)

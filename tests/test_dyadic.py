@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,3 +137,40 @@ def test_ladder_error_class_can_change_mid_climb():
     with pytest.raises(PrecisionCapExceeded, match="denominator"):
         for prec in steps:
             steps.what, steps.zero_possible = "denominator", False
+
+
+def _float_encloses(f: float, exact: Fraction, below: bool) -> bool:
+    """f <= exact (below) or f >= exact, with f the nearest such float."""
+    if math.isinf(f):
+        return (f < 0) == below
+    step = math.nextafter(f, math.inf if below else -math.inf)
+    if below:
+        return Fraction(f) <= exact and (math.isinf(step) or Fraction(step) > exact)
+    return Fraction(f) >= exact and (math.isinf(step) or Fraction(step) < exact)
+
+
+@given(st.integers(min_value=-(1 << 90), max_value=1 << 90),
+       st.integers(min_value=0, max_value=1 << 90),
+       st.integers(min_value=-1250, max_value=1150))
+@settings(max_examples=300)
+def test_float_bounds_outward_and_tight(m, width, e):
+    # widths and exponents reach past both float ends: overflow to +-inf,
+    # underflow through the subnormals to 0
+    iv = Iv(m, e, m + width, e)
+    lo, hi = iv.float_bounds()
+    assert _float_encloses(lo, iv.lo_fraction(), below=True)
+    assert _float_encloses(hi, iv.hi_fraction(), below=False)
+
+
+def test_float_bounds_edges():
+    big = Iv(1, 1100, 3, 1100)
+    assert big.float_bounds() == (sys.float_info.max, math.inf)
+    assert (-big).float_bounds() == (-math.inf, -sys.float_info.max)
+    tiny = Iv(1, -1100, 3, -1100)
+    assert tiny.float_bounds() == (0.0, 5e-324)
+    assert (-tiny).float_bounds() == (-5e-324, 0.0)
+    assert Iv.ZERO.float_bounds() == (0.0, 0.0)
+    point = Iv.from_fraction(Fraction(1, 3), 64)
+    lo, hi = point.float_bounds()
+    assert lo <= 1 / 3 <= hi and math.nextafter(lo, 1) == hi
+    assert Iv(5, -1074, 5, -1074).float_bounds() == (5 * 2.0 ** -1074,) * 2
