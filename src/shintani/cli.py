@@ -178,7 +178,9 @@ def cmd_regcheck(job, args):
 def cmd_oracle(job, args):
     fld, _units = _field_and_units(job, args.precision_cap)
     s = float(job.get("s", 2.0))
-    cap = int(job.get("prime_cap", 10 ** 6))
+    cap = job.get("prime_cap", 10 ** 6)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+        raise SchemaError(f'"prime_cap" must be an integer >= 2, got {cap!r}')
     t0 = time.monotonic()
     out = euler_product_oracle(s, fld, cap)
     ms = int((time.monotonic() - t0) * 1000)

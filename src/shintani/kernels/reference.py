@@ -1,7 +1,14 @@
-"""Reference backend: vectorized NumPy box sums and a NumPy-assisted
-prime-splitting scan.  Correctness first; the compiled backend mirrors it."""
+"""Reference backend: vectorized NumPy box sums, and a prime-splitting scan
+that decides the unramified primes in NumPy batches from the ranks of
+Berlekamp's Frobenius matrix, with plain per-prime distinct-degree
+factorization for the ramified primes and for primes too large for int64
+arithmetic.  Correctness first; the compiled backend has the same contract."""
 
 from __future__ import annotations
+
+import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,20 +129,6 @@ def _poly_reduce(a, g, p):
     return out + [0] * (n - len(out))
 
 
-def _xp_mod(g, p):
-    """x^p mod (g, p) for monic g of degree >= 2."""
-    n = len(g) - 1
-    cur = [1] + [0] * (n - 1)
-    sq = [0, 1] + [0] * (n - 2)
-    e = p
-    while e:
-        if e & 1:
-            cur = _poly_mul_mod(cur, sq, g, p)
-        sq = _poly_mul_mod(sq, sq, g, p)
-        e >>= 1
-    return cur
-
-
 def _frobenius_step(y, g, p):
     """y -> y^p mod (g, p)."""
     n = len(g) - 1
@@ -192,7 +185,7 @@ def _counts_one_prime(poly, p):
     g = _radical(f, p)
     counts = [0] * n
     d = 1
-    y = None
+    y = [0, 1]                      # x^(p^(d-1)) mod (g, p)
     while True:
         m = _deg(g, p)
         if m <= 0:
@@ -200,8 +193,7 @@ def _counts_one_prime(poly, p):
         if 2 * d > m:
             counts[m - 1] += 1
             break
-        if y is None:
-            y = _xp_mod(g, p)
+        y = _frobenius_step(y, g, p)
         sub = list(y)
         sub[1] = (sub[1] - 1) % p
         h = _poly_gcd(g, sub, p)
@@ -212,101 +204,177 @@ def _counts_one_prime(poly, p):
             if _deg(g, p) <= 0:
                 break
             y = _poly_reduce(y, g, p)
-        y = _frobenius_step(y, g, p)
         d += 1
     return tuple(counts)
 
 
-# ---- vectorized Frobenius for the typical primes ----
+# ---- batched Frobenius-rank scan for the unramified primes ----
+#
+# For p not dividing disc(f), f is squarefree mod p and
+# R = F_p[x]/(f) is the product of the fields F_{p^e}, one per irreducible
+# factor of degree e.  The Frobenius y -> y^p is F_p-linear on R; its
+# matrix Q (Berlekamp's Q-matrix) has the coefficients of x^(ip) mod (f, p)
+# as column i.  On F_{p^e} the fixed field of Frobenius^d is F_{p^gcd(d, e)},
+# so with a_e factors of degree e
+#
+#     N_d = n - rank_{F_p}(Q^d - I) = sum_e a_e gcd(d, e).
+#
+# The gcd matrix (gcd(d, e))_{d,e <= n} is invertible (Smith's determinant
+# is prod phi(k)), so N_1..N_n fix the pattern (a_1, ..., a_n); usually
+# fewer do: N_1 alone for n <= 3, N_1, N_2 for n = 4 (with N_1 = 2,
+# N_2 = 2 means (3,1) and N_2 = 4 means (2,2)), N_1..N_3 for n = 5.
+# `_patterns` tabulates the partitions of n by their shortest separating
+# prefix N_1..N_D.
+#
+# Everything runs on int64 NumPy arrays, one chunk of primes at a time.
+# Every intermediate is at most p(p - 1) in absolute value: a residue
+# (<= p - 1) plus a product of two residues (<= (p - 1)^2) in the ladder
+# and the matrix products, and a difference of two products of residues
+# (|.| <= (p - 1)^2) in the elimination, each reduced mod p before the next
+# operation.  p <= isqrt(2^63 - 1) keeps p(p - 1) < p^2 < 2^63; larger
+# primes go through the exact per-prime DDF (`_counts_one_prime`), as do
+# the ramified ones.
 
-def _xp_mod_f_vec(poly, primes):
-    """x^p mod (f, p) for every prime at once: one square-and-multiply
-    ladder over the bits of p, masked per prime.  Coefficients stay below
-    p^2 * n < 2^63 for the prime ranges used here."""
+_INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
+
+# Primes per batch: bounds the (chunk, n, n) working arrays and the peak
+# memory of a scan, whatever the prime cap.
+_CHUNK = 4096
+
+
+def _mul_mod(a, b, red, p):
+    """a * b mod (f, p) for (n, B) coefficient arrays (low degree first),
+    one prime per column; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j."""
+    n = len(a)
+    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
+    for i in range(n):
+        prod[i:i + n] = (prod[i:i + n] + a[i] * b) % p
+    for k in range(2 * n - 2, n - 1, -1):
+        prod[k - n:k] = (prod[k - n:k] + prod[k] * red) % p
+    return prod[:n]
+
+
+def _mul_x(a, red, p):
+    """x * a mod (f, p) for an (n, B) coefficient array."""
+    out = np.empty_like(a)
+    out[0] = 0
+    out[1:] = a[:-1]
+    return (out + a[-1] * red) % p
+
+
+def _frobenius_matrices(poly, p):
+    """Q for every prime of the int64 array p, as a (B, n, n) array: x^p by
+    one square-and-multiply ladder over the bits of p, masked per prime,
+    then the columns x^(ip) = x^((i-1)p) * x^p."""
     n = len(poly) - 1
-    p = np.asarray(primes, dtype=np.int64)
-    red = np.empty((n, len(p)), dtype=np.int64)     # x^n = sum red[j] x^j
-    for k in range(n):
-        red[k] = (-poly[k]) % p
-
-    def mul(a, b):
-        prod = [np.zeros(len(p), dtype=np.int64) for _ in range(2 * n - 1)]
-        for i in range(n):
-            ai = a[i]
-            for j in range(n):
-                prod[i + j] = (prod[i + j] + ai * b[j]) % p
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            for j in range(n):
-                prod[k - n + j] = (prod[k - n + j] + c * red[j]) % p
-        return prod[:n]
-
-    cur = [np.zeros(len(p), dtype=np.int64) for _ in range(n)]
-    cur[0] = np.ones(len(p), dtype=np.int64)
-    base = [np.zeros(len(p), dtype=np.int64) for _ in range(n)]
-    base[1] = np.ones(len(p), dtype=np.int64)
-    maxbits = int(p.max()).bit_length()
-    for bit in range(maxbits - 1, -1, -1):
-        cur = mul(cur, cur)
-        mask = ((p >> bit) & 1).astype(bool)
-        if mask.any():
-            nxt = mul(cur, base)
-            cur = [np.where(mask, nxt[k], cur[k]) for k in range(n)]
-    return cur
+    red = np.stack([(-c) % p for c in poly[:n]])
+    cur = np.zeros((n, len(p)), dtype=np.int64)
+    cur[0] = 1
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        cur = _mul_mod(cur, cur, red, p)
+        odd = ((p >> bit) & 1).astype(bool)
+        if odd.any():
+            cur = np.where(odd, _mul_x(cur, red, p), cur)
+    q = np.zeros((len(p), n, n), dtype=np.int64)
+    q[:, 0, 0] = 1
+    col = cur
+    for i in range(1, n):
+        q[:, :, i] = col.T
+        if i + 1 < n:
+            col = _mul_mod(col, cur, red, p)
+    return q
 
 
-def _counts_from_frobenius(poly, p, xp):
-    """Counts for a prime where poly stays squarefree mod p, given
-    x^p mod (f, p).  Small-degree casework avoids most gcd work."""
+def _matmul_mod(a, b, p):
+    """Batched a @ b mod p for (B, n, n) arrays."""
+    pp = p[:, None, None]
+    out = np.zeros_like(a)
+    for k in range(a.shape[1]):
+        out = (out + a[:, :, k, None] * b[:, None, k, :]) % pp
+    return out
+
+
+def _rank_mod(a, p):
+    """rank over F_p of each (n, n) matrix of the (B, n, n) array a, by
+    fraction-free elimination: the pivot row is cross-multiplied into the
+    others (row <- pivot * row - entry * pivot_row), so no inverse mod p is
+    needed and a nonzero pivot keeps the rank."""
+    b, n, _ = a.shape
+    pp = p[:, None, None]
+    rows = np.arange(b)
+    free = np.ones((b, n), dtype=bool)
+    for c in range(n):
+        col = a[:, :, c]
+        cand = (col != 0) & free
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        prow = a[rows, piv]
+        # without a pivot the free rows already vanish in column c: leave
+        # them unscaled (rows that were pivots are never read again)
+        pv = np.where(has, prow[:, c], 1)
+        a = (pv[:, None, None] * a - col[:, :, None] * prow[:, None, :]) % pp
+        free[rows[has], piv[has]] = False
+    return n - free.sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _patterns(n):
+    """The factor patterns (a_1, ..., a_n) of a squarefree degree-n
+    polynomial, the least D whose signatures (N_1, ..., N_D) tell them
+    apart, and the codes sum_d N_d (n+1)^(d-1) of those signatures; the
+    patterns are sorted by code."""
+    patterns = [a for a in itertools.product(*(range(n // e + 1)
+                                               for e in range(1, n + 1)))
+                if sum(e * a_e for e, a_e in enumerate(a, 1)) == n]
+
+    def code(a, depth):
+        return sum(sum(a_e * math.gcd(d, e) for e, a_e in enumerate(a, 1))
+                   * (n + 1) ** (d - 1) for d in range(1, depth + 1))
+
+    depth = next(d for d in range(1, n + 1)
+                 if len({code(a, d) for a in patterns}) == len(patterns))
+    patterns.sort(key=lambda a: code(a, depth))
+    return patterns, depth, np.array([code(a, depth) for a in patterns])
+
+
+def _chunk_patterns(poly, p):
+    """Index into `_patterns(n)[0]` of the factor pattern of poly mod each
+    prime of the int64 array p (all unramified, all <= _INT64_PRIME_MAX)."""
     n = len(poly) - 1
-    f = [c % p for c in poly]
-    sub = list(xp)
-    sub[1] = (sub[1] - 1) % p
-    r1 = _deg(_poly_gcd(f, sub, p), p) if any(x % p for x in sub) else n
-    counts = [0] * n
-    if r1:
-        counts[0] = r1
-    left = n - r1
-    if left == 0:
-        return tuple(counts)
-    if left == 2:
-        counts[1] = 1
-        return tuple(counts)
-    if left == 3:
-        counts[2] = 1
-        return tuple(counts)
-    if left == 4 and n == 4:
-        # no linear factors: (2,2) or (4), separated by roots in F_p^2
-        y2 = _frobenius_step(list(xp), f, p)
-        sub2 = list(y2)
-        sub2[1] = (sub2[1] - 1) % p
-        r2 = _deg(_poly_gcd(f, sub2, p), p) if any(x % p for x in sub2) else n
-        if r2 == 4:
-            counts[1] = 2
-        else:
-            counts[3] = 1
-        return tuple(counts)
-    return _counts_one_prime(poly, p)
+    _, depth, codes = _patterns(n)
+    q = _frobenius_matrices(poly, p)
+    eye = np.eye(n, dtype=np.int64)
+    qd = q
+    code = np.zeros(len(p), dtype=np.int64)
+    for d in range(1, depth + 1):
+        if d > 1:
+            qd = _matmul_mod(qd, q, p)
+        nd = n - _rank_mod((qd - eye) % p[:, None, None], p)
+        code += nd * (n + 1) ** (d - 1)
+    pos = np.searchsorted(codes, code)
+    if (np.take(codes, pos, mode="clip") != code).any():
+        raise AssertionError("Frobenius ranks match no factor pattern")
+    return pos
 
 
 def splitting_counts(poly, primes):
     """Distinct-factor degree counts of the squarefree part of poly mod p
-    for every prime: the ramified (p | disc) primes go through plain DDF,
-    the rest share one vectorized Frobenius ladder."""
+    for every prime.  Ramified primes (p | disc) and primes above
+    _INT64_PRIME_MAX go through plain DDF; the rest are decided in chunks
+    of _CHUNK by the ranks of Q^d - I (see above)."""
     from ..polyroots import poly_discriminant
 
-    out = [None] * len(primes)
+    primes = [int(p) for p in primes]
     disc = poly_discriminant(poly)
-    plain_idx = [i for i, p in enumerate(primes) if disc % int(p) != 0]
-    for i, p in enumerate(primes):
-        if disc % int(p) == 0:
-            out[i] = _counts_one_prime(poly, int(p))
-    if plain_idx:
-        sub = np.asarray([int(primes[i]) for i in plain_idx], dtype=np.int64)
-        xp = _xp_mod_f_vec(poly, sub)
-        n = len(poly) - 1
-        for k, i in enumerate(plain_idx):
-            p = int(sub[k])
-            xp_k = [int(xp[j][k]) for j in range(n)]
-            out[i] = _counts_from_frobenius(poly, p, xp_k)
-    return out
+    exact = [i for i, p in enumerate(primes)
+             if p > _INT64_PRIME_MAX or disc % p == 0]
+    table = [_counts_one_prime(poly, primes[i]) for i in exact]
+    ids = np.full(len(primes), -1, dtype=np.int64)   # index into table
+    ids[exact] = np.arange(len(exact))
+    batch = np.flatnonzero(ids < 0)
+    p = np.array([primes[i] for i in batch.tolist()], dtype=np.int64)
+    for lo in range(0, len(batch), _CHUNK):
+        ids[batch[lo:lo + _CHUNK]] = len(table) + _chunk_patterns(
+            poly, p[lo:lo + _CHUNK])
+    table += _patterns(len(poly) - 1)[0]
+    return [table[k] for k in ids.tolist()]

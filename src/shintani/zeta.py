@@ -17,12 +17,14 @@ up for skew cones; the M-doubling tests validate it empirically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import kernels
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
+    InputError,
     NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
@@ -273,6 +275,10 @@ def euler_product_oracle(s: float, field: NumberField, prime_cap: int,
     index coprime to every p <= cap (monogenic fixtures: index 1)."""
     if s <= 1:
         raise ValueError("the Euler product converges for s > 1 only")
+    if (isinstance(prime_cap, bool) or not isinstance(prime_cap, numbers.Integral)
+            or prime_cap < 2):
+        # the tail bound divides by log(prime_cap)
+        raise InputError(f"prime cap must be an integer >= 2, got {prime_cap!r}")
     if order is not None:
         idx = order.power_basis_index()
         if idx > 1:

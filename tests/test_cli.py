@@ -140,6 +140,20 @@ def test_oracle_command(tmp_path, capsys):
     assert abs(out["value"] - 1.4349714) < 1e-4
 
 
+@pytest.mark.parametrize("cap", [1, 0, -5, 2.7, 2.0, True, "1000", None])
+def test_oracle_prime_cap_rejected_exit_2(tmp_path, capsys, cap):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "prime_cap": cap})
+    code, out = run(capsys, ["oracle", "--job", job])
+    assert code == 2 and out["error"] == "SchemaError"
+    assert "prime_cap" in out["detail"]
+
+
+def test_oracle_smallest_prime_cap(tmp_path, capsys):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "prime_cap": 2})
+    code, out = run(capsys, ["oracle", "--job", job])
+    assert code == 0 and out["prime_cap"] == 2 and out["terms"] == 1
+
+
 def test_verify_quartic_via_cli(tmp_path, capsys):
     job = write_job(tmp_path, {
         "field": {"poly": [1, 1, -3, -1, 1],

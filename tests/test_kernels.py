@@ -141,3 +141,85 @@ def test_selected_backend_exposed():
     gens = [[1.0, 1.0], [0.17, 5.83]]
     assert box_sum(z, gens, 2.0, 10) > 0
     assert splitting_counts((-2, 0, 1), [7]) == [(2, 0)]
+
+
+# ---- batched Frobenius-rank scan against plain DDF ----
+
+X4_X_1 = (-1, -1, 0, 0, 1)         # S4: the only input here reaching (3,1)
+X5_X_1 = (-1, -1, 0, 0, 0, 1)      # S5: every quintic pattern
+SCAN_POLYS = [(-2, 0, 1), (-3, 0, 1), (-1, -3, 0, 1), (1, -3, -1, 1),
+              (1, 1, -3, -1, 1), X4_X_1, X5_X_1]
+PRIMES_30K = [p for p in range(2, 30000)
+              if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("poly", SCAN_POLYS)
+def test_batched_scan_matches_ddf(monkeypatch, poly):
+    # a small chunk puts several chunk boundaries (and a short last chunk)
+    # inside the 3245 primes
+    monkeypatch.setattr(reference, "_CHUNK", 1000)
+    assert len(PRIMES_30K) > 3 * reference._CHUNK
+    want = [reference._counts_one_prime(poly, p) for p in PRIMES_30K]
+    assert reference.splitting_counts(poly, PRIMES_30K) == want
+
+
+def _partition_patterns(n):
+    out = set()
+    for a in itertools.product(*(range(n // e + 1) for e in range(1, n + 1))):
+        if sum(e * a_e for e, a_e in enumerate(a, 1)) == n:
+            out.add(a)
+    return out
+
+
+@pytest.mark.parametrize("poly", [X4_X_1, X5_X_1])
+def test_batched_scan_reaches_every_pattern(poly):
+    n = len(poly) - 1
+    disc = poly_discriminant(poly)
+    got = reference.splitting_counts(poly, PRIMES_30K)
+    seen = {c for p, c in zip(PRIMES_30K, got) if disc % p}
+    assert seen == _partition_patterns(n)
+
+
+def test_pattern_signatures_separate_partitions():
+    # N_1 fixes the pattern up to n = 3, n = 4 needs N_2 and n = 5 N_3
+    assert reference._patterns(3)[1] == 1
+    assert reference._patterns(4)[1] == 2
+    assert reference._patterns(5)[1] == 3
+    for n, count in zip(range(2, 9), (2, 3, 5, 7, 11, 15, 22)):
+        patterns, depth, codes = reference._patterns(n)
+        assert depth <= n
+        assert len(patterns) == count          # the partition numbers
+        assert set(patterns) == _partition_patterns(n)
+        assert list(codes) == sorted(set(codes))
+
+
+# primes just below and just above the int64 bound of the batched scan, and
+# near 10^12
+BELOW_BOUND = [3037000331, 3037000333, 3037000391, 3037000399, 3037000427,
+               3037000429, 3037000453, 3037000493]
+ABOVE_BOUND = [3037000507, 3037000537, 3037000573, 3037000579, 3037000597,
+               3037000639, 3037000691, 3037000693]
+NEAR_1E12 = [1000000000039, 1000000000061, 1000000000063, 1000000000091,
+             1000000000121, 1000000000163, 1000000000169, 1000000000177]
+
+
+@pytest.mark.parametrize("poly", [(-2, 0, 1), (1, 1, -3, -1, 1), X4_X_1])
+def test_large_primes_exact(poly):
+    assert max(BELOW_BOUND) <= reference._INT64_PRIME_MAX < min(ABOVE_BOUND)
+    primes = BELOW_BOUND + ABOVE_BOUND + NEAR_1E12
+    want = [reference._counts_one_prime(poly, p) for p in primes]
+    assert reference.splitting_counts(poly, primes) == want
+
+
+def test_large_prime_sqrt2_splits():
+    # 2 is a square mod 3037000537 (it is 1 mod 8)
+    assert 3037000537 % 8 == 1
+    assert reference.splitting_counts((-2, 0, 1), [3037000537]) == [(2, 0)]
+
+
+def test_mixed_prime_order():
+    # unsorted input mixing ramified (5, 29), batched and large primes
+    poly = (1, 1, -3, -1, 1)
+    primes = [1000000000039, 29, 7, 3037000537, 5, 997, 2, 3037000493, 13]
+    want = [reference._counts_one_prime(poly, p) for p in primes]
+    assert reference.splitting_counts(poly, primes) == want

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from shintani.domain import build_signed_domain
-from shintani.errors import NonMonogenicPrime, NotTotallyPositive, TailBoundUnachievable
+from shintani.errors import (
+    InputError,
+    NonMonogenicPrime,
+    NotTotallyPositive,
+    TailBoundUnachievable,
+)
 from shintani.ideals import (
     FractionalIdeal,
     enumerate_R_sigma,
@@ -194,6 +199,13 @@ def test_euler_oracle_non_monogenic_prime():
     order = integral_basis(fld, [fld.one, fld.element([Fraction(1, 2), Fraction(1, 2)])])
     with pytest.raises(NonMonogenicPrime):
         euler_product_oracle(2.0, fld, 1000, order=order)
+
+
+@pytest.mark.parametrize("cap", [1, 0, -5, 2.7, True])
+def test_euler_oracle_rejects_prime_cap(cap):
+    fld, _ = q_sqrt2()
+    with pytest.raises(InputError):
+        euler_product_oracle(2.0, fld, cap)
 
 
 def test_character_congruence_coprimality():
