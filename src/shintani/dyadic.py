@@ -233,12 +233,6 @@ class Iv:
     def is_positive(self) -> bool:
         return self.lm > 0
 
-    def is_negative(self) -> bool:
-        return self.um < 0
-
-    def contains_zero(self) -> bool:
-        return self.lm <= 0 <= self.um
-
     def contains(self, v: Fraction) -> bool:
         v = Fraction(v)
         return self.lo_fraction() <= v <= self.hi_fraction()

@@ -1,8 +1,8 @@
-"""Reference backend: vectorized NumPy box sums, and a prime-splitting scan
-that decides the unramified primes in NumPy batches from the ranks of
-Berlekamp's Frobenius matrix, with plain per-prime distinct-degree
-factorization for the ramified primes and for primes too large for int64
-arithmetic.  Correctness first; the compiled backend has the same contract."""
+"""NumPy kernels: the truncated simplex sum of a Shintani series with a
+derived bound on its float error, and a prime-splitting scan that decides
+the unramified primes in NumPy batches from the ranks of Berlekamp's
+Frobenius matrix, with plain per-prime distinct-degree factorization for the
+ramified primes and for primes too large for int64 arithmetic."""
 
 from __future__ import annotations
 
@@ -13,39 +13,109 @@ from functools import lru_cache
 import numpy as np
 
 
-def box_sum(z, gens, s, radius, scale=1.0):
-    """Truncated Shintani sum over the box {0..radius}^n.
+def _graded_bases(z, c, radius):
+    """The values z_j + sum_{i>=1} m_i c[i][j] at the points
+    (m_1, ..., m_{n-1}) >= 0 of sum <= radius, one array per axis j, listed
+    by nondecreasing sum, and the level ends: `ends[k]` points have sum <= k.
 
-    The grid over the trailing n-1 axes is precomputed once; the leading
-    axis is looped to bound memory.  numpy's pairwise summation keeps the
-    float error negligible against the truncation bound.
+    Level k of (m_1, ..., m_i) is {(p, k - |p|) : |p| <= k} over the points
+    p of (m_1, ..., m_{i-1}), a prefix of their graded list, so each
+    coordinate is appended by one gather.  Every value is z_j plus the
+    products m_i c[i][j], added in the order i = 1, 2, ..., n - 1."""
+    m = np.arange(radius + 1)
+    sums, ends = m, m + 1
+    bases = [zj + m * cj for zj, cj in zip(z, c[1])]
+    for row in c[2:]:
+        level = np.repeat(m, ends)
+        idx = np.arange(len(level)) - np.repeat(np.cumsum(ends) - ends, ends)
+        last = level - sums[idx]
+        bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
+        sums, ends = level, np.cumsum(ends)
+    return bases, ends
+
+
+def box_sum(z, gens, s, radius, scale=1.0):
+    """Truncated Shintani sum over the simplex
+    {m >= 0 : m_0 + ... + m_{n-1} <= radius}.
+
+    The trailing coordinates are enumerated once, graded by their sum, so
+    the slab of each m_0 is a prefix of length ends[radius - m_0] and costs
+    one add per axis.  Term by term: the n factors are multiplied left to
+    right, an integer power s <= 8 is the (s-1)-fold product followed by one
+    reciprocal, other s go through `**`; each slab is one pairwise np.sum,
+    and the slab totals are added by math.fsum.  `box_sum_roundoff` counts
+    exactly these operations.
     """
     n = len(z)
-    m = np.arange(radius + 1, dtype=np.float64)
+    c = [[scale * g for g in row] for row in gens]
     if n == 1:
-        a = z[0] + scale * m * gens[0][0]
-        return float(np.sum(a ** -s))
-    shape = (radius + 1,) * (n - 1)
-    grids = []
-    for j in range(n):
-        g = np.zeros(shape)
-        for i in range(1, n):
-            idx = [None] * (n - 1)
-            idx[i - 1] = slice(None)
-            g = g + m[tuple(idx)] * gens[i][j]
-        grids.append(g)
-    total = 0.0
-    int_s = s == int(s) and 1 <= int(s) <= 8
+        bases, ends = [np.array([z[0]])], np.ones(radius + 1, dtype=np.int64)
+    else:
+        bases, ends = _graded_bases(z, c, radius)
+    k = int(s) if s == int(s) and 1 <= s <= 8 else 0
+    prod = np.empty(len(bases[0]))
+    tmp = np.empty(len(bases[0]))
+    ends = ends.tolist()
+    totals = []
     for m0 in range(radius + 1):
-        prod = None
-        for j in range(n):
-            a = z[j] + scale * (m0 * gens[0][j] + grids[j])
-            prod = a if prod is None else prod * a
-        if int_s:
-            total += float(np.sum(1.0 / prod ** int(s)))
+        cnt = ends[radius - m0]
+        p, t = prod[:cnt], tmp[:cnt]
+        np.add(bases[0][:cnt], m0 * c[0][0], out=p)
+        for j in range(1, n):
+            np.add(bases[j][:cnt], m0 * c[0][j], out=t)
+            p *= t
+        if k:
+            np.copyto(t, p)
+            for _ in range(k - 1):
+                t *= p
+            np.divide(1.0, t, out=t)
         else:
-            total += float(np.sum(prod ** -s))
-    return total
+            np.power(p, -s, out=t)
+        totals.append(np.add.reduce(t))
+    return math.fsum(totals)
+
+
+# Roundoff of box_sum against the exact simplex sum V of the exact inputs.
+# u = 2^-53, and gamma_k = k u / (1 - k u) bounds a product of k factors
+# (1 + e)^(+-1), |e| <= u (Higham, Lemma 3.1).
+# - Inputs are x (1 + t), |t| <= delta.
+# - a_j = z_j + sum_i m_i c_ij, c_ij = fl(scale g_ij): each positive
+#   summand takes a rounding in c, one in m_i c (m_i is exact) and at most
+#   n in the n additions, so a_j comes out as a_j (1 + t) theta, theta a
+#   product of n + 2 roundings.
+# - n - 1 multiplications form P; an integer s = k <= 8 then takes k - 1
+#   multiplications and a reciprocal, any other s one np.power, allowed 4
+#   ulps = 8 roundings (libm's pow is within 1 ulp; the tests check NumPy's
+#   SIMD power against mpmath).  A factor in [1/(1+x), 1/(1-x)] raised to
+#   s stays within its S-th power, S = ceil(s), so a term comes out as
+#   t (1 + t')^(-nS) theta with theta a product of at most S (n^2 + 3n)
+#   roundings (integer s) or S (n^2 + 3n - 1) + 8 (np.power).
+# - NumPy sums each slab pairwise: a plain loop below 8 terms, eight
+#   accumulators up to 128 (a term meets at most b//8 + b%8 + 2 <= 24
+#   additions in a block of b), halving above into parts of at most
+#   N/2 + 15/2, so at most ceil(log2 N) - 6 halvings.  Either way a term
+#   meets at most D = 19 + ceil(log2 N) additions, N the largest slab
+#   C(L + n - 1, n - 1).  math.fsum rounds the sum of slab totals once.
+# So every term enters the computed V' as t (1 + x), |x| <= rho =
+# (1 - delta)^(-nS) (1 + gamma_R) - 1 with R the sum of these counts, and
+# |V' - V| <= rho V <= rho / (1 - rho) V'.  One spare rounding in R covers
+# evaluating rho in floats.  A term leaving the normal float range (an
+# overflowing product, an underflowing power) is below 2^-1021 and off by
+# at most that: 2^-1020 per term covers it.
+
+_U = 2.0 ** -53
+
+
+def box_sum_roundoff(value, n, s, radius, delta):
+    """Certified bound on |value - V| for value = box_sum(...) of n axes at
+    level radius, on inputs within relative error delta of exact ones whose
+    simplex sum is V (see above)."""
+    big_s = math.ceil(s)
+    rounds = big_s * (n * n + 3 * n) + 8
+    rounds += 19 + (math.comb(radius + n - 1, n - 1) - 1).bit_length() + 2
+    gamma = rounds * _U / (1 - rounds * _U)
+    rho = math.expm1(math.log1p(gamma) - n * big_s * math.log1p(-delta))
+    return rho / (1 - rho) * value + math.comb(radius + n, n) * 2.0 ** -1020
 
 
 # ---- small polynomial arithmetic over F_p (lists, low degree first) ----

@@ -27,13 +27,6 @@ def poly_derivative(f):
     return tuple(i * c for i, c in enumerate(f))[1:] or (0,)
 
 
-def poly_eval(f, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def poly_sign_at(f, x: Fraction) -> int:
     """Exact sign of f(x) at a rational point (integer arithmetic)."""
     p, q = x.numerator, x.denominator

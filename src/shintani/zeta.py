@@ -2,17 +2,23 @@
 Hecke L-functions and ray-class partial zeta functions over a signed
 fundamental domain, plus an independent Euler-product oracle.
 
-Truncation bound.  Every term of the series is a product over the n real
-embeddings of (z + scale * sum_i m_i f_i) ** -s with totally positive unit
-products f_i, so N(f_i) = 1 and each factor dominates scale * m_i * f_i^(j):
-taking the product over j gives term(m) <= (scale * max_i m_i) ** (-n*s).
-Summing shells max_i m_i = R > M against the integral gives
+Truncation bound.  A term is the product over the n real embeddings j of
+((z + scale * sum_i m_i f_i)^(j)) ** -s, and each cone generator f_i is a
+product of totally positive units, so N(f_i) = 1.  Weighted AM-GM in each
+embedding (weights m_i/|m|, |m| = m_1 + ... + m_n), multiplied over the
+embeddings, gives N(sum_i m_i f_i) >= |m|^n prod_i N(f_i)^(m_i/|m|) = |m|^n.
+As z is totally positive, term(m) <= (scale |m|)^(-ns): the sum stops at the
+simplex |m| <= L.  The shell |m| = k holds C(k+n-1, n-1) = prod_{i<n} (k+i)
+/ (n-1)! <= (k + n/2)^(n-1) / (n-1)! points (AM-GM again), and for k > L
+(k + n/2)^(n-1) <= k^(n-1) (1 + n/(2L+2))^(n-1).  With a = ns - n, compare
+sum_{k>L} k^(-a-1) with the integral from L:
 
-    tail(M) <= n * (1 + 1/(M+1))^(n-1) * scale^(-n*s) * M^(n - n*s) / (n*s - n).
+    tail(L) <= (1 + n/(2L+2))^(n-1) / (n-1)! * scale^(-ns) * L^(-a) / a.
 
-This norm-driven bound replaces a min-conjugate bound, whose constant blows
-up for skew cones; the M-doubling tests validate it empirically.
-"""
+The terms are convex in k, so the sum is below the integral from L + 1/2;
+that slack, about a/(2L), covers evaluating the bound in floats.  Bounding
+through max_i m_i needs the box {0..M}^n and n (1 + 1/(M+1))^(n-1) for
+1/(n-1)!; at equal target the simplex has (n!)^(-1/(s-1))/n! of its terms."""
 
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import kernels
+from .dyadic import Ladder
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
@@ -64,19 +71,19 @@ class ZetaValue:
 
 
 def tail_bound(n: int, s: float, scale: int, radius: int) -> float:
-    """Certified remainder of the box sum outside {0..radius}^n."""
+    """Certified remainder of the simplex sum outside |m| <= radius."""
     if s <= 1:
         raise ValueError("tail bound needs s > 1")
     a = n * s - n
-    c = n * (1 + 1 / (radius + 1)) ** (n - 1)
+    c = (1 + n / (2 * radius + 2)) ** (n - 1) / math.factorial(n - 1)
     return c * scale ** (-n * s) * radius ** (-a) / a
 
 
 def required_radius(n: int, s: float, scale: int, target: float, m_cap: int) -> int:
-    """Smallest truncation radius whose tail bound meets the target."""
+    """Smallest simplex level whose tail bound meets the target."""
     a = n * s - n
-    log_est = (math.log(n) + (n - 1) * math.log(2)
-               - math.log(a) - math.log(target) - n * s * math.log(scale)) / a
+    log_est = (-math.lgamma(n) - math.log(a) - math.log(target)
+               - n * s * math.log(scale)) / a
     if log_est > math.log(m_cap) + 1:
         raise TailBoundUnachievable(
             f"target {target} needs radius beyond the cap {m_cap}")
@@ -91,14 +98,26 @@ def required_radius(n: int, s: float, scale: int, target: float, m_cap: int) -> 
     return radius
 
 
-def _embed_floats(field: NumberField, elem: FieldElement, prec: int = 64):
-    return [iv.mid_float() for iv in field.embed_iv(elem, prec)]
+def _embed_floats(field: NumberField, elems):
+    """Float conjugates of totally positive elements, the midpoints of outward
+    floats 0 < lo <= x <= hi, and their relative error (hi - lo) / lo, exact
+    but for the division (Sterbenz), rounded up; each climbs to <= 2^-50."""
+    floats, delta = [], 0.0
+    for elem in elems:
+        for prec in Ladder(field.prec_cap, "float conjugates"):
+            rows = [iv.float_bounds() for iv in field.embed_iv(elem, prec)]
+            d = max((hi - lo) / lo if lo > 0 else math.inf for lo, hi in rows)
+            if d <= 2.0 ** -50:
+                break
+        floats.append([0.5 * (lo + hi) for lo, hi in rows])
+        delta = max(delta, d)
+    return floats, math.nextafter(delta, math.inf)
 
 
 def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
                   scale: int = 1) -> ZetaValue:
-    """Truncated sum over m >= 0 of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
-    with a certified truncation bound and a small float-roundoff allowance."""
+    """Sum over m >= 0, |m| <= L, of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
+    with a certified tail bound plus the derived float-roundoff bound."""
     if s <= 1:
         raise ValueError("the series converges for s > 1 only")
     field = cone.field
@@ -106,14 +125,11 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
         raise NotTotallyPositive("shift must be strictly positive at all embeddings")
     n = field.degree
     radius = required_radius(n, s, scale, params.target_error, params.m_cap)
-    zf = _embed_floats(field, z)
-    gens = [_embed_floats(field, g) for g in cone.generators]
+    (zf, *gens), delta = _embed_floats(field, [z, *cone.generators])
     value = kernels.box_sum(zf, gens, s, radius, float(scale))
-    terms = (radius + 1) ** n
-    # inputs are 1-ulp floats and numpy sums pairwise: generous allowance
-    roundoff = 1e-12 * abs(value) * n
-    return ZetaValue(value, tail_bound(n, s, scale, radius) + roundoff,
-                     terms, radius)
+    return ZetaValue(value, tail_bound(n, s, scale, radius)
+                     + kernels.box_sum_roundoff(value, n, s, radius, delta),
+                     math.comb(radius + n, n), radius)
 
 
 @dataclass
@@ -164,13 +180,16 @@ class LValue:
     radius: int
 
 
-def _maybe_parallel(fn, jobs, threads):
+def _sum_jobs(run, jobs, threads) -> LValue:
+    """Run the jobs (in a thread pool when asked) and add up the results."""
     if threads <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, jobs))
+        results = [run(j) for j in jobs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(run, jobs))
+    return LValue(sum(r[0] for r in results), sum(r[1] for r in results),
+                  sum(r[2] for r in results), max((r[3] for r in results), default=0))
 
 
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
@@ -196,23 +215,19 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
             for z, _t in rset.points:
                 chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af))
                 jobs.append((cone, z, n_af ** (-s), chi_val))
-    per_term = params.target_error / (2 * len(jobs)) if jobs else params.target_error
-    term_params = ZetaParams(target_error=per_term, m_cap=params.m_cap)
+    # live jobs' bounds, weighted by nfac, share half the target evenly
+    share = params.target_error / (2 * max(1, sum(j[3] != 0 for j in jobs)))
 
     def run(job):
         cone, z, nfac, chi_val = job
         if chi_val == 0:
             return 0j, 0.0, 0, 0
-        zv = shintani_zeta(s, z, cone, term_params)
+        zv = shintani_zeta(s, z, cone, ZetaParams(target_error=share / nfac,
+                                                  m_cap=params.m_cap))
         return (cone.w * nfac * chi_val * zv.value,
                 nfac * abs(chi_val) * zv.error_bound, zv.terms, zv.radius)
 
-    results = _maybe_parallel(run, jobs, params.threads)
-    value = sum(r[0] for r in results)
-    bound = sum(r[1] for r in results)
-    terms = sum(r[2] for r in results)
-    radius = max((r[3] for r in results), default=0)
-    return LValue(value, bound, terms, radius)
+    return _sum_jobs(run, jobs, params.threads)
 
 
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
@@ -245,11 +260,9 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
         zv = shintani_zeta(s, z, cone, term_params, scale=f_int)
         return cone.w * zv.value, zv.error_bound, zv.terms, zv.radius
 
-    results = _maybe_parallel(run, jobs, params.threads)
-    value = n_a ** (-s) * sum(r[0] for r in results)
-    bound = n_a ** (-s) * sum(r[1] for r in results)
-    return LValue(value, bound, sum(r[2] for r in results),
-                  max((r[3] for r in results), default=0))
+    total = _sum_jobs(run, jobs, params.threads)
+    return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
+                  total.terms, total.radius)
 
 
 # ---- Euler-product oracle ----

@@ -1,7 +1,12 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
+
+from shintani import zeta
 
 from shintani.domain import build_signed_domain
 from shintani.errors import (
@@ -12,6 +17,7 @@ from shintani.errors import (
 )
 from shintani.ideals import (
     FractionalIdeal,
+    coset_enumerate_R,
     enumerate_R_sigma,
     ideal_inverse,
     integral_basis,
@@ -23,6 +29,7 @@ from shintani.kernels import box_sum
 from shintani.zeta import (
     CharacterTable,
     ZetaParams,
+    ZetaValue,
     dedekind_zeta_via_domain,
     euler_product_oracle,
     l_function,
@@ -33,7 +40,14 @@ from shintani.zeta import (
     trivial_character,
 )
 
-from fixtures import cubic_81, q_sqrt2
+from fixtures import (
+    ALL_NET_COUNT,
+    cubic_81,
+    maximal_order,
+    q_sqrt2,
+    q_sqrt5,
+    quartic_725,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +78,71 @@ def test_tail_bound_is_true_upper_bound(dom2):
         gap = s2 - s1
         assert gap <= tail_bound(2, 2.0, 1, radius)
         assert gap >= 0
+
+
+@pytest.mark.parametrize("n,s", [(2, 2.0), (3, 2.0), (3, 2.5), (4, 2.0)])
+def test_tail_bound_tight_on_all_ones(n, s):
+    # all-ones generators and z = 1: N(sum m_i f_i) = |m|^n exactly, and
+    # the shell |m| = k holds C(k+n-1, n-1) terms (1+k)^(-ns); the shells
+    # 40 < k <= 160 take most of the bound at level 40
+    shell = math.fsum(math.comb(k + n - 1, n - 1) * (1.0 + k) ** (-n * s)
+                      for k in range(41, 161))
+    assert 0.6 * tail_bound(n, s, 1, 40) <= shell <= tail_bound(n, s, 1, 40)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
+def test_cone_norms_dominate_simplex_level(name):
+    # the AM-GM step of the tail bound, exactly: N(sum m_i f_i) >= |m|^n
+    fld, units = ALL_NET_COUNT[name]()
+    dom = build_signed_domain(units, fld)
+    rng = random.Random(name)
+    for cone in dom.cones:
+        assert all(g.norm() == 1 for g in cone.generators)
+        for _ in range(25):
+            m = [rng.choice((0, 1, rng.randint(0, 40))) for _ in cone.generators]
+            if not any(m):
+                continue
+            elem = fld.element([Fraction(0)] * fld.degree)
+            for mi, g in zip(m, cone.generators):
+                elem = elem + g * mi
+            assert elem.norm() >= sum(m) ** fld.degree
+
+
+def _exact_simplex_sum(fld, z, gens, s, radius, scale):
+    conj = lambda e: [mpmath.mpf(iv.mid_fraction().numerator)
+                      / iv.mid_fraction().denominator
+                      for iv in fld.embed_iv(e, 256)]
+    zc, gc = conj(z), [conj(g) for g in gens]
+    n = fld.degree
+    total = mpmath.mpf(0)
+    for m in itertools.product(range(radius + 1), repeat=n):
+        if sum(m) <= radius:
+            prod = mpmath.mpf(1)
+            for j in range(n):
+                prod *= zc[j] + scale * sum(m[i] * gc[i][j] for i in range(n))
+            total += prod ** -s
+    return total
+
+
+@pytest.mark.parametrize("make,s,scale,target", [
+    (q_sqrt2, 2.0, 1, 2e-4), (q_sqrt2, 2.5, 3, 1e-6),
+    (cubic_81, 2.0, 1, 3e-5), (cubic_81, 3.0, 2, 1e-11),
+    (quartic_725, 2.0, 1, 1e-5), (quartic_725, 2.5, 1, 1e-7)])
+def test_roundoff_allowance_covers_mpmath_sum(make, s, scale, target):
+    # the float simplex sum is within the derived roundoff allowance of the
+    # exact sum of the exact conjugates, and the allowance stays small
+    fld, units = make()
+    dom = build_signed_domain(units, fld)
+    for cone in dom.cones[:2]:
+        z = fld.one + cone.generators[-1]
+        zv = shintani_zeta(s, z, cone, ZetaParams(target_error=target), scale)
+        assert 8 <= zv.radius <= 60
+        assert zv.terms == math.comb(zv.radius + fld.degree, fld.degree)
+        roundoff = zv.error_bound - tail_bound(fld.degree, s, scale, zv.radius)
+        with mpmath.workprec(160):
+            exact = _exact_simplex_sum(fld, z, cone.generators, s, zv.radius, scale)
+            assert abs(mpmath.mpf(zv.value) - exact) <= roundoff
+        assert 0 < roundoff <= 1e-13 * zv.value
 
 
 def test_required_radius_minimal():
@@ -275,3 +354,53 @@ def test_l_function_threads_deterministic(dom2):
     a = l_function(2.0, chi, units, fld, ZetaParams(target_error=1e-5, threads=1))
     b = l_function(2.0, chi, units, fld, ZetaParams(target_error=1e-5, threads=3))
     assert a.value == b.value and a.error_bound == b.error_bound
+
+
+def _cubic_character_l(s):
+    # chi mod 9 with chi(2) = exp(2 pi i / 3): 2 generates (Z/9)^*
+    omega = mpmath.exp(2j * mpmath.pi / 3)
+    chi = {pow(2, k, 9): omega ** k for k in range(6)}
+    return sum(c * mpmath.zeta(s, mpmath.mpf(a) / 9) for a, c in chi.items()) / 9 ** s
+
+
+@pytest.mark.parametrize("name", ["q_sqrt5", "cubic_81"])
+def test_dedekind_zeta_closed_form(name):
+    # zeta_K(2) = 2 pi^4 / (75 sqrt5) for Q(sqrt5); zeta(2) |L(2, chi)|^2
+    # for the cyclic cubic field of conductor 9
+    with mpmath.workprec(100):
+        if name == "q_sqrt5":
+            fld, units = q_sqrt5()
+            exact = float(2 * mpmath.pi ** 4 / (75 * mpmath.sqrt(5)))
+        else:
+            fld, units = cubic_81()
+            exact = float(mpmath.zeta(2) * abs(_cubic_character_l(2)) ** 2)
+    lv = dedekind_zeta_via_domain(2.0, units, fld, ZetaParams(target_error=1e-8),
+                                  order=maximal_order(name, fld))
+    assert lv.error_bound <= 1e-8
+    assert abs(lv.value.real - exact) <= lv.error_bound
+    assert lv.value.imag == 0
+
+
+def _fake_zeta(s, z, cone, params, scale=1):
+    # reports its whole truncation budget as its error bound
+    return ZetaValue(1.0, params.target_error, 1, 4)
+
+
+def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
+    # conductor (3), inert in Q(sqrt2): some R-set points are not coprime
+    # to it and get no budget; the others' budgets, weighted by
+    # N(af)^-s |chi|, sum to target / 2
+    fld, units, dom, order = dom2
+    three = principal_ideal(order, fld.element([3, 0]))
+    chi = CharacterTable([FractionalIdeal.whole_ring(order)], [1 + 0j], three)
+    calls = []
+    monkeypatch.setattr(zeta, "shintani_zeta",
+                        lambda *a, **kw: calls.append(a) or _fake_zeta(*a, **kw))
+    target = 1e-3
+    lv = l_function(2.0, chi, units, fld, ZetaParams(target_error=target))
+    assert abs(lv.error_bound - target / 2) <= 1e-12 * target
+    rset = coset_enumerate_R(dom.cones[0], ideal_inverse(three), shift=0, scale=1)
+    assert 0 < len(calls) < len(rset.points)
+    ok = FractionalIdeal.whole_ring(order)
+    pv = partial_zeta(2.0, (ok, three, units), fld, ZetaParams(target_error=target))
+    assert abs(pv.error_bound - target / 2) <= 1e-12 * target
