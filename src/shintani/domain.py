@@ -17,19 +17,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import START_PREC, Iv, Ladder, iv_det, log_iv
+from .dyadic import START_PREC, Iv, Ladder, iv_adjugate, log_iv
 from .errors import (
     DependentUnits,
     NotAUnit,
     NotTotallyPositive,
     UndecidableSign,
 )
-from .exactlinalg import mat_det
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
-from .geometry import IvVec, Simplex, barycentric, cone_coordinates
+from .geometry import (
+    IvVec,
+    Simplex,
+    barycentric,
+    basis_det_sign,
+    basis_map,
+    cone_coordinates,
+)
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
 FLAG_OPEN = "open"       # coefficient > 0;  e_n on the far side
+
+
+def _admits(sign: int, flag: str) -> bool:
+    """The half-open rule: a coordinate of this sign passes the face flag."""
+    return sign > 0 or (sign == 0 and flag == FLAG_CLOSED)
 
 
 def colmez_generators(units, sigma, field: NumberField):
@@ -40,18 +51,6 @@ def colmez_generators(units, sigma, field: NumberField):
     return gens
 
 
-def _embedded_det_sign(gens, field: NumberField) -> int:
-    """Exact sign of det of the embedded generator matrix: the embedding
-    matrix factors through the root Vandermonde (positive for ascending
-    order), so the sign is the rational coordinate determinant's sign times
-    the order's parity."""
-    m = [[Fraction(g.coeffs[i]) for g in gens] for i in range(field.degree)]
-    d = mat_det(m)
-    if d == 0:
-        return 0
-    return field.vandermonde_sign * (1 if d > 0 else -1)
-
-
 def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> int:
     """w_sigma = (-1)^(n-1) sgn(sigma) sign(det f) / sign(det Log eps)."""
     if reg_sign is None:
@@ -59,7 +58,7 @@ def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> 
     if reg_sign == 0:
         raise DependentUnits("units are multiplicatively dependent")
     gens = colmez_generators(units, sigma, field)
-    det = _embedded_det_sign(gens, field)
+    det = basis_det_sign(gens, field)
     if det == 0:
         return 0
     n = field.degree
@@ -69,8 +68,7 @@ def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> 
 class SignedCone:
     """One cone: permutation, generators, orientation sign, half-open flags."""
 
-    __slots__ = ("sigma", "generators", "w", "flags", "field",
-                 "_det_sign", "_cof_cache", "_simplex")
+    __slots__ = ("sigma", "generators", "w", "flags", "field", "_map", "_simplex")
 
     def __init__(self, sigma, generators, w, flags, field):
         self.sigma = tuple(sigma)
@@ -78,58 +76,26 @@ class SignedCone:
         self.w = w
         self.flags = tuple(flags)
         self.field = field
-        self._det_sign = _embedded_det_sign(self.generators, field)
-        self._cof_cache: dict[int, list] = {}
+        self._map = basis_map(self.generators, field)
         self._simplex = None
 
     # ---- certified membership ----
-
-    def _cofactors(self, prec: int):
-        """Cofactor matrix C with C[j][i] the cofactor of entry (j, i) of the
-        embedded generator matrix, so det(col i -> v) = sum_j v_j C[j][i]."""
-        cached = self._cof_cache.get(prec)
-        if cached is not None:
-            return cached
-        field = self.field
-        n = field.degree
-        embs = [field.embed_iv(g, prec) for g in self.generators]
-        rows = [[embs[i][j] for i in range(n)] for j in range(n)]
-        cof = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for i in range(n):
-                minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-                d = iv_det(minor) if n > 1 else Iv.ONE
-                if (i + j) % 2:
-                    d = -d
-                cof[j][i] = d
-        self._cof_cache[prec] = cof
-        return cof
-
-    def coordinate_sign_fn(self, vfn):
-        """Returns sign_at(i, prec) -> Iv of det(col i -> v) * det-sign."""
-        def dot(i, prec):
-            cof = self._cofactors(prec)
-            v = vfn(prec)
-            acc = v[0] * cof[0][i]
-            for j in range(1, self.field.degree):
-                acc = acc + v[j] * cof[j][i]
-            return acc.mul_int(self._det_sign)
-        return dot
 
     def contains_vector(self, vfn, cap=None) -> bool:
         """Membership for an adaptive vector evaluator (certified).  Each
         rung tests the still-undecided coordinates in order and returns at
         the first failed flag."""
-        dot = self.coordinate_sign_fn(vfn)
+        cmap = self._map
         pending = range(self.field.degree)
         for prec in Ladder(self.field.prec_cap if cap is None else cap,
                            "cone membership sign", zero_possible=True):
+            v = vfn(prec)
             undecided = []
             for i in pending:
-                s = dot(i, prec).sign()
+                s = cmap.numerator(v, i, prec).sign()
                 if s is None:
                     undecided.append(i)
-                elif s < 0 or (s == 0 and self.flags[i] == FLAG_OPEN):
+                elif not _admits(s * cmap.det_sign, self.flags[i]):
                     return False
             if not undecided:
                 return True
@@ -138,13 +104,7 @@ class SignedCone:
     def contains_element(self, x: FieldElement) -> bool:
         """Exact membership for a field-rational point."""
         coords = cone_coordinates(x, self.generators, self.field)
-        for c, flag in zip(coords.values, self.flags):
-            if flag == FLAG_OPEN:
-                if c <= 0:
-                    return False
-            elif c < 0:
-                return False
-        return True
+        return all(map(_admits, coords.signs, self.flags))
 
     def to_json(self):
         return {
@@ -196,13 +156,7 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
         seq = tuple(Fraction(c) for c in x)
         p = tuple(c / seq[-1] for c in seq[:-1])
     coords = barycentric(p, simplex, cap=field.prec_cap)
-    for b, flag in zip(coords.signs, cone.flags):
-        if flag == FLAG_OPEN:
-            if b <= 0:
-                return False
-        elif b < 0:
-            return False
-    return True
+    return all(map(_admits, coords.signs, cone.flags))
 
 
 # ---- the float64 stage ----
@@ -387,18 +341,11 @@ class SignedDomain:
 
         for p in Ladder(field.prec_cap, "log-matrix determinant", start=prec):
             mat = log_matrix(p)
-            det = iv_det(mat)
+            cof, det = iv_adjugate(mat)
             if det.sign() is not None:
                 break
-        # inverse enclosure via adjugate / det
-        inv = [[None] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                minor = [row[:i] + row[i + 1:] for k, row in enumerate(mat) if k != j]
-                d = iv_det(minor) if r > 1 else Iv.ONE
-                if (i + j) % 2:
-                    d = -d
-                inv[i][j] = d.div(det, prec)
+        # inverse enclosure = adjugate / det, the adjugate being cof transposed
+        inv = [[cof[j][i].div(det, prec) for j in range(r)] for i in range(r)]
         boxes = []
         for cone in self.cones:
             los = [None] * r
@@ -475,8 +422,8 @@ class SignedDomain:
             units = [(_positive_floats(field._positive_conjugates(u, START_PREC)),
                       _positive_floats(field._positive_conjugates(u.inverse(), START_PREC)))
                      for u in self.units]
-            cm, cr = _mid_rad([c._cofactors(START_PREC) for c in self.cones])
-            cm = cm * np.array([c._det_sign for c in self.cones])[:, None, None]
+            cm, cr = _mid_rad([c._map.adjugate(START_PREC)[0] for c in self.cones])
+            cm = cm * np.array([c._map.det_sign for c in self.cones])[:, None, None]
             usable = ((np.abs(cm) <= 1 / _SAFE) & (cr <= 1 / _SAFE)).all(axis=(1, 2))
             self._member = (units, cm, cr, usable)
         return self._member

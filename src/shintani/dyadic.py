@@ -114,14 +114,6 @@ class Iv:
         return Iv(v, 0, v, 0)
 
     @staticmethod
-    def from_float(v: float) -> "Iv":
-        if v != v or v in (float("inf"), float("-inf")):
-            raise ValueError("non-finite float")
-        fr = Fraction(v)                     # floats are exact dyadics
-        m, e = _frac_down(fr, 64)
-        return Iv(m, e, m, e)
-
-    @staticmethod
     def from_fraction(fr: Fraction, prec: int) -> "Iv":
         q = fr.denominator
         if q & (q - 1) == 0:                 # power of two: exact
@@ -130,21 +122,6 @@ class Iv:
         lm, le = _frac_down(fr, prec)
         um, ue = _frac_up(fr, prec)
         return Iv(lm, le, um, ue)
-
-    @staticmethod
-    def point(v) -> "Iv":
-        if isinstance(v, Iv):
-            return v
-        if isinstance(v, int):
-            return Iv.from_int(v)
-        if isinstance(v, float):
-            return Iv.from_float(v)
-        if isinstance(v, Fraction):
-            q = v.denominator
-            if q & (q - 1) == 0:
-                return Iv.from_fraction(v, 0)
-            raise ValueError("non-dyadic rational needs a precision: use from_fraction")
-        raise TypeError(f"cannot wrap {type(v)!r}")
 
     @staticmethod
     def bounds(lo: Fraction, hi: Fraction, prec: int) -> "Iv":
@@ -270,21 +247,38 @@ Iv.ZERO = Iv(0, 0, 0, 0)
 Iv.ONE = Iv(1, 0, 1, 0)
 
 
-def iv_det(rows: list[list[Iv]]) -> Iv:
-    """Determinant by cofactor expansion; fine for the n <= 6 sizes here."""
+def iv_adjugate(rows: list[list[Iv]]) -> tuple[list[list[Iv]], Iv]:
+    """(cof, det): cof[j][i] is the cofactor of entry (j, i), so that
+    det(rows with column i replaced by v) = sum_j v_j cof[j][i], and det is
+    expanded along row 0.  This is the only cofactor loop of the library;
+    the minors go through :func:`iv_det`, fine for the n <= 6 sizes here."""
+    return _cofactor_rows(rows, len(rows))
+
+
+def _cofactor_rows(rows, count):
+    """The first ``count`` rows of the cofactor matrix, and the determinant."""
     n = len(rows)
     if n == 1:
-        return rows[0][0]
-    if n == 2:
+        return [[Iv.ONE]], rows[0][0]
+    cof = []
+    for j in range(count):
+        others = rows[:j] + rows[j + 1:]
+        row = []
+        for i in range(n):
+            d = iv_det([r[:i] + r[i + 1:] for r in others])
+            row.append(-d if (i + j) % 2 else d)
+        cof.append(row)
+    det = rows[0][0] * cof[0][0]
+    for i in range(1, n):
+        det = det + rows[0][i] * cof[0][i]
+    return cof, det
+
+
+def iv_det(rows: list[list[Iv]]) -> Iv:
+    """Determinant by cofactor expansion along row 0."""
+    if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * iv_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return _cofactor_rows(rows, 1)[1]
 
 
 # ---- certified logarithm ----

@@ -141,12 +141,6 @@ class EmbeddedVector:
     def __getitem__(self, i):
         return self.intervals[i]
 
-    def widths(self):
-        return [iv.width_fraction() for iv in self.intervals]
-
-    def midpoints(self):
-        return [iv.mid_float() for iv in self.intervals]
-
     def __repr__(self):
         return f"EmbeddedVector({list(self.intervals)!r}, prec={self.precision})"
 
@@ -184,6 +178,8 @@ class NumberField:
         self._lock = threading.Lock()
         self._root_iv_cache: dict[int, tuple] = {}
         self._embed_cache: dict[tuple, tuple] = {}
+        # basis coefficients -> geometry.CramerMap of the embedded basis
+        self._cramer_cache: dict[tuple, object] = {}
         self.one = self.element([1] + [0] * (n - 1))
         self.zero = self.element([0] * n)
         self.gen = self.element([0, 1] + [0] * (n - 2))

@@ -138,10 +138,7 @@ class FractionalIdeal:
     def from_rational_rows(order: Order, rows) -> "FractionalIdeal":
         """Module generated by vectors of rational order-coordinates."""
         rows = [[Fraction(x) for x in row] for row in rows]
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
         int_rows = [[int(x * den) for x in row] for row in rows]
         h = hnf_rows(int_rows, order.field.degree)
         if len(h) != order.field.degree:
@@ -257,11 +254,8 @@ def ideal_inverse(a: FractionalIdeal) -> FractionalIdeal:
 def _lattice_intersect(a_cols, b_cols):
     """Intersection of two full lattices given by rational basis columns."""
     n = len(a_cols)
-    den = 1
-    for mat in (a_cols, b_cols):
-        for row in mat:
-            for x in row:
-                den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
+    den = math.lcm(*(Fraction(x).denominator for mat in (a_cols, b_cols)
+                     for row in mat for x in row))
     block = [[int(Fraction(a_cols[i][j]) * den) for j in range(n)]
              + [-int(Fraction(b_cols[i][j]) * den) for j in range(n)]
              for i in range(n)]
@@ -278,10 +272,7 @@ def _lattice_intersect(a_cols, b_cols):
 
 def hnf_rows_rational(vectors):
     """Canonical basis (as rows) of the lattice spanned by rational vectors."""
-    den = 1
-    for v in vectors:
-        for x in v:
-            den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
+    den = math.lcm(*(Fraction(x).denominator for v in vectors for x in v))
     int_rows = [[int(Fraction(x) * den) for x in v] for v in vectors]
     h = hnf_rows(int_rows, len(vectors[0]))
     return [[Fraction(x, den) for x in row] for row in h]
@@ -303,17 +294,15 @@ class RSigmaSet:
 
 
 def parallelepiped_index(cone, lattice: FractionalIdeal, scale: int = 1) -> int:
-    """Exact index [lattice : Z-span of the scaled generators]: the
-    determinant oracle for the enumeration cardinality."""
-    n = lattice.order.field.degree
-    b = lattice.power_basis_matrix()
-    g = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
-         for i in range(n)]
-    ncols = [mat_solve(b, [g[i][j] for i in range(n)]) for j in range(n)]
-    det = mat_det([[ncols[j][i] for j in range(n)] for i in range(n)])
-    if any(x.denominator != 1 for col in ncols for x in col):
+    """Exact index [lattice : Z-span of the scaled generators], as
+    |det G| / |det B| in power coordinates: the determinant oracle for the
+    enumeration cardinality, independent of the enumeration's own solve."""
+    gens = [g * scale for g in cone.generators]
+    if not all(lattice.contains(g) for g in gens):
         raise ValueError("scaled generators do not lie in the lattice")
-    return abs(int(det))
+    n = lattice.order.field.degree
+    g_det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
+    return int(abs(g_det / mat_det(lattice.power_basis_matrix())))
 
 
 def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> RSigmaSet:
@@ -386,11 +375,7 @@ def smallest_positive_rational_integer(ideal: FractionalIdeal) -> int:
     one_coords = order.to_order_coords(order.field.one)
     scaled = [c * ideal.den for c in one_coords]
     # t minimal with t * scaled in the HNF lattice: triangular solve over Q
-    coords = _triangular_coords(ideal.hnf, scaled)
-    t = 1
-    for q in coords:
-        t = t * q.denominator // math.gcd(t, q.denominator)
-    return t
+    return math.lcm(*(q.denominator for q in _triangular_coords(ideal.hnf, scaled)))
 
 
 def _triangular_coords(hrows, v):

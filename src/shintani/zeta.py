@@ -155,6 +155,13 @@ class CharacterTable:
             if abs(abs(complex(v)) - 1) > 1e-12 and abs(complex(v)) > 1e-12:
                 raise ValueError("character values must have modulus 1 or 0")
 
+    @property
+    def depends_on_ideal(self) -> bool:
+        """Whether value_of reads its ideal: with a resolver, several
+        values, or a proper conductor that it must be coprime to."""
+        return (self.resolve is not None or len(self.values) > 1
+                or (self.zero_on_noncoprime and not self.conductor.is_whole_ring()))
+
     def value_of(self, ideal: FractionalIdeal) -> complex:
         if self.zero_on_noncoprime and not self.conductor.is_whole_ring():
             if not ideal_add(ideal, self.conductor).is_whole_ring():
@@ -205,6 +212,7 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
         raise ValueError("the series representation needs s > 1")
     order = order or integral_basis(field)
     dom = domain or build_signed_domain(units, field)
+    varies = chi.depends_on_ideal
     jobs = []
     for rep in chi.representatives:
         af = ideal_mul(rep, chi.conductor)
@@ -213,7 +221,9 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
         for cone in dom.cones:
             rset = coset_enumerate_R(cone, lattice, shift=0, scale=1)
             for z, _t in rset.points:
-                chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af))
+                # (z) af is formed only when the value can depend on it
+                chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af)
+                                       if varies else af)
                 jobs.append((cone, z, n_af ** (-s), chi_val))
     # live jobs' bounds, weighted by nfac, share half the target evenly
     share = params.target_error / (2 * max(1, sum(j[3] != 0 for j in jobs)))

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shintani.dyadic import Iv, Ladder, adaptive_sign, iv_det, log2_iv, log_iv
+from shintani.dyadic import Iv, Ladder, adaptive_sign, iv_adjugate, iv_det, log2_iv, log_iv
 from shintani.errors import PrecisionCapExceeded, UndecidableSign
+from shintani.exactlinalg import mat_det
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 
@@ -95,6 +97,24 @@ def test_iv_det_2x2():
     d = iv_det(rows)
     assert d.contains(Fraction(-2))
     assert d.width_fraction() == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iv_adjugate_is_exact_on_integer_matrices(n):
+    # rows @ cof = det I, and det is the exact determinant
+    rng = random.Random(n)
+    for _ in range(5):
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        cof, det = iv_adjugate([[Iv.from_int(x) for x in row] for row in ints])
+        assert det.width_fraction() == 0 and det.contains(mat_det(ints))
+        assert iv_det([[Iv.from_int(x) for x in row] for row in ints]).contains(mat_det(ints))
+        for k in range(n):
+            for i in range(n):
+                acc = Iv.ZERO
+                for j in range(n):
+                    acc = acc + cof[j][i].mul_int(ints[j][k])
+                assert acc.width_fraction() == 0
+                assert acc.contains(mat_det(ints) if i == k else 0)
 
 
 def test_adaptive_sign_refines():

@@ -13,6 +13,7 @@ from shintani.errors import (
 )
 from shintani.field import NumberField
 from shintani.geometry import (
+    IvVec,
     Simplex,
     barycentric,
     cone_coordinates,
@@ -325,3 +326,57 @@ def test_project_ell_respects_field_cap():
         else:
             with pytest.raises(UndecidableSign):
                 x.at(START_PREC)
+
+
+def test_adjugate_once_per_basis_and_precision(monkeypatch):
+    # the coordinate map of a basis is cached on its field: over a domain
+    # build and 200 calls of each route on one cone, every (basis,
+    # precision) pair costs one adjugate
+    from collections import Counter
+
+    from shintani import geometry
+    from shintani.domain import (build_signed_domain, cone_contains,
+                                 cone_contains_via_simplex)
+
+    calls = Counter()
+    adjugate = geometry.iv_adjugate
+
+    def counting(rows):
+        calls[tuple((iv.lm, iv.le, iv.um, iv.ue) for row in rows for iv in row)] += 1
+        return adjugate(rows)
+
+    monkeypatch.setattr(geometry, "iv_adjugate", counting)
+    fld, units = cubic_81()
+    dom = build_signed_domain(units, fld)
+    cone = dom.cones[0]
+    e_n = (0, 0, 1)
+    rng = random.Random(5)
+    for _ in range(200):
+        x = tuple(Fraction(rng.uniform(0.05, 20)) for _ in range(3))
+        inside = cone_contains(cone, x)
+        try:
+            pier = pierces_cone(e_n, x, cone.generators, fld)
+        except YNotInSimplex:
+            pier = False
+        assert inside == pier == cone_contains_via_simplex(cone, x)
+    assert calls and max(calls.values()) == 1
+    # one basis map per cone and one simplex map, at a few rungs each
+    assert len(calls) <= 3 * len(dom.cones)
+
+
+@pytest.mark.parametrize("permuted_first", [False, True])
+def test_cone_coordinates_follow_the_embedding_order(permuted_first):
+    # the same generators under two embedding orders: each field has its
+    # own map, so sum_i c_i f_i gets the signs of c in both, in either order
+    base, (e1, e2) = cubic_81()
+    fields = [base, base.with_embedding_order((1, 0, 2))]
+    if permuted_first:
+        fields.reverse()
+    c = (Fraction(3), Fraction(-2), Fraction(5, 7))
+    for fld in fields:
+        gens = [fld.element(g.coeffs) for g in (base.one, e1, e1 * e2)]
+        v = gens[0] * c[0] + gens[1] * c[1] + gens[2] * c[2]
+        vv = IvVec(lambda p, fld=fld, v=v: fld.embed_iv(v, p))
+        for _ in range(2):
+            assert cone_coordinates(vv, gens, fld).signs == (1, -1, 1)
+        assert pierces_cone(vv, gens[0] + gens[2], gens, fld) is False

@@ -404,3 +404,27 @@ def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
     ok = FractionalIdeal.whole_ring(order)
     pv = partial_zeta(2.0, (ok, three, units), fld, ZetaParams(target_error=target))
     assert abs(pv.error_bound - target / 2) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("rep", [1, 3])
+def test_trivial_character_forms_no_ideal_product_per_point(dom2, monkeypatch, rep):
+    # a trivial character on one class with conductor O never reads the
+    # ideal (z) af: one product per representative, however many R-set
+    # points (2 for (1), 18 for (3)), and the value is the partial zeta
+    fld, units, dom, order = dom2
+    a = principal_ideal(order, fld.element([rep, 0]))
+    ok = FractionalIdeal.whole_ring(order)
+    chi = CharacterTable([a], [1 + 0j], ok)
+    assert not chi.depends_on_ideal
+    products = []
+    monkeypatch.setattr(zeta, "ideal_mul",
+                        lambda *args: products.append(args) or ideal_mul(*args))
+    params = ZetaParams(target_error=1e-6)
+    lv = l_function(2.0, chi, units, fld, params, order=order, domain=dom)
+    assert len(products) == 1
+    points = sum(len(coset_enumerate_R(c, ideal_inverse(a), 0).points) for c in dom.cones)
+    assert points == 2 * rep * rep
+    pv = partial_zeta(2.0, (a, ok, units), fld, params, order=order, domain=dom)
+    assert lv.value.imag == 0
+    assert lv.value.real == pytest.approx(pv.value, rel=1e-13)
+    assert lv.error_bound == pytest.approx(pv.error_bound, rel=1e-13)
