@@ -115,6 +115,21 @@ def cmd_verify(job, args):
     return 0 if ok else 1
 
 
+def _ideal_list(job, order):
+    """The job's "ideals": a list of ideal objects (see FractionalIdeal.from_json)."""
+    ideals = job.get("ideals", [])
+    if not isinstance(ideals, list):
+        raise SchemaError(f'"ideals" must be a list, got {ideals!r}')
+    return [FractionalIdeal.from_json(order, obj) for obj in ideals]
+
+
+def _is_pair(v) -> bool:
+    """[re, im], two JSON numbers in [-1, 1] (a value has modulus 1 or 0)."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and -1 <= x <= 1 for x in v))
+
+
 def _zeta_params(job, args):
     return ZetaParams(target_error=float(job.get("target_error", 1e-6)),
                       threads=max(1, args.threads))
@@ -126,11 +141,11 @@ def cmd_zeta(job, args):
     s = float(job.get("s", 2.0))
     if s <= 1:
         raise SchemaError("zeta needs s > 1")
-    ideals = job.get("ideals", [])
-    a_ideal = (FractionalIdeal.from_json(order, ideals[0]) if len(ideals) > 0
-               else FractionalIdeal.whole_ring(order))
-    conductor = (FractionalIdeal.from_json(order, ideals[1]) if len(ideals) > 1
-                 else FractionalIdeal.whole_ring(order))
+    ideals = _ideal_list(job, order)
+    if len(ideals) > 2:
+        raise SchemaError('zeta takes "ideals": [a, conductor]')
+    whole = FractionalIdeal.whole_ring(order)
+    a_ideal, conductor = ideals + [whole] * (2 - len(ideals))
     t0 = time.monotonic()
     out = partial_zeta(s, (a_ideal, conductor, units), fld,
                        _zeta_params(job, args), order=order)
@@ -146,18 +161,22 @@ def cmd_lfun(job, args):
     s = float(job.get("s", 2.0))
     if s <= 1:
         raise SchemaError("lfun needs s > 1")
-    ideals = job.get("ideals")
-    reps = ([FractionalIdeal.from_json(order, obj) for obj in ideals]
-            if ideals else [FractionalIdeal.whole_ring(order)])
+    reps = _ideal_list(job, order) or [FractionalIdeal.whole_ring(order)]
     conductor = (FractionalIdeal.from_json(order, job["conductor"])
                  if "conductor" in job else FractionalIdeal.whole_ring(order))
     chspec = job.get("character")
     if chspec is None:
         chi = CharacterTable(reps, [1 + 0j] * len(reps), conductor)
     else:
-        values = [complex(v[0], v[1]) for v in chspec["values"]]
-        chi = CharacterTable(reps, values, conductor,
-                             zero_on_noncoprime=chspec.get("zero_on_noncoprime", True))
+        values = chspec.get("values") if isinstance(chspec, dict) else None
+        if not isinstance(values, list) or not all(map(_is_pair, values)):
+            raise SchemaError('"character" must be {"values": [[re, im], ...]} '
+                              f'with numbers in [-1, 1], got {chspec!r}')
+        coprime = chspec.get("zero_on_noncoprime", True)
+        if not isinstance(coprime, bool):
+            raise SchemaError(f'"zero_on_noncoprime" must be true or false, got {coprime!r}')
+        chi = CharacterTable(reps, [complex(re, im) for re, im in values], conductor,
+                             zero_on_noncoprime=coprime)
     t0 = time.monotonic()
     out = l_function(s, chi, units, fld, _zeta_params(job, args), order=order)
     ms = int((time.monotonic() - t0) * 1000)

@@ -64,27 +64,6 @@ def mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
-def mat_rank(mat) -> int:
-    if not mat:
-        return 0
-    a = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(a[0])
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
 def charpoly(mat):
     """Characteristic polynomial det(xI - M), coefficients low degree first,
     by the Faddeev-LeVerrier recursion (exact over Q)."""
@@ -137,43 +116,6 @@ def hnf_rows(gens, ncols=None):
                 rows[i] = _row_sub(rows[i], rows[r0], q)
         r0 += 1
     return [tuple(r) for r in rows[:r0] if any(r)]
-
-
-def hnf_with_transform(mat):
-    """(H, U) with U unimodular, U @ mat = H, H in row echelon (not reduced
-    above pivots; zero rows kept)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    r0 = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r0, nrows) if rows[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = rows[i][c] // rows[i0][c]
-                rows[i] = _row_sub(rows[i], rows[i0], q)
-                u[i] = _row_sub(u[i], u[i0], q)
-        nz = [i for i in range(r0, nrows) if rows[i][c] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        rows[r0], rows[i0] = rows[i0], rows[r0]
-        u[r0], u[i0] = u[i0], u[r0]
-        r0 += 1
-    return rows, u
-
-
-def int_kernel(mat):
-    """Basis of the integer kernel {x in Z^m : mat @ x = 0} (mat is k x m)."""
-    m = len(mat[0])
-    transposed = [[mat[r][c] for r in range(len(mat))] for c in range(m)]
-    h, u = hnf_with_transform(transposed)
-    return [tuple(u[i]) for i in range(m) if not any(h[i])]
 
 
 def hnf_solve(hrows, v):

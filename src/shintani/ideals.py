@@ -1,10 +1,14 @@
-"""Fractional-ideal arithmetic over a declared integral basis (HNF-based)
-and exact enumeration of the finite R-sets attached to a cone.
+"""Fractional-ideal arithmetic over a declared integral basis and exact
+enumeration of the finite R-sets attached to a cone.
 
-Lattices are stored as a canonical integer row-HNF over the order basis plus
-a positive denominator, so ideal equality is literal equality.  All R-set
-work is exact rational arithmetic end to end: membership in a half-open
-interval is discrete and must be bit-exact.
+An ideal is (1/den) * L with L an integer lattice in order coordinates,
+stored as its canonical row HNF with gcd(den, content(L)) = 1, so ideal
+equality is literal equality.  Ideal arithmetic is integer-lattice code over
+the order's multiplication table (`Order.table`, the structure constants of
+the basis): products and sums stack integer rows, and the inverse is the
+dual lattice (O : a).  Field elements appear only where the R-set code needs
+points.  All R-set work is exact rational arithmetic end to end: membership
+in a half-open interval is discrete and must be bit-exact.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import NotValidated, ZeroIdeal
+from .errors import NotValidated, SchemaError, ZeroIdeal
 from .exactlinalg import (
     hnf_rows,
     hnf_solve,
-    int_kernel,
     mat_det,
     mat_inv,
     mat_solve,
@@ -39,12 +42,27 @@ class Order:
         self.basis_matrix = [[Fraction(self.basis[j].coeffs[i]) for j in range(n)]
                              for i in range(n)]
         self.basis_matrix_inv = mat_inv(self.basis_matrix)
+        # structure constants: table[i][j] = order coordinates of b_i * b_j,
+        # each an int where its denominator is 1
+        self.table = tuple(
+            tuple(tuple(int(c) if c.denominator == 1 else c
+                        for c in self.to_order_coords(bi * bj))
+                  for bj in self.basis)
+            for bi in self.basis)
 
     def to_order_coords(self, elem: FieldElement):
         return mat_vec(self.basis_matrix_inv, list(elem.coeffs))
 
     def from_order_coords(self, coords) -> FieldElement:
         return self.field.element(mat_vec(self.basis_matrix, [Fraction(c) for c in coords]))
+
+    def mul_basis(self, x):
+        """Order coordinates of x * b_j for every basis element b_j, with x
+        given in order coordinates."""
+        n = len(x)
+        terms = [(xi, ti) for xi, ti in zip(x, self.table) if xi]
+        return [[sum(xi * ti[j][k] for xi, ti in terms) for k in range(n)]
+                for j in range(n)]
 
     def contains(self, elem: FieldElement) -> bool:
         return all(c.denominator == 1 for c in self.to_order_coords(elem))
@@ -62,12 +80,6 @@ class Order:
         if idx.denominator != 1:
             raise NotValidated("order does not contain the power basis")
         return int(idx)
-
-    def mult_matrix(self, elem: FieldElement):
-        """Multiplication by elem on the order basis (rational entries)."""
-        n = self.field.degree
-        cols = [self.to_order_coords(elem * b) for b in self.basis]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def integral_basis(field: NumberField, basis=None) -> Order:
@@ -93,15 +105,17 @@ def integral_basis(field: NumberField, basis=None) -> Order:
     for b in basis:
         if not order.contains(b * field.gen):
             raise NotValidated("basis not closed under multiplication by the generator")
-    for i, bi in enumerate(basis):
-        for bj in basis[i:]:
-            if not order.contains(bi * bj):
-                raise NotValidated("basis not closed under multiplication")
+    if any(isinstance(c, Fraction) for row in order.table for entry in row for c in entry):
+        raise NotValidated("basis not closed under multiplication")
     idx = order.power_basis_index()
     power_disc = Order(field, integral_basis(field).basis, True).discriminant()
     if order.discriminant() * idx * idx != power_disc:
         raise NotValidated("discriminant inconsistent with the basis index")
     return order
+
+
+def _json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FractionalIdeal:
@@ -135,35 +149,36 @@ class FractionalIdeal:
         return FractionalIdeal(order, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
-    def from_rational_rows(order: Order, rows) -> "FractionalIdeal":
-        """Module generated by vectors of rational order-coordinates."""
-        rows = [[Fraction(x) for x in row] for row in rows]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        int_rows = [[int(x * den) for x in row] for row in rows]
-        h = hnf_rows(int_rows, order.field.degree)
+    def from_int_rows(order: Order, rows, den: int = 1) -> "FractionalIdeal":
+        """(1/den) * the Z-span of integer order-coordinate rows."""
+        h = hnf_rows(rows, order.field.degree)
         if len(h) != order.field.degree:
             raise ZeroIdeal("generators do not span a full lattice")
         return FractionalIdeal(order, h, den)
 
     @staticmethod
+    def from_rational_rows(order: Order, rows) -> "FractionalIdeal":
+        """Module generated by vectors of rational order-coordinates."""
+        rows = [[Fraction(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return FractionalIdeal.from_int_rows(
+            order, [[int(x * den) for x in row] for row in rows], den)
+
+    @staticmethod
     def from_generators(order: Order, elems) -> "FractionalIdeal":
         """O-module generated by field elements (Z-span of elem * basis)."""
-        rows = []
-        for e in elems:
-            e = order.field.element_like(e)
-            for b in order.basis:
-                rows.append(order.to_order_coords(e * b))
-        if not rows or all(not any(r) for r in rows):
+        coords = [order.to_order_coords(order.field.element_like(e)) for e in elems]
+        den = math.lcm(*(c.denominator for v in coords for c in v))
+        rows = [row for v in coords for row in order.mul_basis([int(c * den) for c in v])]
+        if not any(any(r) for r in rows):
             raise ZeroIdeal("zero ideal")
-        return FractionalIdeal.from_rational_rows(order, rows)
+        return FractionalIdeal.from_int_rows(order, rows, den)
 
     # ---- accessors ----
 
-    def basis_vectors_order_coords(self):
-        return [[Fraction(x, self.den) for x in row] for row in self.hnf]
-
     def basis_elements(self):
-        return [self.order.from_order_coords(v) for v in self.basis_vectors_order_coords()]
+        return [self.order.from_order_coords([Fraction(x, self.den) for x in row])
+                for row in self.hnf]
 
     def power_basis_matrix(self):
         """Columns = lattice basis vectors in power coordinates."""
@@ -202,14 +217,24 @@ class FractionalIdeal:
 
     @staticmethod
     def from_json(order: Order, obj) -> "FractionalIdeal":
-        """Parse and validate: rows must already be the canonical HNF of a
+        """Parse and validate {"hnf": n rows of n integers, "den": integer
+        >= 1, default 1}: the rows must already be the canonical HNF of a
         full lattice that is closed under multiplication by the order."""
-        ideal = FractionalIdeal(order, obj["hnf"], obj.get("den", 1))
         n = order.field.degree
+        if not isinstance(obj, dict):
+            raise SchemaError(f'an ideal must be an object {{"hnf", "den"}}, got {obj!r}')
+        hnf, den = obj.get("hnf"), obj.get("den", 1)
+        if not (isinstance(hnf, list) and len(hnf) == n
+                and all(isinstance(row, list) and len(row) == n
+                        and all(map(_json_int, row)) for row in hnf)):
+            raise SchemaError(f'ideal "hnf" must be {n} lists of {n} integers, got {hnf!r}')
+        if not _json_int(den) or den < 1:
+            raise SchemaError(f'ideal "den" must be an integer >= 1, got {den!r}')
+        ideal = FractionalIdeal(order, hnf, den)
         if hnf_rows(ideal.hnf, n) != list(ideal.hnf):
             raise NotValidated("ideal matrix is not in canonical HNF")
-        closed = FractionalIdeal.from_generators(order, ideal.basis_elements())
-        if closed != ideal:
+        rows = [row for h in ideal.hnf for row in order.mul_basis(h)]
+        if FractionalIdeal.from_int_rows(order, rows, ideal.den) != ideal:
             raise NotValidated("lattice is not a module over the order")
         return ideal
 
@@ -222,60 +247,37 @@ def principal_ideal(order: Order, elem: FieldElement) -> FractionalIdeal:
 
 
 def ideal_mul(a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
-    """Product module: HNF of the n^2 pairwise generator products."""
-    ea, eb = a.basis_elements(), b.basis_elements()
-    rows = [a.order.to_order_coords(x * y) for x in ea for y in eb]
-    return FractionalIdeal.from_rational_rows(a.order, rows)
+    """Product module: HNF of the n^2 pairwise products of the basis rows."""
+    n = a.order.field.degree
+    rows = []
+    for x in a.hnf:
+        xb = a.order.mul_basis(x)              # x * b_j
+        rows += [[sum(yj * xbj[k] for yj, xbj in zip(y, xb)) for k in range(n)]
+                 for y in b.hnf]
+    return FractionalIdeal.from_int_rows(a.order, rows, a.den * b.den)
 
 
 def ideal_add(a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
-    rows = [a.order.to_order_coords(x) for x in a.basis_elements() + b.basis_elements()]
-    return FractionalIdeal.from_rational_rows(a.order, rows)
+    den = math.lcm(a.den, b.den)
+    rows = ([[x * (den // a.den) for x in row] for row in a.hnf]
+            + [[x * (den // b.den) for x in row] for row in b.hnf])
+    return FractionalIdeal.from_int_rows(a.order, rows, den)
 
 
 def ideal_inverse(a: FractionalIdeal) -> FractionalIdeal:
-    """Inverse fractional ideal via exact lattice intersection:
-    a^-1 = {x : x * g in O for every basis generator g}."""
+    """The colon ideal (O : a) = {x : x * g in den * O for every basis row g}
+    of a = (1/den) L, as a dual lattice.  The rows of the matrices of
+    multiplication by each g span a lattice with HNF H; x satisfies every
+    condition iff H x lies in den * Z^n, so (O : a) is spanned by the
+    columns of den * H^-1."""
     order = a.order
     n = order.field.degree
-    gens = a.basis_elements()
-    # preimage lattice of Z^n under multiplication by each generator
-    lattices = []
-    for g in gens:
-        t = order.mult_matrix(g)
-        lattices.append(mat_inv(t))      # columns span {x : g*x in O}
-    cur = lattices[0]
-    for nxt in lattices[1:]:
-        cur = _lattice_intersect(cur, nxt)
-    cols = [[cur[i][j] for i in range(n)] for j in range(n)]
-    return FractionalIdeal.from_rational_rows(order, cols)
-
-
-def _lattice_intersect(a_cols, b_cols):
-    """Intersection of two full lattices given by rational basis columns."""
-    n = len(a_cols)
-    den = math.lcm(*(Fraction(x).denominator for mat in (a_cols, b_cols)
-                     for row in mat for x in row))
-    block = [[int(Fraction(a_cols[i][j]) * den) for j in range(n)]
-             + [-int(Fraction(b_cols[i][j]) * den) for j in range(n)]
-             for i in range(n)]
-    kern = int_kernel(block)
-    out_cols = []
-    for vec in kern:
-        u = vec[:n]
-        col = [sum(Fraction(a_cols[i][j]) * u[j] for j in range(n)) for i in range(n)]
-        out_cols.append(col)
-    # rows for HNF = the intersection vectors
-    rows = hnf_rows_rational(out_cols)
-    return [[rows[i][j] for i in range(n)] for j in range(n)]
-
-
-def hnf_rows_rational(vectors):
-    """Canonical basis (as rows) of the lattice spanned by rational vectors."""
-    den = math.lcm(*(Fraction(x).denominator for v in vectors for x in v))
-    int_rows = [[int(Fraction(x) * den) for x in v] for v in vectors]
-    h = hnf_rows(int_rows, len(vectors[0]))
-    return [[Fraction(x, den) for x in row] for row in h]
+    rows = []
+    for g in a.hnf:
+        rows += zip(*order.mul_basis(g))       # rows of the matrix of g
+    h_inv = mat_inv(hnf_rows(rows, n))
+    return FractionalIdeal.from_rational_rows(
+        order, [[a.den * h_inv[i][j] for i in range(n)] for j in range(n)])
 
 
 # ---- R-set enumeration ----
@@ -370,21 +372,9 @@ def enumerate_R_sigma(cone, lattice: FractionalIdeal) -> RSigmaSet:
 
 
 def smallest_positive_rational_integer(ideal: FractionalIdeal) -> int:
-    """Positive generator of Z intersected with the ideal."""
+    """Positive generator of Z intersected with the ideal: the least t with
+    t * den * (coordinates of 1) in the HNF lattice."""
     order = ideal.order
-    one_coords = order.to_order_coords(order.field.one)
-    scaled = [c * ideal.den for c in one_coords]
-    # t minimal with t * scaled in the HNF lattice: triangular solve over Q
-    return math.lcm(*(q.denominator for q in _triangular_coords(ideal.hnf, scaled)))
-
-
-def _triangular_coords(hrows, v):
-    v = [Fraction(x) for x in v]
-    coords = []
-    for row in hrows:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        q = v[c] / row[c]
-        coords.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
-    assert not any(v)
-    return coords
+    scaled = [c * ideal.den for c in order.to_order_coords(order.field.one)]
+    coords = mat_solve([list(col) for col in zip(*ideal.hnf)], scaled)
+    return math.lcm(*(q.denominator for q in coords))

@@ -197,3 +197,45 @@ def test_regcheck_at_cap_exit_3(tmp_path, capsys):
     assert code == 3 and out["error"] == "PrecisionCapExceeded"
     code, out = run(capsys, ["regcheck", "--job", job])
     assert code == 0 and out["regulator_identity_ok"] is True
+
+
+HALF = {"hnf": [[1.5, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("zeta", {"ideals": [HALF]}),
+    ("lfun", {"conductor": HALF}),
+    ("zeta", {"ideals": [{"hnf": [[True, 0], [0, 1]]}]}),
+    ("lfun", {"conductor": {"hnf": [[1, 0], [0, True]]}}),
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]], "den": 0}]}),
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]], "den": 2.5}]}),
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]], "den": True}]}),
+    ("zeta", {"ideals": [{"hnf": [[1, 0]]}]}),
+    ("zeta", {"ideals": [[[1, 0], [0, 1]]]}),
+    ("lfun", {"ideals": [7]}),
+    ("zeta", {"ideals": {"hnf": [[1, 0], [0, 1]]}}),
+    ("lfun", {"ideals": {"hnf": [[1, 0], [0, 1]]}}),
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]]}] * 3}),
+    ("lfun", {"character": {"values": [[1.0]]}}),
+    ("lfun", {"character": {"values": [[1.0, False]]}}),
+    ("lfun", {"character": {"values": [[1.0, "0"]]}}),
+    ("lfun", {"character": [[1.0, 0.0]]}),
+    ("lfun", {"character": {"values": [[1.0, 0.0]], "zero_on_noncoprime": 1}}),
+], ids=["float-entry", "float-conductor", "bool-entry", "bool-conductor",
+        "den-0", "den-float", "den-bool", "short-hnf", "non-object", "int-entry",
+        "zeta-ideals-object", "lfun-ideals-object", "three-ideals",
+        "short-value", "bool-value", "string-value", "character-list",
+        "coprime-flag-int"])
+def test_malformed_ideal_or_character_exit_2(tmp_path, capsys, cmd, extra):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3, **extra})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "SchemaError"
+
+
+def test_well_formed_ideal_without_den(tmp_path, capsys):
+    # "den" defaults to 1; (sqrt2)^2 = (2) as a conductor
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3,
+                               "conductor": {"hnf": [[2, 0], [0, 2]]},
+                               "character": {"values": [[1, 0]]}})
+    code, out = run(capsys, ["lfun", "--job", job])
+    assert code == 0 and out["value"][1] == 0.0

@@ -1,17 +1,15 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from shintani.exactlinalg import (
     charpoly,
     hnf_rows,
     hnf_solve,
-    int_kernel,
     mat_det,
     mat_inv,
-    mat_rank,
     mat_solve,
     mat_vec,
 )
@@ -80,16 +78,6 @@ def test_hnf_membership(m):
         if w != v:
             assert hnf_solve(h, w) is None or mat_vec(
                 [[Fraction(x) for x in r] for r in zip(*h)], hnf_solve(h, w)) == w
-
-
-@given(small_mat)
-@settings(max_examples=60)
-def test_int_kernel_annihilates(m):
-    kern = int_kernel(m)
-    for vec in kern:
-        assert all(sum(row[j] * vec[j] for j in range(3)) == 0 for row in m)
-    rk = mat_rank([[Fraction(x) for x in row] for row in m])
-    assert len(kern) == 3 - rk
 
 
 def test_mat_solve_and_inv():

@@ -18,7 +18,7 @@ from shintani.ideals import (
     smallest_positive_rational_integer,
 )
 
-from fixtures import cubic_81, q_sqrt2, q_sqrt5, quartic_725
+from fixtures import ALL_NET_COUNT, cubic_81, maximal_order, q_sqrt2, q_sqrt5, quartic_725
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +247,90 @@ def test_ideal_json_validation(ok2):
     with _pytest.raises(NotValidated):
         # full lattice but not an O-module (theta * (0,1) escapes)
         FractionalIdeal.from_json(order, {"hnf": [[7, 0], [0, 1]], "den": 1})
+
+
+# ---- the integer-lattice ideal code against field-element references ----
+
+def ref_principal(order, e):
+    """Z-span of e * b over the order basis, multiplied as field elements."""
+    return FractionalIdeal.from_rational_rows(
+        order, [order.to_order_coords(e * b) for b in order.basis])
+
+
+def ref_mul(a, b):
+    rows = [a.order.to_order_coords(x * y)
+            for x in a.basis_elements() for y in b.basis_elements()]
+    return FractionalIdeal.from_rational_rows(a.order, rows)
+
+
+def ref_add(a, b):
+    rows = [a.order.to_order_coords(x) for x in a.basis_elements() + b.basis_elements()]
+    return FractionalIdeal.from_rational_rows(a.order, rows)
+
+
+def random_element(fld, rng):
+    while True:
+        e = fld.element([Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3)))
+                         for _ in range(fld.degree)])
+        if not e.is_zero():
+            return e
+
+
+def fixture_orders():
+    for name, make in ALL_NET_COUNT.items():
+        fld, _ = make()
+        yield pytest.param(name, integral_basis(fld), id=name)
+        if name == "q_sqrt5":
+            yield pytest.param(name, maximal_order(name, fld), id="q_sqrt5-maximal")
+
+
+@pytest.mark.parametrize("name, order", fixture_orders())
+def test_ideal_ops_match_field_element_reference(name, order):
+    rng = random.Random(name)
+    fld = order.field
+    for _ in range(8):
+        x, y, w = (random_element(fld, rng) for _ in range(3))
+        a = principal_ideal(order, x)
+        assert a == ref_principal(order, x)
+        b = ideal_add(principal_ideal(order, y), principal_ideal(order, w))
+        assert b == ref_add(ref_principal(order, y), ref_principal(order, w))
+        assert ideal_mul(a, b) == ref_mul(a, b) == ideal_mul(b, a)
+        assert ideal_add(a, b) == ref_add(a, b)
+        assert ideal_inverse(a) == principal_ideal(order, x.inverse())
+        assert FractionalIdeal.from_json(order, ideal_mul(a, b).to_json()) == ref_mul(a, b)
+
+
+def test_colon_ideal_in_non_maximal_order():
+    # a = (2, 1 + sqrt5) in Z[sqrt5] is not invertible: a^2 = 2a, so
+    # (O : a) = a / 2 and a (O : a) = a, not the whole ring
+    fld, _ = q_sqrt5()
+    order = integral_basis(fld)
+    a = FractionalIdeal.from_generators(order, [fld.element([2, 0]), fld.element([1, 1])])
+    assert a.hnf == ((1, 1), (0, 2)) and a.den == 1
+    inv = ideal_inverse(a)
+    assert inv == FractionalIdeal(order, ((1, 1), (0, 2)), 2)
+    assert ideal_mul(a, inv) == a
+    assert not ideal_mul(a, inv).is_whole_ring()
+
+
+@pytest.mark.parametrize("name", ["q_sqrt5", "quartic_725"])
+def test_inverse_in_maximal_order(name):
+    # Z[(1+sqrt5)/2] (a user basis) and the monogenic quartic: every
+    # nonzero ideal is invertible, including non-principal sums
+    fld, _ = ALL_NET_COUNT[name]()
+    order = maximal_order(name, fld)
+    rng = random.Random(3)
+    for _ in range(6):
+        a = ideal_add(principal_ideal(order, random_element(fld, rng)),
+                      principal_ideal(order, random_element(fld, rng)))
+        inv = ideal_inverse(a)
+        assert ideal_mul(a, inv).is_whole_ring()
+        assert inv.norm() * a.norm() == 1
+
+
+def test_rows_of_deficient_rank_rejected(ok2):
+    _, _, order = ok2
+    with pytest.raises(ZeroIdeal):
+        FractionalIdeal.from_rational_rows(order, [[1, 2], [Fraction(1, 2), 1]])
+    with pytest.raises(ZeroIdeal):
+        FractionalIdeal.from_rational_rows(order, [[3, 1]])
