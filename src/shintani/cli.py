@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -20,7 +21,7 @@ from .errors import (
     ShintaniError,
 )
 from .field import NumberField, field_from_json
-from .ideals import FractionalIdeal, integral_basis
+from .ideals import FractionalIdeal, _json_int, integral_basis
 from .zeta import (
     CharacterTable,
     ZetaParams,
@@ -85,8 +86,14 @@ def _verify_chunk(payload):
 
 def cmd_verify(job, args):
     fld, units = _field_and_units(job, args.precision_cap)
-    seed = args.seed if args.seed is not None else job.get("seed", 0)
-    samples = int(job.get("samples", 1000))
+    seed = job.get("seed", 0)
+    if not _json_int(seed):
+        raise SchemaError(f'"seed" must be an integer, got {seed!r}')
+    if args.seed is not None:
+        seed = args.seed
+    samples = job.get("samples", 1000)
+    if not _json_int(samples) or samples < 1:
+        raise SchemaError(f'"samples" must be an integer >= 1, got {samples!r}')
     threads = max(1, args.threads)
     if threads == 1:
         dom = build_signed_domain(units, fld)
@@ -130,17 +137,28 @@ def _is_pair(v) -> bool:
                     and -1 <= x <= 1 for x in v))
 
 
+def _json_number(job, key, default, low) -> float:
+    """job[key], or the default: a finite JSON number > low."""
+    x = job.get(key, default)
+    ok = isinstance(x, (int, float)) and not isinstance(x, bool)
+    try:
+        ok = ok and math.isfinite(x) and x > low
+    except OverflowError:           # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise SchemaError(f'"{key}" must be a finite number > {low}, got {x!r}')
+    return float(x)
+
+
 def _zeta_params(job, args):
-    return ZetaParams(target_error=float(job.get("target_error", 1e-6)),
+    return ZetaParams(target_error=_json_number(job, "target_error", 1e-6, 0),
                       threads=max(1, args.threads))
 
 
 def cmd_zeta(job, args):
     fld, units = _field_and_units(job, args.precision_cap)
     order = integral_basis(fld)
-    s = float(job.get("s", 2.0))
-    if s <= 1:
-        raise SchemaError("zeta needs s > 1")
+    s = _json_number(job, "s", 2.0, 1)
     ideals = _ideal_list(job, order)
     if len(ideals) > 2:
         raise SchemaError('zeta takes "ideals": [a, conductor]')
@@ -158,9 +176,7 @@ def cmd_zeta(job, args):
 def cmd_lfun(job, args):
     fld, units = _field_and_units(job, args.precision_cap)
     order = integral_basis(fld)
-    s = float(job.get("s", 2.0))
-    if s <= 1:
-        raise SchemaError("lfun needs s > 1")
+    s = _json_number(job, "s", 2.0, 1)
     reps = _ideal_list(job, order) or [FractionalIdeal.whole_ring(order)]
     conductor = (FractionalIdeal.from_json(order, job["conductor"])
                  if "conductor" in job else FractionalIdeal.whole_ring(order))
@@ -196,7 +212,7 @@ def cmd_regcheck(job, args):
 
 def cmd_oracle(job, args):
     fld, _units = _field_and_units(job, args.precision_cap)
-    s = float(job.get("s", 2.0))
+    s = _json_number(job, "s", 2.0, 1)
     cap = job.get("prime_cap", 10 ** 6)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
         raise SchemaError(f'"prime_cap" must be an integer >= 2, got {cap!r}')

@@ -67,6 +67,10 @@ class NotValidated(InputError):
     """User-supplied integral basis failed validation."""
 
 
+class UnitOutsideOrder(InputError):
+    """A unit does not lie in the order the R-sets are enumerated in."""
+
+
 class ClassResolutionMissing(InputError):
     """Nontrivial narrow class group but no class-resolution table given."""
 

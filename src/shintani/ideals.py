@@ -311,10 +311,15 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
     """Points of shift + lattice in the half-open parallelepiped on the
     generators scale * f_i, exactly.
 
-    Writing the lattice basis in the scaled-generator basis gives an integer
-    matrix N whose determinant is the number of points; each residue of the
-    quotient is shifted coordinatewise into [0,1) or (0,1] according to the
-    cone's half-open flags.
+    Writing the lattice basis in the scaled-generator basis G gives an
+    integer matrix N whose determinant is the number of points; each
+    residue u of the quotient gives box coordinates t = G^-1 shift + N^-1 u,
+    shifted coordinatewise into [0,1) or (0,1] according to the cone's
+    half-open flags.  The loop runs in integers over one common denominator
+    D of G^-1 shift and N^-1: t D is reduced by % into [0, D) or (0, D], and
+    the numerators of z = G t over den(G) D are integer dot products.  Each
+    point's membership in shift + lattice is checked on its own, in the
+    lattice's HNF in order coordinates, independently of N.
     """
     order = lattice.order
     field = order.field
@@ -343,25 +348,40 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
     g_mat = [[g_cols[i][j] for j in range(n)] for i in range(n)]
     tau0 = mat_solve(g_mat, list(shift.coeffs))
     n_inv = mat_inv([[Fraction(x) for x in row] for row in n_mat])
+    d = math.lcm(*(x.denominator for x in tau0),
+                 *(x.denominator for row in n_inv for x in row))
+    t0 = [int(x * d) for x in tau0]
+    n_inv_d = [[int(x * d) for x in row] for row in n_inv]
+    gd = math.lcm(*(x.denominator for row in g_mat for x in row))
+    g_num = [[int(x * gd) for x in row] for row in g_mat]
+    e = gd * d                                  # z = z_num / e
+    # membership: den * (order coordinates of z - shift) = m_num (z_num -
+    # shift_num) / (bd e) must be an integer vector in the HNF lattice
+    shift_num = [x * e for x in shift.coeffs]
+    assert all(x.denominator == 1 for x in shift_num)
+    shift_num = [int(x) for x in shift_num]
+    bd = math.lcm(*(x.denominator for row in order.basis_matrix_inv for x in row))
+    m_num = [[int(x * bd) * lattice.den for x in row] for row in order.basis_matrix_inv]
+    q = bd * e
 
     open_flags = [fl == "open" for fl in cone.flags]
     points = []
     seen = set()
-    for u in itertools.product(*[range(d) for d in diag]):
-        t = [tau0[i] + sum(n_inv[i][j] * u[j] for j in range(n)) for i in range(n)]
-        tt = []
-        for ti, is_open in zip(t, open_flags):
-            if is_open:
-                shifted = ti - (math.ceil(ti) - 1)     # into (0, 1]
-            else:
-                shifted = ti - math.floor(ti)          # into [0, 1)
-            tt.append(shifted)
-        z = field.element(mat_vec(g_mat, tt))
-        assert lattice.contains(z - shift)
-        key = z.coeffs
+    for u in itertools.product(*[range(k) for k in diag]):
+        r = []
+        for t0_i, row, is_open in zip(t0, n_inv_d, open_flags):
+            x = (t0_i + sum(a * uj for a, uj in zip(row, u))) % d
+            r.append(d if is_open and x == 0 else x)    # (0, D] or [0, D)
+        z_num = [sum(a * rj for a, rj in zip(row, r)) for row in g_num]
+        diff = [a - c for a, c in zip(z_num, shift_num)]
+        v = [sum(a * x for a, x in zip(row, diff)) for row in m_num]
+        assert all(x % q == 0 for x in v)
+        assert hnf_solve(lattice.hnf, [x // q for x in v]) is not None
+        key = tuple(z_num)
         assert key not in seen
         seen.add(key)
-        points.append((z, tuple(tt)))
+        points.append((field.element([Fraction(x, e) for x in z_num]),
+                       tuple(Fraction(x, d) for x in r)))
     assert len(points) == index
     return RSigmaSet(points, index, scale, shift)
 

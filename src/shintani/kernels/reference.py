@@ -13,10 +13,11 @@ from functools import lru_cache
 import numpy as np
 
 
-def _graded_bases(z, c, radius):
+def _graded_bases(zs, c, radius):
     """The values z_j + sum_{i>=1} m_i c[i][j] at the points
-    (m_1, ..., m_{n-1}) >= 0 of sum <= radius, one array per axis j, listed
-    by nondecreasing sum, and the level ends: `ends[k]` points have sum <= k.
+    (m_1, ..., m_{n-1}) >= 0 of sum <= radius, one (P, N) array per axis j
+    with a row per shift z of the (P, n) array zs, the points listed by
+    nondecreasing sum, and the level ends: `ends[k]` points have sum <= k.
 
     Level k of (m_1, ..., m_i) is {(p, k - |p|) : |p| <= k} over the points
     p of (m_1, ..., m_{i-1}), a prefix of their graded list, so each
@@ -24,45 +25,54 @@ def _graded_bases(z, c, radius):
     products m_i c[i][j], added in the order i = 1, 2, ..., n - 1."""
     m = np.arange(radius + 1)
     sums, ends = m, m + 1
-    bases = [zj + m * cj for zj, cj in zip(z, c[1])]
+    bases = [zj[:, None] + m * cj for zj, cj in zip(zs.T, c[1])]
     for row in c[2:]:
         level = np.repeat(m, ends)
         idx = np.arange(len(level)) - np.repeat(np.cumsum(ends) - ends, ends)
         last = level - sums[idx]
-        bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
+        bases = [b[:, idx] + last * cj for b, cj in zip(bases, row)]
         sums, ends = level, np.cumsum(ends)
     return bases, ends
 
 
-def box_sum(z, gens, s, radius, scale=1.0):
-    """Truncated Shintani sum over the simplex
-    {m >= 0 : m_0 + ... + m_{n-1} <= radius}.
+def box_sums(zs, gens, s, radius, scale=1.0):
+    """Truncated Shintani sums over the simplex
+    {m >= 0 : m_0 + ... + m_{n-1} <= radius}, one per shift z of the block
+    zs (P shifts of n coordinates) that shares the generators, the radius
+    and the scale.
 
     The trailing coordinates are enumerated once, graded by their sum, so
     the slab of each m_0 is a prefix of length ends[radius - m_0] and costs
-    one add per axis.  Term by term: the n factors are multiplied left to
-    right, an integer power s <= 8 is the (s-1)-fold product followed by one
-    reciprocal, other s go through `**`; each slab is one pairwise np.sum,
-    and the slab totals are added by math.fsum.  `box_sum_roundoff` counts
-    exactly these operations.
+    one add per axis, for all P shifts at once: the per-slab Python work is
+    paid once per block, and the block's working arrays hold P * N floats,
+    N = C(radius + n - 1, n - 1) the longest slab.  Term by term: the n
+    factors are multiplied left to right, an integer power s <= 8 is the
+    (s-1)-fold product followed by one reciprocal, other s go through `**`;
+    each slab of each shift is one pairwise row sum (np.add.reduce along
+    axis 1), and the slab totals of a shift are added by one math.fsum.
+    Elementwise operations do not depend on their neighbours, so every sum
+    is bit for bit the sum of a one-shift block, and `box_sum_roundoff`
+    counts exactly these operations for each.
     """
-    n = len(z)
+    zs = np.asarray(zs, dtype=float)
+    npts, n = zs.shape
     c = [[scale * g for g in row] for row in gens]
     if n == 1:
-        bases, ends = [np.array([z[0]])], np.ones(radius + 1, dtype=np.int64)
+        bases, ends = [zs], np.ones(radius + 1, dtype=np.int64)
     else:
-        bases, ends = _graded_bases(z, c, radius)
+        bases, ends = _graded_bases(zs, c, radius)
     k = int(s) if s == int(s) and 1 <= s <= 8 else 0
-    prod = np.empty(len(bases[0]))
-    tmp = np.empty(len(bases[0]))
+    prod = np.empty(bases[0].size)
+    tmp = np.empty(bases[0].size)
+    totals = np.empty((radius + 1, npts))
     ends = ends.tolist()
-    totals = []
     for m0 in range(radius + 1):
         cnt = ends[radius - m0]
-        p, t = prod[:cnt], tmp[:cnt]
-        np.add(bases[0][:cnt], m0 * c[0][0], out=p)
+        p = prod[:npts * cnt].reshape(npts, cnt)
+        t = tmp[:npts * cnt].reshape(npts, cnt)
+        np.add(bases[0][:, :cnt], m0 * c[0][0], out=p)
         for j in range(1, n):
-            np.add(bases[j][:cnt], m0 * c[0][j], out=t)
+            np.add(bases[j][:, :cnt], m0 * c[0][j], out=t)
             p *= t
         if k:
             np.copyto(t, p)
@@ -71,8 +81,17 @@ def box_sum(z, gens, s, radius, scale=1.0):
             np.divide(1.0, t, out=t)
         else:
             np.power(p, -s, out=t)
-        totals.append(np.add.reduce(t))
-    return math.fsum(totals)
+        np.add.reduce(t, axis=1, out=totals[m0])
+    return [math.fsum(col) for col in totals.T.tolist()]
+
+
+def box_sum(z, gens, s, radius, scale=1.0):
+    """The truncated simplex sum of one shift z: `box_sums` on a block of
+    one.  The R-set sums of `zeta.l_function` and `zeta.partial_zeta` go
+    to `box_sums` directly, each cone's points at one target in blocks of
+    at most B // N shifts (at least one), B = `zeta._BLOCK` = 2^12 floats
+    and N the longest slab, so a block's arrays stay near B floats each."""
+    return box_sums([z], gens, s, radius, scale)[0]
 
 
 # Roundoff of box_sum against the exact simplex sum V of the exact inputs.
@@ -90,12 +109,14 @@ def box_sum(z, gens, s, radius, scale=1.0):
 #   s stays within its S-th power, S = ceil(s), so a term comes out as
 #   t (1 + t')^(-nS) theta with theta a product of at most S (n^2 + 3n)
 #   roundings (integer s) or S (n^2 + 3n - 1) + 8 (np.power).
-# - NumPy sums each slab pairwise: a plain loop below 8 terms, eight
+# - NumPy sums each slab of each shift pairwise (a row of the axis-1
+#   reduce of a block; the tests check it): a plain loop below 8 terms, eight
 #   accumulators up to 128 (a term meets at most b//8 + b%8 + 2 <= 24
-#   additions in a block of b), halving above into parts of at most
+#   additions in a run of b), halving above into parts of at most
 #   N/2 + 15/2, so at most ceil(log2 N) - 6 halvings.  Either way a term
 #   meets at most D = 19 + ceil(log2 N) additions, N the largest slab
-#   C(L + n - 1, n - 1).  math.fsum rounds the sum of slab totals once.
+#   C(L + n - 1, n - 1).  math.fsum rounds the sum of a shift's slab
+#   totals once.
 # So every term enters the computed V' as t (1 + x), |x| <= rho =
 # (1 - delta)^(-nS) (1 + gamma_R) - 1 with R the sum of these counts, and
 # |V' - V| <= rho V <= rho / (1 - rho) V'.  One spare rounding in R covers
@@ -107,9 +128,9 @@ _U = 2.0 ** -53
 
 
 def box_sum_roundoff(value, n, s, radius, delta):
-    """Certified bound on |value - V| for value = box_sum(...) of n axes at
-    level radius, on inputs within relative error delta of exact ones whose
-    simplex sum is V (see above)."""
+    """Certified bound on |value - V| for value one sum of `box_sums` of n
+    axes at level radius, on inputs within relative error delta of exact
+    ones whose simplex sum is V (see above)."""
     big_s = math.ceil(s)
     rounds = big_s * (n * n + 3 * n) + 8
     rounds += 19 + (math.comb(radius + n - 1, n - 1) - 1).bit_length() + 2

@@ -35,6 +35,8 @@ from .errors import (
     NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
+    UnitOutsideOrder,
+    ZeroElement,
 )
 from .field import FieldElement, NumberField
 from .ideals import (
@@ -100,18 +102,46 @@ def required_radius(n: int, s: float, scale: int, target: float, m_cap: int) -> 
 
 def _embed_floats(field: NumberField, elems):
     """Float conjugates of totally positive elements, the midpoints of outward
-    floats 0 < lo <= x <= hi, and their relative error (hi - lo) / lo, exact
-    but for the division (Sterbenz), rounded up; each climbs to <= 2^-50."""
-    floats, delta = [], 0.0
+    floats 0 < lo <= x <= hi, and per element its relative error
+    max (hi - lo) / lo, exact but for the division (Sterbenz); each climbs
+    to <= 2^-50.  The enclosures certify the positivity: 0 raises
+    ZeroElement, and an enclosure at or below 0 (hi <= 0) NotTotallyPositive."""
+    floats, deltas = [], []
     for elem in elems:
+        if elem.is_zero():
+            raise ZeroElement("a shift must be nonzero")
         for prec in Ladder(field.prec_cap, "float conjugates"):
             rows = [iv.float_bounds() for iv in field.embed_iv(elem, prec)]
+            if any(hi <= 0 for _lo, hi in rows):
+                raise NotTotallyPositive(
+                    "shift must be strictly positive at all embeddings")
             d = max((hi - lo) / lo if lo > 0 else math.inf for lo, hi in rows)
             if d <= 2.0 ** -50:
                 break
         floats.append([0.5 * (lo + hi) for lo, hi in rows])
-        delta = max(delta, d)
-    return floats, math.nextafter(delta, math.inf)
+        deltas.append(d)
+    return floats, deltas
+
+
+def _zeta_block(s: float, cone, points, params: ZetaParams,
+                scale: int = 1) -> list[ZetaValue]:
+    """shintani_zeta(s, z, cone, params, scale) for every z of points, by one
+    `kernels.box_sums` call: each value, radius and bound is bit for bit
+    that of the single-point sum, whose float inputs have relative error
+    max(delta_z, delta of the generators), rounded up."""
+    field = cone.field
+    n = field.degree
+    radius = required_radius(n, s, scale, params.target_error, params.m_cap)
+    floats, deltas = _embed_floats(field, [*points, *cone.generators])
+    k = len(points)
+    values = kernels.box_sums(floats[:k], floats[k:], s, radius, float(scale))
+    gen_delta = max(deltas[k:])
+    tail = tail_bound(n, s, scale, radius)
+    terms = math.comb(radius + n, n)
+    return [ZetaValue(value, tail + kernels.box_sum_roundoff(
+                value, n, s, radius, math.nextafter(max(d, gen_delta), math.inf)),
+                      terms, radius)
+            for value, d in zip(values, deltas)]
 
 
 def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
@@ -120,16 +150,9 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
     with a certified tail bound plus the derived float-roundoff bound."""
     if s <= 1:
         raise ValueError("the series converges for s > 1 only")
-    field = cone.field
-    if not field.is_totally_positive(z):
+    if not cone.field.is_totally_positive(z):
         raise NotTotallyPositive("shift must be strictly positive at all embeddings")
-    n = field.degree
-    radius = required_radius(n, s, scale, params.target_error, params.m_cap)
-    (zf, *gens), delta = _embed_floats(field, [z, *cone.generators])
-    value = kernels.box_sum(zf, gens, s, radius, float(scale))
-    return ZetaValue(value, tail_bound(n, s, scale, radius)
-                     + kernels.box_sum_roundoff(value, n, s, radius, delta),
-                     math.comb(radius + n, n), radius)
+    return _zeta_block(s, cone, [z], params, scale)[0]
 
 
 @dataclass
@@ -187,16 +210,66 @@ class LValue:
     radius: int
 
 
-def _sum_jobs(run, jobs, threads) -> LValue:
-    """Run the jobs (in a thread pool when asked) and add up the results."""
-    if threads <= 1 or len(jobs) <= 1:
-        results = [run(j) for j in jobs]
+# Points per block of the R-set path: one block's kernel arrays hold
+# P * N floats, N = C(L + n - 1, n - 1) the longest slab, and P is at most
+# _BLOCK // N (at least 1), so a block costs about the memory of one
+# single-point sum of a few thousand terms.
+_BLOCK = 2 ** 12
+
+
+def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> LValue:
+    """Sum of weight * zeta and of bound_weight * its error bound over the
+    jobs (cone, z, target, weight, bound_weight), zeta being
+    shintani_zeta(s, z, cone, target, scale) bit for bit; a job of None is
+    not evaluated and adds (0j, 0.0).
+
+    The jobs are grouped by cone and target, so a group has one radius L,
+    and each group is cut into blocks of at most _BLOCK // N points, which
+    the thread pool (params.threads) maps over.  The results are added in
+    job order, so the sums do not depend on the blocks or the threads."""
+    groups = {}
+    for i, job in enumerate(jobs):
+        if job is not None:
+            groups.setdefault((id(job[0]), job[2]), []).append(i)
+    blocks = []
+    for members in groups.values():
+        cone, _z, target = jobs[members[0]][:3]
+        n = cone.field.degree
+        radius = required_radius(n, s, scale, target, params.m_cap)
+        size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
+        blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
+
+    def run(block):
+        cone, _z, target = jobs[block[0]][:3]
+        return _zeta_block(s, cone, [jobs[i][1] for i in block],
+                           ZetaParams(target_error=target, m_cap=params.m_cap),
+                           scale)
+
+    if params.threads <= 1 or len(blocks) <= 1:
+        values = [run(b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, jobs))
+        with ThreadPoolExecutor(max_workers=params.threads) as ex:
+            values = list(ex.map(run, blocks))
+    zvs = {i: zv for block, vs in zip(blocks, values) for i, zv in zip(block, vs)}
+    results = [(0j, 0.0, 0, 0) if job is None else
+               (job[3] * zvs[i].value, job[4] * zvs[i].error_bound,
+                zvs[i].terms, zvs[i].radius)
+               for i, job in enumerate(jobs)]
     return LValue(sum(r[0] for r in results), sum(r[1] for r in results),
                   sum(r[2] for r in results), max((r[3] for r in results), default=0))
+
+
+def _require_units_in_order(units, order: Order) -> None:
+    """The cone generators are products of the units, and the R-sets are
+    enumerated in ideals of the order: every unit must lie in it."""
+    for u in units:
+        if not order.contains(u):
+            basis = ", ".join("(" + ", ".join(map(str, b.coeffs)) + ")"
+                              for b in order.basis)
+            raise UnitOutsideOrder(
+                f"unit ({', '.join(map(str, u.coeffs))}) does not lie in the "
+                f"order with basis {basis} in power-basis coordinates")
 
 
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
@@ -211,9 +284,10 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
     if s <= 1:
         raise ValueError("the series representation needs s > 1")
     order = order or integral_basis(field)
+    _require_units_in_order(units, order)
     dom = domain or build_signed_domain(units, field)
     varies = chi.depends_on_ideal
-    jobs = []
+    terms = []
     for rep in chi.representatives:
         af = ideal_mul(rep, chi.conductor)
         n_af = float(af.norm())
@@ -224,20 +298,13 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
                 # (z) af is formed only when the value can depend on it
                 chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af)
                                        if varies else af)
-                jobs.append((cone, z, n_af ** (-s), chi_val))
+                terms.append((cone, z, n_af ** (-s), chi_val))
     # live jobs' bounds, weighted by nfac, share half the target evenly
-    share = params.target_error / (2 * max(1, sum(j[3] != 0 for j in jobs)))
-
-    def run(job):
-        cone, z, nfac, chi_val = job
-        if chi_val == 0:
-            return 0j, 0.0, 0, 0
-        zv = shintani_zeta(s, z, cone, ZetaParams(target_error=share / nfac,
-                                                  m_cap=params.m_cap))
-        return (cone.w * nfac * chi_val * zv.value,
-                nfac * abs(chi_val) * zv.error_bound, zv.terms, zv.radius)
-
-    return _sum_jobs(run, jobs, params.threads)
+    share = params.target_error / (2 * max(1, sum(t[3] != 0 for t in terms)))
+    jobs = [None if chi_val == 0 else
+            (cone, z, share / nfac, cone.w * nfac * chi_val, nfac * abs(chi_val))
+            for cone, z, nfac, chi_val in terms]
+    return _sum_jobs(s, jobs, 1, params)
 
 
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
@@ -253,24 +320,19 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
         raise ValueError("the series representation needs s > 1")
     a_ideal, conductor, units = ray_class
     order = order or integral_basis(field)
+    _require_units_in_order(units, order)
     dom = domain or build_signed_domain(units, field)
     f_int = smallest_positive_rational_integer(conductor)
     lattice = ideal_mul(ideal_inverse(a_ideal), conductor)
     n_a = float(a_ideal.norm())
-    jobs = []
+    points = []
     for cone in dom.cones:
         rset = coset_enumerate_R(cone, lattice, shift=field.one, scale=f_int)
-        for z, _t in rset.points:
-            jobs.append((cone, z))
-    per_term = params.target_error / (2 * len(jobs)) if jobs else params.target_error
-    term_params = ZetaParams(target_error=per_term * (n_a ** s), m_cap=params.m_cap)
-
-    def run(job):
-        cone, z = job
-        zv = shintani_zeta(s, z, cone, term_params, scale=f_int)
-        return cone.w * zv.value, zv.error_bound, zv.terms, zv.radius
-
-    total = _sum_jobs(run, jobs, params.threads)
+        points += [(cone, z) for z, _t in rset.points]
+    per_term = params.target_error / (2 * len(points)) if points else params.target_error
+    target = per_term * (n_a ** s)
+    total = _sum_jobs(s, [(cone, z, target, cone.w, 1) for cone, z in points],
+                      f_int, params)
     return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
                   total.terms, total.radius)
 

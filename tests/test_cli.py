@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shintani import zeta
 from shintani.cli import main
 
 
@@ -239,3 +240,61 @@ def test_well_formed_ideal_without_den(tmp_path, capsys):
                                "character": {"values": [[1, 0]]}})
     code, out = run(capsys, ["lfun", "--job", job])
     assert code == 0 and out["value"][1] == 0.0
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("verify", {"samples": -4}),
+    ("verify", {"samples": 0}),
+    ("verify", {"samples": 2.5}),
+    ("verify", {"samples": "3"}),
+    ("verify", {"samples": True}),
+    ("verify", {"seed": 1.5}),
+    ("verify", {"seed": "1"}),
+    ("verify", {"seed": False}),
+    ("zeta", {"target_error": 0}),
+    ("zeta", {"target_error": -1}),
+    ("zeta", {"target_error": "1e-3"}),
+    ("lfun", {"target_error": float("inf")}),
+    ("lfun", {"target_error": float("nan")}),
+    ("zeta", {"s": "2.5"}),
+    ("zeta", {"s": 1}),
+    ("lfun", {"s": 0.5}),
+    ("lfun", {"s": True}),
+    ("lfun", {"s": None}),
+    ("oracle", {"s": 0.5}),
+    ("oracle", {"s": "2"}),
+    ("oracle", {"s": float("inf")}),
+], ids=["samples-negative", "samples-0", "samples-float", "samples-string",
+        "samples-bool", "seed-float", "seed-string", "seed-bool",
+        "target-0", "target-negative", "target-string", "target-inf", "target-nan",
+        "s-string", "s-1", "s-half", "s-bool", "s-null",
+        "oracle-s-half", "oracle-s-string", "oracle-s-inf"])
+def test_malformed_numbers_exit_2(tmp_path, capsys, cmd, extra):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3,
+                               "samples": 3, "seed": 1, "prime_cap": 1000, **extra})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "SchemaError"
+    assert next(iter(extra)) in out["detail"]
+
+
+@pytest.mark.parametrize("cmd", ["zeta", "lfun"])
+def test_unit_outside_the_order_exit_2(tmp_path, capsys, cmd):
+    # (3 + sqrt5)/2 is not in Z[sqrt5], the order a job's ideals live in
+    job = write_job(tmp_path, {"field": {"poly": [-5, 0, 1], "units": [["3/2", "1/2"]]},
+                               "s": 2.0, "target_error": 1e-3})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "UnitOutsideOrder"
+    assert "order with basis (1, 0), (0, 1)" in out["detail"]
+
+
+@pytest.mark.parametrize("block", [100, zeta._BLOCK])
+def test_lfun_threads_match_serial(tmp_path, capsys, monkeypatch, block):
+    # conductor (7), split: 98 points, in blocks of 100 // N or one block
+    monkeypatch.setattr(zeta, "_BLOCK", block)
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 3e-2,
+                               "conductor": {"hnf": [[7, 0], [0, 7]]},
+                               "character": {"values": [[1, 0]]}})
+    _, serial = run(capsys, ["lfun", "--job", job])
+    _, par = run(capsys, ["lfun", "--job", job, "--threads", "2"])
+    serial.pop("runtime_ms"), par.pop("runtime_ms")
+    assert json.dumps(serial) == json.dumps(par) and "error" not in serial

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +20,15 @@ from shintani.ideals import (
     smallest_positive_rational_integer,
 )
 
-from fixtures import ALL_NET_COUNT, cubic_81, maximal_order, q_sqrt2, q_sqrt5, quartic_725
+from fixtures import (
+    ALL_NET_COUNT,
+    cubic_81,
+    cubic_signed_witness,
+    maximal_order,
+    q_sqrt2,
+    q_sqrt5,
+    quartic_725,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +202,83 @@ def test_coset_enumerate_scaled_cardinality(ok2):
         r1 = coset_enumerate_R(dom.cones[0], lat, shift=fld.one, scale=scale)
         assert sorted(z.coeffs for z, _ in r.points) == \
                sorted(z.coeffs for z, _ in r1.points)
+
+
+def fraction_coset_points(cone, lattice, shift, scale):
+    """Reference R-set in Fraction arithmetic: for each residue u of the
+    HNF diagonal box, t = G^-1 shift + N^-1 u, each t_i moved into (0, 1]
+    or [0, 1) by ceil/floor, and z = G t."""
+    from shintani.exactlinalg import hnf_rows, mat_inv, mat_solve, mat_vec
+
+    field = lattice.order.field
+    n = field.degree
+    b = lattice.power_basis_matrix()
+    g_mat = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
+             for i in range(n)]
+    n_cols = [mat_solve(b, [g_mat[i][j] for i in range(n)]) for j in range(n)]
+    n_mat = [[int(n_cols[j][i]) for j in range(n)] for i in range(n)]
+    h = hnf_rows([[n_mat[i][j] for i in range(n)] for j in range(n)], n)
+    diag = [next(x for x in row if x) for row in h]
+    tau0 = mat_solve(g_mat, list(shift.coeffs))
+    n_inv = mat_inv([[Fraction(x) for x in row] for row in n_mat])
+    points = []
+    for u in itertools.product(*[range(d) for d in diag]):
+        t = [tau0[i] + sum(n_inv[i][j] * u[j] for j in range(n)) for i in range(n)]
+        tt = tuple(ti - (math.ceil(ti) - 1) if fl == "open" else ti - math.floor(ti)
+                   for ti, fl in zip(t, cone.flags))
+        points.append((field.element(mat_vec(g_mat, tt)), tt))
+    return points
+
+
+def coset_cases():
+    """(name, units, order, [(lattice, shift, scale)]): on every fixture the
+    whole ring, (2)^-1, (2) scaled by 2 and the whole ring scaled by 3,
+    and the R-sets of the benchmark's conductor and ray-class jobs."""
+    fixtures = dict(ALL_NET_COUNT, cubic_signed_witness=cubic_signed_witness)
+    for name, make in fixtures.items():
+        fld, units = make()
+        order = maximal_order(name, fld)
+        whole = FractionalIdeal.whole_ring(order)
+        two = principal_ideal(order, fld.element([2] + [0] * (fld.degree - 1)))
+        yield name, units, order, [(whole, 0, 1), (ideal_inverse(two), 0, 1),
+                                   (two, 1, 2), (whole, 1, 3)]
+    fld, units = q_sqrt2()
+    order = integral_basis(fld)
+    cond = [FractionalIdeal(order, [[k, 0], [0, k]]) for k in (2, 3, 7)]
+    reps = [FractionalIdeal.whole_ring(order), FractionalIdeal(order, [[1, 5], [0, 7]])]
+    yield "q_sqrt2-conductors", units, order, (
+        [(ideal_inverse(f), 0, 1) for f in cond]
+        + [(ideal_mul(ideal_inverse(a), cond[0]), 1, 2) for a in reps])
+    reps = [FractionalIdeal.whole_ring(order), FractionalIdeal(order, [[2, 0], [0, 1]])]
+    yield "q_sqrt2-eps4-mod3", [fld.element([577, 408])], order, [
+        (ideal_mul(ideal_inverse(a), cond[1]), 1, 3) for a in reps]
+    fld, units = cubic_81()
+    order = integral_basis(fld)
+    two = FractionalIdeal(order, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    p3 = FractionalIdeal(order, [[1, 0, 2], [0, 1, 2], [0, 0, 3]])
+    reps = [FractionalIdeal.whole_ring(order), two]
+    yield "cubic_81-conductors", units, order, (
+        [(ideal_inverse(two), 0, 1), (ideal_inverse(p3), 0, 1)]
+        + [(ideal_mul(ideal_inverse(a), p3), 1, 3) for a in reps])
+
+
+@pytest.mark.parametrize("name, units, order, cases",
+                         [pytest.param(*c, id=c[0]) for c in coset_cases()])
+def test_coset_enumerate_matches_fraction_reference(name, units, order, cases):
+    # the integer loop gives the reference's points and box coordinates,
+    # the same Fractions in the same order, and every point lies in
+    # shift + lattice
+    fld = order.field
+    dom = build_signed_domain(units, fld)
+    for lattice, shift, scale in cases:
+        shift = fld.element_like(shift)
+        for cone in dom.cones:
+            got = coset_enumerate_R(cone, lattice, shift, scale)
+            want = fraction_coset_points(cone, lattice, shift, scale)
+            assert [(z.coeffs, t) for z, t in got.points] == \
+                   [(z.coeffs, t) for z, t in want]
+            assert all(type(x) is Fraction for z, t in got.points for x in z.coeffs + t)
+            assert all(lattice.contains(z - shift) for z, _ in want)
 
 
 def test_translation_completeness():

@@ -49,12 +49,63 @@ def test_box_sum_every_level(n):
             assert abs(got - want) < 1e-13 * want
 
 
+def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
+    """The simplex sum of one shift on 1-D arrays, operation for operation
+    as `box_sums` does it for each row of a block."""
+    n = len(z)
+    c = [[scale * g for g in row] for row in gens]
+    m = np.arange(radius + 1)
+    if n == 1:
+        bases, ends = [np.array([z[0]])], np.ones(radius + 1, dtype=np.int64)
+    else:
+        sums, ends = m, m + 1
+        bases = [zj + m * cj for zj, cj in zip(z, c[1])]
+        for row in c[2:]:
+            level = np.repeat(m, ends)
+            idx = np.arange(len(level)) - np.repeat(np.cumsum(ends) - ends, ends)
+            last = level - sums[idx]
+            bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
+            sums, ends = level, np.cumsum(ends)
+    k = int(s) if s == int(s) and 1 <= s <= 8 else 0
+    totals = []
+    for m0 in range(radius + 1):
+        cnt = ends[radius - m0]
+        p = bases[0][:cnt] + m0 * c[0][0]
+        for j in range(1, n):
+            p *= bases[j][:cnt] + m0 * c[0][j]
+        if k:
+            t = p.copy()
+            for _ in range(k - 1):
+                t *= p
+            t = 1.0 / t
+        else:
+            t = np.power(p, -s)
+        totals.append(np.add.reduce(t))
+    return math.fsum(totals)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
+def test_box_sums_rows_match_one_shift_sum(n, s):
+    # every row of a block is bit for bit the one-shift sum, for blocks of
+    # 1 and of 7 shifts, at levels with slabs below and above 8 and 128
+    rng = np.random.default_rng(10 * n + int(2 * s))
+    gens = rng.uniform(0.2, 3.0, (n, n)).tolist()
+    for radius in (0, 3, {1: 40, 2: 200, 3: 25, 4: 9}[n]):
+        for npts, scale in ((1, 1.0), (7, 3.0)):
+            zs = rng.uniform(0.1, 4.0, (npts, n)).tolist()
+            got = reference.box_sums(zs, gens, s, radius, scale)
+            want = [_one_shift_box_sum(z, gens, s, radius, scale) for z in zs]
+            assert got == want
+            assert [reference.box_sum(z, gens, s, radius, scale) for z in zs] == want
+
+
 def test_graded_bases_order():
     # the trailing points come by nondecreasing sum, each exactly once
-    z = [0.0, 0.0, 0.0, 0.0]
+    zs = np.zeros((1, 4))
     c = [None, [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]]
-    bases, ends = reference._graded_bases(z, c, 6)
-    pts = np.stack(bases[:3], axis=1).astype(int)
+    bases, ends = reference._graded_bases(zs, c, 6)
+    pts = np.stack([b[0] for b in bases[:3]], axis=1).astype(int)
     assert len({tuple(p) for p in pts}) == len(pts) == math.comb(9, 3)
     sums = pts.sum(axis=1)
     assert (np.diff(sums) >= 0).all() and (pts >= 0).all()
@@ -95,8 +146,14 @@ def test_numpy_sum_is_pairwise(n):
     buf[:n] = x
     want, depth = _pairwise(x.tolist(), n)
     assert float(np.sum(buf[:n])) == want
-    # the depth bound used by zeta._roundoff
+    # the depth bound used by box_sum_roundoff
     assert depth <= 19 + (n - 1).bit_length()
+    # a block's slab totals: the axis-1 reduce of a (P, cnt) strided view,
+    # and of a contiguous (P, cnt) block, sums every row pairwise
+    rows = np.random.default_rng(n + 1).random((5, n + 16)) ** 8 * 1e3
+    want = [_pairwise(row.tolist(), n)[0] for row in rows]
+    assert np.add.reduce(rows[:, :n], axis=1).tolist() == want
+    assert np.add.reduce(rows[:, :n].copy(), axis=1).tolist() == want
 
 
 def test_numpy_power_within_four_ulps():

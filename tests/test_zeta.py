@@ -14,6 +14,8 @@ from shintani.errors import (
     NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
+    UnitOutsideOrder,
+    ZeroElement,
 )
 from shintani.ideals import (
     FractionalIdeal,
@@ -24,10 +26,12 @@ from shintani.ideals import (
     principal_ideal,
     ideal_mul,
     ideal_add,
+    smallest_positive_rational_integer,
 )
 from shintani.kernels import box_sum
 from shintani.zeta import (
     CharacterTable,
+    LValue,
     ZetaParams,
     ZetaValue,
     dedekind_zeta_via_domain,
@@ -164,6 +168,11 @@ def test_shintani_zeta_rejects_bad_inputs(dom2):
         shintani_zeta(0.5, fld.one, cone, ZetaParams())
     with pytest.raises(NotTotallyPositive):
         shintani_zeta(2.0, fld.gen, cone, ZetaParams())
+    # the block path certifies positivity from its float enclosures
+    with pytest.raises(NotTotallyPositive):
+        zeta._zeta_block(2.0, cone, [fld.one, fld.gen], ZetaParams())
+    with pytest.raises(ZeroElement):
+        zeta._zeta_block(2.0, cone, [fld.zero], ZetaParams())
 
 
 def test_quadratic_zeta_pair_matches_oracle(dom2):
@@ -381,9 +390,9 @@ def test_dedekind_zeta_closed_form(name):
     assert lv.value.imag == 0
 
 
-def _fake_zeta(s, z, cone, params, scale=1):
-    # reports its whole truncation budget as its error bound
-    return ZetaValue(1.0, params.target_error, 1, 4)
+def _fake_block(s, cone, points, params, scale=1):
+    # reports each point's whole truncation budget as its error bound
+    return [ZetaValue(1.0, params.target_error, 1, 4)] * len(points)
 
 
 def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
@@ -394,8 +403,8 @@ def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
     three = principal_ideal(order, fld.element([3, 0]))
     chi = CharacterTable([FractionalIdeal.whole_ring(order)], [1 + 0j], three)
     calls = []
-    monkeypatch.setattr(zeta, "shintani_zeta",
-                        lambda *a, **kw: calls.append(a) or _fake_zeta(*a, **kw))
+    monkeypatch.setattr(zeta, "_zeta_block",
+                        lambda *a, **kw: calls.extend(a[2]) or _fake_block(*a, **kw))
     target = 1e-3
     lv = l_function(2.0, chi, units, fld, ZetaParams(target_error=target))
     assert abs(lv.error_bound - target / 2) <= 1e-12 * target
@@ -428,3 +437,116 @@ def test_trivial_character_forms_no_ideal_product_per_point(dom2, monkeypatch, r
     assert lv.value.imag == 0
     assert lv.value.real == pytest.approx(pv.value, rel=1e-13)
     assert lv.error_bound == pytest.approx(pv.error_bound, rel=1e-13)
+
+
+def _reference_sum(results):
+    return LValue(sum(r[0] for r in results), sum(r[1] for r in results),
+                  sum(r[2] for r in results), max((r[3] for r in results), default=0))
+
+
+def reference_l_function(s, chi, dom, order, target):
+    """L(s, chi) as the job-order sum of single-point shintani_zeta terms."""
+    terms = []
+    for rep in chi.representatives:
+        af = ideal_mul(rep, chi.conductor)
+        nfac = float(af.norm()) ** (-s)
+        for cone in dom.cones:
+            for z, _ in coset_enumerate_R(cone, ideal_inverse(af), 0).points:
+                chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af))
+                terms.append((cone, z, nfac, chi_val))
+    share = target / (2 * max(1, sum(t[3] != 0 for t in terms)))
+    results = []
+    for cone, z, nfac, chi_val in terms:
+        if chi_val == 0:
+            results.append((0j, 0.0, 0, 0))
+            continue
+        zv = shintani_zeta(s, z, cone, ZetaParams(target_error=share / nfac))
+        results.append((cone.w * nfac * chi_val * zv.value,
+                        nfac * abs(chi_val) * zv.error_bound, zv.terms, zv.radius))
+    return _reference_sum(results)
+
+
+def reference_partial_zeta(s, a, f, dom, target):
+    """zeta(s, class of a mod f) as the job-order sum of single-point
+    shintani_zeta terms."""
+    fld = dom.cones[0].field
+    f_int = smallest_positive_rational_integer(f)
+    lattice = ideal_mul(ideal_inverse(a), f)
+    points = [(cone, z) for cone in dom.cones
+              for z, _ in coset_enumerate_R(cone, lattice, fld.one, f_int).points]
+    n_a = float(a.norm())
+    params = ZetaParams(target_error=target / (2 * len(points)) * n_a ** s)
+    results = []
+    for cone, z in points:
+        zv = shintani_zeta(s, z, cone, params, scale=f_int)
+        results.append((cone.w * zv.value, zv.error_bound, zv.terms, zv.radius))
+    total = _reference_sum(results)
+    return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
+                  total.terms, total.radius)
+
+
+DEFAULT_BLOCK = zeta._BLOCK
+
+
+def _spy_blocks(monkeypatch, block):
+    """Sets the block budget and records the number of points of each block."""
+    sizes = []
+    real = zeta._zeta_block
+    monkeypatch.setattr(zeta, "_BLOCK", block)
+    monkeypatch.setattr(zeta, "_zeta_block",
+                        lambda *a, **kw: sizes.append(len(a[2])) or real(*a, **kw))
+    return sizes
+
+
+@pytest.mark.parametrize("block", [1, 150, DEFAULT_BLOCK])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_l_function_block_path_is_single_point_sum(dom2, monkeypatch, block, threads):
+    # conductor (3) with two representatives: groups of two targets, dead
+    # jobs (points not coprime to 3) and complex weights; blocks of one
+    # point, blocks of a few with a shorter remainder, and whole groups
+    fld, units, dom, order = dom2
+    three = principal_ideal(order, fld.element([3, 0]))
+    reps = [FractionalIdeal.whole_ring(order), principal_ideal(order, fld.element([3, 1]))]
+    chi = CharacterTable(reps, [1j, -1 + 0j], three,
+                         resolve=lambda ideal: int(ideal.norm()) % 2)
+    target = 1e-4
+    want = reference_l_function(2.5, chi, dom, order, target)
+    sizes = _spy_blocks(monkeypatch, block)
+    got = l_function(2.5, chi, units, fld, ZetaParams(target_error=target, threads=threads),
+                     order=order, domain=dom)
+    assert got == want
+    # 16 live points at L = 16 and 112 at L = 4: slabs of N = 17 and 5
+    assert sorted(sizes) == {1: [1] * 128, 150: [8, 8, 22, 30, 30, 30],
+                             DEFAULT_BLOCK: [16, 112]}[block]
+
+
+@pytest.mark.parametrize("block", [1, 600, DEFAULT_BLOCK])
+def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
+    # the cubic_81 ray class of (2) mod (t + 2): 72 and 504 points in two
+    # cones, scale 3, L = 9, N = 55, each block bit for bit its points'
+    # single-point sums
+    fld, units = cubic_81()
+    order = integral_basis(fld)
+    dom = build_signed_domain(units, fld)
+    a = FractionalIdeal(order, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    p3 = FractionalIdeal(order, [[1, 0, 2], [0, 1, 2], [0, 0, 3]])
+    want = reference_partial_zeta(2.0, a, p3, dom, 1e-5)
+    sizes = _spy_blocks(monkeypatch, block)
+    got = partial_zeta(2.0, (a, p3, units), fld, ZetaParams(target_error=1e-5, threads=2),
+                       order=order, domain=dom)
+    assert got == want
+    assert sorted(sizes) == {1: [1] * 576, 600: [2, 4] + [10] * 57,
+                             DEFAULT_BLOCK: [60, 72] + [74] * 6}[block]
+
+
+@pytest.mark.parametrize("fn", ["l_function", "partial_zeta"])
+def test_units_outside_the_order_rejected(fn):
+    # (3 + sqrt5)/2 is not in Z[sqrt5], the default order of x^2 - 5
+    fld, units = q_sqrt5()
+    order = integral_basis(fld)
+    ok = FractionalIdeal.whole_ring(order)
+    with pytest.raises(UnitOutsideOrder, match="order with basis"):
+        if fn == "l_function":
+            l_function(2.0, trivial_character(order), units, fld, ZetaParams())
+        else:
+            partial_zeta(2.0, (ok, ok, units), fld, ZetaParams())
