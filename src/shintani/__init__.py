@@ -1,85 +1,61 @@
 """Signed fundamental domains for the totally positive units of a totally
 real number field, certified by orbit counting, with Shintani zeta sums for
-Hecke L-functions and ray-class partial zeta functions."""
+Hecke L-functions and ray-class partial zeta functions.
 
-from .domain import (
-    SignedCone,
-    SignedDomain,
-    build_signed_domain,
-    cone_contains,
-    cone_sign,
-    colmez_generators,
-    is_true_domain,
-    orbit_net_count,
-    verify_net_counts,
-)
-from .field import EmbeddedVector, FieldElement, NumberField, new_field
-from .geometry import (
-    Simplex,
-    barycentric,
-    cone_coordinates,
-    pierces_cone,
-    pierces_simplex,
-    project_ell,
-)
-from .ideals import (
-    FractionalIdeal,
-    Order,
-    coset_enumerate_R,
-    enumerate_R_sigma,
-    ideal_add,
-    ideal_inverse,
-    ideal_mul,
-    integral_basis,
-    principal_ideal,
-)
-from .zeta import (
-    CharacterTable,
-    ZetaParams,
-    dedekind_zeta_via_domain,
-    euler_product_oracle,
-    l_function,
-    partial_zeta,
-    shintani_zeta,
-    trivial_character,
-)
+The public names are resolved on first access (PEP 562), so importing the
+package loads none of its modules, and a name loads only the module that
+defines it: the domain and its cones need neither NumPy nor the zeta stack.
+"""
 
-__all__ = [
-    "CharacterTable",
-    "EmbeddedVector",
-    "FieldElement",
-    "FractionalIdeal",
-    "NumberField",
-    "Order",
-    "Simplex",
-    "SignedCone",
-    "SignedDomain",
-    "ZetaParams",
-    "barycentric",
-    "build_signed_domain",
-    "colmez_generators",
-    "cone_contains",
-    "cone_coordinates",
-    "cone_sign",
-    "coset_enumerate_R",
-    "dedekind_zeta_via_domain",
-    "enumerate_R_sigma",
-    "euler_product_oracle",
-    "ideal_add",
-    "ideal_inverse",
-    "ideal_mul",
-    "integral_basis",
-    "is_true_domain",
-    "l_function",
-    "new_field",
-    "orbit_net_count",
-    "partial_zeta",
-    "pierces_cone",
-    "pierces_simplex",
-    "principal_ideal",
-    "project_ell",
-    "shintani_zeta",
-    "trivial_character",
-    "verify_net_counts",
-]
+import importlib
+
+_MODULE_OF = {
+    "SignedCone": "domain",
+    "SignedDomain": "domain",
+    "build_signed_domain": "domain",
+    "colmez_generators": "domain",
+    "cone_contains": "domain",
+    "cone_sign": "domain",
+    "is_true_domain": "domain",
+    "orbit_net_count": "domain",
+    "verify_net_counts": "domain",
+    "EmbeddedVector": "field",
+    "FieldElement": "field",
+    "NumberField": "field",
+    "new_field": "field",
+    "Simplex": "geometry",
+    "barycentric": "geometry",
+    "cone_coordinates": "geometry",
+    "pierces_cone": "geometry",
+    "pierces_simplex": "geometry",
+    "project_ell": "geometry",
+    "FractionalIdeal": "ideals",
+    "Order": "ideals",
+    "coset_enumerate_R": "ideals",
+    "enumerate_R_sigma": "ideals",
+    "ideal_add": "ideals",
+    "ideal_inverse": "ideals",
+    "ideal_mul": "ideals",
+    "integral_basis": "ideals",
+    "principal_ideal": "ideals",
+    "CharacterTable": "zeta",
+    "ZetaParams": "zeta",
+    "dedekind_zeta_via_domain": "zeta",
+    "euler_product_oracle": "zeta",
+    "l_function": "zeta",
+    "partial_zeta": "zeta",
+    "shintani_zeta": "zeta",
+    "trivial_character": "zeta",
+}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -20,15 +20,11 @@ from .errors import (
     SchemaError,
     ShintaniError,
 )
-from .field import NumberField, field_from_json
-from .ideals import FractionalIdeal, _json_int, integral_basis
-from .zeta import (
-    CharacterTable,
-    ZetaParams,
-    euler_product_oracle,
-    l_function,
-    partial_zeta,
-)
+from .field import NumberField, _json_int, field_from_json
+
+# Each command imports what it computes with: `cones` and `regcheck` load
+# neither NumPy nor the zeta stack, `verify` not the zeta stack.  The zeta
+# commands import before their clock starts, so runtime_ms leaves it out.
 
 SCHEMA = "v1"
 
@@ -94,7 +90,7 @@ def cmd_verify(job, args):
     samples = job.get("samples", 1000)
     if not _json_int(samples) or samples < 1:
         raise SchemaError(f'"samples" must be an integer >= 1, got {samples!r}')
-    threads = max(1, args.threads)
+    threads = args.threads
     if threads == 1:
         dom = build_signed_domain(units, fld)
         rep = verify_net_counts(dom, samples, seed)
@@ -111,7 +107,7 @@ def cmd_verify(job, args):
                                  [[str(c) for c in u.coeffs] for u in units],
                                  fld.prec_cap, seed, start, stop))
         failures, resamples = [], 0
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as ex:
             for fl, rs in ex.map(_verify_chunk, payloads):
                 failures.extend(fl)
                 resamples += rs
@@ -124,6 +120,8 @@ def cmd_verify(job, args):
 
 def _ideal_list(job, order):
     """The job's "ideals": a list of ideal objects (see FractionalIdeal.from_json)."""
+    from .ideals import FractionalIdeal
+
     ideals = job.get("ideals", [])
     if not isinstance(ideals, list):
         raise SchemaError(f'"ideals" must be a list, got {ideals!r}')
@@ -151,11 +149,16 @@ def _json_number(job, key, default, low) -> float:
 
 
 def _zeta_params(job, args):
+    from .zeta import ZetaParams
+
     return ZetaParams(target_error=_json_number(job, "target_error", 1e-6, 0),
-                      threads=max(1, args.threads))
+                      threads=args.threads)
 
 
 def cmd_zeta(job, args):
+    from .ideals import FractionalIdeal, integral_basis
+    from .zeta import partial_zeta
+
     fld, units = _field_and_units(job, args.precision_cap)
     order = integral_basis(fld)
     s = _json_number(job, "s", 2.0, 1)
@@ -174,6 +177,9 @@ def cmd_zeta(job, args):
 
 
 def cmd_lfun(job, args):
+    from .ideals import FractionalIdeal, integral_basis
+    from .zeta import CharacterTable, l_function
+
     fld, units = _field_and_units(job, args.precision_cap)
     order = integral_basis(fld)
     s = _json_number(job, "s", 2.0, 1)
@@ -204,13 +210,15 @@ def cmd_lfun(job, args):
 
 def cmd_regcheck(job, args):
     fld, units = _field_and_units(job, args.precision_cap)
-    tol = float(job.get("tolerance", 1e-10))
+    tol = _json_number(job, "tolerance", 1e-10, 0)
     ok = fld.check_regulator_identity(units, tol=tol)
     _emit({"regulator_identity_ok": ok, "tolerance": tol})
     return 0 if ok else 1
 
 
 def cmd_oracle(job, args):
+    from .zeta import euler_product_oracle
+
     fld, _units = _field_and_units(job, args.precision_cap)
     s = _json_number(job, "s", 2.0, 1)
     cap = job.get("prime_cap", 10 ** 6)
@@ -247,6 +255,8 @@ def main(argv=None) -> int:
                         help="adaptive-precision bit cap")
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
         job = _load_job(args.job)
         declared = job.get("command")
         if declared is not None and declared != args.command:

@@ -15,8 +15,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .dyadic import START_PREC, Iv, Ladder, iv_adjugate, log_iv
 from .errors import (
     DependentUnits,
@@ -161,6 +159,9 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
 
 # ---- the float64 stage ----
 #
+# Only this stage computes with NumPy, and each of its functions imports it
+# where it runs, so building a domain (`cones`) does not load NumPy.
+#
 # Candidate pruning and membership are decided in float64 first; whatever
 # the float bounds cannot certify goes to the dyadic ladder (the interval
 # filter of Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  The
@@ -202,6 +203,8 @@ def _tame(mid, rad):
     """Flush midpoints of magnitude below _SAFE to 0 and raise radii to at
     least _SAFE; |q - mid| <= rad still holds: a flushed midpoint had
     |mid| < _SAFE <= rad, so doubling rad (exact) covers it."""
+    import numpy as np
+
     rad = np.maximum(rad, _SAFE)
     small = np.abs(mid) < _SAFE
     return np.where(small, 0.0, mid), np.where(small, 2 * rad, rad)
@@ -212,6 +215,8 @@ def _mid_rad(ivs):
     entry has |q - mid| <= rad.  mid = fl(lo + hi) / 2 lies in [lo, hi]
     (rounding is monotone and 2 lo, 2 hi are floats); each of hi - mid and
     mid - lo is rounded once, so one nextafter step up bounds it."""
+    import numpy as np
+
     cells = np.array(ivs, dtype=object)
     bounds = np.array([iv.float_bounds() for iv in cells.flat]).reshape(cells.shape + (2,))
     lo, hi = bounds[..., 0], bounds[..., 1]
@@ -226,6 +231,8 @@ def _positive_floats(ivs):
     is rounded upward (nextafter after each rounded step); the division by
     u is exact.  When an end lies outside [2^-300, 2^300]
     the ends are replaced by 1 and k is inf, which defers every decision."""
+    import numpy as np
+
     lo, hi = np.array([iv.float_bounds() for iv in ivs]).T
     if not np.all((lo >= _SAFE) & (hi <= 1 / _SAFE)):
         return np.ones_like(lo), math.inf
@@ -324,6 +331,8 @@ class SignedDomain:
         """Projected-log lattice data as float (mid, rad) pairs of START_PREC
         enclosures: the LOG l(eps) matrix, its inverse and, per cone, the
         coordinatewise log-range box of the projected generators."""
+        import numpy as np
+
         if self._enum is not None:
             return self._enum
         field = self.field
@@ -374,6 +383,8 @@ class SignedDomain:
         """Per cone, an (N, n-1) int array of every exponent vector a for
         which eps^a * x can lie in the closed cone (a certified superset), in
         lexicographic order."""
+        import numpy as np
+
         field = self.field
         r = field.degree - 1
         if isinstance(x, FieldElement):
@@ -417,6 +428,8 @@ class SignedDomain:
         """Per unit, the float conjugates of eps_i and eps_i^-1 with their
         error counts; per cone, the cofactors' (mid, rad) pairs with the
         orientation sign folded in, and whether they are in float range."""
+        import numpy as np
+
         if self._member is None:
             field = self.field
             units = [(_positive_floats(field._positive_conjugates(u, START_PREC)),
@@ -434,6 +447,8 @@ class SignedDomain:
         with its error count |a| (k + 1) and whether the row stays within
         [2^-300, 2^300].  Powers are monotone in a, so a row in range was
         built from rows in range.  Tables grow geometrically."""
+        import numpy as np
+
         have, tables = self._powers
         if have >= top:
             return have, tables
@@ -458,6 +473,8 @@ class SignedDomain:
         certified inside (every cone coordinate > 0), 0 when certified
         outside (some coordinate < 0), -1 when the float bound cannot tell
         (exact zeros, and with them every open/closed-flag case)."""
+        import numpy as np
+
         field = self.field
         n = field.degree
         if isinstance(x, FieldElement):
@@ -541,6 +558,8 @@ def orbit_net_count(dom: SignedDomain, x):
     sum over cones of w * #(hits).  Returns (count, hits) with the hit list
     of (sigma, exponent vector) pairs.  The float stage decides most
     candidates; the rest go to the certified ladder."""
+    import numpy as np
+
     per_cone = dom.candidate_exponents(x)
     verdicts = dom._float_verdicts(x, per_cone)
     exact = isinstance(x, FieldElement)

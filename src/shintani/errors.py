@@ -67,6 +67,10 @@ class NotValidated(InputError):
     """User-supplied integral basis failed validation."""
 
 
+class NonIntegralIdeal(InputError):
+    """A class representative or a conductor is not an integral ideal."""
+
+
 class UnitOutsideOrder(InputError):
     """A unit does not lie in the order the R-sets are enumerated in."""
 

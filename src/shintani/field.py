@@ -456,6 +456,10 @@ def frac_to_str(fr: Fraction) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
+def _json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(s) -> Fraction:
     if isinstance(s, (int, Fraction)):
         return Fraction(s)

@@ -26,7 +26,7 @@ from .exactlinalg import (
     mat_solve,
     mat_vec,
 )
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, _json_int
 
 
 class Order:
@@ -112,10 +112,6 @@ def integral_basis(field: NumberField, basis=None) -> Order:
     if order.discriminant() * idx * idx != power_disc:
         raise NotValidated("discriminant inconsistent with the basis index")
     return order
-
-
-def _json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FractionalIdeal:

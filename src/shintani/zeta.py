@@ -32,6 +32,7 @@ from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
     InputError,
+    NonIntegralIdeal,
     NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
@@ -272,6 +273,16 @@ def _require_units_in_order(units, order: Order) -> None:
                 f"order with basis {basis} in power-basis coordinates")
 
 
+def _require_integral(ideal: FractionalIdeal, what: str) -> None:
+    """Class representatives and conductors must be integral ideals, that
+    is den = 1 in lowest terms; otherwise the R-set lattices (a f)^-1 and
+    a^-1 f need not contain the scaled cone generators, or the sums mean
+    another class."""
+    if ideal.den != 1:
+        raise NonIntegralIdeal(f"the {what} with hnf {[list(r) for r in ideal.hnf]} "
+                               f"and den {ideal.den} is not an integral ideal")
+
+
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
                params: ZetaParams, order: Order | None = None,
                domain: SignedDomain | None = None) -> LValue:
@@ -285,6 +296,9 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
         raise ValueError("the series representation needs s > 1")
     order = order or integral_basis(field)
     _require_units_in_order(units, order)
+    for rep in chi.representatives:
+        _require_integral(rep, "representative")
+    _require_integral(chi.conductor, "conductor")
     dom = domain or build_signed_domain(units, field)
     varies = chi.depends_on_ideal
     terms = []
@@ -321,6 +335,8 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
     a_ideal, conductor, units = ray_class
     order = order or integral_basis(field)
     _require_units_in_order(units, order)
+    _require_integral(a_ideal, "representative")
+    _require_integral(conductor, "conductor")
     dom = domain or build_signed_domain(units, field)
     f_int = smallest_positive_rational_integer(conductor)
     lattice = ideal_mul(ideal_inverse(a_ideal), conductor)
@@ -351,6 +367,48 @@ def _sieve(limit: int):
         if mask[p]:
             mask[p * p:: p] = False
     return [int(p) for p in np.flatnonzero(mask)]
+
+
+# Roundoff of the oracle against the exact product Z = exp(S) over the same
+# primes and splitting counts, S the sum of the K <= n #primes terms
+# T = -a_d log(1 - x), x = p^(-d s).  u = 2^-53 and gamma_k = k u / (1 - k u)
+# as for kernels.box_sum_roundoff; "k roundings" is a factor 1 + theta with
+# |theta| <= gamma_k, and such factors compose by adding their k.
+# - libm's pow, log1p, exp and expm1 are within 2 ulps of a normal result
+#   (the tests check the first three against mpmath): 4 roundings each.
+# - The exponent fl(-d s) is -d s (1 + t), |t| <= u, which multiplies x by
+#   exp(-t d s log p).  For x >= 2^-1021, d s log p <= 1021 log 2 < 708,
+#   so that is 709 roundings, and fl(p ** fl(-d s)) = x' is x with 713.
+# - x, x' <= 2^-s (1 + gamma_713) < 0.5002, where the slope of -log1p(-x)
+#   is below 2.001, and x <= -log1p(-x); so -log1p(-x') is -log1p(-x) with
+#   2.001 gamma_713 <= gamma_1427, and log1p itself and the product with the
+#   integer a_d add 5: each term enters as T with 1432 roundings.  A term
+#   with x < 2^-1021 is below n 2^-1020 either way: off by n 2^-1019.
+# - The terms are positive, so the running sum over them is s' = sum T with
+#   1432 + K roundings each, and |s' - S| <= rho S <= rho / (1 - rho) s' + K
+#   n 2^-1019 = D, rho = gamma_(1432 + K).
+# - value = fl(exp(s')) is Z exp(s' - S) with 4 roundings, so |value - Z|
+#   <= r Z <= r / (1 - r) value, r = expm1(D) (1 + gamma_4) + gamma_4.
+# The bound is a sum, product or quotient of positive floats (1 - r and
+# 1 - rho are near 1), rounded at most 2^12 times since the last product
+# with _UP, whose (1 - u)^(2^12 + 1) (1 + 2^-40) > 1 puts it above its exact
+# value; expm1 is monotone, so its argument is rounded up first.
+
+_U = 2.0 ** -53
+_UP = 1.0 + 2.0 ** -40
+
+
+def euler_product_roundoff(log_val: float, terms: int, n: int) -> float:
+    """Certified bound on |math.exp(log_val) - Z|, log_val being the
+    oracle's running sum of at most `terms` local-factor terms of a degree-n
+    field and Z the exact product over the same primes (see above)."""
+    def gamma(k):
+        return k * _U / (1 - k * _U)
+
+    rho = gamma(1432 + terms)
+    d = _UP * (rho / (1 - rho) * log_val + terms * n * 2.0 ** -1019)
+    r = _UP * (math.expm1(d) * (1 + gamma(4)) + gamma(4))
+    return _UP * (r / (1 - r) * math.exp(log_val))
 
 
 def euler_product_oracle(s: float, field: NumberField, prime_cap: int,
@@ -386,15 +444,20 @@ def euler_product_oracle(s: float, field: NumberField, prime_cap: int,
             if a_d:
                 log_val -= a_d * math.log1p(-float(p) ** (-d * s))
     value = math.exp(log_val)
+    prime_count = len(primes)
+    roundoff = euler_product_roundoff(log_val, n * prime_count, n)
     # tail: log of the omitted factors is below n * sum_{p > P} p^-s / (1 - p^-s);
     # partial summation against pi(x) < C x / log x gives the explicit bound
+    # n (C s P^(1-s) / ((s - 1) log P) - pi(P) P^-s) / (1 - 2^-s).  Its two
+    # parts are rounded up and down (P < 2^53 is exact, and P ** (1 - s)
+    # takes 709 roundings for its exponent while it is normal, as above:
+    # fewer than 2^12 in all); a power below 2^-1021 leaves a tail below
+    # n 2^-1018.
     P = float(prime_cap)
-    prime_count = len(primes)
-    sum_bound = (_PI_BOUND_C * s / ((s - 1) * math.log(P))) * P ** (1 - s) \
-        - prime_count * P ** (-s)
-    sum_bound = max(sum_bound, 0.0)
-    log_tail = n * sum_bound / (1 - 2.0 ** (-s))
-    bound = value * math.expm1(log_tail) + 1e-12 * value
+    head = _UP * (_PI_BOUND_C * s / ((s - 1) * math.log(P)) * P ** (1 - s))
+    sum_bound = max(head - prime_count * P ** (-s) / _UP, 0.0)
+    log_tail = _UP * (n * sum_bound / (1 - 2.0 ** (-s)) + n * 2.0 ** -1018)
+    bound = _UP * ((value + roundoff) * math.expm1(log_tail) + roundoff)
     return ZetaValue(value, bound, prime_count, prime_cap)
 
 

@@ -287,6 +287,38 @@ def test_unit_outside_the_order_exit_2(tmp_path, capsys, cmd):
     assert "order with basis (1, 0), (0, 1)" in out["detail"]
 
 
+@pytest.mark.parametrize("cmd, extra, what", [
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]], "den": 2}]}, "representative"),
+    ("lfun", {"ideals": [{"hnf": [[1, 0], [0, 1]], "den": 2}]}, "representative"),
+    ("zeta", {"ideals": [{"hnf": [[1, 0], [0, 1]]}, {"hnf": [[1, 0], [0, 1]], "den": 3}]},
+     "conductor"),
+    ("lfun", {"conductor": {"hnf": [[1, 0], [0, 1]], "den": 3}}, "conductor"),
+])
+def test_non_integral_ideal_exit_2(tmp_path, capsys, cmd, extra, what):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3, **extra})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "NonIntegralIdeal"
+    assert out["detail"].startswith(f"the {what} with hnf [[1, 0], [0, 1]] and den ")
+
+
+@pytest.mark.parametrize("tol", ['"1e-3"', "true", "0", "-1", "null", "1e400", "NaN"])
+def test_regcheck_tolerance_rejected_exit_2(tmp_path, capsys, tol):
+    job = tmp_path / "job.json"       # tol is JSON text: 1e400 parses as inf
+    job.write_text(f'{{"field": {json.dumps(Q2)}, "tolerance": {tol}}}')
+    code, out = run(capsys, ["regcheck", "--job", str(job)])
+    assert code == 2 and out["error"] == "SchemaError"
+    assert "tolerance" in out["detail"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+@pytest.mark.parametrize("cmd", ["verify", "zeta"])
+def test_threads_below_one_exit_2(tmp_path, capsys, cmd, threads):
+    job = write_job(tmp_path, {"field": Q2, "samples": 3, "target_error": 1e-3})
+    code, out = run(capsys, [cmd, "--job", job, "--threads", threads])
+    assert code == 2 and out["error"] == "InputError"
+    assert "--threads" in out["detail"]
+
+
 @pytest.mark.parametrize("block", [100, zeta._BLOCK])
 def test_lfun_threads_match_serial(tmp_path, capsys, monkeypatch, block):
     # conductor (7), split: 98 points, in blocks of 100 // N or one block

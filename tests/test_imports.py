@@ -1,0 +1,78 @@
+"""The import surface: a command loads only the modules it computes with.
+
+Every check runs in a fresh interpreter, because this process has long
+since imported everything."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fixtures
+import shintani
+from shintani.field import field_to_json
+
+SRC = Path(shintani.__file__).parents[1]
+README = SRC.parent / "README.md"
+HEAVY = ("numpy", "shintani.zeta", "shintani.ideals", "shintani.kernels")
+FIELDS = {**fixtures.ALL_NET_COUNT,
+          "cubic_signed_witness": fixtures.cubic_signed_witness}
+
+
+def fresh(code: str) -> str:
+    """stdout of code run by a new interpreter that imports from SRC."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code: str) -> list:
+    """Which of HEAVY the interpreter holds once code has run."""
+    out = fresh(f"{code}\nimport json, sys\n"
+                f"print(json.dumps(sorted(set({HEAVY!r}) & set(sys.modules))))")
+    return json.loads(out.splitlines()[-1])
+
+
+def cli(command, job) -> str:
+    return ("from shintani.cli import main\n"
+            f"assert main([{command!r}, '--job', {str(job)!r}]) == 0")
+
+
+def test_import_shintani_loads_nothing_heavy():
+    assert loaded_after("import shintani") == []
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("command", ["cones", "regcheck"])
+def test_cones_and_regcheck_load_neither_numpy_nor_zeta(tmp_path, command, name):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field_to_json(*FIELDS[name]())}))
+    assert loaded_after(cli(command, job)) == []
+
+
+def test_verify_loads_no_zeta(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field_to_json(*fixtures.q_sqrt2()),
+                               "samples": 5}))
+    assert "shintani.zeta" not in loaded_after(cli("verify", job))
+
+
+def test_every_public_name_resolves():
+    out = fresh("import shintani\n"
+                "names = {}\n"
+                "exec('from shintani import *', names)\n"
+                "assert all(getattr(shintani, n) is names[n] for n in shintani.__all__)\n"
+                "print(len(shintani.__all__))")
+    assert int(out) == len(shintani.__all__) > 0
+
+
+def test_readme_library_sketch_runs():
+    sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", README.read_text(),
+                       re.S)
+    fresh(sketch.group(1))

@@ -289,6 +289,46 @@ def test_euler_oracle_non_monogenic_prime():
         euler_product_oracle(2.0, fld, 1000, order=order)
 
 
+def test_oracle_libm_calls_within_two_ulps():
+    # euler_product_roundoff allows 2 ulps to each pow, log1p and exp
+    rng = random.Random(5)
+    primes = zeta._sieve(10 ** 6)
+    with mpmath.workprec(113):
+        for _ in range(2000):
+            p = float(rng.choice(primes))
+            e = -rng.randint(1, 4) * rng.choice([2.0, 2.5, 3.0, rng.uniform(1.01, 12)])
+            x = p ** e
+            z = rng.uniform(0, 4)
+            for got, exact in [(x, mpmath.mpf(p) ** e),
+                               (math.log1p(-x), mpmath.log1p(-mpmath.mpf(x))),
+                               (math.exp(z), mpmath.exp(z))]:
+                assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(got)
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5])
+@pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
+def test_oracle_roundoff_covers_mpmath_product(name, s):
+    # the exact product over the oracle's own primes and splitting counts:
+    # only the roundoff separates it from the value
+    fld, _ = ALL_NET_COUNT[name]()
+    n, cap = fld.degree, 10 ** 4
+    ev = euler_product_oracle(s, fld, cap)
+    primes, counts = zeta._SPLIT_CACHE[(fld.poly, cap)]
+    log_val = 0.0
+    for p, cnt in zip(primes, counts):
+        for d, a_d in enumerate(cnt, start=1):
+            if a_d:
+                log_val -= a_d * math.log1p(-float(p) ** (-d * s))
+    assert math.exp(log_val) == ev.value
+    roundoff = zeta.euler_product_roundoff(log_val, n * len(primes), n)
+    assert roundoff <= ev.error_bound
+    with mpmath.workprec(200):
+        log_z = -mpmath.fsum(a_d * mpmath.log1p(-mpmath.mpf(p) ** (-d * mpmath.mpf(s)))
+                             for p, cnt in zip(primes, counts)
+                             for d, a_d in enumerate(cnt, start=1) if a_d)
+        assert abs(mpmath.mpf(ev.value) - mpmath.exp(log_z)) <= roundoff
+
+
 @pytest.mark.parametrize("cap", [1, 0, -5, 2.7, True])
 def test_euler_oracle_rejects_prime_cap(cap):
     fld, _ = q_sqrt2()
