@@ -4,7 +4,8 @@ Hecke L-functions and ray-class partial zeta functions.
 
 The public names are resolved on first access (PEP 562), so importing the
 package loads none of its modules, and a name loads only the module that
-defines it: the domain and its cones need neither NumPy nor the zeta stack.
+defines it: the domain, its cones and the net-count verifier need neither
+NumPy nor the zeta stack.
 """
 
 import importlib

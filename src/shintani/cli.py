@@ -22,9 +22,9 @@ from .errors import (
 )
 from .field import NumberField, _json_int, field_from_json
 
-# Each command imports what it computes with: `cones` and `regcheck` load
-# neither NumPy nor the zeta stack, `verify` not the zeta stack.  The zeta
-# commands import before their clock starts, so runtime_ms leaves it out.
+# Each command imports what it computes with: `cones`, `regcheck` and
+# `verify` load neither NumPy nor the zeta stack.  The zeta commands import
+# before their clock starts, so runtime_ms leaves it out.
 
 SCHEMA = "v1"
 

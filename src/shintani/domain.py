@@ -159,20 +159,22 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
 
 # ---- the float64 stage ----
 #
-# Only this stage computes with NumPy, and each of its functions imports it
-# where it runs, so building a domain (`cones`) does not load NumPy.
-#
 # Candidate pruning and membership are decided in float64 first; whatever
 # the float bounds cannot certify goes to the dyadic ladder (the interval
 # filter of Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  The
-# arithmetic is IEEE round-to-nearest with unit roundoff u = 2^-53, and every
-# bound rests on Higham's model (Accuracy and Stability of Numerical
+# stage computes with Python floats one scalar at a time: its vectors have
+# n - 1 or n entries, too short for a vector library to repay its import
+# and per-call cost, so `verify` loads nothing beyond the standard library.
+# The arithmetic is IEEE round-to-nearest with unit roundoff u = 2^-53, and
+# every bound rests on Higham's model (Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., 2002, section 2.2)
 #     fl(a op b) = (a op b)(1 + d),  |d| <= u,                            (M)
 # and two consequences of it: a product of k factors (1 + d_i)^(+-1) is
 # 1 + theta_k with |theta_k| <= gamma_k = ku/(1 - ku) <= 2ku for ku <= 1/2
 # (Lemmas 3.1 and 3.3), and a dot product of length m, in any order and with
-# or without FMA, is off by at most gamma_m * sum |x_i y_i| (eq. 3.5).
+# or without FMA, is off by at most gamma_m * sum |x_i y_i| (eq. 3.5).  The
+# sums below run left to right from 0.0, so a sum over a prefix of the terms
+# is the same float as the first steps of the full sum.
 #
 # (M) fails only for a product that underflows or overflows.  So every float
 # that enters a product is 0 or of magnitude in [2^-300, 2^300]: _tame
@@ -199,29 +201,36 @@ def _gamma(k: int) -> float:
     return 2 * k * _U
 
 
-def _tame(mid, rad):
-    """Flush midpoints of magnitude below _SAFE to 0 and raise radii to at
-    least _SAFE; |q - mid| <= rad still holds: a flushed midpoint had
+def _in_range(v) -> bool:
+    """Every entry of v lies in [2^-300, 2^300] (false for inf and nan)."""
+    return all(_SAFE <= c <= 1 / _SAFE for c in v)
+
+
+def _tame(mid: float, rad: float) -> tuple[float, float]:
+    """Flush a midpoint of magnitude below _SAFE to 0 and raise the radius
+    to at least _SAFE; |q - mid| <= rad still holds: a flushed midpoint had
     |mid| < _SAFE <= rad, so doubling rad (exact) covers it."""
-    import numpy as np
+    rad = max(rad, _SAFE)
+    if abs(mid) < _SAFE:
+        return 0.0, 2 * rad
+    return mid, rad
 
-    rad = np.maximum(rad, _SAFE)
-    small = np.abs(mid) < _SAFE
-    return np.where(small, 0.0, mid), np.where(small, 2 * rad, rad)
 
-
-def _mid_rad(ivs):
-    """Float (mid, rad) arrays of a nested list of Iv: every point q of an
-    entry has |q - mid| <= rad.  mid = fl(lo + hi) / 2 lies in [lo, hi]
-    (rounding is monotone and 2 lo, 2 hi are floats); each of hi - mid and
-    mid - lo is rounded once, so one nextafter step up bounds it."""
-    import numpy as np
-
-    cells = np.array(ivs, dtype=object)
-    bounds = np.array([iv.float_bounds() for iv in cells.flat]).reshape(cells.shape + (2,))
-    lo, hi = bounds[..., 0], bounds[..., 1]
+def _mid_rad(lo: float, hi: float) -> tuple[float, float]:
+    """Float (mid, rad) of the float interval [lo, hi]: every point q of it
+    has |q - mid| <= rad.  mid = fl(lo + hi) / 2 lies in [lo, hi] (rounding
+    is monotone and 2 lo, 2 hi are floats); each of hi - mid and mid - lo is
+    rounded once, so one nextafter step up bounds it."""
     mid = (lo + hi) / 2
-    return _tame(mid, np.nextafter(np.maximum(hi - mid, mid - lo), np.inf))
+    return _tame(mid, math.nextafter(max(hi - mid, mid - lo), math.inf))
+
+
+def _mid_rad_rows(rows):
+    """The (mid, rad) matrices of a matrix of Iv, by _mid_rad of each
+    entry's outward float bounds."""
+    pairs = [[_mid_rad(*iv.float_bounds()) for iv in row] for row in rows]
+    return ([[m for m, _ in row] for row in pairs],
+            [[r for _, r in row] for row in pairs])
 
 
 def _positive_floats(ivs):
@@ -231,13 +240,12 @@ def _positive_floats(ivs):
     is rounded upward (nextafter after each rounded step); the division by
     u is exact.  When an end lies outside [2^-300, 2^300]
     the ends are replaced by 1 and k is inf, which defers every decision."""
-    import numpy as np
-
-    lo, hi = np.array([iv.float_bounds() for iv in ivs]).T
-    if not np.all((lo >= _SAFE) & (hi <= 1 / _SAFE)):
-        return np.ones_like(lo), math.inf
-    width = np.nextafter(np.nextafter(hi - lo, np.inf) / lo, np.inf)
-    return lo, float(np.ceil(width / _U).max())
+    bounds = [iv.float_bounds() for iv in ivs]
+    if not _in_range(c for b in bounds for c in b):
+        return [1.0] * len(bounds), math.inf
+    width = max(math.nextafter(math.nextafter(hi - lo, math.inf) / lo, math.inf)
+                for lo, hi in bounds)
+    return [lo for lo, _ in bounds], float(math.ceil(width / _U))
 
 
 _LOG2 = 0.6931471805599453      # the float nearest log 2: |_LOG2 - log 2| < 2^-54
@@ -291,6 +299,72 @@ def _log_enclosure(iv: Iv) -> tuple[float, float]:
     return y, _UP * (abs(y_hi - y) + rad + rad_hi)
 
 
+def _lattice_corners(d, target):
+    """The exponent vectors a, in lexicographic order, whose log image
+    mat a can meet the target box (mid, rad per coordinate): every integer
+    point of the bounding box of the parallelotope inv (target) that is not
+    certified to miss it."""
+    im, ir = d["im"], d["ir"]
+    r = len(target)
+    ranges = []
+    for im_row, ir_row in zip(im, ir):
+        # exponent box = inv target: per term |im| tr + ir (|tm| + tr), plus
+        # the dot product's gamma_r |im| |tm|
+        cm = rad = err = 0.0
+        for (tm, tr), m, mr in zip(target, im_row, ir_row):
+            cm += tm * m
+            rad += (tr + _gamma(r) * abs(tm)) * abs(m)
+            err += (abs(tm) + tr) * mr
+        cr = _UP * (rad + err)
+        # one rounding each, so one nextafter step outward encloses the ends
+        ranges.append(range(math.ceil(math.nextafter(cm - cr, -math.inf)),
+                            math.floor(math.nextafter(cm + cr, math.inf)) + 1))
+    # The corner's log image mat a has centre fl(sum_i lm[k][i] a_i) and
+    # radius fl(sum_i q[k][i] |a_i|); it meets the target iff the centres
+    # differ by at most the sum of the radii; the difference is rounded
+    # once, inside _UP.  Both sums are built one exponent at a time, so the
+    # corners of one prefix share its partial sums.
+    cols = d["log_cols"]
+    out = []
+
+    def extend(i, prefix, cen, rad):
+        lm_col, q_col = cols[i]
+        if i < r - 1:
+            for a in ranges[i]:
+                extend(i + 1, prefix + (a,), [s + m * a for s, m in zip(cen, lm_col)],
+                       [s + q * abs(a) for s, q in zip(rad, q_col)])
+            return
+        for a in ranges[i]:
+            for c, m, w, q, (tm, tr) in zip(cen, lm_col, rad, q_col, target):
+                if not abs(c + m * a - tm) <= _UP * (_UP * (w + q * abs(a)) + tr):
+                    break
+            else:
+                out.append(prefix + (a,))
+
+    extend(0, (), [0.0] * r, [0.0] * r)
+    return out
+
+
+def _orbit_floats(xf, count, a, top, tables):
+    """(v, rho) for v = fl(x prod_i eps_i^(a_i)) from the power tables: the
+    exact vector is v (1 + theta) with |theta| <= rho = 2 count u, count
+    being x's count and the r products (passed in) plus each power's count;
+    count <= 2^40 keeps count u <= 1/2.  None when a factor or a partial
+    product leaves [2^-300, 2^300], or the count exceeds 2^40."""
+    v = xf
+    for ai, (rows, counts) in zip(a, tables):
+        row = rows[ai + top]
+        if row is None:
+            return None
+        v = [c * e for c, e in zip(v, row)]
+        count += counts[ai + top]
+        if not _in_range(v):
+            return None
+    if not count <= 2.0 ** 40:
+        return None
+    return v, 2 * _U * count
+
+
 class SignedDomain:
     """The collection {(C_sigma, w_sigma)} for one (field, units) input."""
 
@@ -329,16 +403,14 @@ class SignedDomain:
 
     def _enum_data(self):
         """Projected-log lattice data as float (mid, rad) pairs of START_PREC
-        enclosures: the LOG l(eps) matrix, its inverse and, per cone, the
-        coordinatewise log-range box of the projected generators."""
-        import numpy as np
-
+        enclosures: the LOG l(eps) matrix, its inverse and the distinct
+        coordinatewise log-range boxes of the cones' projected generators,
+        each with the indices of the cones that share it."""
         if self._enum is not None:
             return self._enum
         field = self.field
         prec = START_PREC
-        n = field.degree
-        r = n - 1
+        r = field.degree - 1
 
         def log_matrix(p):
             cols = []
@@ -355,36 +427,41 @@ class SignedDomain:
                 break
         # inverse enclosure = adjugate / det, the adjugate being cof transposed
         inv = [[cof[j][i].div(det, prec) for j in range(r)] for i in range(r)]
-        boxes = []
-        for cone in self.cones:
-            los = [None] * r
-            his = [None] * r
-            for g in cone.generators:
-                conj = field._positive_conjugates(g, prec)
-                for k in range(r):
-                    lg = log_iv(conj[k].div(conj[-1], prec), prec)
-                    if los[k] is None or lg.lo_fraction() < los[k]:
-                        los[k] = lg.lo_fraction()
-                    if his[k] is None or lg.hi_fraction() > his[k]:
-                        his[k] = lg.hi_fraction()
-            boxes.append([Iv.bounds(lo, hi, prec) for lo, hi in zip(los, his)])
-        lm, lr = _mid_rad(mat)
-        im, ir = _mid_rad(inv)
-        bm, br = _mid_rad(boxes)
+        # The generators are f_1 = 1 and f_{i+1} = f_i eps_sigma(i), so the
+        # log ratios of f_{i+1} are partial sums of the columns sigma(1..i)
+        # of mat; interval sums are exact, and those of f_1 are 0.  The
+        # enumeration reads nothing of a cone but its float box, so cones
+        # with equal boxes share one.
+        boxes = {}
+        for c, cone in enumerate(self.cones):
+            acc = [Iv.ZERO] * r
+            los, his = [0.0] * r, [0.0] * r
+            for i in cone.sigma:
+                acc = [s + mat[k][i] for k, s in enumerate(acc)]
+                for k, s in enumerate(acc):
+                    lo, hi = s.float_bounds()
+                    los[k], his[k] = min(los[k], lo), max(his[k], hi)
+            box = tuple(map(_mid_rad, los, his))
+            boxes.setdefault(box, []).append(c)
+        lm, lr = _mid_rad_rows(mat)
+        im, ir = _mid_rad_rows(inv)
+        q = [[_UP * (rad + _gamma(r) * abs(m)) for m, rad in zip(mrow, rrow)]
+             for mrow, rrow in zip(lm, lr)]
         self._enum = {
-            # per unit of |a_i|, the radius of fl(sum_i lm[k, i] a_i) around
-            # sum_i mat[k, i] a_i: data radius plus the dot product's gamma_r
-            "lm": lm, "q": _UP * (lr + _gamma(r) * np.abs(lm)),
-            "im": im, "ir": ir, "bm": bm, "br": br,
+            # per column i of mat, its centres lm[k][i] and, per unit of
+            # |a_i|, the radius q[k][i] of fl(sum_i lm[k][i] a_i) around
+            # sum_i mat[k][i] a_i: data radius plus the dot product's gamma_r
+            "log_cols": list(zip(zip(*lm), zip(*q))),
+            "im": im, "ir": ir,
+            "boxes": list(boxes.items()),
         }
         return self._enum
 
     def candidate_exponents(self, x):
-        """Per cone, an (N, n-1) int array of every exponent vector a for
-        which eps^a * x can lie in the closed cone (a certified superset), in
-        lexicographic order."""
-        import numpy as np
-
+        """Per cone, the list of every exponent vector a (a tuple of ints)
+        for which eps^a * x can lie in the closed cone (a certified
+        superset), in increasing lexicographic order.  Cones with the same
+        log-range box share one enumeration and one list."""
         field = self.field
         r = field.degree - 1
         if isinstance(x, FieldElement):
@@ -393,124 +470,116 @@ class SignedDomain:
         else:
             seq = [Fraction(c) for c in x]
             ratios = [Iv.from_fraction(c / seq[-1], START_PREC) for c in seq[:-1]]
-        ym, yr = _tame(*np.array([_log_enclosure(v) for v in ratios]).T)
+        logx = [_tame(*_log_enclosure(v)) for v in ratios]
         d = self._enum_data()
-        bm = d["bm"]
-        # target = box - log x per cone; the centre is rounded once, so it is
-        # off by at most u |bm - ym| <= u (|bm| + |ym|)
-        tm, tr = _tame(bm - ym, _UP * (d["br"] + yr + _U * (np.abs(bm) + np.abs(ym))))
-        # exponent box = inv @ target: per term |im| tr + ir (|tm| + tr), plus
-        # the dot product's gamma_r |im| |tm|
-        im, atm = d["im"], np.abs(tm)
-        cm = tm @ im.T
-        cr = _UP * ((tr + _gamma(r) * atm) @ np.abs(im).T + (atm + tr) @ d["ir"].T)
-        # one rounding each, so one nextafter step outward encloses the ends
-        lo = np.ceil(np.nextafter(cm - cr, -np.inf)).astype(np.int64)
-        hi = np.floor(np.nextafter(cm + cr, np.inf)).astype(np.int64)
-        # the ranges bound the parallelotope's bounding box; discard the
-        # corners certified outside the parallelotope itself
-        grids = [np.indices(np.maximum(h - l + 1, 0)).reshape(r, -1).T + l
-                 for l, h in zip(lo, hi)]
-        sizes = [len(g) for g in grids]
-        which = np.repeat(np.arange(len(grids)), sizes)
-        af = np.concatenate(grids).astype(float)
-        # the corner's log image mat @ a has centre fl(lm @ a) and radius
-        # q @ |a|; it meets the target iff the centres differ by at most the
-        # sum of the radii; the difference is rounded once, inside _UP
-        near = np.abs(af @ d["lm"].T - tm[which])
-        keep = (near <= _UP * (_UP * (np.abs(af) @ d["q"].T) + tr[which])).all(axis=1)
-        keeps = np.split(keep, np.cumsum(sizes)[:-1])
-        return [(cone, g[k]) for cone, g, k in zip(self.cones, grids, keeps)]
+        out = [None] * len(self.cones)
+        for box, members in d["boxes"]:
+            # target = box - log x; the centre is rounded once, so it is off
+            # by at most u |bm - ym| <= u (|bm| + |ym|)
+            target = [_tame(bm - ym, _UP * (br + yr + _U * (abs(bm) + abs(ym))))
+                      for (bm, br), (ym, yr) in zip(box, logx)]
+            cands = _lattice_corners(d, target)
+            for c in members:
+                out[c] = (self.cones[c], cands)
+        return out
 
     # ---- float membership ----
 
     def _member_data(self):
         """Per unit, the float conjugates of eps_i and eps_i^-1 with their
-        error counts; per cone, the cofactors' (mid, rad) pairs with the
-        orientation sign folded in, and whether they are in float range."""
-        import numpy as np
-
+        error counts; per cone and cone coordinate i, the (mid, rad, |mid|)
+        triples of the cofactors C[j][i] with the orientation sign folded
+        in, or None when some cofactor is out of float range."""
         if self._member is None:
             field = self.field
             units = [(_positive_floats(field._positive_conjugates(u, START_PREC)),
                       _positive_floats(field._positive_conjugates(u.inverse(), START_PREC)))
                      for u in self.units]
-            cm, cr = _mid_rad([c._map.adjugate(START_PREC)[0] for c in self.cones])
-            cm = cm * np.array([c._map.det_sign for c in self.cones])[:, None, None]
-            usable = ((np.abs(cm) <= 1 / _SAFE) & (cr <= 1 / _SAFE)).all(axis=(1, 2))
-            self._member = (units, cm, cr, usable)
+            cofactors = []
+            for c in self.cones:
+                cm, cr = _mid_rad_rows(c._map.adjugate(START_PREC)[0])
+                sign = c._map.det_sign
+                cols = [[(m * sign, rad, abs(m)) for m, rad in zip(mcol, rcol)]
+                        for mcol, rcol in zip(zip(*cm), zip(*cr))]
+                usable = all(abs(m) <= 1 / _SAFE and rad <= 1 / _SAFE
+                             for col in cols for m, rad, _ in col)
+                cofactors.append(cols if usable else None)
+            self._member = (units, cofactors)
         return self._member
 
     def _power_floats(self, top: int):
         """Per unit i, float conjugates of eps_i^a for a = -top..top (row
-        a + top), by repeated multiplication (np.cumprod is sequential), each
-        with its error count |a| (k + 1) and whether the row stays within
-        [2^-300, 2^300].  Powers are monotone in a, so a row in range was
-        built from rows in range.  Tables grow geometrically."""
-        import numpy as np
-
+        a + top), by repeated multiplication, each with its error count
+        |a| (k + 1); a row outside [2^-300, 2^300] is None.  Powers are
+        monotone in a, so a row in range was built from rows in range.
+        Tables grow geometrically."""
         have, tables = self._powers
         if have >= top:
             return have, tables
         top = max(top, 2 * have)
-        units, _, _, _ = self._member_data()
-        n = self.field.degree
-        a = np.arange(-top, top + 1)
+        units, _ = self._member_data()
+        one = [1.0] * self.field.degree
         tables = []
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for (up, kup), (dn, kdn) in units:
-                pos = np.cumprod(np.vstack([np.ones(n), np.tile(up, (top, 1))]), axis=0)
-                neg = np.cumprod(np.vstack([np.ones(n), np.tile(dn, (top, 1))]), axis=0)
-                table = np.vstack([neg[:0:-1], pos])
-                valid = ((table >= _SAFE) & (table <= 1 / _SAFE)).all(axis=1)
-                count = np.where(a == 0, 0.0, np.abs(a) * np.where(a < 0, kdn + 1, kup + 1))
-                tables.append((np.where(valid[:, None], table, 1.0), count, valid))
+        for (up, kup), (dn, kdn) in units:
+            pos, neg = [one], [one]
+            for _ in range(top):
+                pos.append([p * e for p, e in zip(pos[-1], up)])
+                neg.append([p * e for p, e in zip(neg[-1], dn)])
+            rows = [row if _in_range(row) else None for row in neg[:0:-1] + pos]
+            counts = [a * (kdn + 1) for a in range(top, 0, -1)] + [0.0] + \
+                [a * (kup + 1) for a in range(1, top + 1)]
+            tables.append((rows, counts))
         self._powers = (top, tables)
         return self._powers
 
     def _float_verdicts(self, x, per_cone):
-        """Per cone, an int array over its candidates: 1 when eps^a x is
+        """Per cone, a list of ints over its candidates: 1 when eps^a x is
         certified inside (every cone coordinate > 0), 0 when certified
         outside (some coordinate < 0), -1 when the float bound cannot tell
-        (exact zeros, and with them every open/closed-flag case)."""
-        import numpy as np
-
+        (exact zeros, and with them every open/closed-flag case).  Each
+        eps^a x is computed once and shared by every cone."""
         field = self.field
         n = field.degree
         if isinstance(x, FieldElement):
             xf, kx = _positive_floats(field._positive_conjugates(x, START_PREC))
         else:
             xf, kx = _positive_floats([Iv.from_fraction(Fraction(c), START_PREC) for c in x])
-        expos = np.concatenate([cands for _, cands in per_cone])
-        sizes = [len(cands) for _, cands in per_cone]
-        which = np.repeat(np.arange(len(sizes)), sizes)
-        _, cm, cr, usable = self._member_data()
-        top, tables = self._power_floats(int(np.abs(expos).max(initial=0)))
-        # v = x * prod_i eps_i^(a_i): r products on top of the factors' counts
-        v = np.tile(xf, (len(expos), 1))
-        count = np.full(len(expos), kx + n - 1)
-        ok = usable[which]
-        for i, (table, cnt, valid) in enumerate(tables):
-            row = expos[:, i] + top
-            v = v * table[row]
-            count += cnt[row]
-            inside = ((v >= _SAFE) & (v <= 1 / _SAFE)).all(axis=1)
-            ok &= valid[row] & inside
-            v = np.where(inside[:, None], v, 1.0)
-        # The exact vector is v (1 + theta) with |theta| <= rho = 2 count u
-        # (count <= 2^40 keeps count u <= 1/2).  Its coordinate i is
-        # sum_j v_j (1 + theta_j) C[j, i], the computed one
-        # fl(sum_j v_j cm[j, i]), and they differ by at most
-        #   sum_j v_j ((1 + rho) cr[j, i] + (rho + gamma_n) |cm[j, i]|).
-        ok &= count <= 2.0 ** 40
-        rho = 2 * _U * np.where(ok, count, 0.0)
-        v = v[:, None, :]
-        coord = (v @ cm[which])[:, 0]
-        bound = _UP * ((1 + rho)[:, None] * (v @ cr[which])[:, 0]
-                       + (rho + _gamma(n))[:, None] * (v @ np.abs(cm)[which])[:, 0])
-        verdict = np.where(ok & (coord > bound).all(axis=1), 1,
-                           np.where(ok & (coord < -bound).any(axis=1), 0, -1))
-        return np.split(verdict, np.cumsum(sizes)[:-1])
+        _, cofactors = self._member_data()
+        top, tables = self._power_floats(
+            max((abs(e) for _, cands in per_cone for a in cands for e in a), default=0))
+        gamma_n = _gamma(n)
+        orbit = {}
+        out = []
+        for (_, cands), cols in zip(per_cone, cofactors):
+            verdicts = []
+            for a in cands:
+                if a not in orbit:
+                    orbit[a] = _orbit_floats(xf, kx + n - 1, a, top, tables)
+                point = orbit[a]
+                if cols is None or point is None:
+                    verdicts.append(-1)
+                    continue
+                v, rho = point
+                # Coordinate i of the exact vector is
+                # sum_j v_j (1 + theta_j) C[j][i], the computed one
+                # fl(sum_j v_j cm[j][i]), and they differ by at most
+                #   sum_j v_j ((1 + rho) cr[j][i] + (rho + gamma_n) |cm[j][i]|).
+                verdict = 1
+                for col in cols:
+                    coord = rad = mag = 0.0
+                    for vj, (m, cr, am) in zip(v, col):
+                        coord += vj * m
+                        rad += vj * cr
+                        mag += vj * am
+                    bound = _UP * ((1 + rho) * rad + (rho + gamma_n) * mag)
+                    if coord < -bound:
+                        verdict = 0
+                        break
+                    if not coord > bound:
+                        verdict = -1
+                verdicts.append(verdict)
+            out.append(verdicts)
+        return out
 
     def __getstate__(self):
         raise TypeError("SignedDomain is rebuilt per process, not pickled")
@@ -558,8 +627,6 @@ def orbit_net_count(dom: SignedDomain, x):
     sum over cones of w * #(hits).  Returns (count, hits) with the hit list
     of (sigma, exponent vector) pairs.  The float stage decides most
     candidates; the rest go to the certified ladder."""
-    import numpy as np
-
     per_cone = dom.candidate_exponents(x)
     verdicts = dom._float_verdicts(x, per_cone)
     exact = isinstance(x, FieldElement)
@@ -568,9 +635,10 @@ def orbit_net_count(dom: SignedDomain, x):
     hits = []
     total = 0
     for (cone, cands), verdict in zip(per_cone, verdicts):
-        for k in np.flatnonzero(verdict):       # inside, or undecided
-            a = tuple(cands[k].tolist())
-            if verdict[k] > 0:
+        for a, v in zip(cands, verdict):
+            if not v:                           # certified outside
+                continue
+            if v > 0:
                 inside = True
             elif exact:
                 inside = cone.contains_element(dom.unit_power(a) * x)

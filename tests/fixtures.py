@@ -65,6 +65,33 @@ def cubic_signed_witness():
     return fld, [fld.element([1, 2, 1]), fld.element([3, 5, 2])]
 
 
+def _with_inverse(make, i):
+    fld, units = make()
+    units = list(units)
+    units[i] = units[i].inverse()
+    return fld, units
+
+
+def quartic_725_inverted():
+    """quartic_725 with its third unit inverted: the same unit group, and
+    its six cones fall into four distinct log-range boxes."""
+    return _with_inverse(quartic_725, 2)
+
+
+def cubic_81_inverted():
+    """cubic_81 with its second unit inverted: the same unit group (E+),
+    and its two cones have distinct log-range boxes."""
+    return _with_inverse(cubic_81, 1)
+
+
+# Unit sets whose cones do not all share one log-range box, so the float
+# stage enumerates more than one box per point.
+INVERTED_UNITS = {
+    "quartic_725_inverted": quartic_725_inverted,
+    "cubic_81_inverted": cubic_81_inverted,
+}
+
+
 ALL_NET_COUNT = {
     "q_sqrt2": q_sqrt2,
     "q_sqrt3": q_sqrt3,

@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 
 from shintani import domain
-from shintani.domain import build_signed_domain, orbit_net_count, sample_point
+from shintani.domain import (
+    build_signed_domain,
+    orbit_net_count,
+    sample_point,
+    verify_net_counts,
+)
 from shintani.dyadic import START_PREC, Iv, iv_det, log2_iv, log_iv
 
-from fixtures import ALL_NET_COUNT, cubic_signed_witness
+from fixtures import ALL_NET_COUNT, INVERTED_UNITS, cubic_signed_witness
 
-FIXTURES = dict(ALL_NET_COUNT, cubic_signed_witness=cubic_signed_witness)
+FIXTURES = dict(ALL_NET_COUNT, cubic_signed_witness=cubic_signed_witness,
+                **INVERTED_UNITS)
 _DOMAINS = {}
 
 
@@ -144,7 +150,7 @@ def test_log_enclosure_random_intervals():
         assert lg.hi_fraction() <= Fraction(mid) + Fraction(rad)
 
 
-@pytest.mark.parametrize("name", list(ALL_NET_COUNT))
+@pytest.mark.parametrize("name", list(ALL_NET_COUNT) + list(INVERTED_UNITS))
 def test_candidates_are_sound_and_contain_the_dyadic_enumeration(name):
     dom = get_domain(name)
     field = dom.field
@@ -156,7 +162,7 @@ def test_candidates_are_sound_and_contain_the_dyadic_enumeration(name):
         got = dom.candidate_exponents(x)
         ref = dyadic_candidates(dom, x)
         for (cone, cands), (_, rcands, ranges) in zip(got, ref):
-            mine = {tuple(a) for a in cands.tolist()}
+            mine = {tuple(a) for a in cands}
             assert set(rcands) <= mine
             # every hit in a box reaching (box size + 3) past the reference
             # box on each side is a candidate.  Float64 cone coordinates
@@ -192,7 +198,7 @@ def test_float_verdicts_agree_with_the_ladder(name):
     for x in points:
         per_cone = dom.candidate_exponents(x)
         for (cone, cands), verdict in zip(per_cone, dom._float_verdicts(x, per_cone)):
-            for a, v in zip(cands.tolist(), verdict.tolist()):
+            for a, v in zip(cands, verdict):
                 if v >= 0:
                     decided += 1
                     assert bool(v) == ladder_inside(dom, cone, tuple(a), x)
@@ -226,14 +232,14 @@ def test_face_points_defer_and_near_face_points_agree(name):
                     continue
                 per_cone = dom.candidate_exponents(x)
                 verdicts = dom._float_verdicts(x, per_cone)
-                for a, v in zip(per_cone[ci][1].tolist(), verdicts[ci].tolist()):
+                for a, v in zip(per_cone[ci][1], verdicts[ci]):
                     if v >= 0:
                         assert bool(v) == ladder_inside(dom, cone, tuple(a), x)
                         decided_near += tuple(a) == zero_a
                 if offset == 0:
                     # on the face of the closed cone: a candidate, and the
                     # float stage always leaves it to the ladder
-                    rows = [j for j, a in enumerate(per_cone[ci][1].tolist())
+                    rows = [j for j, a in enumerate(per_cone[ci][1])
                             if tuple(a) == zero_a]
                     assert rows and verdicts[ci][rows[0]] == -1
                 count, hits = orbit_net_count(dom, x)
@@ -241,3 +247,42 @@ def test_face_points_defer_and_near_face_points_agree(name):
     # the +-1e-12 offsets are within the float bound's reach, so the check
     # above compared real decisions next to the faces
     assert decided_near > 0
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_candidates_are_ordered_int_tuples_and_verdicts_are_ternary(name):
+    # the hits of a verify failure are listed in this order
+    dom = get_domain(name)
+    n = dom.field.degree
+    rng = random.Random(f"order-{name}")
+    points = [sample_point(f"order-{name}", i, 0, n) for i in range(4)]
+    points += near_face_points(dom, rng, 2, 1e-12)
+    for x in points:
+        per_cone = dom.candidate_exponents(x)
+        assert [cone for cone, _ in per_cone] == list(dom.cones)
+        for (_, cands), verdict in zip(per_cone, dom._float_verdicts(x, per_cone)):
+            assert all(type(a) is tuple and len(a) == n - 1
+                       and all(type(e) is int for e in a) for a in cands)
+            assert all(a < b for a, b in zip(cands, cands[1:]))
+            assert len(verdict) == len(cands)
+            assert set(verdict) <= {-1, 0, 1}
+
+
+@pytest.mark.parametrize("name,cones,boxes", [("quartic_725", 6, 1), ("cubic_81", 2, 1),
+                                              ("quartic_725_inverted", 6, 4),
+                                              ("cubic_81_inverted", 2, 2)])
+def test_cones_share_one_enumeration_per_distinct_box(name, cones, boxes):
+    dom = get_domain(name)
+    groups = [members for _, members in dom._enum_data()["boxes"]]
+    assert len(dom.cones) == cones and len(groups) == boxes
+    assert sorted(c for members in groups for c in members) == list(range(cones))
+    x = sample_point(f"boxes-{name}", 0, 0, dom.field.degree)
+    per_cone = dom.candidate_exponents(x)
+    for members in groups:
+        assert all(per_cone[c][1] is per_cone[members[0]][1] for c in members)
+
+
+@pytest.mark.parametrize("name", list(INVERTED_UNITS))
+def test_inverted_unit_sets_have_net_count_one(name):
+    rep = verify_net_counts(get_domain(name), 40, f"inverted-{name}")
+    assert rep["ok"], rep["failures"]

@@ -39,9 +39,9 @@ def loaded_after(code: str) -> list:
     return json.loads(out.splitlines()[-1])
 
 
-def cli(command, job) -> str:
-    return ("from shintani.cli import main\n"
-            f"assert main([{command!r}, '--job', {str(job)!r}]) == 0")
+def cli(command, job, *args) -> str:
+    argv = [command, "--job", str(job), *args]
+    return f"from shintani.cli import main\nassert main({argv!r}) == 0"
 
 
 def test_import_shintani_loads_nothing_heavy():
@@ -56,11 +56,14 @@ def test_cones_and_regcheck_load_neither_numpy_nor_zeta(tmp_path, command, name)
     assert loaded_after(cli(command, job)) == []
 
 
-def test_verify_loads_no_zeta(tmp_path):
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_loads_nothing_heavy(tmp_path, threads, name):
+    # the float stage is scalar Python: verify loads no NumPy either
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*fixtures.q_sqrt2()),
-                               "samples": 5}))
-    assert "shintani.zeta" not in loaded_after(cli("verify", job))
+    job.write_text(json.dumps({"field": field_to_json(*FIELDS[name]()),
+                               "samples": 4}))
+    assert loaded_after(cli("verify", job, "--threads", threads)) == []
 
 
 def test_every_public_name_resolves():
