@@ -46,11 +46,9 @@ def _field_and_units(job: dict, prec_cap: int | None):
     spec = job.get("field")
     if not isinstance(spec, dict) or "poly" not in spec:
         raise SchemaError('job needs "field": {"poly": [...], "units": [...]}')
-    fld, units = field_from_json(spec)
-    if prec_cap is not None:
-        fld = NumberField(fld.poly, prec_cap=prec_cap)
-        units = [fld.element(u.coeffs) for u in units]
-    return fld, units
+    if prec_cap is None:
+        return field_from_json(spec)
+    return field_from_json(spec, prec_cap)
 
 
 def _emit(obj: dict) -> None:

@@ -15,13 +15,8 @@ import math
 import random
 from fractions import Fraction
 
-from .dyadic import START_PREC, Iv, Ladder, iv_adjugate, log_iv
-from .errors import (
-    DependentUnits,
-    NotAUnit,
-    NotTotallyPositive,
-    UndecidableSign,
-)
+from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
+from .errors import DependentUnits, UndecidableSign
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
 from .geometry import (
     IvVec,
@@ -412,16 +407,9 @@ class SignedDomain:
         prec = START_PREC
         r = field.degree - 1
 
-        def log_matrix(p):
-            cols = []
-            for u in self.units:
-                conj = field._positive_conjugates(u, p)
-                logs = [log_iv(c, p) for c in conj]
-                cols.append([logs[j] - logs[-1] for j in range(r)])
-            return [[cols[i][j] for i in range(r)] for j in range(r)]
-
         for p in Ladder(field.prec_cap, "log-matrix determinant", start=prec):
-            mat = log_matrix(p)
+            rows = field.unit_logs(self.units, p)
+            mat = [[row[j] - row[-1] for row in rows] for j in range(r)]
             cof, det = iv_adjugate(mat)
             if det.sign() is not None:
                 break
@@ -586,16 +574,10 @@ class SignedDomain:
 
 
 def build_signed_domain(units, field: NumberField) -> SignedDomain:
-    """Validate the units, compute all cone signs and half-open flags, and
-    drop the degenerate (w = 0) cones."""
+    """Compute all cone signs and half-open flags, and drop the degenerate
+    (w = 0) cones.  The units are checked by the regulator sign
+    (NumberField.check_units)."""
     units = [field.element_like(u) for u in units]
-    if len(units) != field.degree - 1:
-        raise DependentUnits(f"need exactly {field.degree - 1} units")
-    for u in units:
-        if u.is_zero() or not field.is_unit(u):
-            raise NotAUnit(f"{u!r} is not a unit")
-        if not field.is_totally_positive(u):
-            raise NotTotallyPositive(f"{u!r} is not totally positive")
     reg_sign = field.signed_regulator_sign(units)
     if reg_sign == 0:
         raise DependentUnits("units are multiplicatively dependent")

@@ -1,6 +1,11 @@
 """Totally real number fields: exact power-basis arithmetic, certified real
 embeddings, unit predicates, log vectors and the signed regulator.
 
+The unit contract (n - 1 totally positive units) is checked in one place,
+NumberField.check_units, and the certified unit logs are computed in one,
+NumberField.unit_logs, whose rows make every log matrix: the regulator sign,
+its identity and the domain's log lattice.
+
 A field is defined by a monic squarefree integer polynomial with all-real
 roots.  Embeddings are evaluation at the isolated roots; by convention the
 roots are ordered ascending, but any fixed permutation may be requested
@@ -25,10 +30,13 @@ from .dyadic import (
 )
 from .errors import (
     DegreeTooSmall,
+    DependentUnits,
     InputError,
+    NotAUnit,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
+    SchemaError,
     ZeroElement,
 )
 from .exactlinalg import charpoly, mat_solve
@@ -338,6 +346,18 @@ class NumberField:
             return False
         return abs(cp[0]) == 1
 
+    def check_units(self, units):
+        """The unit contract of the regulator and the domain: exactly n - 1
+        units, each a unit and totally positive (independence is left to
+        the regulator sign)."""
+        if len(units) != self.degree - 1:
+            raise DependentUnits(f"need exactly {self.degree - 1} units")
+        for u in units:
+            if u.is_zero() or not self.is_unit(u):
+                raise NotAUnit(f"{u!r} is not a unit")
+            if not self.is_totally_positive(u):
+                raise NotTotallyPositive(f"{u!r} is not totally positive")
+
     # ---- logs and the regulator ----
 
     def _positive_conjugates(self, elem: FieldElement, prec: int):
@@ -348,49 +368,45 @@ class NumberField:
             if all(iv.is_positive() for iv in conj):
                 return conj
 
-    def log_embedding_iv(self, elem: FieldElement, prec: int):
-        """Enclosures of (log x^(1), ..., log x^(n-1))."""
-        conj = self._positive_conjugates(elem, prec)
-        return [log_iv(iv, prec) for iv in conj[:-1]]
-
-    def _log_rows(self, units, prec):
-        """Rows j of the (n-1)x(n-1) matrix log(eps_i^(j))."""
-        cols = [self.log_embedding_iv(u, prec) for u in units]
-        r = self.degree - 1
-        return [[cols[i][j] for i in range(r)] for j in range(r)]
+    def unit_logs(self, units, prec: int):
+        """Per unit, the log enclosures of all n conjugates: the rows of the
+        certified unit-log matrix that the regulator sign, its identity and
+        the domain's log lattice read.  Any totally positive element has
+        such a row; log_vector reads one."""
+        return [[log_iv(iv, prec) for iv in self._positive_conjugates(u, prec)]
+                for u in units]
 
     def log_vector(self, elem: FieldElement, prec: int = START_PREC):
         """First n-1 coordinates of the log embedding, as floats certified
         at the requested working precision."""
         if not self.is_totally_positive(elem):
             raise NotTotallyPositive("log vector requires a totally positive element")
-        return [iv.mid_float() for iv in self.log_embedding_iv(elem, prec)]
+        return [iv.mid_float() for iv in self.unit_logs([elem], prec)[0][:-1]]
 
     def signed_regulator_sign(self, units) -> int:
         """Sign of det(Log eps_1, ..., Log eps_{n-1}); 0 exactly when the
         units are multiplicatively dependent (confirmed in exact
         arithmetic), otherwise certified by adaptive precision."""
         units = [self.element_like(u) for u in units]
-        if len(units) != self.degree - 1:
-            raise ValueError(f"need exactly {self.degree - 1} units")
-        for u in units:
-            if not self.is_totally_positive(u):
-                raise NotTotallyPositive("regulator needs totally positive units")
+        self.check_units(units)
+        r = self.degree - 1
         for prec in Ladder(self.prec_cap, "regulator sign"):
-            s = iv_det(self._log_rows(units, prec)).sign()
+            rows = self.unit_logs(units, prec)
+            s = iv_det([[row[j] for row in rows] for j in range(r)]).sign()
             if s is not None:
                 return s
-            if self._dependence_relation(units, prec) is not None:
+            if self._dependence_relation(units, rows, prec) is not None:
                 return 0
 
-    def _dependence_relation(self, units, prec):
-        """Integer-relation candidate among the unit logs, confirmed exactly
-        by evaluating the corresponding power product in the field."""
+    def _dependence_relation(self, units, rows, prec):
+        """Integer-relation candidate among the first unit logs (entry 0 of
+        each row of unit_logs), confirmed exactly by evaluating the
+        corresponding power product in the field."""
         if len(units) == 1:
             return (1,) if units[0] == self.one else None
         import mpmath
 
-        logs = [log_iv(self.embed_iv(u, prec)[0], prec).mid_fraction() for u in units]
+        logs = [row[0].mid_fraction() for row in rows]
         with mpmath.workprec(prec + 16):
             vals = [mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) for v in logs]
             try:
@@ -409,17 +425,13 @@ class NumberField:
         within tol, decided once the enclosure of the difference is narrower
         than tol/10 (PrecisionCapExceeded if the cap comes first)."""
         units = [self.element_like(u) for u in units]
+        self.check_units(units)
         n = self.degree
         r = n - 1
         for prec in Ladder(self.prec_cap, f"regulator identity at tolerance {tol}"):
-            cols_plain = []
-            cols_proj = []
-            for u in units:
-                logs = [log_iv(iv, prec) for iv in self._positive_conjugates(u, prec)]
-                cols_plain.append(logs[:-1])
-                cols_proj.append([lg - logs[-1] for lg in logs[:-1]])
-            lhs = iv_det([[cols_proj[i][j] for i in range(r)] for j in range(r)])
-            rhs = iv_det([[cols_plain[i][j] for i in range(r)] for j in range(r)])
+            rows = self.unit_logs(units, prec)
+            lhs = iv_det([[row[j] - row[-1] for row in rows] for j in range(r)])
+            rhs = iv_det([[row[j] for row in rows] for j in range(r)])
             diff = lhs - rhs.mul_int(n)
             if diff.width_fraction() < Fraction(tol) / 10:
                 return abs(diff.mid_fraction()) <= Fraction(tol)
@@ -460,17 +472,25 @@ def _json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_rational(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    return Fraction(str(s))
-
-
-def field_from_json(obj):
-    """Parse the field JSON {"poly": [...], "units": [["p/q", ...], ...]}."""
-    fld = NumberField([int(c) for c in obj["poly"]])
-    units = [fld.element([parse_rational(c) for c in u]) for u in obj.get("units", [])]
-    return fld, units
+def field_from_json(obj, prec_cap: int = DEFAULT_PREC_CAP):
+    """Parse the field JSON {"poly": [...], "units": [["p/q", ...], ...]}:
+    "poly" is a list of JSON integers, low degree first, and "units"
+    (default none) a list of coordinate lists whose entries are JSON
+    integers or rational strings.  Anything else is a SchemaError."""
+    poly, units = obj["poly"], obj.get("units", [])
+    if not isinstance(poly, list) or not all(map(_json_int, poly)):
+        raise SchemaError(f'"poly" must be a list of integers, got {poly!r}')
+    if not (isinstance(units, list)
+            and all(isinstance(u, list) for u in units)
+            and all(_json_int(c) or isinstance(c, str) for u in units for c in u)):
+        raise SchemaError('"units" must be a list of coordinate lists of integers '
+                          f'or "p/q" strings, got {units!r}')
+    fld = NumberField(poly, prec_cap=prec_cap)
+    try:
+        coords = [[Fraction(c) for c in u] for u in units]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f'a unit coordinate is not a rational: {exc}')
+    return fld, [fld.element(u) for u in coords]
 
 
 def field_to_json(field: NumberField, units):

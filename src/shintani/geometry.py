@@ -33,25 +33,24 @@ from .field import FieldElement, NumberField
 
 class IvVec:
     """Adaptive interval vector: ``at(prec)`` returns enclosures that shrink
-    as prec grows.  ``exact`` carries the rational value when there is one."""
+    as prec grows."""
 
-    __slots__ = ("_fn", "exact")
+    __slots__ = ("_fn",)
 
-    def __init__(self, fn, exact=None):
+    def __init__(self, fn):
         self._fn = fn
-        self.exact = exact
 
     def at(self, prec: int):
         return self._fn(prec)
 
     @staticmethod
-    def wrap(x, field: NumberField | None = None) -> "IvVec":
+    def wrap(x) -> "IvVec":
         if isinstance(x, IvVec):
             return x
         if isinstance(x, FieldElement):
             return IvVec(lambda p: x.field.embed_iv(x, p))
         seq = tuple(Fraction(c) for c in x)
-        return IvVec(lambda p: [Iv.from_fraction(c, p) for c in seq], exact=seq)
+        return IvVec(lambda p: [Iv.from_fraction(c, p) for c in seq])
 
 
 def project_ell(x):

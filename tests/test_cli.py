@@ -330,3 +330,49 @@ def test_lfun_threads_match_serial(tmp_path, capsys, monkeypatch, block):
     _, par = run(capsys, ["lfun", "--job", job, "--threads", "2"])
     serial.pop("runtime_ms"), par.pop("runtime_ms")
     assert json.dumps(serial) == json.dumps(par) and "error" not in serial
+
+
+@pytest.mark.parametrize("spec", [
+    '{"poly": [-2.7, 0, 1], "units": [["3", "2"]]}',
+    '{"poly": [-2, 0, true], "units": [["3", "2"]]}',
+    '{"poly": 5, "units": [["3", "2"]]}',
+    '{"poly": [1e400, 0, 1], "units": [["3", "2"]]}',
+    '{"poly": "x^2 - 2", "units": [["3", "2"]]}',
+    '{"poly": [-2, 0, 1], "units": [[true, "2"]]}',
+    '{"poly": [-2, 0, 1], "units": [[3.0, 2]]}',
+    '{"poly": [-2, 0, 1], "units": [["3", null]]}',
+    '{"poly": [-2, 0, 1], "units": ["3", "2"]}',
+    '{"poly": [-2, 0, 1], "units": {"eps": ["3", "2"]}}',
+    '{"poly": [-2, 0, 1], "units": [["3", "2/0"]]}',
+    '{"poly": [-2, 0, 1], "units": [["3", "two"]]}',
+], ids=["poly-float", "poly-bool", "poly-int", "poly-inf", "poly-string",
+        "unit-bool", "unit-float", "unit-null", "unit-not-list", "units-object",
+        "unit-zero-denominator", "unit-not-rational"])
+@pytest.mark.parametrize("cmd", ["cones", "regcheck"])
+def test_malformed_field_spec_exit_2(tmp_path, capsys, request, cmd, spec):
+    job = tmp_path / "job.json"       # spec is JSON text: 1e400 parses as inf
+    job.write_text(f'{{"field": {spec}}}')
+    code, out = run(capsys, [cmd, "--job", str(job)])
+    assert code == 2 and out["error"] == "SchemaError"
+    # the detail names the offending key: "poly" or a unit
+    key = "poly" if "poly-" in request.node.callspec.id else "unit"
+    assert key in out["detail"]
+
+
+@pytest.mark.parametrize("cmd", ["cones", "regcheck"])
+def test_integer_unit_coordinates_match_strings(tmp_path, capsys, cmd):
+    ints = write_job(tmp_path, {"field": {"poly": [-2, 0, 1], "units": [[3, 2]]}}, "ints.json")
+    strs = write_job(tmp_path, {"field": Q2}, "strs.json")
+    assert run(capsys, [cmd, "--job", ints]) == run(capsys, [cmd, "--job", strs])
+
+
+def test_precision_cap_isolates_roots_once(tmp_path, capsys, monkeypatch):
+    from shintani import field
+
+    calls = []
+    isolate = field.isolate_real_roots
+    monkeypatch.setattr(field, "isolate_real_roots",
+                        lambda coeffs: calls.append(coeffs) or isolate(coeffs))
+    job = write_job(tmp_path, {"field": Q2})
+    code, out = run(capsys, ["cones", "--job", job, "--precision-cap", "512"])
+    assert code == 0 and len(calls) == 1
