@@ -108,7 +108,7 @@ class SignedCone:
         }
 
 
-def cone_contains(cone: SignedCone, x, field: NumberField | None = None) -> bool:
+def cone_contains(cone: SignedCone, x) -> bool:
     """Membership of a strictly positive point in the half-open cone."""
     if isinstance(x, FieldElement):
         return cone.contains_element(x)
@@ -369,7 +369,6 @@ class SignedDomain:
         self.cones = tuple(cones)
         self.reg_sign = reg_sign
         self._power_cache: dict[tuple, FieldElement] = {}
-        self._emb_cache: dict[tuple, list] = {}
         self._enum = None
         self._member = None
         self._powers = (-1, None)
@@ -387,12 +386,7 @@ class SignedDomain:
         return elem
 
     def _power_embedding(self, expo, prec):
-        key = (expo, prec)
-        out = self._emb_cache.get(key)
-        if out is None:
-            out = self.field.embed_iv(self.unit_power(expo), prec)
-            self._emb_cache[key] = out
-        return out
+        return self.field.embed_iv(self.unit_power(expo), prec)
 
     # ---- candidate enumeration ----
 
@@ -636,14 +630,17 @@ def orbit_net_count(dom: SignedDomain, x):
     return total, hits
 
 
+# Resamples allowed per verify point before it is reported undecidable
+_MAX_RETRIES = 5
+
+
 def sample_point(seed, index: int, retry: int, n: int):
     """Deterministic strictly positive sample, log-uniform per coordinate."""
     rng = random.Random(f"{seed}:{index}:{retry}")
     return tuple(Fraction(math.exp(rng.uniform(-3.0, 3.0))) for _ in range(n))
 
 
-def verify_net_counts(dom: SignedDomain, samples: int, seed,
-                      max_retries: int = 5, start: int = 0):
+def verify_net_counts(dom: SignedDomain, samples: int, seed, start: int = 0):
     """Run the net-count check on deterministic random points; points whose
     membership hits an undecidable sign are resampled (boundary events have
     probability zero, so this only absorbs adversarial precision cases).
@@ -652,7 +649,7 @@ def verify_net_counts(dom: SignedDomain, samples: int, seed,
     failures = []
     resamples = 0
     for i in range(start, start + samples):
-        for retry in range(max_retries + 1):
+        for retry in range(_MAX_RETRIES + 1):
             x = sample_point(seed, i, retry, n)
             try:
                 count, hits = orbit_net_count(dom, x)

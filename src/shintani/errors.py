@@ -27,6 +27,10 @@ class NotTotallyReal(InputError):
     pass
 
 
+class NotIrreducible(InputError):
+    """The defining polynomial has a factor over Q."""
+
+
 class ZeroElement(InputError):
     pass
 

@@ -6,9 +6,11 @@ NumberField.check_units, and the certified unit logs are computed in one,
 NumberField.unit_logs, whose rows make every log matrix: the regulator sign,
 its identity and the domain's log lattice.
 
-A field is defined by a monic squarefree integer polynomial with all-real
-roots.  Embeddings are evaluation at the isolated roots; by convention the
-roots are ordered ascending, but any fixed permutation may be requested
+A field is defined by a monic irreducible integer polynomial with all-real
+roots; irreducibility is decided by Kronecker's test over the isolated
+roots, so no nonzero element has a zero conjugate.  Embeddings are
+evaluation at the isolated roots; by convention the roots are ordered
+ascending, but any fixed permutation may be requested
 (the distinguished "last" embedding moves with it, and so do all derived
 signs; the net-count theorem is order-independent and the test suite checks
 that).
@@ -16,6 +18,8 @@ that).
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from fractions import Fraction
 
@@ -33,6 +37,7 @@ from .errors import (
     DependentUnits,
     InputError,
     NotAUnit,
+    NotIrreducible,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
@@ -40,13 +45,7 @@ from .errors import (
     ZeroElement,
 )
 from .exactlinalg import charpoly, mat_solve
-from .polyroots import (
-    count_real_roots,
-    is_squarefree,
-    isolate_real_roots,
-    poly_gcd_is_constant,
-    poly_trim,
-)
+from .polyroots import _poly_rem, count_real_roots, is_squarefree, isolate_real_roots
 
 
 def _perm_sign(perm) -> int:
@@ -174,7 +173,6 @@ class NumberField:
         self.poly = coeffs
         self.degree = n
         self.prec_cap = prec_cap
-        self._roots = isolate_real_roots(coeffs)   # ascending
         if embedding_order is None:
             embedding_order = tuple(range(n))
         self.embedding_order = tuple(embedding_order)
@@ -188,6 +186,11 @@ class NumberField:
         self._embed_cache: dict[tuple, tuple] = {}
         # basis coefficients -> geometry.CramerMap of the embedded basis
         self._cramer_cache: dict[tuple, object] = {}
+        try:
+            self._roots = isolate_real_roots(coeffs)   # ascending
+            self._check_irreducible()
+        except ValueError as exc:       # a bisection point was a root
+            raise NotIrreducible(f"defining polynomial is reducible: {exc}")
         self.one = self.element([1] + [0] * (n - 1))
         self.zero = self.element([0] * n)
         self.gen = self.element([0, 1] + [0] * (n - 2))
@@ -205,6 +208,37 @@ class NumberField:
         if isinstance(v, (int, Fraction)):
             return self.element([v] + [0] * (self.degree - 1))
         raise TypeError(f"cannot coerce {type(v)!r}")
+
+    def _check_irreducible(self):
+        """Kronecker's test: a monic factor of degree k <= n/2 is the product
+        of (x - theta) over a set S of k roots, with integer coefficients.
+        S is ruled out once an interval coefficient of that product holds no
+        integer; once each holds exactly one, exact division confirms or
+        rejects the candidate; the other sets go to the next rung."""
+        n = self.degree
+        pending = [S for k in range(1, n // 2 + 1)
+                   for S in itertools.combinations(range(n), k)]
+        for prec in Ladder(self.prec_cap, "irreducibility"):
+            roots = self.roots_iv(prec)
+            undecided = []
+            for S in pending:
+                c = [Iv.ONE]
+                for j in S:
+                    c = [a - roots[j] * b for a, b in zip([Iv.ZERO, *c], [*c, Iv.ZERO])]
+                ints = [(math.ceil(iv.lo_fraction()), math.floor(iv.hi_fraction()))
+                        for iv in c[:-1]]
+                if any(lo > hi for lo, hi in ints):
+                    continue
+                if any(lo < hi for lo, hi in ints):
+                    undecided.append(S)
+                    continue
+                factor = [lo for lo, _ in ints] + [1]
+                if not any(_poly_rem(self.poly, factor)):
+                    raise NotIrreducible(f"defining polynomial has the factor {factor} "
+                                         "(low degree first)")
+            pending = undecided
+            if not pending:
+                return
 
     def with_embedding_order(self, order) -> "NumberField":
         return NumberField(self.poly, embedding_order=order, prec_cap=self.prec_cap)
@@ -231,11 +265,7 @@ class NumberField:
         if not any(a):
             raise ZeroElement("inverse of zero")
         m = self.mult_matrix(a)
-        n = self.degree
-        try:
-            return tuple(mat_solve(m, [Fraction(int(i == 0)) for i in range(n)]))
-        except ZeroDivisionError:
-            raise ZeroElement("element is a zero divisor (reducible polynomial)")
+        return tuple(mat_solve(m, [Fraction(int(i == 0)) for i in range(self.degree)]))
 
     def mult_matrix(self, a):
         """Matrix of multiplication by a on the power basis (columns a*x^j)."""
@@ -263,8 +293,7 @@ class NumberField:
             target = Fraction(1, 1 << prec)
             for r in self._roots:
                 r.refine_below(target)
-            asc = [Iv.from_fraction(r.lo, 0) if r.exact
-                   else _iv_pair(r.lo, r.hi) for r in self._roots]
+            asc = [_iv_pair(r.lo, r.hi) for r in self._roots]
             ivs = tuple(asc[i] for i in self.embedding_order)
             self._root_iv_cache[prec] = ivs
             return ivs
@@ -298,38 +327,13 @@ class NumberField:
                 return EmbeddedVector(out, prec)
 
     def conjugate_signs(self, elem: FieldElement):
-        """Certified sign of every conjugate.  Exact zeros (possible only
-        when the defining polynomial is reducible) are detected exactly."""
+        """Certified sign of every conjugate; a nonzero element of a field
+        has no zero conjugate, so each sign is found on the ladder."""
         if elem.is_zero():
             raise ZeroElement("sign of the zero element")
-        num = poly_trim(elem.coeffs)
-        degenerate = not poly_gcd_is_constant(self.poly, num) if len(num) > 1 else False
-        signs = []
-        for j in range(self.degree):
-            if degenerate and self._conj_is_zero(elem, j):
-                signs.append(0)
-                continue
-            signs.append(adaptive_sign(
-                lambda p, j=j: self.embed_iv(elem, p)[j],
-                cap=self.prec_cap, what=f"conjugate {j}"))
-        return signs
-
-    def _conj_is_zero(self, elem, j) -> bool:
-        # root j is a root of elem's polynomial iff refinement never separates
-        root = self._roots[self.embedding_order[j]]
-        if root.exact:
-            from .polyroots import poly_sign_at
-            return poly_sign_at(tuple(elem.coeffs), root.lo) == 0
-        # irrational root: zero iff gcd(elem, poly) vanishes there; test by
-        # a few refinement rounds, falling back to exactness via resultant
-        iv = self.embed_iv(elem, 2 * START_PREC)[j]
-        if iv.sign() is not None:
-            return iv.sign() == 0
-        # shared factor: elem vanishes at this root iff gcd has a root here
-        from .polyroots import sturm_chain, sturm_count
-        g = _rational_gcd(self.poly, tuple(elem.coeffs))
-        chain = sturm_chain(g)
-        return sturm_count(chain, root.lo, root.hi) > 0
+        return [adaptive_sign(lambda p, j=j: self.embed_iv(elem, p)[j],
+                              cap=self.prec_cap, what=f"conjugate {j}")
+                for j in range(self.degree)]
 
     # ---- predicates ----
 
@@ -444,18 +448,6 @@ def _iv_pair(lo: Fraction, hi: Fraction) -> Iv:
     a = Iv.from_fraction(lo, 0)   # endpoints are dyadic, so this is exact
     b = Iv.from_fraction(hi, 0)
     return Iv(a.lm, a.le, b.um, b.ue)
-
-
-def _rational_gcd(f, g):
-    from .polyroots import _poly_rem, poly_degree
-
-    a = poly_trim(tuple(Fraction(c) for c in f))
-    b = poly_trim(tuple(Fraction(c) for c in g))
-    while poly_degree(b) > 0:
-        a, b = b, _poly_rem(a, b)
-    if poly_degree(b) == 0 and b[0] != 0:
-        return (Fraction(1),)
-    return a
 
 
 # ---- spec-level functions ----

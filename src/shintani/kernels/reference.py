@@ -1,8 +1,7 @@
 """NumPy kernels: the truncated simplex sum of a Shintani series with a
 derived bound on its float error, and a prime-splitting scan that decides
-the unramified primes in NumPy batches from the ranks of Berlekamp's
-Frobenius matrix, with plain per-prime distinct-degree factorization for the
-ramified primes and for primes too large for int64 arithmetic."""
+every prime, ramified or not and of any size, in NumPy batches from the
+ranks of Berlekamp's Frobenius matrix."""
 
 from __future__ import annotations
 
@@ -139,192 +138,43 @@ def box_sum_roundoff(value, n, s, radius, delta):
     return rho / (1 - rho) * value + math.comb(radius + n, n) * 2.0 ** -1020
 
 
-# ---- small polynomial arithmetic over F_p (lists, low degree first) ----
-
-def _deg(c, p):
-    d = len(c) - 1
-    while d >= 0 and c[d] % p == 0:
-        d -= 1
-    return d
-
-
-def _monic(c, p):
-    d = _deg(c, p)
-    if d < 0:
-        return [0]
-    inv = pow(c[d] % p, p - 2, p)
-    return [x * inv % p for x in c[: d + 1]]
-
-
-def _poly_gcd(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    da, db = _deg(a, p), _deg(b, p)
-    if da < db:
-        a, b, da, db = b, a, db, da
-    while db >= 0:
-        inv = pow(b[db], p - 2, p)
-        while da >= db:
-            coef = a[da] * inv % p
-            if coef:
-                for i in range(db + 1):
-                    a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-            da = _deg(a, p)
-        a, b, da, db = b, a, db, da
-    return _monic(a, p)
-
-
-def _poly_quot_exact(a, b, p):
-    """a / b over F_p, assuming exact division."""
-    a = [x % p for x in a]
-    b = b[: _deg(b, p) + 1]
-    db = len(b) - 1
-    out = [0] * (_deg(a, p) - db + 1)
-    inv = pow(b[-1] % p, p - 2, p)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[k + db] * inv % p
-        out[k] = c
-        if c:
-            for i in range(db + 1):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-    return out
-
-
-def _poly_mul_mod(a, b, g, p):
-    """a * b mod (g, p); g monic of degree >= 1."""
-    n = len(g) - 1
-    prod = [0] * max(1, 2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(n):
-                prod[k - n + j] = (prod[k - n + j] - c * g[j]) % p
-    return prod[:n]
-
-
-def _poly_reduce(a, g, p):
-    n = len(g) - 1
-    a = [x % p for x in a]
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for j in range(n):
-                a[k - n + j] = (a[k - n + j] - c * g[j]) % p
-    out = a[:n]
-    return out + [0] * (n - len(out))
-
-
-def _frobenius_step(y, g, p):
-    """y -> y^p mod (g, p)."""
-    n = len(g) - 1
-    cur = [1] + [0] * (n - 1)
-    sq = list(y)
-    e = p
-    while e:
-        if e & 1:
-            cur = _poly_mul_mod(cur, sq, g, p)
-        sq = _poly_mul_mod(sq, sq, g, p)
-        e >>= 1
-    return cur
-
-
-def _radical(f, p):
-    """Product of the distinct irreducible factors of f over F_p.  Needs the
-    characteristic-p cases: a vanishing derivative means f is a p-th power
-    (Frobenius fixes F_p, so the root keeps the same coefficients), and
-    factors with multiplicity divisible by p survive in gcd(f, f')."""
-    f = _monic(f, p)
-    if _deg(f, p) <= 0:
-        return [1]
-    fp = [(i * f[i]) % p for i in range(1, len(f))]
-    if _deg(fp, p) < 0:
-        root = [f[i * p] for i in range((len(f) - 1) // p + 1)]
-        return _radical(root, p)
-    c = _poly_gcd(list(f), fp, p)
-    if _deg(c, p) == 0:
-        return f
-    w = _monic(_poly_quot_exact(f, c, p), p)     # factors with p nmid e, once
-    rest = f
-    while True:
-        g = _poly_gcd(rest, w, p)
-        if _deg(g, p) <= 0:
-            break
-        rest = _monic(_poly_quot_exact(rest, g, p), p)
-    if _deg(rest, p) > 0:
-        # rest collects the factors with multiplicity divisible by p
-        other = _radical(rest, p)
-        out = [0] * (_deg(w, p) + _deg(other, p) + 1)
-        for i, a in enumerate(w):
-            if a:
-                for j, b in enumerate(other):
-                    out[i + j] = (out[i + j] + a * b) % p
-        return _monic(out, p)
-    return w
-
-
-def _counts_one_prime(poly, p):
-    """Distinct-degree factor counts of the squarefree part of poly mod p,
-    by plain distinct-degree factorization."""
-    n = len(poly) - 1
-    f = [c % p for c in poly]
-    g = _radical(f, p)
-    counts = [0] * n
-    d = 1
-    y = [0, 1]                      # x^(p^(d-1)) mod (g, p)
-    while True:
-        m = _deg(g, p)
-        if m <= 0:
-            break
-        if 2 * d > m:
-            counts[m - 1] += 1
-            break
-        y = _frobenius_step(y, g, p)
-        sub = list(y)
-        sub[1] = (sub[1] - 1) % p
-        h = _poly_gcd(g, sub, p)
-        dh = _deg(h, p)
-        if dh > 0:
-            counts[d - 1] += dh // d
-            g = _monic(_poly_quot_exact(g, h, p), p)
-            if _deg(g, p) <= 0:
-                break
-            y = _poly_reduce(y, g, p)
-        d += 1
-    return tuple(counts)
-
-
-# ---- batched Frobenius-rank scan for the unramified primes ----
+# ---- batched Frobenius-rank scan ----
 #
-# For p not dividing disc(f), f is squarefree mod p and
-# R = F_p[x]/(f) is the product of the fields F_{p^e}, one per irreducible
-# factor of degree e.  The Frobenius y -> y^p is F_p-linear on R; its
-# matrix Q (Berlekamp's Q-matrix) has the coefficients of x^(ip) mod (f, p)
-# as column i.  On F_{p^e} the fixed field of Frobenius^d is F_{p^gcd(d, e)},
-# so with a_e factors of degree e
+# Let f mod p be the product of g^e over its distinct irreducible factors g,
+# of degree k and multiplicity e, so that R = F_p[x]/(f) is the product of
+# the local rings F_p[x]/(g^e).  The Frobenius y -> y^p is F_p-linear on R;
+# its matrix Q (Berlekamp's Q-matrix) has the coefficients of x^(ip) mod
+# (f, p) as column i, and ker(Q^d - I) is the set of roots in R of
+# X^(p^d) - X.  That polynomial has derivative -1, so by Hensel's lemma each
+# of its roots in the residue field F_{p^k} lifts to exactly one root in
+# F_p[x]/(g^e); the residue roots are the p^gcd(d, k) elements of
+# F_{p^k} meet F_{p^d}.  The kernel therefore has dimension gcd(d, k) on
+# each local factor, and with a_k distinct factors of degree k
 #
-#     N_d = n - rank_{F_p}(Q^d - I) = sum_e a_e gcd(d, e).
+#     N_d = n - rank_{F_p}(Q^d - I) = sum_k a_k gcd(d, k)
 #
-# The gcd matrix (gcd(d, e))_{d,e <= n} is invertible (Smith's determinant
-# is prod phi(k)), so N_1..N_n fix the pattern (a_1, ..., a_n); usually
-# fewer do: N_1 alone for n <= 3, N_1, N_2 for n = 4 (with N_1 = 2,
-# N_2 = 2 means (3,1) and N_2 = 4 means (2,2)), N_1..N_3 for n = 5.
-# `_patterns` tabulates the partitions of n by their shortest separating
-# prefix N_1..N_D.
+# for every prime, ramified or not: the signature of f mod p is that of its
+# radical, whose degree sum_k k a_k is n exactly when p does not divide
+# disc(f).
 #
-# Everything runs on int64 NumPy arrays, one chunk of primes at a time.
-# Every intermediate is at most p(p - 1) in absolute value: a residue
-# (<= p - 1) plus a product of two residues (<= (p - 1)^2) in the ladder
-# and the matrix products, and a difference of two products of residues
-# (|.| <= (p - 1)^2) in the elimination, each reduced mod p before the next
-# operation.  p <= isqrt(2^63 - 1) keeps p(p - 1) < p^2 < 2^63; larger
-# primes go through the exact per-prime DDF (`_counts_one_prime`), as do
-# the ramified ones.
+# The gcd matrix (gcd(d, k))_{d,k <= n} is invertible (Smith's determinant
+# is prod phi(j)), so N_1..N_n fix the pattern (a_1, ..., a_n); usually
+# fewer do.  For the partitions of n, N_1 alone suffices for n <= 3,
+# N_1, N_2 for n = 4 (with N_1 = 2, N_2 = 2 means (3,1) and N_2 = 4 means
+# (2,2)), N_1..N_3 for n = 5.  The radical of f mod a ramified prime has
+# any degree from 1 to n, and its signatures collide with the partitions'
+# (at n = 3 the radical x of x^3 and an irreducible cubic both have
+# N_1 = 1), so it is decoded against its own table.  `_patterns` tabulates
+# either set by its shortest separating prefix N_1..N_D.
+#
+# The scan runs on NumPy arrays, one chunk of primes at a time.  Every
+# intermediate is at most p(p - 1) in absolute value: a residue (<= p - 1)
+# plus a product of two residues (<= (p - 1)^2) in the ladder and the matrix
+# products, and a difference of two products of residues (|.| <= (p - 1)^2)
+# in the elimination, each reduced mod p before the next operation.
+# p <= isqrt(2^63 - 1) keeps p(p - 1) < p^2 < 2^63 in int64; larger primes
+# run the same code on object arrays of Python ints, since every array the
+# scan allocates takes the dtype of the primes.
 
 _INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
 
@@ -337,7 +187,7 @@ def _mul_mod(a, b, red, p):
     """a * b mod (f, p) for (n, B) coefficient arrays (low degree first),
     one prime per column; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j."""
     n = len(a)
-    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
+    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=p.dtype)
     for i in range(n):
         prod[i:i + n] = (prod[i:i + n] + a[i] * b) % p
     for k in range(2 * n - 2, n - 1, -1):
@@ -354,19 +204,21 @@ def _mul_x(a, red, p):
 
 
 def _frobenius_matrices(poly, p):
-    """Q for every prime of the int64 array p, as a (B, n, n) array: x^p by
-    one square-and-multiply ladder over the bits of p, masked per prime,
-    then the columns x^(ip) = x^((i-1)p) * x^p."""
+    """Q for every prime of the array p, as a (B, n, n) array: x^p by one
+    square-and-multiply ladder over the bits of p, masked per prime, then
+    the columns x^(ip) = x^((i-1)p) * x^p."""
     n = len(poly) - 1
-    red = np.stack([(-c) % p for c in poly[:n]])
-    cur = np.zeros((n, len(p)), dtype=np.int64)
+    # a coefficient beyond int64 is reduced mod p with Python ints
+    red = np.stack([(-c) % (p if abs(c) < 2 ** 63 else p.astype(object))
+                    for c in poly[:n]]).astype(p.dtype)
+    cur = np.zeros((n, len(p)), dtype=p.dtype)
     cur[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         cur = _mul_mod(cur, cur, red, p)
         odd = ((p >> bit) & 1).astype(bool)
         if odd.any():
             cur = np.where(odd, _mul_x(cur, red, p), cur)
-    q = np.zeros((len(p), n, n), dtype=np.int64)
+    q = np.zeros((len(p), n, n), dtype=p.dtype)
     q[:, 0, 0] = 1
     col = cur
     for i in range(1, n):
@@ -409,14 +261,19 @@ def _rank_mod(a, p):
 
 
 @lru_cache(maxsize=None)
-def _patterns(n):
-    """The factor patterns (a_1, ..., a_n) of a squarefree degree-n
-    polynomial, the least D whose signatures (N_1, ..., N_D) tell them
-    apart, and the codes sum_d N_d (n+1)^(d-1) of those signatures; the
-    patterns are sorted by code."""
+def _patterns(n, ramified=False):
+    """The factor patterns (a_1, ..., a_n) of the radical of a degree-n
+    polynomial mod p: the partitions of n, or with `ramified` every pattern
+    of degree 1 to n; the least D whose signatures (N_1, ..., N_D) tell them
+    apart, and the codes sum_d N_d (n+1)^(d-1) of those signatures (each
+    N_d is at most the degree, so at most n); the patterns are sorted by
+    code."""
+    def degree(a):
+        return sum(e * a_e for e, a_e in enumerate(a, 1))
+
     patterns = [a for a in itertools.product(*(range(n // e + 1)
                                                for e in range(1, n + 1)))
-                if sum(e * a_e for e, a_e in enumerate(a, 1)) == n]
+                if (0 < degree(a) <= n if ramified else degree(a) == n)]
 
     def code(a, depth):
         return sum(sum(a_e * math.gcd(d, e) for e, a_e in enumerate(a, 1))
@@ -428,13 +285,14 @@ def _patterns(n):
     return patterns, depth, np.array([code(a, depth) for a in patterns])
 
 
-def _chunk_patterns(poly, p):
-    """Index into `_patterns(n)[0]` of the factor pattern of poly mod each
-    prime of the int64 array p (all unramified, all <= _INT64_PRIME_MAX)."""
+def _chunk_patterns(poly, p, ramified=False):
+    """Index into `_patterns(n, ramified)[0]` of the factor pattern of the
+    radical of poly mod each prime of the array p: int64 for primes up to
+    _INT64_PRIME_MAX, object above."""
     n = len(poly) - 1
-    _, depth, codes = _patterns(n)
+    _, depth, codes = _patterns(n, ramified)
     q = _frobenius_matrices(poly, p)
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(n, dtype=p.dtype)
     qd = q
     code = np.zeros(len(p), dtype=np.int64)
     for d in range(1, depth + 1):
@@ -450,22 +308,22 @@ def _chunk_patterns(poly, p):
 
 def splitting_counts(poly, primes):
     """Distinct-factor degree counts of the squarefree part of poly mod p
-    for every prime.  Ramified primes (p | disc) and primes above
-    _INT64_PRIME_MAX go through plain DDF; the rest are decided in chunks
-    of _CHUNK by the ranks of Q^d - I (see above)."""
+    for every prime, decided in chunks of _CHUNK by the ranks of Q^d - I
+    (see above).  The primes are grouped by whether they divide disc(poly),
+    which picks the pattern table, and whether they exceed _INT64_PRIME_MAX,
+    which picks int64 or object arrays."""
     from ..polyroots import poly_discriminant
 
-    primes = [int(p) for p in primes]
-    disc = poly_discriminant(poly)
-    exact = [i for i, p in enumerate(primes)
-             if p > _INT64_PRIME_MAX or disc % p == 0]
-    table = [_counts_one_prime(poly, primes[i]) for i in exact]
-    ids = np.full(len(primes), -1, dtype=np.int64)   # index into table
-    ids[exact] = np.arange(len(exact))
-    batch = np.flatnonzero(ids < 0)
-    p = np.array([primes[i] for i in batch.tolist()], dtype=np.int64)
-    for lo in range(0, len(batch), _CHUNK):
-        ids[batch[lo:lo + _CHUNK]] = len(table) + _chunk_patterns(
-            poly, p[lo:lo + _CHUNK])
-    table += _patterns(len(poly) - 1)[0]
+    primes = np.array([int(p) for p in primes], dtype=object)
+    divides = poly_discriminant(poly) % primes == 0
+    above = primes > _INT64_PRIME_MAX
+    ids = np.empty(len(primes), dtype=np.int64)     # index into table
+    table = []
+    for ramified, big in itertools.product((False, True), repeat=2):
+        members = np.flatnonzero((divides == ramified) & (above == big))
+        p = primes[members].astype(object if big else np.int64)
+        for lo in range(0, len(members), _CHUNK):
+            ids[members[lo:lo + _CHUNK]] = len(table) + _chunk_patterns(
+                poly, p[lo:lo + _CHUNK], ramified)
+        table += _patterns(len(poly) - 1, ramified)[0]
     return [table[k] for k in ids.tolist()]

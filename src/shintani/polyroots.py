@@ -1,9 +1,11 @@
 """Integer polynomial utilities: Sturm sequences and certified real-root
 isolation with refinable dyadic intervals.
 
-Monic integer polynomials only ever have integer rational roots, so those
-are split off first; the remaining bisection never lands exactly on a root,
-which keeps the isolation loop free of special cases.
+Isolation bisects (-B, B) at dyadic points, and so does every later
+refinement.  A bisection point that is a root of f is a rational root, so f
+is reducible there: it raises ValueError naming the root.  A number field
+rules out every rational factor of its polynomial when it is built (the
+Kronecker test of field.py), after which no bisection can land on a root.
 """
 
 from __future__ import annotations
@@ -100,59 +102,41 @@ def root_bound(f) -> int:
     return 2 + max(abs(c) for c in f[:-1])
 
 
-def _integer_roots(f):
-    """Integer roots of a monic integer polynomial, with f divided out."""
-    f = list(f)
-    roots = []
-    while f[0] == 0 and len(f) > 1:
-        roots.append(0)
-        f = f[1:]
-    c0 = abs(f[0])
-    divisors = {d for d in range(1, int(c0 ** 0.5) + 2) if c0 % d == 0}
-    divisors |= {c0 // d for d in divisors}
-    cands = sorted({s * d for d in divisors for s in (1, -1)})
-    for r in cands:
-        while len(f) > 1 and poly_sign_at(tuple(f), Fraction(r)) == 0:
-            # synthetic division by (x - r), exact over Z for monic f
-            out = [0] * (len(f) - 1)
-            acc = f[-1]
-            for i in range(len(f) - 2, -1, -1):
-                out[i] = acc
-                acc = acc * r + f[i]
-            assert acc == 0
-            f = out
-            roots.append(r)
-    return sorted(set(roots)), tuple(f)
+def _bisect(f, a: Fraction, b: Fraction) -> tuple[Fraction, int]:
+    """The midpoint of (a, b) and the sign of f there, which must not be 0."""
+    mid = (a + b) / 2
+    sign = poly_sign_at(f, mid)
+    if sign == 0:
+        raise ValueError(f"the polynomial has the rational root {mid}")
+    return mid, sign
 
 
 class RootInterval:
-    """One isolated real root: either an exact rational point or a dyadic
-    open interval (lo, hi) with sign(poly(lo)) = -sign(poly(hi)) != 0."""
+    """One isolated real root: a dyadic open interval (lo, hi) with
+    sign(poly(lo)) = -sign(poly(hi)) != 0.  lo only ever moves to a point of
+    the same sign, so that sign is evaluated once."""
 
-    __slots__ = ("lo", "hi", "exact", "poly")
+    __slots__ = ("lo", "hi", "poly", "lo_sign")
 
-    def __init__(self, lo: Fraction, hi: Fraction, exact: bool, poly=None):
+    def __init__(self, lo: Fraction, hi: Fraction, poly):
         self.lo = lo
         self.hi = hi
-        self.exact = exact
         self.poly = poly
+        self.lo_sign = poly_sign_at(poly, lo)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def refine(self) -> None:
         """One bisection step; the root stays strictly inside."""
-        if self.exact:
-            return
-        mid = (self.lo + self.hi) / 2
-        # poly has no rational roots here, so the sign is never 0
-        if poly_sign_at(self.poly, mid) == poly_sign_at(self.poly, self.lo):
+        mid, sign = _bisect(self.poly, self.lo, self.hi)
+        if sign == self.lo_sign:
             self.lo = mid
         else:
             self.hi = mid
 
     def refine_below(self, width: Fraction) -> None:
-        while not self.exact and self.width() > width:
+        while self.width() > width:
             self.refine()
 
     def __repr__(self):
@@ -161,47 +145,31 @@ class RootInterval:
 
 def isolate_real_roots(f) -> list[RootInterval]:
     """Isolating intervals for all distinct real roots of squarefree monic f,
-    sorted ascending and pairwise disjoint."""
-    int_roots, g = _integer_roots(f)
-    out = [RootInterval(Fraction(r), Fraction(r), True) for r in int_roots]
-    if poly_degree(g) > 0:
-        chain = sturm_chain(g)
-        B = Fraction(root_bound(g))
-        stack = [(-B, B, sturm_count(chain, -B, B))]
-        while stack:
-            a, b, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                out.append(RootInterval(a, b, False, g))
-                continue
-            mid = (a + b) / 2
-            cl = sturm_count(chain, a, mid)
-            stack.append((a, mid, cl))
-            stack.append((mid, b, cnt - cl))
-    # shrink until intervals are pairwise disjoint (also from the exact
-    # points), so later refinement can never cross a neighbour
-    changed = True
-    while changed:
-        changed = False
-        out.sort(key=lambda r: (r.lo, r.hi))
-        for r1, r2 in zip(out, out[1:]):
-            if r1.hi > r2.lo:
-                for r in (r1, r2):
-                    if not r.exact:
-                        r.refine()
-                        changed = True
+    sorted ascending and pairwise disjoint (the pieces of one bisection of
+    (-B, B])."""
+    f = tuple(f)
+    chain = sturm_chain(f)
+    B = Fraction(root_bound(f))
+    out = []
+    stack = [(-B, B, sturm_count(chain, -B, B))]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append(RootInterval(a, b, f))
+            continue
+        mid, _ = _bisect(f, a, b)
+        cl = sturm_count(chain, a, mid)
+        stack.append((a, mid, cl))
+        stack.append((mid, b, cnt - cl))
+    out.sort(key=lambda r: r.lo)
     return out
 
 
 def count_real_roots(f) -> int:
-    int_roots, g = _integer_roots(f)
-    n = len(int_roots)
-    if poly_degree(g) > 0:
-        chain = sturm_chain(g)
-        B = Fraction(root_bound(g))
-        n += sturm_count(chain, -B, B)
-    return n
+    B = Fraction(root_bound(f))
+    return sturm_count(sturm_chain(f), -B, B)
 
 
 def poly_discriminant(poly):

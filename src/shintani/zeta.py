@@ -55,13 +55,16 @@ from .ideals import (
 # explicit Chebyshev-type bound pi(x) < C x / log x, valid for x > 1
 _PI_BOUND_C = 1.25506
 
+# The largest simplex level of a Shintani sum: a target that needs more
+# raises TailBoundUnachievable
+_M_CAP = 200_000
+
 
 @dataclass
 class ZetaParams:
-    """Evaluation request: target absolute error and a truncation cap."""
+    """Evaluation request: target absolute error and worker threads."""
 
     target_error: float = 1e-6
-    m_cap: int = 200_000
     threads: int = 1
 
 
@@ -132,7 +135,7 @@ def _zeta_block(s: float, cone, points, params: ZetaParams,
     max(delta_z, delta of the generators), rounded up."""
     field = cone.field
     n = field.degree
-    radius = required_radius(n, s, scale, params.target_error, params.m_cap)
+    radius = required_radius(n, s, scale, params.target_error, _M_CAP)
     floats, deltas = _embed_floats(field, [*points, *cone.generators])
     k = len(points)
     values = kernels.box_sums(floats[:k], floats[k:], s, radius, float(scale))
@@ -236,14 +239,14 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> LValue:
     for members in groups.values():
         cone, _z, target = jobs[members[0]][:3]
         n = cone.field.degree
-        radius = required_radius(n, s, scale, target, params.m_cap)
+        radius = required_radius(n, s, scale, target, _M_CAP)
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
         blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
 
     def run(block):
         cone, _z, target = jobs[block[0]][:3]
         return _zeta_block(s, cone, [jobs[i][1] for i in block],
-                           ZetaParams(target_error=target, m_cap=params.m_cap),
+                           ZetaParams(target_error=target),
                            scale)
 
     if params.threads <= 1 or len(blocks) <= 1:

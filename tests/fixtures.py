@@ -92,6 +92,13 @@ INVERTED_UNITS = {
 }
 
 
+# Totally real squarefree polynomials that are reducible: x^2 - 1, x^3 - x,
+# (x^2 - 2)(x^2 - 3), (x^3 - 3x - 1)(x^3 - x^2 - 3x + 1) and
+# (x^2 - 2)(x^3 - 3x - 1), the last three without a rational root.
+REDUCIBLE = [[-1, 0, 1], [0, -1, 0, 1], [6, 0, -5, 0, 1],
+             [-1, 0, 10, 3, -6, -1, 1], [2, 6, -1, -5, 0, 1]]
+
+
 ALL_NET_COUNT = {
     "q_sqrt2": q_sqrt2,
     "q_sqrt3": q_sqrt3,

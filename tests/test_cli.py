@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import shintani
 from shintani import zeta
 from shintani.cli import main
+
+from fixtures import REDUCIBLE
 
 
 def write_job(tmp_path, obj, name="job.json"):
@@ -126,6 +133,31 @@ def test_lfun_zero_character(tmp_path, capsys):
     })
     code, out = run(capsys, ["lfun", "--job", job])
     assert code == 0 and out["value"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("poly", REDUCIBLE)
+@pytest.mark.parametrize("cmd", ["cones", "oracle"])
+def test_reducible_polynomial_exit_2(tmp_path, capsys, cmd, poly):
+    # x^2 - 1 used to give the oracle value zeta(2)^2 (1 - 2^-2) with exit 0
+    job = write_job(tmp_path, {"field": {"poly": poly, "units": []}, "prime_cap": 10 ** 4})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "NotIrreducible"
+
+
+def test_large_constant_term_builds_quickly(tmp_path):
+    # x^2 - (10^18 + 1) with eps^2, eps = 10^9 + sqrt(D) of norm -1: the old
+    # integer-root search trial-divided up to 10^9 and was still running
+    # after 30 s
+    field = {"poly": [-(10 ** 18 + 1), 0, 1],
+             "units": [["2000000000000000001", "2000000000"]]}
+    job = write_job(tmp_path, {"field": field})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shintani.__file__)))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", "cones", "--job", job],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["cones"][0]["generators"][1] == field["units"][0]
 
 
 def test_regcheck(tmp_path, capsys):

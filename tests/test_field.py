@@ -5,6 +5,7 @@ import pytest
 from shintani.errors import (
     DegreeTooSmall,
     InputError,
+    NotIrreducible,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
@@ -12,6 +13,8 @@ from shintani.errors import (
     ZeroElement,
 )
 from shintani.field import NumberField, field_from_json, field_to_json, new_field
+
+from fixtures import REDUCIBLE
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
 
@@ -48,6 +51,20 @@ def test_new_field_rejections():
         new_field([1, 2, 1])          # (x+1)^2
     with pytest.raises(DegreeTooSmall):
         new_field([3, 1])
+
+
+@pytest.mark.parametrize("poly", REDUCIBLE)
+def test_reducible_polynomial_rejected(poly):
+    with pytest.raises(NotIrreducible):
+        new_field(poly)
+
+
+@pytest.mark.parametrize("poly", [[1, 0, -10, 0, 1], [-1, 3, 6, -4, -5, 1, 1],
+                                  [-(10 ** 40 + 1), 0, 1]])
+def test_irreducible_polynomial_accepted(poly):
+    # sqrt2 + sqrt3, Q(zeta13)^+, and a constant term that trial division
+    # could not factor in reasonable time
+    assert new_field(poly).degree == len(poly) - 1
 
 
 def test_embed_rational(q2):

@@ -264,6 +264,76 @@ def test_selected_backend_exposed():
     assert splitting_counts((-2, 0, 1), [7]) == [(2, 0)]
 
 
+# ---- distinct-degree factorization with Python ints ----
+
+def _trim(a, p):
+    a = [x % p for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _rem(a, b, p):
+    """a mod b over F_p; b is trimmed and nonzero."""
+    a = _trim(a, p)
+    inv = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, x in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * x) % p
+        a = _trim(a, p)
+    return a
+
+
+def _gcd_degree(a, b, p):
+    a, b = _trim(a, p), _trim(b, p)
+    while b:
+        a, b = b, _rem(a, b, p)
+    return len(a) - 1
+
+
+def _mul_rem(a, b, f, p):
+    return _rem(_poly_mul(a, b, p), f, p)
+
+
+def ddf_counts(poly, p):
+    """Distinct-factor degree counts of poly mod p by distinct-degree
+    factorization: gcd(poly, x^(p^d) - x) is the product of the distinct
+    irreducible factors whose degree divides d, so its degree is the sum of
+    k a_k over the divisors k of d.  x^(p^d) is y(x^p) for y = x^(p^(d-1)),
+    because y^p = y(x^p) over F_p."""
+    n = len(poly) - 1
+    f = [c % p for c in poly]
+    xp, base, e = [1], [0, 1], p
+    while e:
+        if e & 1:
+            xp = _mul_rem(xp, base, f, p)
+        base = _mul_rem(base, base, f, p)
+        e >>= 1
+    powers = [[1]]                      # (x^p)^i mod (f, p)
+    for _ in range(n - 1):
+        powers.append(_mul_rem(powers[-1], xp, f, p))
+    counts = [0] * n
+    y = [0, 1]
+    for d in range(1, n + 1):
+        comp = [0] * n
+        for c, power in zip(y, powers):
+            for i, v in enumerate(power):
+                comp[i] += c * v
+        y = _trim(comp, p)
+        diff = y + [0] * (2 - len(y))
+        diff[1] -= 1
+        found = _gcd_degree(f, diff, p)
+        counts[d - 1] = (found - sum(k * counts[k - 1] for k in range(1, d)
+                                     if d % k == 0)) // d
+        # the radical has degree <= n, and what is left of it has factors
+        # of degree > d only
+        if n - sum(k * a for k, a in enumerate(counts[:d], 1)) <= d:
+            break
+    return tuple(counts)
+
+
 # ---- batched Frobenius-rank scan against plain DDF ----
 
 X4_X_1 = (-1, -1, 0, 0, 1)         # S4: the only input here reaching (3,1)
@@ -280,7 +350,7 @@ def test_batched_scan_matches_ddf(monkeypatch, poly):
     # inside the 3245 primes
     monkeypatch.setattr(reference, "_CHUNK", 1000)
     assert len(PRIMES_30K) > 3 * reference._CHUNK
-    want = [reference._counts_one_prime(poly, p) for p in PRIMES_30K]
+    want = [ddf_counts(poly, p) for p in PRIMES_30K]
     assert reference.splitting_counts(poly, PRIMES_30K) == want
 
 
@@ -328,7 +398,7 @@ NEAR_1E12 = [1000000000039, 1000000000061, 1000000000063, 1000000000091,
 def test_large_primes_exact(poly):
     assert max(BELOW_BOUND) <= reference._INT64_PRIME_MAX < min(ABOVE_BOUND)
     primes = BELOW_BOUND + ABOVE_BOUND + NEAR_1E12
-    want = [reference._counts_one_prime(poly, p) for p in primes]
+    want = [ddf_counts(poly, p) for p in primes]
     assert reference.splitting_counts(poly, primes) == want
 
 
@@ -342,5 +412,67 @@ def test_mixed_prime_order():
     # unsorted input mixing ramified (5, 29), batched and large primes
     poly = (1, 1, -3, -1, 1)
     primes = [1000000000039, 29, 7, 3037000537, 5, 997, 2, 3037000493, 13]
-    want = [reference._counts_one_prime(poly, p) for p in primes]
+    want = [ddf_counts(poly, p) for p in primes]
     assert reference.splitting_counts(poly, primes) == want
+
+
+# ---- ramified primes and primes above the int64 bound ----
+
+# (x+1)^4, x^2 (x^2 - 2) and x^4: disc = 0, so every prime is ramified
+SQUARED = [(1, 4, 6, 4, 1), (0, 0, -2, 0, 1), (0, 0, 0, 0, 1)]
+Z13_PLUS = (-1, 3, 6, -4, -5, 1, 1)    # Q(zeta13)^+
+
+
+def _ramified_cases():
+    for poly in SCAN_POLYS:
+        disc = poly_discriminant(poly)
+        yield poly, [p for p in PRIMES_30K if disc % p == 0]
+    for poly in SQUARED:
+        yield poly, PRIMES_30K[:25]
+
+
+@pytest.mark.parametrize("poly, primes", list(_ramified_cases()))
+def test_ramified_primes_match_ddf(poly, primes):
+    n = len(poly) - 1
+    got = reference.splitting_counts(poly, primes)
+    assert got == [ddf_counts(poly, p) for p in primes]
+    for p, cnt in zip(primes, got):
+        if p ** n <= 5000:
+            assert cnt == brute_counts(poly, p), (poly, p)
+
+
+def test_ramified_pattern_table():
+    # every radical pattern of degree 1..n is separated; at n = 3 the
+    # radicals x, x^2 + 1 and an irreducible cubic have N_1 = 1, and x and
+    # the cubic also share N_2 = 1, so the table needs N_1..N_3 where the
+    # partitions need N_1 alone
+    assert reference._patterns(3, ramified=True)[1] == 3
+    for n in range(2, 9):
+        patterns, depth, codes = reference._patterns(n, ramified=True)
+        want = {a + (0,) * (n - m) for m in range(1, n + 1)
+                for a in _partition_patterns(m)}
+        assert depth <= n
+        assert len(patterns) == len(want)
+        assert set(patterns) == want
+        assert list(codes) == sorted(set(codes))
+
+
+@pytest.mark.parametrize("poly", [X5_X_1, Z13_PLUS])
+def test_object_arrays_above_the_bound(poly):
+    primes = ABOVE_BOUND + NEAR_1E12 + [2 ** 61 - 1]
+    assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, p) for p in primes]
+
+
+def test_coefficients_beyond_int64():
+    # x^2 - (10^40 + 1) on int64 primes; 17 and 5882353 divide 10^8 + 1,
+    # a factor of 10^40 + 1, so they are ramified
+    poly = (-(10 ** 40 + 1), 0, 1)
+    primes = [2, 3, 5, 7, 17, 5882353, 1000003] + BELOW_BOUND
+    assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, p) for p in primes]
+
+
+def test_ramified_prime_above_the_bound():
+    # x^2 - p is x^2 mod p: ramified and above the bound
+    p = ABOVE_BOUND[0]
+    assert reference.splitting_counts((-p, 0, 1), [p, 7]) == [(1, 0), ddf_counts((-p, 0, 1), 7)]
+

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,16 +40,22 @@ def test_no_real_roots():
     assert count_real_roots((1, 0, 1)) == 0  # x^2 + 1
 
 
-def test_integer_roots_split_off():
-    # (x-1)(x-2)(x^2-2): integer roots 1, 2 plus +-sqrt(2)
+def _named_root(exc) -> Fraction:
+    """The rational root a bisection landed on, as the error names it."""
+    return Fraction(str(exc).rsplit(" ", 1)[1])
+
+
+def test_bisection_on_a_rational_root_raises():
+    # (x-1)(x-2)(x^2-2): the bisection of (0, 4] lands on the root 2
     f = (-4, 6, 0, -3, 1)
-    roots = isolate_real_roots(f)
-    assert len(roots) == 4
-    exact = [r for r in roots if r.exact]
-    assert sorted(float(r.lo) for r in exact) == [1.0, 2.0]
-    # intervals disjoint even with exact points interleaved
-    for r1, r2 in zip(roots, roots[1:]):
-        assert r1.hi <= r2.lo
+    with pytest.raises(ValueError, match="rational root") as info:
+        isolate_real_roots(f)
+    assert _named_root(info.value) == 2
+    # x^2 - 1: the isolating intervals (-3, 0) and (0, 3) miss the roots,
+    # and the refinement of (0, 3) lands on 3/2, 3/4, 9/8, ... never on 1
+    r = isolate_real_roots((-1, 0, 1))[1]
+    r.refine_below(Fraction(1, 2 ** 40))
+    assert r.lo < 1 < r.hi
 
 
 def test_squarefree_detection():
@@ -70,14 +77,18 @@ def test_isolation_consistent_with_sturm(coeffs):
     f = tuple(coeffs) + (1,)             # monic
     if not is_squarefree(f):
         return
-    roots = isolate_real_roots(f)
+    try:
+        roots = isolate_real_roots(f)
+    except ValueError as exc:
+        # the bisection landed on a rational root, which the error names
+        assert poly_sign_at(f, _named_root(exc)) == 0
+        return
     assert len(roots) == count_real_roots(f)
-    # each interval really contains a sign change or is an exact root
+    # each interval really contains a sign change, and they are disjoint
     for r in roots:
-        if r.exact:
-            assert poly_sign_at(f, r.lo) == 0
-        else:
-            assert poly_sign_at(r.poly, r.lo) * poly_sign_at(r.poly, r.hi) < 0
+        assert poly_sign_at(r.poly, r.lo) * poly_sign_at(r.poly, r.hi) < 0
+    for r1, r2 in zip(roots, roots[1:]):
+        assert r1.hi <= r2.lo
 
 
 def test_refinement_narrows_and_keeps_root():
