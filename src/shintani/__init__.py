@@ -5,7 +5,8 @@ Hecke L-functions and ray-class partial zeta functions.
 The public names are resolved on first access (PEP 562), so importing the
 package loads none of its modules, and a name loads only the module that
 defines it: the domain, its cones and the net-count verifier need neither
-NumPy nor the zeta stack.
+NumPy nor the zeta stack, and the Euler-product oracle needs NumPy and the
+kernels but not the zeta stack.
 """
 
 import importlib
@@ -39,10 +40,10 @@ _MODULE_OF = {
     "ideal_mul": "ideals",
     "integral_basis": "ideals",
     "principal_ideal": "ideals",
+    "euler_product_oracle": "oracle",
     "CharacterTable": "zeta",
     "ZetaParams": "zeta",
     "dedekind_zeta_via_domain": "zeta",
-    "euler_product_oracle": "zeta",
     "l_function": "zeta",
     "partial_zeta": "zeta",
     "shintani_zeta": "zeta",

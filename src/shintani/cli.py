@@ -23,8 +23,9 @@ from .errors import (
 from .field import NumberField, _json_int, field_from_json
 
 # Each command imports what it computes with: `cones`, `regcheck` and
-# `verify` load neither NumPy nor the zeta stack.  The zeta commands import
-# before their clock starts, so runtime_ms leaves it out.
+# `verify` load neither NumPy nor the zeta stack, and `oracle` loads NumPy
+# and the kernels but not the zeta stack.  The zeta commands import before
+# their clock starts, so runtime_ms leaves it out.
 
 SCHEMA = "v1"
 
@@ -215,7 +216,7 @@ def cmd_regcheck(job, args):
 
 
 def cmd_oracle(job, args):
-    from .zeta import euler_product_oracle
+    from .oracle import euler_product_oracle
 
     fld, _units = _field_and_units(job, args.precision_cap)
     s = _json_number(job, "s", 2.0, 1)

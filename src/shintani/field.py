@@ -173,6 +173,20 @@ class NumberField:
         self.poly = coeffs
         self.degree = n
         self.prec_cap = prec_cap
+        self._order_embeddings(embedding_order)
+        # the roots, their lock and their ascending enclosures per precision
+        # are shared by every reordering (with_embedding_order)
+        self._lock = threading.Lock()
+        self._root_iv_cache: dict[int, tuple] = {}
+        try:
+            self._roots = isolate_real_roots(coeffs)   # ascending
+            self._check_irreducible()
+        except ValueError as exc:       # a bisection point was a root
+            raise NotIrreducible(f"defining polynomial is reducible: {exc}")
+
+    def _order_embeddings(self, embedding_order):
+        """The embedding order, its Vandermonde sign and fresh caches."""
+        n = self.degree
         if embedding_order is None:
             embedding_order = tuple(range(n))
         self.embedding_order = tuple(embedding_order)
@@ -181,16 +195,11 @@ class NumberField:
         # sign of the Vandermonde determinant of the ordered roots: positive
         # for the ascending order, flips with the permutation parity
         self.vandermonde_sign = _perm_sign(self.embedding_order)
-        self._lock = threading.Lock()
-        self._root_iv_cache: dict[int, tuple] = {}
         self._embed_cache: dict[tuple, tuple] = {}
+        # (element coefficients, precision) -> its row of unit_logs
+        self._log_cache: dict[tuple, tuple] = {}
         # basis coefficients -> geometry.CramerMap of the embedded basis
         self._cramer_cache: dict[tuple, object] = {}
-        try:
-            self._roots = isolate_real_roots(coeffs)   # ascending
-            self._check_irreducible()
-        except ValueError as exc:       # a bisection point was a root
-            raise NotIrreducible(f"defining polynomial is reducible: {exc}")
         self.one = self.element([1] + [0] * (n - 1))
         self.zero = self.element([0] * n)
         self.gen = self.element([0, 1] + [0] * (n - 2))
@@ -241,7 +250,13 @@ class NumberField:
                 return
 
     def with_embedding_order(self, order) -> "NumberField":
-        return NumberField(self.poly, embedding_order=order, prec_cap=self.prec_cap)
+        """The same field with its embeddings reordered: the isolated roots
+        and the irreducibility verdict are shared, not recomputed."""
+        import copy
+
+        other = copy.copy(self)
+        other._order_embeddings(order)
+        return other
 
     # ---- exact arithmetic ----
 
@@ -287,16 +302,14 @@ class NumberField:
     def roots_iv(self, prec: int):
         """Root enclosures of width <= 2^-prec, in embedding order."""
         with self._lock:
-            cached = self._root_iv_cache.get(prec)
-            if cached is not None:
-                return cached
-            target = Fraction(1, 1 << prec)
-            for r in self._roots:
-                r.refine_below(target)
-            asc = [_iv_pair(r.lo, r.hi) for r in self._roots]
-            ivs = tuple(asc[i] for i in self.embedding_order)
-            self._root_iv_cache[prec] = ivs
-            return ivs
+            asc = self._root_iv_cache.get(prec)
+            if asc is None:
+                target = Fraction(1, 1 << prec)
+                for r in self._roots:
+                    r.refine_below(target)
+                asc = tuple(_iv_pair(r.lo, r.hi) for r in self._roots)
+                self._root_iv_cache[prec] = asc
+        return tuple(asc[i] for i in self.embedding_order)
 
     def embed_iv(self, elem: FieldElement, prec: int):
         """Interval enclosures of all conjugates, in embedding order.
@@ -376,9 +389,19 @@ class NumberField:
         """Per unit, the log enclosures of all n conjugates: the rows of the
         certified unit-log matrix that the regulator sign, its identity and
         the domain's log lattice read.  Any totally positive element has
-        such a row; log_vector reads one."""
-        return [[log_iv(iv, prec) for iv in self._positive_conjugates(u, prec)]
-                for u in units]
+        such a row; log_vector reads one.  Rows are cached per element and
+        precision."""
+        rows = []
+        for u in units:
+            key = (u.coeffs, prec)
+            row = self._log_cache.get(key)
+            if row is None:
+                row = tuple(log_iv(iv, prec) for iv in self._positive_conjugates(u, prec))
+                if len(self._log_cache) > 8192:
+                    self._log_cache.clear()
+                self._log_cache[key] = row
+            rows.append(list(row))
+        return rows
 
     def log_vector(self, elem: FieldElement, prec: int = START_PREC):
         """First n-1 coordinates of the log embedding, as floats certified

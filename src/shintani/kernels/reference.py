@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -167,14 +168,23 @@ def box_sum_roundoff(value, n, s, radius, delta):
 # N_1 = 1), so it is decoded against its own table.  `_patterns` tabulates
 # either set by its shortest separating prefix N_1..N_D.
 #
-# The scan runs on NumPy arrays, one chunk of primes at a time.  Every
-# intermediate is at most p(p - 1) in absolute value: a residue (<= p - 1)
-# plus a product of two residues (<= (p - 1)^2) in the ladder and the matrix
-# products, and a difference of two products of residues (|.| <= (p - 1)^2)
-# in the elimination, each reduced mod p before the next operation.
-# p <= isqrt(2^63 - 1) keeps p(p - 1) < p^2 < 2^63 in int64; larger primes
-# run the same code on object arrays of Python ints, since every array the
-# scan allocates takes the dtype of the primes.
+# The scan runs on NumPy arrays, one chunk of primes at a time, on residues
+# 0 <= r < P, P the largest prime of the chunk.  A product of two residues,
+# and the elimination's difference pv * a - c * b, is at most (P - 1)^2 in
+# absolute value, so a sum of k products on top of a residue is exact in
+# int64 while k (P - 1)^2 + (P - 1) < 2^63; `_reduction_interval` is the
+# largest such k, capped at 2n - 1.  No sum needs more: in `_mul_mod` each
+# of the n row products a_i * b and of the n - 1 folds of a high
+# coefficient adds at most one product to a coefficient, and an entry of
+# `_matmul_mod` collects n.  A sum is reduced after every k steps, a high
+# coefficient also just before it is folded in, and each result once at the
+# end.  So the sieve's primes (P <= 10^6, k >= 9 * 10^6) reduce each
+# coefficient once: 2n - 1 row reductions per product, not n (2n - 1).  At
+# _INT64_PRIME_MAX = isqrt(2^63 - 1), P (P - 1) < 2^63 < 2 (P - 1)^2, so
+# k = 1.  The elimination reduces at every step, as each difference is
+# multiplied again.  Larger primes run the same code on object arrays of
+# Python ints, which have no limit (k = 2n - 1): every array the scan
+# allocates takes the dtype of the primes.
 
 _INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
 
@@ -183,16 +193,33 @@ _INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
 _CHUNK = 4096
 
 
-def _mul_mod(a, b, red, p):
+def _reduction_interval(p, n):
+    """How many products of residues a sum may collect on top of a residue
+    before it is reduced mod the primes of the array p (see above)."""
+    if p.dtype == object:
+        return 2 * n - 1
+    top = int(p.max()) - 1
+    return min(2 * n - 1, (2 ** 63 - 1 - top) // (top * top))
+
+
+def _mul_mod(a, b, red, p, k):
     """a * b mod (f, p) for (n, B) coefficient arrays (low degree first),
-    one prime per column; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j."""
+    one prime per column; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j.
+    Steps 0..n-1 add a_i * b and steps n..2n-2 fold the high coefficients
+    2n-2, ..., n, each reduced first; k steps after each reduction of all
+    coefficients comes the next (see above)."""
     n = len(a)
     prod = np.zeros((2 * n - 1, a.shape[1]), dtype=p.dtype)
-    for i in range(n):
-        prod[i:i + n] = (prod[i:i + n] + a[i] * b) % p
-    for k in range(2 * n - 2, n - 1, -1):
-        prod[k - n:k] = (prod[k - n:k] + prod[k] * red) % p
-    return prod[:n]
+    for step in range(2 * n - 1):
+        if step and step % k == 0:
+            prod %= p
+        if step < n:
+            prod[step:step + n] += a[step] * b
+        else:
+            c = 3 * n - 2 - step
+            prod[c] %= p
+            prod[c - n:c] += prod[c] * red
+    return prod[:n] % p
 
 
 def _mul_x(a, red, p):
@@ -203,10 +230,10 @@ def _mul_x(a, red, p):
     return (out + a[-1] * red) % p
 
 
-def _frobenius_matrices(poly, p):
+def _frobenius_matrices(poly, p, k):
     """Q for every prime of the array p, as a (B, n, n) array: x^p by one
     square-and-multiply ladder over the bits of p, masked per prime, then
-    the columns x^(ip) = x^((i-1)p) * x^p."""
+    the columns x^(ip) = x^((i-1)p) * x^p; k is the reduction interval."""
     n = len(poly) - 1
     # a coefficient beyond int64 is reduced mod p with Python ints
     red = np.stack([(-c) % (p if abs(c) < 2 ** 63 else p.astype(object))
@@ -214,7 +241,7 @@ def _frobenius_matrices(poly, p):
     cur = np.zeros((n, len(p)), dtype=p.dtype)
     cur[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        cur = _mul_mod(cur, cur, red, p)
+        cur = _mul_mod(cur, cur, red, p, k)
         odd = ((p >> bit) & 1).astype(bool)
         if odd.any():
             cur = np.where(odd, _mul_x(cur, red, p), cur)
@@ -224,38 +251,41 @@ def _frobenius_matrices(poly, p):
     for i in range(1, n):
         q[:, :, i] = col.T
         if i + 1 < n:
-            col = _mul_mod(col, cur, red, p)
+            col = _mul_mod(col, cur, red, p, k)
     return q
 
 
-def _matmul_mod(a, b, p):
-    """Batched a @ b mod p for (B, n, n) arrays."""
+def _matmul_mod(a, b, p, k):
+    """Batched a @ b mod p for (B, n, n) arrays, k products at a time."""
     pp = p[:, None, None]
-    out = np.zeros_like(a)
-    for k in range(a.shape[1]):
-        out = (out + a[:, :, k, None] * b[:, None, k, :]) % pp
-    return out
+    out = a[:, :, :k] @ b[:, :k, :]
+    for j in range(k, a.shape[1], k):
+        out = out % pp + a[:, :, j:j + k] @ b[:, j:j + k, :]
+    return out % pp
 
 
 def _rank_mod(a, p):
     """rank over F_p of each (n, n) matrix of the (B, n, n) array a, by
     fraction-free elimination: the pivot row is cross-multiplied into the
     others (row <- pivot * row - entry * pivot_row), so no inverse mod p is
-    needed and a nonzero pivot keeps the rank."""
+    needed and a nonzero pivot keeps the rank.  Only the columns right of
+    the pivot column are updated: a keeps columns c.. of the matrix, and
+    those left of c are never read again."""
     b, n, _ = a.shape
     pp = p[:, None, None]
     rows = np.arange(b)
     free = np.ones((b, n), dtype=bool)
-    for c in range(n):
-        col = a[:, :, c]
+    for _ in range(n):
+        col = a[:, :, 0]
         cand = (col != 0) & free
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
         prow = a[rows, piv]
         # without a pivot the free rows already vanish in column c: leave
         # them unscaled (rows that were pivots are never read again)
-        pv = np.where(has, prow[:, c], 1)
-        a = (pv[:, None, None] * a - col[:, :, None] * prow[:, None, :]) % pp
+        pv = np.where(has, prow[:, 0], 1)
+        a = (pv[:, None, None] * a[:, :, 1:]
+             - col[:, :, None] * prow[:, None, 1:]) % pp
         free[rows[has], piv[has]] = False
     return n - free.sum(axis=1)
 
@@ -291,13 +321,14 @@ def _chunk_patterns(poly, p, ramified=False):
     _INT64_PRIME_MAX, object above."""
     n = len(poly) - 1
     _, depth, codes = _patterns(n, ramified)
-    q = _frobenius_matrices(poly, p)
+    k = _reduction_interval(p, n)
+    q = _frobenius_matrices(poly, p, k)
     eye = np.eye(n, dtype=p.dtype)
     qd = q
     code = np.zeros(len(p), dtype=np.int64)
     for d in range(1, depth + 1):
         if d > 1:
-            qd = _matmul_mod(qd, q, p)
+            qd = _matmul_mod(qd, q, p, k)
         nd = n - _rank_mod((qd - eye) % p[:, None, None], p)
         code += nd * (n + 1) ** (d - 1)
     pos = np.searchsorted(codes, code)
@@ -314,7 +345,7 @@ def splitting_counts(poly, primes):
     which picks int64 or object arrays."""
     from ..polyroots import poly_discriminant
 
-    primes = np.array([int(p) for p in primes], dtype=object)
+    primes = np.array(list(map(operator.index, primes)), dtype=object)
     divides = poly_discriminant(poly) % primes == 0
     above = primes > _INT64_PRIME_MAX
     ids = np.empty(len(primes), dtype=np.int64)     # index into table
@@ -326,4 +357,4 @@ def splitting_counts(poly, primes):
             ids[members[lo:lo + _CHUNK]] = len(table) + _chunk_patterns(
                 poly, p[lo:lo + _CHUNK], ramified)
         table += _patterns(len(poly) - 1, ramified)[0]
-    return [table[k] for k in ids.tolist()]
+    return list(map(table.__getitem__, ids.tolist()))

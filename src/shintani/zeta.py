@@ -1,6 +1,9 @@
 """Truncated Shintani zeta sums with certified tail bounds, assembled into
 Hecke L-functions and ray-class partial zeta functions over a signed
-fundamental domain, plus an independent Euler-product oracle.
+fundamental domain.  The Euler-product oracle that checks them lives in
+`oracle`, which needs neither the domain nor the ideals; its
+`euler_product_oracle`, `euler_product_roundoff` and `ZetaValue` are
+importable from here as well.
 
 Truncation bound.  A term is the product over the n real embeddings j of
 ((z + scale * sum_i m_i f_i)^(j)) ** -s, and each cone generator f_i is a
@@ -23,7 +26,6 @@ through max_i m_i needs the box {0..M}^n and n (1 + 1/(M+1))^(n-1) for
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import kernels
@@ -31,9 +33,7 @@ from .dyadic import Ladder
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
-    InputError,
     NonIntegralIdeal,
-    NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
     UnitOutsideOrder,
@@ -51,9 +51,7 @@ from .ideals import (
     principal_ideal,
     smallest_positive_rational_integer,
 )
-
-# explicit Chebyshev-type bound pi(x) < C x / log x, valid for x > 1
-_PI_BOUND_C = 1.25506
+from .oracle import ZetaValue, euler_product_oracle, euler_product_roundoff  # noqa: F401
 
 # The largest simplex level of a Shintani sum: a target that needs more
 # raises TailBoundUnachievable
@@ -66,14 +64,6 @@ class ZetaParams:
 
     target_error: float = 1e-6
     threads: int = 1
-
-
-@dataclass
-class ZetaValue:
-    value: float
-    error_bound: float
-    terms: int
-    radius: int
 
 
 def tail_bound(n: int, s: float, scale: int, radius: int) -> float:
@@ -354,114 +344,6 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
                       f_int, params)
     return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
                   total.terms, total.radius)
-
-
-# ---- Euler-product oracle ----
-
-_SPLIT_CACHE: dict = {}
-
-
-def _sieve(limit: int):
-    import numpy as np
-
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return [int(p) for p in np.flatnonzero(mask)]
-
-
-# Roundoff of the oracle against the exact product Z = exp(S) over the same
-# primes and splitting counts, S the sum of the K <= n #primes terms
-# T = -a_d log(1 - x), x = p^(-d s).  u = 2^-53 and gamma_k = k u / (1 - k u)
-# as for kernels.box_sum_roundoff; "k roundings" is a factor 1 + theta with
-# |theta| <= gamma_k, and such factors compose by adding their k.
-# - libm's pow, log1p, exp and expm1 are within 2 ulps of a normal result
-#   (the tests check the first three against mpmath): 4 roundings each.
-# - The exponent fl(-d s) is -d s (1 + t), |t| <= u, which multiplies x by
-#   exp(-t d s log p).  For x >= 2^-1021, d s log p <= 1021 log 2 < 708,
-#   so that is 709 roundings, and fl(p ** fl(-d s)) = x' is x with 713.
-# - x, x' <= 2^-s (1 + gamma_713) < 0.5002, where the slope of -log1p(-x)
-#   is below 2.001, and x <= -log1p(-x); so -log1p(-x') is -log1p(-x) with
-#   2.001 gamma_713 <= gamma_1427, and log1p itself and the product with the
-#   integer a_d add 5: each term enters as T with 1432 roundings.  A term
-#   with x < 2^-1021 is below n 2^-1020 either way: off by n 2^-1019.
-# - The terms are positive, so the running sum over them is s' = sum T with
-#   1432 + K roundings each, and |s' - S| <= rho S <= rho / (1 - rho) s' + K
-#   n 2^-1019 = D, rho = gamma_(1432 + K).
-# - value = fl(exp(s')) is Z exp(s' - S) with 4 roundings, so |value - Z|
-#   <= r Z <= r / (1 - r) value, r = expm1(D) (1 + gamma_4) + gamma_4.
-# The bound is a sum, product or quotient of positive floats (1 - r and
-# 1 - rho are near 1), rounded at most 2^12 times since the last product
-# with _UP, whose (1 - u)^(2^12 + 1) (1 + 2^-40) > 1 puts it above its exact
-# value; expm1 is monotone, so its argument is rounded up first.
-
-_U = 2.0 ** -53
-_UP = 1.0 + 2.0 ** -40
-
-
-def euler_product_roundoff(log_val: float, terms: int, n: int) -> float:
-    """Certified bound on |math.exp(log_val) - Z|, log_val being the
-    oracle's running sum of at most `terms` local-factor terms of a degree-n
-    field and Z the exact product over the same primes (see above)."""
-    def gamma(k):
-        return k * _U / (1 - k * _U)
-
-    rho = gamma(1432 + terms)
-    d = _UP * (rho / (1 - rho) * log_val + terms * n * 2.0 ** -1019)
-    r = _UP * (math.expm1(d) * (1 + gamma(4)) + gamma(4))
-    return _UP * (r / (1 - r) * math.exp(log_val))
-
-
-def euler_product_oracle(s: float, field: NumberField, prime_cap: int,
-                         order: Order | None = None) -> ZetaValue:
-    """Dedekind zeta by local factors up to the prime cap, splitting read
-    off the defining polynomial mod p; valid when the power basis has prime
-    index coprime to every p <= cap (monogenic fixtures: index 1)."""
-    if s <= 1:
-        raise ValueError("the Euler product converges for s > 1 only")
-    if (isinstance(prime_cap, bool) or not isinstance(prime_cap, numbers.Integral)
-            or prime_cap < 2):
-        # the tail bound divides by log(prime_cap)
-        raise InputError(f"prime cap must be an integer >= 2, got {prime_cap!r}")
-    if order is not None:
-        idx = order.power_basis_index()
-        if idx > 1:
-            for p in _sieve(min(prime_cap, idx)):
-                if idx % p == 0:
-                    raise NonMonogenicPrime(
-                        f"prime {p} divides the power-basis index {idx}")
-    key = (field.poly, prime_cap)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is None:
-        primes = _sieve(prime_cap)
-        counts = kernels.splitting_counts(field.poly, primes)
-        _SPLIT_CACHE[key] = (primes, counts)
-    else:
-        primes, counts = cached
-    n = field.degree
-    log_val = 0.0
-    for p, cnt in zip(primes, counts):
-        for d, a_d in enumerate(cnt, start=1):
-            if a_d:
-                log_val -= a_d * math.log1p(-float(p) ** (-d * s))
-    value = math.exp(log_val)
-    prime_count = len(primes)
-    roundoff = euler_product_roundoff(log_val, n * prime_count, n)
-    # tail: log of the omitted factors is below n * sum_{p > P} p^-s / (1 - p^-s);
-    # partial summation against pi(x) < C x / log x gives the explicit bound
-    # n (C s P^(1-s) / ((s - 1) log P) - pi(P) P^-s) / (1 - 2^-s).  Its two
-    # parts are rounded up and down (P < 2^53 is exact, and P ** (1 - s)
-    # takes 709 roundings for its exponent while it is normal, as above:
-    # fewer than 2^12 in all); a power below 2^-1021 leaves a tail below
-    # n 2^-1018.
-    P = float(prime_cap)
-    head = _UP * (_PI_BOUND_C * s / ((s - 1) * math.log(P)) * P ** (1 - s))
-    sum_bound = max(head - prime_count * P ** (-s) / _UP, 0.0)
-    log_tail = _UP * (n * sum_bound / (1 - 2.0 ** (-s)) + n * 2.0 ** -1018)
-    bound = _UP * ((value + roundoff) * math.expm1(log_tail) + roundoff)
-    return ZetaValue(value, bound, prime_count, prime_cap)
 
 
 def dedekind_zeta_via_domain(s: float, units, field: NumberField,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,32 @@ def test_precision_cap_starts_at_64_bits():
     with pytest.raises(InputError):
         NumberField([-2, 0, 1], prec_cap=63)
     assert NumberField([-2, 0, 1], prec_cap=64).prec_cap == 64
+
+
+PRECS = [64, 128, 256, 512, 1024]
+
+
+def _key(ivs):
+    return [(iv.lm, iv.le, iv.um, iv.ue) for iv in ivs]
+
+
+@pytest.mark.parametrize("poly", [(-1, -3, 0, 1), (1, -3, -1, 1), (1, 1, -3, -1, 1)])
+def test_reordering_shares_the_isolated_roots(poly, monkeypatch):
+    from shintani import field
+
+    base = NumberField(poly)
+    fresh = {order: NumberField(poly, embedding_order=order)
+             for order in itertools.permutations(range(len(poly) - 1))}
+    calls = []
+    isolate = field.isolate_real_roots
+    monkeypatch.setattr(field, "isolate_real_roots",
+                        lambda coeffs: calls.append(coeffs) or isolate(coeffs))
+    for order, want in fresh.items():
+        got = base.with_embedding_order(order)
+        assert got.embedding_order == order
+        assert got.vandermonde_sign == want.vandermonde_sign
+        assert ([_key(got.roots_iv(p)) for p in PRECS]
+                == [_key(want.roots_iv(p)) for p in PRECS])
+        assert _key(got.embed_iv(got.gen + 1, 64)) == _key(want.embed_iv(want.gen + 1, 64))
+    assert calls == []          # the roots were isolated once, by base
+    assert _key(base.roots_iv(64)) == _key(fresh[tuple(range(len(poly) - 1))].roots_iv(64))

@@ -66,6 +66,18 @@ def test_verify_loads_nothing_heavy(tmp_path, threads, name):
     assert loaded_after(cli("verify", job, "--threads", threads)) == []
 
 
+def test_oracle_loads_the_kernels_but_not_the_zeta_stack(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field_to_json(*fixtures.quartic_725()),
+                               "prime_cap": 1000}))
+    assert loaded_after(cli("oracle", job)) == ["numpy", "shintani.kernels"]
+
+
+def test_oracle_name_loads_the_kernels_but_not_the_zeta_stack():
+    assert loaded_after("from shintani import euler_product_oracle") == [
+        "numpy", "shintani.kernels"]
+
+
 def test_every_public_name_resolves():
     out = fresh("import shintani\n"
                 "names = {}\n"

@@ -476,3 +476,71 @@ def test_ramified_prime_above_the_bound():
     p = ABOVE_BOUND[0]
     assert reference.splitting_counts((-p, 0, 1), [p, 7]) == [(1, 0), ddf_counts((-p, 0, 1), 7)]
 
+
+
+# ---- the reduction interval of the int64 scan ----
+
+def _is_prime(m):
+    """Miller-Rabin with the first 12 prime bases: exact below 3.3 * 10^24."""
+    if m < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m in bases:
+        return True
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _interval(p_max, n):
+    return reference._reduction_interval(np.array([p_max], dtype=np.int64), n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduction_interval(n):
+    # one product per reduction at the int64 bound, where 2 (P - 1)^2 > 2^63
+    top = reference._INT64_PRIME_MAX - 1
+    assert _interval(reference._INT64_PRIME_MAX, n) == 1
+    assert top * top + top < 2 ** 63 < 2 * top * top
+    # the sieve's primes: one reduction per coefficient (2n - 1 products)
+    assert _interval(10 ** 6, n) == 2 * n - 1
+    assert _interval(3, n) == 2 * n - 1
+    assert reference._reduction_interval(np.array(ABOVE_BOUND, dtype=object), n) == 2 * n - 1
+
+
+def _last_single_reduction_prime(n):
+    """The largest P for which 2n - 1 products of residues mod P, on top of
+    a residue, still fit in int64."""
+    lo, hi = 2, reference._INT64_PRIME_MAX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _interval(mid, n) == 2 * n - 1 else (lo, mid)
+    top = lo - 1
+    assert (2 * n - 1) * top * top + top < 2 ** 63 <= (2 * n - 1) * (top + 1) ** 2 + top + 1
+    return lo
+
+
+@pytest.mark.parametrize("poly", [(-2, 0, 1), (1, 1, -3, -1, 1), Z13_PLUS])
+def test_single_reduction_at_its_largest_primes(poly):
+    # the 8 primes just below the largest P that still reduces each
+    # coefficient once: the most products a coefficient ever holds
+    n = len(poly) - 1
+    p = _last_single_reduction_prime(n)
+    primes = []
+    while len(primes) < 8:
+        if _is_prime(p):
+            primes.append(p)
+        p -= 1
+    assert _interval(primes[0], n) == 2 * n - 1 and _interval(primes[0] + 2 ** 20, n) < 2 * n - 1
+    assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, q) for q in primes]

@@ -118,3 +118,20 @@ def test_unimodular_unit_basis_verifies(a):
     dom = build_signed_domain(new, fld)
     assert dom.reg_sign == mat_det(a) * fld.signed_regulator_sign(units)
     assert verify_net_counts(dom, 20, seed=12)["ok"]
+
+
+def test_verify_certifies_each_unit_log_once(tmp_path, capsys, monkeypatch):
+    # the regulator sign and the domain's log lattice read the same rows:
+    # n (n - 1) logs at 64 bits for the quartic, not twice that
+    from shintani import field
+    from shintani.field import field_to_json
+
+    calls = []
+    log_iv = field.log_iv
+    monkeypatch.setattr(field, "log_iv", lambda iv, prec: calls.append(prec) or log_iv(iv, prec))
+    fld, units = quartic_725()
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field_to_json(fld, units), "samples": 5}))
+    assert main(["verify", "--job", str(job)]) == 0
+    assert json.loads(capsys.readouterr().out)["net_count_ok"]
+    assert calls == [START_PREC] * 12

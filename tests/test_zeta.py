@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from shintani import zeta
+from shintani import oracle, zeta
 
 from shintani.domain import build_signed_domain
 from shintani.errors import (
@@ -292,7 +292,7 @@ def test_euler_oracle_non_monogenic_prime():
 def test_oracle_libm_calls_within_two_ulps():
     # euler_product_roundoff allows 2 ulps to each pow, log1p and exp
     rng = random.Random(5)
-    primes = zeta._sieve(10 ** 6)
+    primes = oracle._sieve(10 ** 6)
     with mpmath.workprec(113):
         for _ in range(2000):
             p = float(rng.choice(primes))
@@ -313,7 +313,7 @@ def test_oracle_roundoff_covers_mpmath_product(name, s):
     fld, _ = ALL_NET_COUNT[name]()
     n, cap = fld.degree, 10 ** 4
     ev = euler_product_oracle(s, fld, cap)
-    primes, counts = zeta._SPLIT_CACHE[(fld.poly, cap)]
+    primes, counts = oracle._SPLIT_CACHE[(fld.poly, cap)]
     log_val = 0.0
     for p, cnt in zip(primes, counts):
         for d, a_d in enumerate(cnt, start=1):
