@@ -289,8 +289,8 @@ def _log_enclosure(iv: Iv) -> tuple[float, float]:
     log q lies in [y_lo - rad_lo, y_hi + rad_hi]."""
     if not iv.is_positive():
         raise ValueError("log over an interval not certified positive")
-    y, rad = _log_float(iv.lm, iv.le)
-    y_hi, rad_hi = _log_float(iv.um, iv.ue)
+    y, rad = _log_float(iv.lo, iv.e)
+    y_hi, rad_hi = _log_float(iv.hi, iv.e)
     return y, _UP * (abs(y_hi - y) + rad + rad_hi)
 
 

@@ -1,9 +1,12 @@
 """Dyadic interval arithmetic with certified outward rounding.
 
 This is the single numeric kernel every sign decision in the library goes
-through.  An interval stores exact dyadic endpoints as (mantissa, exponent)
-integer pairs, so +, -, * are exact; only division, conversion from a
-general rational, and the logarithm round, and they always round outward.
+through.  An interval stores its exact dyadic endpoints as two integer
+mantissas over one shared exponent, so +, -, * are exact and need no
+comparison of scales: only division, conversion from a general rational,
+and the logarithm round.  They round outward, each endpoint to about prec
+bits of its own value, so an endpoint never depends on how its interval
+happens to be stored.
 
 Adaptive precision lives in one place, :class:`Ladder`: it owns the start
 (64 bits), the doubling, the cap, and the error class raised when a
@@ -24,27 +27,6 @@ START_PREC = 64
 DEFAULT_PREC_CAP = 4096
 
 
-def _cmp(m1: int, e1: int, m2: int, e2: int) -> int:
-    """Compare m1*2^e1 with m2*2^e2; returns -1/0/+1."""
-    if m1 == 0 and m2 == 0:
-        return 0
-    if e1 >= e2:
-        a, b = m1 << (e1 - e2), m2
-    else:
-        a, b = m1, m2 << (e2 - e1)
-    return (a > b) - (a < b)
-
-
-def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    if m1 == 0:
-        return m2, e2
-    if m2 == 0:
-        return m1, e1
-    if e1 >= e2:
-        return (m1 << (e1 - e2)) + m2, e2
-    return m1 + (m2 << (e2 - e1)), e1
-
-
 def _round_down(m: int, e: int, prec: int) -> tuple[int, int]:
     """Largest dyadic with <= prec mantissa bits that is <= m*2^e."""
     excess = m.bit_length() - prec
@@ -54,10 +36,12 @@ def _round_down(m: int, e: int, prec: int) -> tuple[int, int]:
 
 
 def _round_up(m: int, e: int, prec: int) -> tuple[int, int]:
-    excess = m.bit_length() - prec
-    if excess <= 0:
-        return m, e
-    return -((-m) >> excess), e + excess
+    m, e = _round_down(-m, e, prec)
+    return -m, e
+
+
+def _fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _float_down(m: int, e: int) -> float:
@@ -69,12 +53,10 @@ def _float_down(m: int, e: int) -> float:
         f = math.ldexp(m, e)          # exact unless below the normal range
     except OverflowError:
         return -math.inf if m < 0 else sys.float_info.max
-    if abs(f) < sys.float_info.min:
-        # subnormal or zero: ldexp rounded to nearest, so one step down
-        # reaches a float <= m*2^e when it rounded up
-        p, q = f.as_integer_ratio()
-        if _cmp(p, 1 - q.bit_length(), m, e) > 0:
-            f = math.nextafter(f, -math.inf)
+    # subnormal or zero: ldexp rounded to nearest, so one step down reaches
+    # a float <= m*2^e when it rounded up
+    if abs(f) < sys.float_info.min and Fraction(f) > _fraction(m, e):
+        f = math.nextafter(f, -math.inf)
     return f
 
 
@@ -97,76 +79,81 @@ def _frac_up(fr: Fraction, prec: int) -> tuple[int, int]:
 
 
 class Iv:
-    """Closed interval [lm*2^le, um*2^ue] with exact dyadic endpoints."""
+    """Closed interval [lo*2^e, hi*2^e] with exact dyadic endpoints: two
+    integer mantissas over one exponent."""
 
-    __slots__ = ("lm", "le", "um", "ue")
+    __slots__ = ("lo", "hi", "e")
 
     def __init__(self, lm: int, le: int, um: int, ue: int):
-        self.lm = lm
-        self.le = le
-        self.um = um
-        self.ue = ue
+        """[lm*2^le, um*2^ue] over the smaller exponent; a zero mantissa
+        takes the other's exponent, so it never lengthens the other."""
+        if lm == 0:
+            le = ue
+        elif um == 0:
+            ue = le
+        if le <= ue:
+            self.lo, self.hi, self.e = lm, um << (ue - le), le
+        else:
+            self.lo, self.hi, self.e = lm << (le - ue), um, ue
 
     # ---- constructors ----
 
     @staticmethod
     def from_int(v: int) -> "Iv":
-        return Iv(v, 0, v, 0)
+        return _iv(v, v, 0)
 
     @staticmethod
     def from_fraction(fr: Fraction, prec: int) -> "Iv":
         q = fr.denominator
         if q & (q - 1) == 0:                 # power of two: exact
-            m, e = fr.numerator, -(q.bit_length() - 1)
-            return Iv(m, e, m, e)
-        lm, le = _frac_down(fr, prec)
-        um, ue = _frac_up(fr, prec)
-        return Iv(lm, le, um, ue)
+            return _iv(fr.numerator, fr.numerator, 1 - q.bit_length())
+        return Iv.bounds(fr, fr, prec)
 
     @staticmethod
     def bounds(lo: Fraction, hi: Fraction, prec: int) -> "Iv":
-        lm, le = _frac_down(Fraction(lo), prec)
-        um, ue = _frac_up(Fraction(hi), prec)
+        """[lo, hi] for rationals lo <= hi, each rounded outward to about
+        prec bits of its own value."""
+        lm, le = _frac_down(lo, prec)
+        um, ue = _frac_up(hi, prec)
         return Iv(lm, le, um, ue)
 
     ZERO: "Iv"
     ONE: "Iv"
 
     # ---- arithmetic (exact) ----
+    # An operand whose mantissas are both 0 is the identity of +: its
+    # exponent is arbitrary and must not lengthen the other operand.
 
     def __add__(self, other: "Iv") -> "Iv":
-        lm, le = _add(self.lm, self.le, other.lm, other.le)
-        um, ue = _add(self.um, self.ue, other.um, other.ue)
-        return Iv(lm, le, um, ue)
+        d = self.e - other.e
+        if d >= 0:
+            if d and not (other.lo or other.hi):
+                return self
+            return _iv((self.lo << d) + other.lo, (self.hi << d) + other.hi, other.e)
+        if not (self.lo or self.hi):
+            return other
+        return _iv(self.lo + (other.lo << -d), self.hi + (other.hi << -d), self.e)
 
     def __neg__(self) -> "Iv":
-        return Iv(-self.um, self.ue, -self.lm, self.le)
+        return _iv(-self.hi, -self.lo, self.e)
 
     def __sub__(self, other: "Iv") -> "Iv":
         return self + (-other)
 
     def __mul__(self, other: "Iv") -> "Iv":
-        cands = (
-            (self.lm * other.lm, self.le + other.le),
-            (self.lm * other.um, self.le + other.ue),
-            (self.um * other.lm, self.ue + other.le),
-            (self.um * other.um, self.ue + other.ue),
-        )
-        lo = hi = cands[0]
-        for c in cands[1:]:
-            if _cmp(c[0], c[1], lo[0], lo[1]) < 0:
-                lo = c
-            elif _cmp(c[0], c[1], hi[0], hi[1]) > 0:
-                hi = c
-        return Iv(lo[0], lo[1], hi[0], hi[1])
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        p, q, r, s = a * c, a * d, b * c, b * d
+        return _iv(min(p, q, r, s), max(p, q, r, s), self.e + other.e)
 
     def mul_int(self, c: int) -> "Iv":
         if c >= 0:
-            return Iv(self.lm * c, self.le, self.um * c, self.ue)
-        return Iv(self.um * c, self.ue, self.lm * c, self.le)
+            return _iv(self.lo * c, self.hi * c, self.e)
+        return _iv(self.hi * c, self.lo * c, self.e)
 
     def scale2(self, k: int) -> "Iv":
-        return Iv(self.lm, self.le + k, self.um, self.ue + k)
+        return _iv(self.lo, self.hi, self.e + k)
+
+    # ---- rounding: each endpoint to about prec bits of its own value ----
 
     def div(self, other: "Iv", prec: int) -> "Iv":
         """self / other, outward rounded; other must exclude 0."""
@@ -175,23 +162,17 @@ class Iv:
         a, b = self.lo_fraction(), self.hi_fraction()
         c, d = other.lo_fraction(), other.hi_fraction()
         quots = (a / c, a / d, b / c, b / d)
-        lo, hi = min(quots), max(quots)
-        lm, le = _frac_down(lo, prec)
-        um, ue = _frac_up(hi, prec)
-        return Iv(lm, le, um, ue)
+        return Iv.bounds(min(quots), max(quots), prec)
 
     def div_int(self, c: int, prec: int) -> "Iv":
-        if c == 0:
-            raise ZeroDivisionError
+        lo, hi = Fraction(self.lo, c), Fraction(self.hi, c)
         if c < 0:
-            return (-self).div_int(-c, prec)
-        lm, le = _frac_down(Fraction(self.lm, c), prec)
-        um, ue = _frac_up(Fraction(self.um, c), prec)
-        return Iv(lm, le + self.le, um, ue + self.ue)
+            lo, hi = hi, lo
+        return Iv.bounds(lo, hi, prec).scale2(self.e)
 
     def round(self, prec: int) -> "Iv":
-        lm, le = _round_down(self.lm, self.le, prec)
-        um, ue = _round_up(self.um, self.ue, prec)
+        lm, le = _round_down(self.lo, self.e, prec)
+        um, ue = _round_up(self.hi, self.e, prec)
         return Iv(lm, le, um, ue)
 
     # ---- predicates / accessors ----
@@ -199,48 +180,51 @@ class Iv:
     def sign(self) -> int | None:
         """+1 if the interval is entirely > 0, -1 if < 0, 0 if it is the
         exact point 0, None if the sign is not determined."""
-        if self.lm > 0:
+        if self.lo > 0:
             return 1
-        if self.um < 0:
+        if self.hi < 0:
             return -1
-        if self.lm == 0 and self.um == 0:
-            return 0
-        return None
+        return None if self.lo or self.hi else 0
 
     def is_positive(self) -> bool:
-        return self.lm > 0
+        return self.lo > 0
 
     def contains(self, v: Fraction) -> bool:
         v = Fraction(v)
         return self.lo_fraction() <= v <= self.hi_fraction()
 
     def lo_fraction(self) -> Fraction:
-        e = self.le
-        return Fraction(self.lm << e, 1) if e >= 0 else Fraction(self.lm, 1 << -e)
+        return _fraction(self.lo, self.e)
 
     def hi_fraction(self) -> Fraction:
-        e = self.ue
-        return Fraction(self.um << e, 1) if e >= 0 else Fraction(self.um, 1 << -e)
+        return _fraction(self.hi, self.e)
 
     def width_fraction(self) -> Fraction:
-        return self.hi_fraction() - self.lo_fraction()
+        return _fraction(self.hi - self.lo, self.e)
 
     def mid_fraction(self) -> Fraction:
-        return (self.lo_fraction() + self.hi_fraction()) / 2
+        return _fraction(self.lo + self.hi, self.e - 1)
 
     def float_bounds(self) -> tuple[float, float]:
         """Outward float64 pair (lo, hi): lo <= every point <= hi.  Endpoints
         past the float range become -inf / +inf."""
-        return _float_down(self.lm, self.le), -_float_down(-self.um, self.ue)
+        return _float_down(self.lo, self.e), -_float_down(-self.hi, self.e)
 
     def mid_float(self) -> float:
         try:
             return float(self.mid_fraction())
         except OverflowError:
-            return math.inf if self.lm > 0 else -math.inf
+            return math.inf if self.lo > 0 else -math.inf
 
     def __repr__(self) -> str:
         return f"Iv[{float(self.lo_fraction()):.6g}, {float(self.hi_fraction()):.6g}]"
+
+
+def _iv(lo: int, hi: int, e: int) -> Iv:
+    """[lo*2^e, hi*2^e] as given: the constructor of the exact operations."""
+    iv = object.__new__(Iv)
+    iv.lo, iv.hi, iv.e = lo, hi, e
+    return iv
 
 
 Iv.ZERO = Iv(0, 0, 0, 0)
@@ -289,7 +273,7 @@ _LOG2_CACHE: dict[int, Iv] = {}
 def _atanh_series(t: Iv, w: int) -> Iv:
     """Enclosure of atanh(t) for 0 <= t <= 1/3, working at w bits."""
     # terms decay like 3^-(2k+1); pick K so the tail is below 2^-(w+1)
-    if t.lm == 0 and t.um == 0:
+    if not (t.lo or t.hi):
         return Iv.ZERO
     K = max(1, int(w * 0.3155) + 2)
     t2 = (t * t).round(w)
@@ -330,11 +314,11 @@ def log_iv(x: Iv, prec: int) -> Iv:
     """Certified enclosure of log over a positive interval."""
     if not x.is_positive():
         raise ValueError("log over an interval not certified positive")
-    lo = _log_dyadic(x.lm, x.le, prec)
-    if x.lm == x.um and x.le == x.ue:
+    lo = _log_dyadic(x.lo, x.e, prec)
+    if x.lo == x.hi:
         return lo.round(prec + 4)
-    hi = _log_dyadic(x.um, x.ue, prec)
-    return Iv(lo.lm, lo.le, hi.um, hi.ue).round(prec + 4)
+    hi = _log_dyadic(x.hi, x.e, prec)
+    return Iv(lo.lo, lo.e, hi.hi, hi.e).round(prec + 4)
 
 
 # ---- the precision ladder ----

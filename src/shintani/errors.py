@@ -19,6 +19,10 @@ class DegreeTooSmall(InputError):
     pass
 
 
+class NotMonic(InputError):
+    """The defining polynomial's leading coefficient is not 1."""
+
+
 class NotSquarefree(InputError):
     pass
 
@@ -81,6 +85,10 @@ class UnitOutsideOrder(InputError):
 
 class ClassResolutionMissing(InputError):
     """Nontrivial narrow class group but no class-resolution table given."""
+
+
+class InvalidCharacter(InputError):
+    """Not one character value per representative, or a modulus not 1 or 0."""
 
 
 class NonMonogenicPrime(InputError):

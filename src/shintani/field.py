@@ -38,6 +38,7 @@ from .errors import (
     InputError,
     NotAUnit,
     NotIrreducible,
+    NotMonic,
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
@@ -165,7 +166,7 @@ class NumberField:
         if n < 2:
             raise DegreeTooSmall(f"degree {n} < 2")
         if coeffs[-1] != 1:
-            raise ValueError("defining polynomial must be monic")
+            raise NotMonic("defining polynomial must be monic")
         if not is_squarefree(coeffs):
             raise NotSquarefree("defining polynomial has repeated roots")
         if count_real_roots(coeffs) != n:
@@ -470,7 +471,7 @@ class NumberField:
 def _iv_pair(lo: Fraction, hi: Fraction) -> Iv:
     a = Iv.from_fraction(lo, 0)   # endpoints are dyadic, so this is exact
     b = Iv.from_fraction(hi, 0)
-    return Iv(a.lm, a.le, b.um, b.ue)
+    return Iv(a.lo, a.e, b.hi, b.e)
 
 
 # ---- spec-level functions ----
@@ -501,6 +502,8 @@ def field_from_json(obj, prec_cap: int = DEFAULT_PREC_CAP):
         raise SchemaError('"units" must be a list of coordinate lists of integers '
                           f'or "p/q" strings, got {units!r}')
     fld = NumberField(poly, prec_cap=prec_cap)
+    if any(len(u) != fld.degree for u in units):
+        raise SchemaError(f"each unit needs {fld.degree} coordinates, got {units!r}")
     try:
         coords = [[Fraction(c) for c in u] for u in units]
     except (ValueError, ZeroDivisionError) as exc:

@@ -33,6 +33,7 @@ from .dyadic import Ladder
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
+    InvalidCharacter,
     NonIntegralIdeal,
     NotTotallyPositive,
     TailBoundUnachievable,
@@ -167,10 +168,10 @@ class CharacterTable:
 
     def __post_init__(self):
         if len(self.representatives) != len(self.values):
-            raise ValueError("one value per representative")
+            raise InvalidCharacter("one value per representative")
         for v in self.values:
             if abs(abs(complex(v)) - 1) > 1e-12 and abs(complex(v)) > 1e-12:
-                raise ValueError("character values must have modulus 1 or 0")
+                raise InvalidCharacter("character values must have modulus 1 or 0")
 
     @property
     def depends_on_ideal(self) -> bool:

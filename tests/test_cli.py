@@ -94,6 +94,18 @@ def test_not_a_unit_exit_2(tmp_path, capsys):
     assert code == 2 and out["error"] == "NotAUnit"
 
 
+@pytest.mark.parametrize("cmd, extra, error", [
+    ("cones", {"field": {"poly": [-2, 0, 2], "units": [["3", "2"]]}}, "NotMonic"),
+    ("cones", {"field": {"poly": [-2, 0, 1], "units": [["3", "2", "1"]]}}, "SchemaError"),
+    ("lfun", {"character": {"values": [[1, 0], [1, 0]]}}, "InvalidCharacter"),
+    ("lfun", {"character": {"values": [[0.5, 0.5]]}}, "InvalidCharacter"),
+], ids=["not-monic", "unit-length", "two-values-one-representative", "modulus"])
+def test_rule_violations_exit_2_with_their_class(tmp_path, capsys, cmd, extra, error):
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3, **extra})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == error
+
+
 def test_zeta_command(tmp_path, capsys):
     job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-5})
     code, out = run(capsys, ["zeta", "--job", job])

@@ -24,7 +24,7 @@ from shintani.errors import (
 )
 from shintani.geometry import pierces_cone
 
-from fixtures import cubic_81, cubic_signed_witness, q_sqrt2, quartic_725
+from fixtures import cubic_81, cubic_signed_witness, q_sqrt2, q_zeta11_plus, quartic_725
 
 
 def test_colmez_generators_quadratic():
@@ -192,6 +192,15 @@ def test_verify_net_counts_deterministic():
     rep2 = verify_net_counts(dom, samples=25, seed=42)
     assert rep1 == rep2
     assert rep1["ok"] and rep1["samples"] == 25
+
+
+def test_net_count_degree_5():
+    # Q(zeta11)^+ with 24 cones: every net count of 60 seeded points is 1
+    fld, units = q_zeta11_plus()
+    dom = build_signed_domain(units, fld)
+    assert len(dom.cones) == 24
+    rep = verify_net_counts(dom, samples=60, seed=11)
+    assert rep["ok"] and rep["failures"] == [] and rep["samples"] == 60
 
 
 def test_embedding_order_invariance_small():

@@ -14,6 +14,100 @@ from shintani.exactlinalg import mat_det
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 
 
+@st.composite
+def dyadics(draw):
+    """An exact dyadic m * 2^e: zero often, exponents past +-1000."""
+    m = draw(st.one_of(st.just(0), st.integers(-(1 << 100), 1 << 100)))
+    return m, draw(st.integers(-1200, 1200))
+
+
+def _value(m, e):
+    return Fraction(m) * Fraction(2) ** e
+
+
+@st.composite
+def intervals(draw):
+    """Iv(lm, le, um, ue) with independent endpoint exponents."""
+    a, b = sorted((draw(dyadics()), draw(dyadics())), key=lambda d: _value(*d))
+    return Iv(*a, *b)
+
+
+def _ends(iv):
+    return iv.lo_fraction(), iv.hi_fraction()
+
+
+def _floor_to(v, k):
+    """Largest multiple of 2^k that is <= v."""
+    unit = Fraction(2) ** k
+    return math.floor(v / unit) * unit
+
+
+def _down(v, prec):
+    """v rounded down to prec bits of its own value, the rule of every
+    rounding from a rational: 2^k with k = bits(num) - bits(den) - prec."""
+    if v == 0:
+        return v
+    return _floor_to(v, v.numerator.bit_length() - v.denominator.bit_length() - prec)
+
+
+def _up(v, prec):
+    return -_down(-v, prec)
+
+
+@given(intervals(), intervals(), st.integers(-1000, 1000), st.integers(-50, 50))
+def test_exact_operations_are_exact(x, y, c, k):
+    (a, b), (p, q) = _ends(x), _ends(y)
+    assert a <= b and p <= q
+    assert _ends(x + y) == (a + p, b + q)
+    assert _ends(x - y) == (a - q, b - p)
+    assert _ends(-x) == (-b, -a)
+    prods = (a * p, a * q, b * p, b * q)
+    assert _ends(x * y) == (min(prods), max(prods))
+    assert _ends(x.mul_int(c)) == (min(a * c, b * c), max(a * c, b * c))
+    assert _ends(x.scale2(k)) == (a * Fraction(2) ** k, b * Fraction(2) ** k)
+    assert x.sign() == (1 if a > 0 else -1 if b < 0 else 0 if a == b == 0 else None)
+
+
+@given(intervals(), st.integers(8, 130))
+def test_round_is_determined_by_the_endpoint_values(x, prec):
+    a, b = _ends(x)
+    # a dyadic's bits(num) - bits(den) is one less than its bit count
+    assert _ends(x.round(prec)) == (_down(a, prec - 1), _up(b, prec - 1))
+
+
+@given(st.fractions(max_denominator=10 ** 30) | intervals().map(Iv.lo_fraction),
+       st.integers(8, 130))
+def test_from_fraction_rounds_each_endpoint_by_value(v, prec):
+    iv = Iv.from_fraction(v, prec)
+    if v.denominator & (v.denominator - 1) == 0:
+        assert _ends(iv) == (v, v)
+    else:
+        assert _ends(iv) == (_down(v, prec), _up(v, prec))
+
+
+@given(intervals(), intervals(), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(8, 130))
+def test_division_rounds_each_endpoint_by_value(x, y, c, prec):
+    a, b = _ends(x)
+    lo, hi = sorted((a / c, b / c))
+    assert _ends(x.div_int(c, prec)) == (_down(lo, prec), _up(hi, prec))
+    if y.sign() in (1, -1):
+        p, q = _ends(y)
+        quots = (a / p, a / q, b / p, b / q)
+        assert _ends(x.div(y, prec)) == (_down(min(quots), prec), _up(max(quots), prec))
+
+
+def test_zero_mantissa_does_not_lengthen_the_other():
+    # a zero endpoint or a zero operand carries no scale: aligning to its
+    # exponent would turn the 64-bit mantissas below into 302-bit ones
+    for iv in (Iv.ZERO + Iv.from_int(3 << 300).round(64),
+               Iv.from_int(3 << 300).round(64) + Iv.ZERO,
+               Iv.bounds(0, 3 << 300, 64),
+               Iv.bounds(-(3 << 300), 0, 64)):
+        assert max(abs(iv.lo), abs(iv.hi)).bit_length() <= 65
+    assert _ends(Iv.bounds(0, 3 << 300, 64)) == (0, 3 << 300)
+
+
 def make_iv(fr, slack):
     lo = fr - abs(slack)
     hi = fr + abs(slack)

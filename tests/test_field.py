@@ -319,7 +319,7 @@ PRECS = [64, 128, 256, 512, 1024]
 
 
 def _key(ivs):
-    return [(iv.lm, iv.le, iv.um, iv.ue) for iv in ivs]
+    return [(iv.lo_fraction(), iv.hi_fraction()) for iv in ivs]
 
 
 @pytest.mark.parametrize("poly", [(-1, -3, 0, 1), (1, -3, -1, 1), (1, 1, -3, -1, 1)])

@@ -342,7 +342,7 @@ def test_adjugate_once_per_basis_and_precision(monkeypatch):
     adjugate = geometry.iv_adjugate
 
     def counting(rows):
-        calls[tuple((iv.lm, iv.le, iv.um, iv.ue) for row in rows for iv in row)] += 1
+        calls[tuple((iv.lo_fraction(), iv.hi_fraction()) for row in rows for iv in row)] += 1
         return adjugate(rows)
 
     monkeypatch.setattr(geometry, "iv_adjugate", counting)
