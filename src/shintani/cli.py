@@ -24,8 +24,9 @@ from .field import NumberField, _json_int, field_from_json
 
 # Each command imports what it computes with: `cones`, `regcheck` and
 # `verify` load neither NumPy nor the zeta stack, and `oracle` loads NumPy
-# and the kernels but not the zeta stack.  The zeta commands import before
-# their clock starts, so runtime_ms leaves it out.
+# and the kernels but not the zeta stack.  The zeta commands import the
+# zeta stack before their clock starts, so runtime_ms leaves it out; NumPy,
+# which only jobs beyond the scalar simplex sum load, comes inside it.
 
 SCHEMA = "v1"
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
+from .exactlinalg import as_fraction
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
 from .geometry import (
     IvVec,
@@ -146,7 +147,7 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
             return [c.div(conj[-1], prec) for c in conj[:-1]]
         p = IvVec(pfn)
     else:
-        seq = tuple(Fraction(c) for c in x)
+        seq = tuple(map(as_fraction, x))
         p = tuple(c / seq[-1] for c in seq[:-1])
     coords = barycentric(p, simplex, cap=field.prec_cap)
     return all(map(_admits, coords.signs, cone.flags))
@@ -450,7 +451,7 @@ class SignedDomain:
             conj = field._positive_conjugates(x, START_PREC)
             ratios = [conj[k].div(conj[-1], START_PREC) for k in range(r)]
         else:
-            seq = [Fraction(c) for c in x]
+            seq = list(map(as_fraction, x))
             ratios = [Iv.from_fraction(c / seq[-1], START_PREC) for c in seq[:-1]]
         logx = [_tame(*_log_enclosure(v)) for v in ratios]
         d = self._enum_data()
@@ -525,7 +526,7 @@ class SignedDomain:
         if isinstance(x, FieldElement):
             xf, kx = _positive_floats(field._positive_conjugates(x, START_PREC))
         else:
-            xf, kx = _positive_floats([Iv.from_fraction(Fraction(c), START_PREC) for c in x])
+            xf, kx = _positive_floats([Iv.from_fraction(as_fraction(c), START_PREC) for c in x])
         _, cofactors = self._member_data()
         top, tables = self._power_floats(
             max((abs(e) for _, cands in per_cone for a in cands for e in a), default=0))
@@ -607,7 +608,7 @@ def orbit_net_count(dom: SignedDomain, x):
     verdicts = dom._float_verdicts(x, per_cone)
     exact = isinstance(x, FieldElement)
     if not exact:
-        seq = [Fraction(c) for c in x]
+        seq = list(map(as_fraction, x))
     hits = []
     total = 0
     for (cone, cands), verdict in zip(per_cone, verdicts):

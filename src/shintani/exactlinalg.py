@@ -9,6 +9,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is, not rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 # ---- rational matrices (lists of lists of Fraction) ----
 
 def mat_det(mat) -> Fraction:

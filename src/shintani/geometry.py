@@ -27,7 +27,7 @@ from .errors import (
     LastCoordinateZero,
     YNotInSimplex,
 )
-from .exactlinalg import mat_det, mat_solve
+from .exactlinalg import as_fraction, mat_det, mat_solve
 from .field import FieldElement, NumberField
 
 
@@ -49,7 +49,7 @@ class IvVec:
             return x
         if isinstance(x, FieldElement):
             return IvVec(lambda p: x.field.embed_iv(x, p))
-        seq = tuple(Fraction(c) for c in x)
+        seq = tuple(map(as_fraction, x))
         return IvVec(lambda p: [Iv.from_fraction(c, p) for c in seq])
 
 
@@ -61,7 +61,7 @@ def project_ell(x):
     first evaluation, refining up to the field's cap (UndecidableSign there).
     """
     if isinstance(x, (list, tuple)):
-        seq = tuple(Fraction(c) for c in x)
+        seq = tuple(map(as_fraction, x))
         if seq[-1] == 0:
             raise LastCoordinateZero("projection needs x_n != 0")
         return tuple(c / seq[-1] for c in seq[:-1])

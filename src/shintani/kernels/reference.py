@@ -1,7 +1,7 @@
-"""NumPy kernels: the truncated simplex sum of a Shintani series with a
-derived bound on its float error, and a prime-splitting scan that decides
-every prime, ramified or not and of any size, in NumPy batches from the
-ranks of Berlekamp's Frobenius matrix."""
+"""NumPy kernels: the truncated simplex sum of a Shintani series, whose
+float error `scalar.box_sum_roundoff` bounds, and a prime-splitting scan
+that decides every prime, ramified or not and of any size, in NumPy
+batches from the ranks of Berlekamp's Frobenius matrix."""
 
 from __future__ import annotations
 
@@ -51,8 +51,9 @@ def box_sums(zs, gens, s, radius, scale=1.0):
     each slab of each shift is one pairwise row sum (np.add.reduce along
     axis 1), and the slab totals of a shift are added by one math.fsum.
     Elementwise operations do not depend on their neighbours, so every sum
-    is bit for bit the sum of a one-shift block, and `box_sum_roundoff`
-    counts exactly these operations for each.
+    is bit for bit the sum of a one-shift block, and
+    `scalar.box_sum_roundoff` counts exactly these operations for each;
+    `scalar.box_sums` repeats them in Python floats for an integer s.
     """
     zs = np.asarray(zs, dtype=float)
     npts, n = zs.shape
@@ -92,51 +93,6 @@ def box_sum(z, gens, s, radius, scale=1.0):
     at most B // N shifts (at least one), B = `zeta._BLOCK` = 2^12 floats
     and N the longest slab, so a block's arrays stay near B floats each."""
     return box_sums([z], gens, s, radius, scale)[0]
-
-
-# Roundoff of box_sum against the exact simplex sum V of the exact inputs.
-# u = 2^-53, and gamma_k = k u / (1 - k u) bounds a product of k factors
-# (1 + e)^(+-1), |e| <= u (Higham, Lemma 3.1).
-# - Inputs are x (1 + t), |t| <= delta.
-# - a_j = z_j + sum_i m_i c_ij, c_ij = fl(scale g_ij): each positive
-#   summand takes a rounding in c, one in m_i c (m_i is exact) and at most
-#   n in the n additions, so a_j comes out as a_j (1 + t) theta, theta a
-#   product of n + 2 roundings.
-# - n - 1 multiplications form P; an integer s = k <= 8 then takes k - 1
-#   multiplications and a reciprocal, any other s one np.power, allowed 4
-#   ulps = 8 roundings (libm's pow is within 1 ulp; the tests check NumPy's
-#   SIMD power against mpmath).  A factor in [1/(1+x), 1/(1-x)] raised to
-#   s stays within its S-th power, S = ceil(s), so a term comes out as
-#   t (1 + t')^(-nS) theta with theta a product of at most S (n^2 + 3n)
-#   roundings (integer s) or S (n^2 + 3n - 1) + 8 (np.power).
-# - NumPy sums each slab of each shift pairwise (a row of the axis-1
-#   reduce of a block; the tests check it): a plain loop below 8 terms, eight
-#   accumulators up to 128 (a term meets at most b//8 + b%8 + 2 <= 24
-#   additions in a run of b), halving above into parts of at most
-#   N/2 + 15/2, so at most ceil(log2 N) - 6 halvings.  Either way a term
-#   meets at most D = 19 + ceil(log2 N) additions, N the largest slab
-#   C(L + n - 1, n - 1).  math.fsum rounds the sum of a shift's slab
-#   totals once.
-# So every term enters the computed V' as t (1 + x), |x| <= rho =
-# (1 - delta)^(-nS) (1 + gamma_R) - 1 with R the sum of these counts, and
-# |V' - V| <= rho V <= rho / (1 - rho) V'.  One spare rounding in R covers
-# evaluating rho in floats.  A term leaving the normal float range (an
-# overflowing product, an underflowing power) is below 2^-1021 and off by
-# at most that: 2^-1020 per term covers it.
-
-_U = 2.0 ** -53
-
-
-def box_sum_roundoff(value, n, s, radius, delta):
-    """Certified bound on |value - V| for value one sum of `box_sums` of n
-    axes at level radius, on inputs within relative error delta of exact
-    ones whose simplex sum is V (see above)."""
-    big_s = math.ceil(s)
-    rounds = big_s * (n * n + 3 * n) + 8
-    rounds += 19 + (math.comb(radius + n - 1, n - 1) - 1).bit_length() + 2
-    gamma = rounds * _U / (1 - rounds * _U)
-    rho = math.expm1(math.log1p(gamma) - n * big_s * math.log1p(-delta))
-    return rho / (1 - rho) * value + math.comb(radius + n, n) * 2.0 ** -1020
 
 
 # ---- batched Frobenius-rank scan ----

@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import kernels
 from .errors import InputError, NonMonogenicPrime, TailBoundUnachievable
+from .kernels import ZetaValue
 
 # explicit Chebyshev-type bound pi(x) < C x / log x, valid for x > 1
 _PI_BOUND_C = 1.25506
-
-
-@dataclass
-class ZetaValue:
-    value: float
-    error_bound: float
-    terms: int
-    radius: int
 
 
 # (defining polynomial, prime cap) -> (primes, splitting counts)
@@ -33,8 +27,6 @@ _SPLIT_CACHE: dict = {}
 
 def _sieve(limit: int):
     """The primes up to limit, as Python ints."""
-    import numpy as np
-
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):

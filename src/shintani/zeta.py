@@ -2,8 +2,8 @@
 Hecke L-functions and ray-class partial zeta functions over a signed
 fundamental domain.  The Euler-product oracle that checks them lives in
 `oracle`, which needs neither the domain nor the ideals; its
-`euler_product_oracle`, `euler_product_roundoff` and `ZetaValue` are
-importable from here as well.
+`euler_product_oracle` and `euler_product_roundoff` are importable from
+here as well, and load the oracle (and NumPy) on first access (PEP 562).
 
 Truncation bound.  A term is the product over the n real embeddings j of
 ((z + scale * sum_i m_i f_i)^(j)) ** -s, and each cone generator f_i is a
@@ -52,11 +52,36 @@ from .ideals import (
     principal_ideal,
     smallest_positive_rational_integer,
 )
-from .oracle import ZetaValue, euler_product_oracle, euler_product_roundoff  # noqa: F401
+from .kernels import ZetaValue
 
 # The largest simplex level of a Shintani sum: a target that needs more
 # raises TailBoundUnachievable
 _M_CAP = 200_000
+
+# Box terms up to which a job of integer s <= 8 is summed by
+# `kernels.scalar`, which needs no NumPy, instead of `kernels.box_sums`.
+# Importing NumPy costs about 110 ms.  Per term the scalar sum costs about
+# 0.3 us on long slabs and up to 1 us on many short ones (hundreds of
+# shifts at radius 9, n = 3), NumPy 0.01-0.1 us.  So NumPy repays its
+# import from about 10^5 terms at the slowest scalar rate, and from 3 10^5
+# at the fastest: below 10^5 the scalar sum is never the slower.
+_SCALAR_TERMS = 10 ** 5
+
+
+def __getattr__(name):
+    if name not in ("euler_product_oracle", "euler_product_roundoff"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
+
+
+def _box_sums(s: float, terms: int):
+    """The simplex-sum evaluator of a job of `terms` box terms at s: the
+    scalar one for an integer s <= 8 and at most _SCALAR_TERMS terms,
+    NumPy's otherwise.  Both give the same floats."""
+    if float(s).is_integer() and 1 <= s <= 8 and terms <= _SCALAR_TERMS:
+        return kernels.scalar.box_sums
+    return kernels.box_sums
 
 
 @dataclass
@@ -119,20 +144,22 @@ def _embed_floats(field: NumberField, elems):
 
 
 def _zeta_block(s: float, cone, points, params: ZetaParams,
-                scale: int = 1) -> list[ZetaValue]:
+                scale: int = 1, box_sums=None) -> list[ZetaValue]:
     """shintani_zeta(s, z, cone, params, scale) for every z of points, by one
-    `kernels.box_sums` call: each value, radius and bound is bit for bit
-    that of the single-point sum, whose float inputs have relative error
+    call of box_sums (by default the evaluator `_box_sums` picks for the
+    block's terms): each value, radius and bound is bit for bit that of the
+    single-point sum, whose float inputs have relative error
     max(delta_z, delta of the generators), rounded up."""
     field = cone.field
     n = field.degree
     radius = required_radius(n, s, scale, params.target_error, _M_CAP)
+    terms = math.comb(radius + n, n)
+    box_sums = box_sums or _box_sums(s, len(points) * terms)
     floats, deltas = _embed_floats(field, [*points, *cone.generators])
     k = len(points)
-    values = kernels.box_sums(floats[:k], floats[k:], s, radius, float(scale))
+    values = box_sums(floats[:k], floats[k:], s, radius, float(scale))
     gen_delta = max(deltas[k:])
     tail = tail_bound(n, s, scale, radius)
-    terms = math.comb(radius + n, n)
     return [ZetaValue(value, tail + kernels.box_sum_roundoff(
                 value, n, s, radius, math.nextafter(max(d, gen_delta), math.inf)),
                       terms, radius)
@@ -221,24 +248,29 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> LValue:
     The jobs are grouped by cone and target, so a group has one radius L,
     and each group is cut into blocks of at most _BLOCK // N points, which
     the thread pool (params.threads) maps over.  The results are added in
-    job order, so the sums do not depend on the blocks or the threads."""
+    job order, so the sums do not depend on the blocks or the threads.  One
+    evaluator (`_box_sums`) sums every block, picked for the total terms
+    of all groups."""
     groups = {}
     for i, job in enumerate(jobs):
         if job is not None:
             groups.setdefault((id(job[0]), job[2]), []).append(i)
     blocks = []
+    terms = 0
     for members in groups.values():
         cone, _z, target = jobs[members[0]][:3]
         n = cone.field.degree
         radius = required_radius(n, s, scale, target, _M_CAP)
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
         blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
+        terms += len(members) * math.comb(radius + n, n)
+    box_sums = _box_sums(s, terms)
 
     def run(block):
         cone, _z, target = jobs[block[0]][:3]
         return _zeta_block(s, cone, [jobs[i][1] for i in block],
                            ZetaParams(target_error=target),
-                           scale)
+                           scale, box_sums)
 
     if params.threads <= 1 or len(blocks) <= 1:
         values = [run(b) for b in blocks]

@@ -14,6 +14,7 @@ import pytest
 
 import fixtures
 import shintani
+from shintani import zeta
 from shintani.field import field_to_json
 
 SRC = Path(shintani.__file__).parents[1]
@@ -64,6 +65,30 @@ def test_verify_loads_nothing_heavy(tmp_path, threads, name):
     job.write_text(json.dumps({"field": field_to_json(*FIELDS[name]()),
                                "samples": 4}))
     assert loaded_after(cli("verify", job, "--threads", threads)) == []
+
+
+def test_import_kernels_loads_no_numpy():
+    assert loaded_after("import shintani.kernels") == ["shintani.kernels"]
+
+
+NUMPY_KERNEL = ("numpy", "shintani.kernels.reference")
+
+
+@pytest.mark.parametrize("s, target, few_terms", [(2.0, 1e-3, True), (2.5, 1e-3, True),
+                                                  (2.0, 1e-6, False)])
+def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms):
+    # the scalar simplex sum takes an integer s <= 8 and at most
+    # zeta._SCALAR_TERMS box terms; any other job loads NumPy's kernel
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field_to_json(*fixtures.q_sqrt2()),
+                               "s": s, "target_error": target,
+                               "conductor": {"hnf": [[3, 0], [0, 3]], "den": 1}}))
+    out = fresh(f"{cli('lfun', job)}\nimport sys\n"
+                f"print(sorted(set({NUMPY_KERNEL!r}) & set(sys.modules)))")
+    terms = json.loads(out.splitlines()[0])["terms"]
+    assert (terms <= zeta._SCALAR_TERMS) == few_terms
+    scalar = s == 2.0 and few_terms
+    assert out.splitlines()[-1] == str([] if scalar else list(NUMPY_KERNEL))
 
 
 def test_oracle_loads_the_kernels_but_not_the_zeta_stack(tmp_path):

@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shintani.kernels import BACKEND, box_sum, reference, splitting_counts
+from shintani.kernels import BACKEND, box_sum, reference, scalar, splitting_counts
 from shintani.polyroots import poly_discriminant
 
 BACKENDS = [reference]
@@ -154,6 +156,60 @@ def test_numpy_sum_is_pairwise(n):
     want = [_pairwise(row.tolist(), n)[0] for row in rows]
     assert np.add.reduce(rows[:, :n], axis=1).tolist() == want
     assert np.add.reduce(rows[:, :n].copy(), axis=1).tolist() == want
+
+
+# ---- the scalar evaluator: reference.box_sums in Python floats ----
+
+# the largest radius drawn per degree: slabs beyond 128 terms (the halving
+# branch of the pairwise sum) for n = 2, 3, 4 and 5
+RADIUS = {1: 300, 2: 300, 3: 30, 4: 12, 5: 8}
+POSITIVE = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def simplex_sum_inputs(draw):
+    n = draw(st.integers(1, 5))
+    radius = draw(st.integers(0, RADIUS[n]))
+    s = float(draw(st.integers(1, 8)))
+    gens = draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    zs = draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n),
+                       min_size=1, max_size=5))
+    scale = draw(st.sampled_from([1.0, 2.0, 3.0, 0.37]))
+    return zs, gens, s, radius, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_sum_inputs())
+def test_scalar_box_sums_match_reference_bit_for_bit(args):
+    assert scalar.box_sums(*args) == reference.box_sums(*args)
+
+
+def test_scalar_box_sums_every_level():
+    # every radius from 0, one shift and several, n = 1 to 5 and s = 1 to 8
+    rng = np.random.default_rng(7)
+    for n in range(1, 6):
+        gens = rng.uniform(0.2, 3.0, (n, n)).tolist()
+        zs = rng.uniform(0.1, 4.0, (3, n)).tolist()
+        for radius in range(6):
+            for s in range(1, 9):
+                args = (zs, gens, float(s), radius, 3.0)
+                assert scalar.box_sums(*args) == reference.box_sums(*args)
+
+
+@pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 100, 128, 129, 136, 1000, 8193, 70001])
+def test_scalar_pairwise_is_the_model(n):
+    # the evaluator's pairwise sum against the model above, which the tests
+    # check against NumPy; at an offset as well, as the halving reaches it
+    a = (np.random.default_rng(n).random(n + 5) ** 8 * 1e3).tolist()
+    assert scalar._pairwise(a, 0, n) == _pairwise(a, n)[0]
+    assert scalar._pairwise(a, 5, n) == _pairwise(a[5:], n)[0]
+
+
+@pytest.mark.parametrize("s", [2.5, 0.0, 9.0])
+def test_scalar_box_sums_integer_exponents_only(s):
+    with pytest.raises(ValueError):
+        scalar.box_sums([[1.0, 1.0]], [[1.0, 1.0], [0.2, 5.0]], s, 3)
 
 
 def test_numpy_power_within_four_ulps():

@@ -430,7 +430,7 @@ def test_dedekind_zeta_closed_form(name):
     assert lv.value.imag == 0
 
 
-def _fake_block(s, cone, points, params, scale=1):
+def _fake_block(s, cone, points, params, scale=1, box_sums=None):
     # reports each point's whole truncation budget as its error bound
     return [ZetaValue(1.0, params.target_error, 1, 4)] * len(points)
 
@@ -590,3 +590,35 @@ def test_units_outside_the_order_rejected(fn):
             l_function(2.0, trivial_character(order), units, fld, ZetaParams())
         else:
             partial_zeta(2.0, (ok, ok, units), fld, ZetaParams())
+
+
+# ---- the evaluator of a job: the scalar sum or NumPy's, same floats ----
+
+@pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
+def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
+    # every job at the threshold 0 (all NumPy) and at infinity (all scalar
+    # for an integer s): the same LValue, float for float.  The conductor
+    # (2) gives partial_zeta the scale 2 and l_function a zero character
+    # value on the points not coprime to it.
+    fld, units = ALL_NET_COUNT[name]()
+    order = maximal_order(name, fld)
+    dom = build_signed_domain(units, fld)
+    two = principal_ideal(order, fld.element([2] + [0] * (fld.degree - 1)))
+    whole = FractionalIdeal.whole_ring(order)
+    chi = CharacterTable([whole], [1 + 0j], two)
+    calls = []
+    scalar_sums = zeta.kernels.scalar.box_sums
+    monkeypatch.setattr(zeta.kernels.scalar, "box_sums",
+                        lambda *a: calls.append(a[3]) or scalar_sums(*a))
+    results = {}
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(zeta, "_SCALAR_TERMS", threshold)
+        calls.clear()
+        results[threshold] = [
+            l_function(s, chi, units, fld, ZetaParams(target_error=3e-3), order, dom)
+            for s in (2.0, 3.0)] + [
+            partial_zeta(s, (whole, ideal, units), fld, ZetaParams(target_error=3e-3),
+                         order, dom)
+            for s in (2.0, 3.0) for ideal in (whole, two)]
+        assert bool(calls) == (threshold == math.inf)
+    assert results[0] == results[math.inf]
