@@ -14,27 +14,28 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
-from .exactlinalg import as_fraction
+from .exactlinalg import as_fraction, mat_det
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
 from .geometry import (
     IvVec,
     Simplex,
     barycentric,
-    basis_det_sign,
-    basis_map,
-    cone_coordinates,
+    basis_inverse,
+    field_map,
+    int_map,
 )
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
 FLAG_OPEN = "open"       # coefficient > 0;  e_n on the far side
 
 
-def _admits(sign: int, flag: str) -> bool:
-    """The half-open rule: a coordinate of this sign passes the face flag."""
-    return sign > 0 or (sign == 0 and flag == FLAG_CLOSED)
+def _admits(c, flag: str) -> bool:
+    """The half-open rule: a coordinate c, or its sign, passes the face flag."""
+    return c > 0 or (c == 0 and flag == FLAG_CLOSED)
 
 
 def colmez_generators(units, sigma, field: NumberField):
@@ -46,32 +47,41 @@ def colmez_generators(units, sigma, field: NumberField):
 
 
 def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> int:
-    """w_sigma = (-1)^(n-1) sgn(sigma) sign(det f) / sign(det Log eps)."""
+    """w_sigma = (-1)^(n-1) sgn(sigma) sign(det f) / sign(det Log eps).  The
+    embedded f is V C (V the conjugates of the power basis, C the exact
+    coefficients), and det V has the embedding order's parity."""
     if reg_sign is None:
         reg_sign = field.signed_regulator_sign(units)
     if reg_sign == 0:
         raise DependentUnits("units are multiplicatively dependent")
+    n = field.degree
     gens = colmez_generators(units, sigma, field)
-    det = basis_det_sign(gens, field)
+    det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
     if det == 0:
         return 0
-    n = field.degree
-    return (-1) ** (n - 1) * _perm_sign(sigma) * det * reg_sign
+    sign = field.vandermonde_sign * (1 if det > 0 else -1)
+    return (-1) ** (n - 1) * _perm_sign(sigma) * sign * reg_sign
 
 
 class SignedCone:
-    """One cone: permutation, generators, orientation sign, half-open flags."""
+    """One cone: permutation, generators, orientation sign, half-open flags,
+    and the exact inverse (A, m) of the generators' coefficient matrix."""
 
-    __slots__ = ("sigma", "generators", "w", "flags", "field", "_map", "_simplex")
+    __slots__ = ("sigma", "generators", "w", "flags", "field", "_inverse", "_simplex")
 
-    def __init__(self, sigma, generators, w, flags, field):
+    def __init__(self, sigma, generators, w, field):
         self.sigma = tuple(sigma)
         self.generators = tuple(generators)
         self.w = w
-        self.flags = tuple(flags)
         self.field = field
-        self._map = basis_map(self.generators, field)
+        self._inverse = basis_inverse(self.generators, field)
         self._simplex = None
+        # e_n is off every face plane (no zero sign) and outside the cone (a face is open)
+        e_n = IvVec.wrap([0] * (field.degree - 1) + [1])
+        signs, _ = field_map(field).solve(e_n.at, field.prec_cap, False, "cone coordinate",
+                                          self._inverse)
+        self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN for s in signs)
+        assert FLAG_OPEN in self.flags
 
     # ---- certified membership ----
 
@@ -79,26 +89,26 @@ class SignedCone:
         """Membership for an adaptive vector evaluator (certified).  Each
         rung tests the still-undecided coordinates in order and returns at
         the first failed flag."""
-        cmap = self._map
+        fmap = field_map(self.field)
         pending = range(self.field.degree)
         for prec in Ladder(self.field.prec_cap if cap is None else cap,
                            "cone membership sign", zero_possible=True):
-            v = vfn(prec)
+            nums = int_map(self._inverse[0], fmap.numerators(vfn(prec), prec))
             undecided = []
             for i in pending:
-                s = cmap.numerator(v, i, prec).sign()
+                s = nums[i].sign()
                 if s is None:
                     undecided.append(i)
-                elif not _admits(s * cmap.det_sign, self.flags[i]):
+                elif not _admits(s * fmap.det_sign, self.flags[i]):
                     return False
             if not undecided:
                 return True
             pending = undecided
 
     def contains_element(self, x: FieldElement) -> bool:
-        """Exact membership for a field-rational point."""
-        coords = cone_coordinates(x, self.generators, self.field)
-        return all(map(_admits, coords.signs, self.flags))
+        """Exact membership for a field-rational point: by the signs of A x."""
+        return all(map(_admits, (sum(map(mul, row, x.coeffs)) for row in self._inverse[0]),
+                       self.flags))
 
     def to_json(self):
         return {
@@ -113,8 +123,7 @@ def cone_contains(cone: SignedCone, x) -> bool:
     """Membership of a strictly positive point in the half-open cone."""
     if isinstance(x, FieldElement):
         return cone.contains_element(x)
-    vv = IvVec.wrap(x)
-    return cone.contains_vector(vv.at)
+    return cone.contains_vector(IvVec.wrap(x).at)
 
 
 def projected_simplex(cone: SignedCone) -> Simplex:
@@ -471,17 +480,19 @@ class SignedDomain:
     def _member_data(self):
         """Per unit, the float conjugates of eps_i and eps_i^-1 with their
         error counts; per cone and cone coordinate i, the (mid, rad, |mid|)
-        triples of the cofactors C[j][i] with the orientation sign folded
-        in, or None when some cofactor is out of float range."""
+        triples of C[j][i] = sum_k cof[j][k] A[i][k] (cof of the field map
+        at START_PREC, A of the cone) with the sign of det V folded in, or
+        None when some entry is out of float range."""
         if self._member is None:
             field = self.field
             units = [(_positive_floats(field._positive_conjugates(u, START_PREC)),
                       _positive_floats(field._positive_conjugates(u.inverse(), START_PREC)))
                      for u in self.units]
+            cof = field_map(field).adjugate(START_PREC)[0]
+            sign = field.vandermonde_sign
             cofactors = []
             for c in self.cones:
-                cm, cr = _mid_rad_rows(c._map.adjugate(START_PREC)[0])
-                sign = c._map.det_sign
+                cm, cr = _mid_rad_rows([int_map(c._inverse[0], row) for row in cof])
                 cols = [[(m * sign, rad, abs(m)) for m, rad in zip(mcol, rcol)]
                         for mcol, rcol in zip(zip(*cm), zip(*cr))]
                 usable = all(abs(m) <= 1 / _SAFE and rad <= 1 / _SAFE
@@ -576,20 +587,11 @@ def build_signed_domain(units, field: NumberField) -> SignedDomain:
     reg_sign = field.signed_regulator_sign(units)
     if reg_sign == 0:
         raise DependentUnits("units are multiplicatively dependent")
-    n = field.degree
-    e_n = tuple(Fraction(int(i == n - 1)) for i in range(n))
     cones = []
-    for sigma in itertools.permutations(range(n - 1)):
+    for sigma in itertools.permutations(range(field.degree - 1)):
         w = cone_sign(units, sigma, field, reg_sign=reg_sign)
-        if w == 0:
-            continue
-        gens = colmez_generators(units, sigma, field)
-        coords = cone_coordinates(e_n, gens, field, zero_possible=False)
-        flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN for s in coords.signs)
-        # e_n has a zero coordinate, so it lies outside the closed cone and
-        # at least one face must be open
-        assert FLAG_OPEN in flags
-        cones.append(SignedCone(sigma, gens, w, flags, field))
+        if w != 0:
+            cones.append(SignedCone(sigma, colmez_generators(units, sigma, field), w, field))
     return SignedDomain(field, units, cones, reg_sign)
 
 

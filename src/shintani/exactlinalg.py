@@ -1,12 +1,15 @@
-"""Exact linear algebra: rational Gaussian elimination and integer HNF.
+"""Exact linear algebra: fraction-free elimination and integer HNF.
 
 Everything here is small (n <= 6 ambient dimension), so clarity beats
-asymptotics: plain fraction elimination and gcd-style row reduction.
+asymptotics: one fraction-free elimination over the integers for
+determinants, inverses and solves, and gcd-style row reduction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 
 def as_fraction(x) -> Fraction:
@@ -16,48 +19,57 @@ def as_fraction(x) -> Fraction:
 
 # ---- rational matrices (lists of lists of Fraction) ----
 
-def mat_det(mat) -> Fraction:
+def _eliminate(mat):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968: exact divisions)
+    of [d mat | I], d the common denominator of the int or Fraction entries:
+    the rows [p I | p (d mat)^-1], p the last pivot, det(d mat) and d."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
+    prev = sign = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:                 # singular
+            return None, 0, d
         if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
+            a[c], a[piv], sign = a[piv], a[c], -sign
+        pc = a[c]
+        p = pc[c]
+        for r in range(n):
+            if r != c:
+                f = a[r][c]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pc)]
+        prev = p
+    return a, sign * prev, d
+
+
+def mat_det(mat) -> Fraction:
+    _, det, d = _eliminate(mat)
+    return Fraction(det, d ** len(mat))
+
+
+def int_inverse(mat):
+    """(A, m) with mat^-1 = A / m, A an integer matrix and m > 0 in lowest
+    terms; ZeroDivisionError if mat is singular."""
+    a, _, d = _eliminate(mat)
+    if a is None:
+        raise ZeroDivisionError("singular matrix")
+    n, p = len(mat), a[0][0]
+    inv = [[x * (d if p > 0 else -d) for x in row[n:]] for row in a]
+    g = math.gcd(p, *(x for row in inv for x in row))
+    return [[x // g for x in row] for row in inv], abs(p) // g
 
 
 def mat_solve(mat, rhs):
     """Solve mat @ x = rhs exactly; raises ZeroDivisionError if singular."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(mat, rhs)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
+    inv, m = int_inverse(mat)
+    return [Fraction(sum(map(mul, row, rhs)), m) for row in inv]
 
 
 def mat_inv(mat):
-    n = len(mat)
-    cols = [mat_solve(mat, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    inv, m = int_inverse(mat)
+    return [[Fraction(x, m) for x in row] for row in inv]
 
 
 def mat_mul(a, b):

@@ -199,8 +199,8 @@ class NumberField:
         self._embed_cache: dict[tuple, tuple] = {}
         # (element coefficients, precision) -> its row of unit_logs
         self._log_cache: dict[tuple, tuple] = {}
-        # basis coefficients -> geometry.CramerMap of the embedded basis
-        self._cramer_cache: dict[tuple, object] = {}
+        # the power basis's geometry.CramerMap, built by geometry.field_map
+        self._power_map = None
         self.one = self.element([1] + [0] * (n - 1))
         self.zero = self.element([0] * n)
         self.gen = self.element([0, 1] + [0] * (n - 2))

@@ -7,18 +7,19 @@ adaptive interval refinement on the dyadic ladder otherwise.  A refinement
 that reaches the cap ends in UndecidableSign, or in PrecisionCapExceeded for
 a quantity known to be nonzero; nothing is ever decided by tolerance.
 
-Every interval coordinate goes through one Cramer core, :class:`CramerMap`:
-the adjugate of its matrix is computed once per precision
-(:func:`~shintani.dyadic.iv_adjugate`), so each numerator is an n-term dot
-product.  A basis of field elements has one map, cached on its field
-(:func:`basis_map`) and shared by cone_coordinates, the cones' membership
-tests and the piercing predicates; a simplex owns the map of its lifted
-vertex matrix.
+The embedded matrix of a basis of field elements factors as V C, V the
+conjugates of the power basis (one per field), C the rational coefficients.
+So cone coordinates are C^-1 y: C^-1 = A / m is exact (:func:`basis_inverse`),
+y = V^-1 v is the coefficient vector of a field element, and otherwise comes
+from the field's one :class:`CramerMap` (:func:`field_map`), whose adjugate is
+computed once per precision.  A simplex owns the map of its lifted vertex
+matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .dyadic import DEFAULT_PREC_CAP, Iv, Ladder, adaptive_sign, iv_adjugate
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     LastCoordinateZero,
     YNotInSimplex,
 )
-from .exactlinalg import as_fraction, mat_det, mat_solve
+from .exactlinalg import as_fraction, int_inverse, mat_det, mat_solve
 from .field import FieldElement, NumberField
 
 
@@ -99,18 +100,9 @@ class Coordinates:
         return self._values
 
 
-def _coeff_matrix(basis, field: NumberField):
-    """Columns = the basis elements in power coordinates."""
-    return [[b.coeffs[i] for b in basis] for i in range(field.degree)]
-
-
-def basis_det_sign(basis, field: NumberField) -> int:
-    """Exact sign of det of the embedded basis matrix, 0 for a dependent
-    basis: the embedding matrix factors through the root Vandermonde
-    (positive for the ascending order), so the sign is the rational
-    coordinate determinant's sign times the order's parity."""
-    d = mat_det(_coeff_matrix(basis, field))
-    return 0 if d == 0 else field.vandermonde_sign * (1 if d > 0 else -1)
+def int_map(a, y):
+    """A y for an integer matrix A and an interval vector y; exact."""
+    return [sum((yk.mul_int(c) for c, yk in zip(row, y) if c), Iv.ZERO) for row in a]
 
 
 class CramerMap:
@@ -133,79 +125,73 @@ class CramerMap:
             adj = self._adj[prec] = iv_adjugate(self._rows_at(prec))
         return adj
 
-    def numerator(self, v, i: int, prec: int) -> Iv:
-        """det(rows with column i -> v) at prec."""
-        cof = self.adjugate(prec)[0]
-        acc = v[0] * cof[0][i]
-        for j in range(1, len(v)):
-            acc = acc + v[j] * cof[j][i]
-        return acc
+    def numerators(self, v, prec: int) -> list:
+        """det(rows with column i -> v) at prec, for every i."""
+        return [sum(map(mul, v, col), Iv.ZERO) for col in zip(*self.adjugate(prec)[0])]
 
-    def solve(self, col_at, cap: int, zero_possible: bool, what: str):
+    def solve(self, col_at, cap: int, zero_possible: bool, what: str, inverse=None):
         """The certified sign of every coordinate of ``col_at`` in the
-        columns, and a thunk of the coordinates numerator / det.  One ladder
+        columns, and a thunk of the coordinates numerator / det; with
+        ``inverse`` = (A, m), of the coordinates mapped by A / m.  One ladder
         climbs until every sign and the denominator are certified; a sign
         missing at the cap raises per ``zero_possible``, the denominator
         (known to be nonzero) PrecisionCapExceeded."""
+        a, m = inverse or (None, 1)
         signs: dict[int, int] = {}
         steps = Ladder(cap, f"{what} sign", zero_possible)
         for prec in steps:
-            col = col_at(prec)
-            for i in range(len(col)):
-                if i not in signs:
-                    s = self.numerator(col, i, prec).sign()
-                    if s is not None:
-                        signs[i] = s * self.det_sign
-            if len(signs) == len(col):
+            nums = self.numerators(col_at(prec), prec)
+            if a is not None:
+                nums = int_map(a, nums)
+            for i, num in enumerate(nums):
+                if i not in signs and num.sign() is not None:
+                    signs[i] = num.sign() * self.det_sign
+            if len(signs) == len(nums):
                 det = self.adjugate(prec)[1]
                 if det.sign() is not None:
                     break
                 steps.what, steps.zero_possible = f"{what} determinant", False
-        return (tuple(signs[i] for i in range(len(col))),
-                lambda: tuple(self.numerator(col, i, prec).div(det, prec)
-                              for i in range(len(col))))
+        return (tuple(signs[i] for i in range(len(nums))),
+                lambda: tuple(num.div(det.mul_int(m), prec) for num in nums))
 
 
-def basis_map(basis, field: NumberField) -> CramerMap:
-    """The coordinate map of a basis of field elements, cached on the field
-    by the basis coefficients (DependentBasis for a dependent basis)."""
-    key = tuple(b.coeffs for b in basis)
-    cmap = field._cramer_cache.get(key)
-    if cmap is None:
-        sign = basis_det_sign(basis, field)
-        if sign == 0:
-            raise DependentBasis("basis elements are Q-linearly dependent")
-        basis = tuple(basis)
+def field_map(field: NumberField) -> CramerMap:
+    """V^-1, the coordinate map of the power basis 1, t, ..., t^(n-1): row j
+    of V is embedding j of every t^k.  One per field and embedding order;
+    det V is a Vandermonde determinant, of sign ``field.vandermonde_sign``."""
+    if field._power_map is None:
+        n = field.degree
+        powers = [field.element([int(i == k) for i in range(n)]) for k in range(n)]
+        field._power_map = CramerMap(
+            lambda prec: [list(row) for row in zip(*(field.embed_iv(b, prec) for b in powers))],
+            field.vandermonde_sign)
+    return field._power_map
 
-        def rows_at(prec):             # row j = embedding j of every f_i
-            return [list(row) for row in zip(*(field.embed_iv(b, prec) for b in basis))]
 
-        cmap = CramerMap(rows_at, sign)
-        if len(field._cramer_cache) > 8192:
-            field._cramer_cache.clear()
-        field._cramer_cache[key] = cmap
-    return cmap
+def basis_inverse(basis, field: NumberField):
+    """(A, m) with C^-1 = A / m, C the coefficient matrix of a basis of field
+    elements: its columns are the basis in power coordinates
+    (DependentBasis for a dependent basis)."""
+    try:
+        return int_inverse([[b.coeffs[i] for b in basis] for i in range(field.degree)])
+    except ZeroDivisionError:
+        raise DependentBasis("basis elements are Q-linearly dependent")
 
 
 def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> Coordinates:
-    """Solve v = sum_i c_i f_i with certified coefficient signs.
-
-    The sign of det(embedded basis) is exact (:func:`basis_det_sign`).  Each
-    numerator is certified adaptively through the basis's cached
-    :class:`CramerMap` (or exactly, for field-rational v).  Pass
+    """Solve v = sum_i c_i f_i with certified coefficient signs: exactly for
+    a field element, otherwise adaptively through the field map.  Pass
     ``zero_possible=False`` when a vanishing coefficient is ruled out (e.g.
     v = e_n), so hitting the cap raises PrecisionCapExceeded rather than
-    UndecidableSign.  The embedded basis determinant is nonzero, so failing
-    to certify it at the cap raises PrecisionCapExceeded.
+    UndecidableSign.  The denominator m det V is nonzero, so failing to
+    certify it at the cap raises PrecisionCapExceeded.
     """
-    basis = list(basis)
-    cmap = basis_map(basis, field)
+    a, m = inverse = basis_inverse(basis, field)
     if isinstance(v, FieldElement):
-        c = mat_solve(_coeff_matrix(basis, field), list(v.coeffs))
-        signs = tuple((x > 0) - (x < 0) for x in c)
-        return Coordinates(signs, tuple(c), True)
-    signs, values = cmap.solve(IvVec.wrap(v).at, field.prec_cap, zero_possible,
-                               "cone coordinate")
+        c = tuple(sum(map(mul, row, v.coeffs)) / m for row in a)
+        return Coordinates(((x > 0) - (x < 0) for x in c), c, True)
+    signs, values = field_map(field).solve(IvVec.wrap(v).at, field.prec_cap, zero_possible,
+                                           "cone coordinate", inverse)
     return Coordinates(signs, values, False)
 
 
@@ -288,30 +274,29 @@ def face_span_det_sign(simplex: Simplex, i: int, point, cap: int = DEFAULT_PREC_
         d = mat_det(rows)
         return (d > 0) - (d < 0)
     col_at = _lifted(point)
-    return adaptive_sign(lambda prec: simplex._map.numerator(col_at(prec), i, prec),
+    return adaptive_sign(lambda prec: simplex._map.numerators(col_at(prec), prec)[i],
                          cap=cap, zero_possible=True, what="face-span det")
+
+
+def _pierces(coordinates, x, y, what: str) -> bool:
+    """True iff the segment from x to y meets the interior: the coordinates
+    of x are > 0 wherever those of y vanish."""
+    cy = coordinates(y).signs
+    if any(s < 0 for s in cy):
+        raise YNotInSimplex(f"final point outside the closed {what}")
+    zero_idx = [i for i, s in enumerate(cy) if s == 0]
+    if not zero_idx:
+        return True                      # y interior: every segment pierces
+    cx = coordinates(x).signs
+    return all(cx[i] > 0 for i in zero_idx)
 
 
 def pierces_simplex(x, y, simplex: Simplex) -> bool:
     """True iff the segment from x to y in the simplex meets its interior:
     b_i(x) > 0 wherever b_i(y) = 0."""
-    by = barycentric(y, simplex)
-    if any(s < 0 for s in by.signs):
-        raise YNotInSimplex("final point outside the closed simplex")
-    zero_idx = [i for i, s in enumerate(by.signs) if s == 0]
-    if not zero_idx:
-        return True                      # y interior: every segment pierces
-    bx = barycentric(x, simplex)
-    return all(bx.signs[i] > 0 for i in zero_idx)
+    return _pierces(lambda p: barycentric(p, simplex), x, y, "simplex")
 
 
 def pierces_cone(x, y, basis, field: NumberField) -> bool:
     """Cone version: coordinates of x must be > 0 wherever y's vanish."""
-    cy = cone_coordinates(y, basis, field)
-    if any(s < 0 for s in cy.signs):
-        raise YNotInSimplex("final point outside the closed cone")
-    zero_idx = [i for i, s in enumerate(cy.signs) if s == 0]
-    if not zero_idx:
-        return True
-    cx = cone_coordinates(x, basis, field)
-    return all(cx.signs[i] > 0 for i in zero_idx)
+    return _pierces(lambda p: cone_coordinates(p, basis, field), x, y, "cone")

@@ -57,16 +57,28 @@ def quartic_725():
                  fld.element([2, -3, 1, 0])]
 
 
-def q_zeta11_plus():
-    """Q(zeta11)^+: x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1, the minimal polynomial
-    of t = 2cos(2pi/11), with the units (2cos(2pi k/11))^2 for k = 1..4
-    (independent totally positive cyclotomic units).  2cos(2pi k/11) is
-    C_k(t), with C_0 = 2, C_1 = t and C_(k+1) = t C_k - C_(k-1)."""
-    fld = NumberField([1, 3, -3, -4, 1, 1])
+def _real_cyclotomic(poly):
+    """The field of the minimal polynomial of t = 2cos(2pi/p), low degree
+    first, with the units (2cos(2pi k/p))^2 for k = 1..n-1 (independent
+    totally positive cyclotomic units).  2cos(2pi k/p) is C_k(t), with
+    C_0 = 2, C_1 = t and C_(k+1) = t C_k - C_(k-1)."""
+    fld = NumberField(poly)
     cheb = [fld.one * 2, fld.gen]
     while len(cheb) < fld.degree:
         cheb.append(fld.gen * cheb[-1] - cheb[-2])
     return fld, [c * c for c in cheb[1:]]
+
+
+def q_zeta11_plus():
+    """Q(zeta11)^+: x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1, with the units
+    C_k(t)^2 of _real_cyclotomic."""
+    return _real_cyclotomic([1, 3, -3, -4, 1, 1])
+
+
+def q_zeta13_plus():
+    """Q(zeta13)^+: x^6 + x^5 - 5x^4 - 4x^3 + 6x^2 + 3x - 1, with the units
+    C_k(t)^2 of _real_cyclotomic."""
+    return _real_cyclotomic([-1, 3, 6, -4, -5, 1, 1])
 
 
 def cubic_signed_witness():

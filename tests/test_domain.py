@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,7 +25,14 @@ from shintani.errors import (
 )
 from shintani.geometry import pierces_cone
 
-from fixtures import cubic_81, cubic_signed_witness, q_sqrt2, q_zeta11_plus, quartic_725
+from fixtures import (
+    cubic_81,
+    cubic_signed_witness,
+    q_sqrt2,
+    q_zeta11_plus,
+    q_zeta13_plus,
+    quartic_725,
+)
 
 
 def test_colmez_generators_quadratic():
@@ -201,6 +209,24 @@ def test_net_count_degree_5():
     assert len(dom.cones) == 24
     rep = verify_net_counts(dom, samples=60, seed=11)
     assert rep["ok"] and rep["failures"] == [] and rep["samples"] == 60
+
+
+# sha256 of repr([(sigma, w, flags) per cone]) for Q(zeta13)^+, frozen from
+# the domain built with per-cone interval adjugates, before cone coordinates
+# went through the power basis
+ZETA13_CONES = "c959e4e3aa71aca073eedb8992a5372fafc9bf1e7c60e48a6e5ea06a88a8eff4"
+
+
+def test_degree_6_domain_and_net_counts():
+    # Q(zeta13)^+ with 120 cones: the signs and flags are the frozen ones,
+    # and every net count of 10 seeded points is 1
+    fld, units = q_zeta13_plus()
+    dom = build_signed_domain(units, fld)
+    assert len(dom.cones) == 120
+    rows = [(c.sigma, c.w, c.flags) for c in dom.cones]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ZETA13_CONES
+    rep = verify_net_counts(dom, samples=10, seed=11)
+    assert rep["ok"] and rep["failures"] == [] and rep["samples"] == 10
 
 
 def test_embedding_order_invariance_small():

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,6 +10,7 @@ from shintani.exactlinalg import (
     charpoly,
     hnf_rows,
     hnf_solve,
+    int_inverse,
     mat_det,
     mat_inv,
     mat_solve,
@@ -90,6 +93,24 @@ def test_mat_solve_and_inv():
     prod = [[sum(Fraction(m[i][k]) * inv[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
     assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_int_inverse_is_the_exact_inverse_in_lowest_terms():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
+             for _ in range(n)]
+        if mat_det(m) == 0:
+            with pytest.raises(ZeroDivisionError):
+                int_inverse(m)
+            continue
+        a, d = int_inverse(m)
+        assert d > 0 and math.gcd(d, *(x for row in a for x in row)) == 1
+        assert all(type(x) is int for row in a for x in row)
+        prod = [[sum(m[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_charpoly_det_trace():

@@ -23,7 +23,7 @@ from shintani.geometry import (
     project_ell,
 )
 
-from fixtures import cubic_81, q_sqrt2
+from fixtures import ALL_NET_COUNT, cubic_81, q_sqrt2, q_zeta11_plus, quartic_725
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
 
@@ -276,20 +276,75 @@ def _fibonacci(k):
     return a
 
 
-def test_cone_coordinates_basis_determinant_stops_at_cap():
-    # a + b x and c + d x with ad - bc = 1 (Cassini) and coefficients near
-    # 2^102: the coordinate signs of e_2 certify at 64 bits, the embedded
-    # basis determinant (2 sqrt2) only at 256
+def test_cone_coordinates_of_a_cassini_basis_certify_at_cap_128():
+    # a + b x and b + d x with ad - b^2 = 1 (Cassini) and coefficients near
+    # 2^102: C^-1 = [[d, -b], [-b, a]] is exact, so no interval determinant
+    # of the embedded basis is left to certify.  e_2 has power coordinates
+    # (1/2, 1/(2 sqrt2)), so c_1 = (d - b/sqrt2)/2 < 0 < c_2 = (a/sqrt2 - b)/2:
+    # b/d and a/b are near the golden ratio, which exceeds sqrt2
     a, b, d = _fibonacci(149), _fibonacci(148), _fibonacci(147)
+    fld = NumberField([-2, 0, 1], prec_cap=128)
+    basis = [fld.element([a, b]), fld.element([b, d])]
+    assert cone_coordinates((0, 1), basis, fld, zero_possible=False).signs == (-1, 1)
+    for z in (fld.element([0, 1]), fld.element([5, -3]), fld.element([-7, 5])):
+        vv = IvVec(lambda p, z=z: fld.embed_iv(z, p))
+        assert cone_coordinates(vv, basis, fld).signs == cone_coordinates(z, basis, fld).signs
+
+
+def test_cone_coordinates_near_zero_stop_at_cap():
+    # z = 1 + 2^-200 eps has coordinates (1, 2^-200) in the basis (1, eps);
+    # its embedding is known to about 2^-prec, so the second sign certifies
+    # at 256 bits and not at 128
     for cap, ok in ((128, False), (256, True)):
         fld = NumberField([-2, 0, 1], prec_cap=cap)
-        basis = [fld.element([a, b]), fld.element([b, d])]
+        eps = fld.element([3, 2])
+        z = fld.one + eps * Fraction(1, 1 << 200)
+        vv = IvVec(lambda p, fld=fld, z=z: fld.embed_iv(z, p))
         if ok:
-            cc = cone_coordinates((0, 1), basis, fld, zero_possible=False)
-            assert cc.signs == cone_coordinates(fld.element([0, 1]), basis, fld).signs
+            assert cone_coordinates(vv, [fld.one, eps], fld).signs == (1, 1)
         else:
-            with pytest.raises(PrecisionCapExceeded):
-                cone_coordinates((0, 1), basis, fld, zero_possible=False)
+            with pytest.raises(UndecidableSign):
+                cone_coordinates(vv, [fld.one, eps], fld)
+
+
+def _reordered(make, order):
+    fld, units = make()
+    other = fld.with_embedding_order(order)
+    return other, [other.element(u.coeffs) for u in units]
+
+
+# ALL_NET_COUNT, the degree-5 field, and two fields in a permuted embedding
+# order, whose field map must follow the permutation
+DIFFERENTIAL = dict(
+    ALL_NET_COUNT, q_zeta11_plus=q_zeta11_plus,
+    cubic_81_reordered=lambda: _reordered(cubic_81, (2, 0, 1)),
+    quartic_725_reordered=lambda: _reordered(quartic_725, (1, 3, 0, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_interval_coordinates_enclose_the_exact_ones(name):
+    # per cone, 30 seeded field elements z: the exact route (y = the
+    # coefficients of z) reconstructs z, and the interval route (y = V^-1
+    # of its embedding) gives the same signs and encloses the same values
+    from shintani.domain import build_signed_domain
+    fld, units = DIFFERENTIAL[name]()
+    dom = build_signed_domain(units, fld)
+    rng = random.Random(name)
+    for cone in dom.cones:
+        gens = cone.generators
+        done = 0
+        while done < 30:
+            z = fld.element([Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+                             for _ in range(fld.degree)])
+            exact = cone_coordinates(z, gens, fld)
+            if 0 in exact.signs:            # not generic: a face hyperplane
+                continue
+            assert sum((f * c for f, c in zip(gens, exact.values)), fld.zero) == z
+            vv = IvVec(lambda p, z=z: fld.embed_iv(z, p))
+            got = cone_coordinates(vv, gens, fld)
+            assert got.signs == exact.signs
+            assert all(iv.contains(c) for iv, c in zip(got.values, exact.values))
+            done += 1
 
 
 def _around(c, k):
@@ -329,39 +384,58 @@ def test_project_ell_respects_field_cap():
 
 
 def test_adjugate_once_per_basis_and_precision(monkeypatch):
-    # the coordinate map of a basis is cached on its field: over a domain
-    # build and 200 calls of each route on one cone, every (basis,
-    # precision) pair costs one adjugate
+    # cone work forms the adjugate of the field's power-basis map alone,
+    # once per precision, however many cones there are; only the simplex
+    # route adds adjugates, of its lifted vertex matrices
     from collections import Counter
 
     from shintani import geometry
     from shintani.domain import (build_signed_domain, cone_contains,
-                                 cone_contains_via_simplex)
+                                 cone_contains_via_simplex, projected_simplex)
 
     calls = Counter()
     adjugate = geometry.iv_adjugate
 
+    def key(rows):
+        return tuple((iv.lo_fraction(), iv.hi_fraction()) for row in rows for iv in row)
+
     def counting(rows):
-        calls[tuple((iv.lo_fraction(), iv.hi_fraction()) for row in rows for iv in row)] += 1
+        calls[key(rows)] += 1
         return adjugate(rows)
 
     monkeypatch.setattr(geometry, "iv_adjugate", counting)
-    fld, units = cubic_81()
-    dom = build_signed_domain(units, fld)
-    cone = dom.cones[0]
-    e_n = (0, 0, 1)
-    rng = random.Random(5)
-    for _ in range(200):
-        x = tuple(Fraction(rng.uniform(0.05, 20)) for _ in range(3))
-        inside = cone_contains(cone, x)
-        try:
-            pier = pierces_cone(e_n, x, cone.generators, fld)
-        except YNotInSimplex:
-            pier = False
-        assert inside == pier == cone_contains_via_simplex(cone, x)
-    assert calls and max(calls.values()) == 1
-    # one basis map per cone and one simplex map, at a few rungs each
-    assert len(calls) <= 3 * len(dom.cones)
+    for make in (cubic_81, quartic_725):
+        calls.clear()
+        fld, units = make()
+        n = fld.degree
+        dom = build_signed_domain(units, fld)
+        dom._member_data()
+        e_n = (0,) * (n - 1) + (1,)
+        rng = random.Random(5)
+        points = [tuple(Fraction(rng.uniform(0.05, 20)) for _ in range(n))
+                  for _ in range(40)]
+        inside = {}
+        for cone in dom.cones:
+            for x in points:
+                inside[cone.sigma, x] = cone_contains(cone, x)
+                try:
+                    pier = pierces_cone(e_n, x, cone.generators, fld)
+                except YNotInSimplex:
+                    pier = False
+                assert inside[cone.sigma, x] == pier
+        power = geometry.field_map(fld)
+        assert set(calls) == {key(power._rows_at(p)) for p in power._adj}
+        assert max(calls.values()) == 1 and len(calls) <= 2
+        cone_keys = set(calls)
+        for cone in dom.cones:
+            for x in points:
+                assert inside[cone.sigma, x] == cone_contains_via_simplex(cone, x)
+        simplex_keys = set()
+        for cone in dom.cones:
+            smap = projected_simplex(cone)._map
+            simplex_keys |= {key(smap._rows_at(p)) for p in smap._adj}
+        assert set(calls) - cone_keys == simplex_keys
+        assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("permuted_first", [False, True])
