@@ -67,19 +67,19 @@ class SignedCone:
     """One cone: permutation, generators, orientation sign, half-open flags,
     and the exact inverse (A, m) of the generators' coefficient matrix."""
 
-    __slots__ = ("sigma", "generators", "w", "flags", "field", "_inverse", "_simplex")
+    __slots__ = ("sigma", "generators", "w", "flags", "field", "inverse", "_simplex")
 
     def __init__(self, sigma, generators, w, field):
         self.sigma = tuple(sigma)
         self.generators = tuple(generators)
         self.w = w
         self.field = field
-        self._inverse = basis_inverse(self.generators, field)
+        self.inverse = basis_inverse(self.generators, field)
         self._simplex = None
         # e_n is off every face plane (no zero sign) and outside the cone (a face is open)
         e_n = IvVec.wrap([0] * (field.degree - 1) + [1])
         signs, _ = field_map(field).solve(e_n.at, field.prec_cap, False, "cone coordinate",
-                                          self._inverse)
+                                          self.inverse)
         self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN for s in signs)
         assert FLAG_OPEN in self.flags
 
@@ -93,7 +93,7 @@ class SignedCone:
         pending = range(self.field.degree)
         for prec in Ladder(self.field.prec_cap if cap is None else cap,
                            "cone membership sign", zero_possible=True):
-            nums = int_map(self._inverse[0], fmap.numerators(vfn(prec), prec))
+            nums = int_map(self.inverse[0], fmap.numerators(vfn(prec), prec))
             undecided = []
             for i in pending:
                 s = nums[i].sign()
@@ -107,7 +107,7 @@ class SignedCone:
 
     def contains_element(self, x: FieldElement) -> bool:
         """Exact membership for a field-rational point: by the signs of A x."""
-        return all(map(_admits, (sum(map(mul, row, x.coeffs)) for row in self._inverse[0]),
+        return all(map(_admits, (sum(map(mul, row, x.coeffs)) for row in self.inverse[0]),
                        self.flags))
 
     def to_json(self):
@@ -492,7 +492,7 @@ class SignedDomain:
             sign = field.vandermonde_sign
             cofactors = []
             for c in self.cones:
-                cm, cr = _mid_rad_rows([int_map(c._inverse[0], row) for row in cof])
+                cm, cr = _mid_rad_rows([int_map(c.inverse[0], row) for row in cof])
                 cols = [[(m * sign, rad, abs(m)) for m, rad in zip(mcol, rcol)]
                         for mcol, rcol in zip(zip(*cm), zip(*cr))]
                 usable = all(abs(m) <= 1 / _SAFE and rad <= 1 / _SAFE

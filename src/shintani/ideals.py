@@ -16,11 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotValidated, SchemaError, ZeroIdeal
 from .exactlinalg import (
     hnf_rows,
     hnf_solve,
+    int_inverse,
     mat_det,
     mat_inv,
     mat_solve,
@@ -327,13 +329,14 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
     shift = field.element_like(shift) if not isinstance(shift, FieldElement) else shift
 
     b = lattice.power_basis_matrix()
-    g_cols = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
-              for i in range(n)]
+    g_mat = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
+             for i in range(n)]
     # N = B^-1 G: integer iff every scaled generator lies in the lattice
-    n_cols = [mat_solve(b, [g_cols[i][j] for i in range(n)]) for j in range(n)]
-    if any(x.denominator != 1 for col in n_cols for x in col):
+    b_inv, mb = int_inverse(b)
+    n_mat = [[Fraction(sum(map(mul, row, col)), mb) for col in zip(*g_mat)] for row in b_inv]
+    if any(x.denominator != 1 for row in n_mat for x in row):
         raise ValueError("scaled generators do not lie in the lattice")
-    n_mat = [[int(n_cols[j][i]) for j in range(n)] for i in range(n)]
+    n_mat = [[int(x) for x in row] for row in n_mat]
     index = abs(int(mat_det(n_mat)))
 
     # residues of N^-1 Z^n / Z^n ~ Z^n / N Z^n via the HNF diagonal box
@@ -341,9 +344,11 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
     diag = [h[i][next(k for k, x in enumerate(h[i]) if x)] for i in range(len(h))]
     assert len(diag) == n
 
-    g_mat = [[g_cols[i][j] for j in range(n)] for i in range(n)]
-    tau0 = mat_solve(g_mat, list(shift.coeffs))
-    n_inv = mat_inv([[Fraction(x) for x in row] for row in n_mat])
+    # G^-1 = A / (m scale) from the cone's C^-1 = A / m: tau0 = G^-1 shift
+    # and N^-1 = G^-1 B
+    a, m = cone.inverse
+    tau0 = [Fraction(sum(map(mul, row, shift.coeffs)), m * scale) for row in a]
+    n_inv = [[Fraction(sum(map(mul, row, col)), m * scale) for col in zip(*b)] for row in a]
     d = math.lcm(*(x.denominator for x in tau0),
                  *(x.denominator for row in n_inv for x in row))
     t0 = [int(x * d) for x in tau0]

@@ -144,9 +144,11 @@ def box_sum(z, gens, s, radius, scale=1.0):
 
 _INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
 
-# Primes per batch: bounds the (chunk, n, n) working arrays and the peak
-# memory of a scan, whatever the prime cap.
-_CHUNK = 4096
+# Working-set bound of a scan in int64 entries: a batch holds
+# _CHUNK_ENTRIES // n^2 primes (4096 at n = 2, 1024 at n = 4), so its
+# (batch, n, n) arrays, and the peak memory of a scan, do not grow with n
+# or with the number of primes.
+_CHUNK_ENTRIES = 2 ** 14
 
 
 def _reduction_interval(p, n):
@@ -295,22 +297,28 @@ def _chunk_patterns(poly, p, ramified=False):
 
 def splitting_counts(poly, primes):
     """Distinct-factor degree counts of the squarefree part of poly mod p
-    for every prime, decided in chunks of _CHUNK by the ranks of Q^d - I
-    (see above).  The primes are grouped by whether they divide disc(poly),
-    which picks the pattern table, and whether they exceed _INT64_PRIME_MAX,
+    for every prime, decided in batches of _CHUNK_ENTRIES // n^2 by the
+    ranks of Q^d - I (see above).  The primes, an int64 array or any
+    iterable of ints, are grouped by whether they divide disc(poly), which
+    picks the pattern table, and whether they exceed _INT64_PRIME_MAX,
     which picks int64 or object arrays."""
     from ..polyroots import poly_discriminant
 
-    primes = np.array(list(map(operator.index, primes)), dtype=object)
-    divides = poly_discriminant(poly) % primes == 0
+    if not isinstance(primes, np.ndarray):
+        primes = np.array(list(map(operator.index, primes)), dtype=object)
+    n = len(poly) - 1
+    disc = poly_discriminant(poly)
+    # a discriminant beyond int64 is reduced mod p with Python ints
+    divides = disc % (primes if abs(disc) < 2 ** 63 else primes.astype(object)) == 0
     above = primes > _INT64_PRIME_MAX
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     ids = np.empty(len(primes), dtype=np.int64)     # index into table
     table = []
     for ramified, big in itertools.product((False, True), repeat=2):
         members = np.flatnonzero((divides == ramified) & (above == big))
         p = primes[members].astype(object if big else np.int64)
-        for lo in range(0, len(members), _CHUNK):
-            ids[members[lo:lo + _CHUNK]] = len(table) + _chunk_patterns(
-                poly, p[lo:lo + _CHUNK], ramified)
-        table += _patterns(len(poly) - 1, ramified)[0]
+        for lo in range(0, len(members), chunk):
+            ids[members[lo:lo + chunk]] = len(table) + _chunk_patterns(
+                poly, p[lo:lo + chunk], ramified)
+        table += _patterns(n, ramified)[0]
     return list(map(table.__getitem__, ids.tolist()))

@@ -2,8 +2,10 @@
 the Dedekind zeta function at s > 1 as the product of the local factors
 prod_d (1 - p^(-d s))^(-a_d) over the primes p up to a cap, a_d the number
 of degree-d factors of the defining polynomial mod p (from
-`kernels.splitting_counts`), with certified roundoff and tail bounds.  It
-loads NumPy and the kernels, but not the domain, ideal and zeta modules.
+`kernels.splitting_counts`), with certified roundoff and tail bounds.  The
+primes are sieved and scanned one segment at a time, so memory does not
+grow with the cap.  It loads NumPy and the kernels, but not the domain,
+ideal and zeta modules.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .kernels import ZetaValue
 _PI_BOUND_C = 1.25506
 
 
-# (defining polynomial, prime cap) -> (primes, splitting counts)
-_SPLIT_CACHE: dict = {}
+# integers per segment of the sieve: with the base primes up to isqrt(cap),
+# the oracle's working set, whatever the cap
+_SEGMENT = 2 ** 16
 
 
 def _sieve(limit: int):
@@ -33,6 +36,21 @@ def _sieve(limit: int):
         if mask[p]:
             mask[p * p:: p] = False
     return np.flatnonzero(mask).tolist()
+
+
+def _segments(cap: int):
+    """The primes up to cap in increasing order, as one int64 array per
+    segment [lo, lo + _SEGMENT) (segmented sieve: Bays and Hudson, BIT 1977)."""
+    base = _sieve(math.isqrt(cap))
+    for lo in range(0, cap + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, cap + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        mask[:max(2 - lo, 0)] = False
+        for p in base:
+            if p * p >= hi:
+                break
+            mask[max(p * p, -(-lo // p) * p) - lo:: p] = False
+        yield (np.flatnonzero(mask) + lo).astype(np.int64, copy=False)
 
 
 # Roundoff of the oracle against the exact product Z = exp(S) over the same
@@ -96,26 +114,22 @@ def euler_product_oracle(s: float, field, prime_cap: int, order=None) -> ZetaVal
                 if idx % p == 0:
                     raise NonMonogenicPrime(
                         f"prime {p} divides the power-basis index {idx}")
-    key = (field.poly, prime_cap)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is None:
-        primes = _sieve(prime_cap)
-        counts = kernels.splitting_counts(field.poly, primes)
-        _SPLIT_CACHE[key] = (primes, counts)
-    else:
-        primes, counts = cached
     n = field.degree
     # per pattern, (a_d, -d s) for its nonzero a_d: the loop's operations
-    terms = {cnt: [(a_d, -d * s) for d, a_d in enumerate(cnt, start=1) if a_d]
-             for cnt in set(counts)}
+    terms = {}
     log1p = math.log1p
     log_val = 0.0
-    for p, cnt in zip(primes, counts):
-        fp = float(p)
-        for a_d, e in terms[cnt]:
-            log_val -= a_d * log1p(-fp ** e)
+    prime_count = 0
+    for primes in _segments(prime_cap):
+        counts = kernels.splitting_counts(field.poly, primes)
+        for cnt in set(counts).difference(terms):
+            terms[cnt] = [(a_d, -d * s) for d, a_d in enumerate(cnt, start=1) if a_d]
+        for p, cnt in zip(primes.tolist(), counts):
+            fp = float(p)
+            for a_d, e in terms[cnt]:
+                log_val -= a_d * log1p(-fp ** e)
+        prime_count += len(counts)
     value = math.exp(log_val)
-    prime_count = len(primes)
     roundoff = euler_product_roundoff(log_val, n * prime_count, n)
     # tail: log of the omitted factors is below n * sum_{p > P} p^-s / (1 - p^-s);
     # partial summation against pi(x) < C x / log x gives the explicit bound

@@ -402,10 +402,11 @@ PRIMES_30K = [p for p in range(2, 30000)
 
 @pytest.mark.parametrize("poly", SCAN_POLYS)
 def test_batched_scan_matches_ddf(monkeypatch, poly):
-    # a small chunk puts several chunk boundaries (and a short last chunk)
-    # inside the 3245 primes
-    monkeypatch.setattr(reference, "_CHUNK", 1000)
-    assert len(PRIMES_30K) > 3 * reference._CHUNK
+    # batches of 1000 primes put several batch boundaries (and a short last
+    # batch) inside the 3245 primes
+    n = len(poly) - 1
+    monkeypatch.setattr(reference, "_CHUNK_ENTRIES", 1000 * n * n)
+    assert len(PRIMES_30K) > 3 * (reference._CHUNK_ENTRIES // (n * n))
     want = [ddf_counts(poly, p) for p in PRIMES_30K]
     assert reference.splitting_counts(poly, PRIMES_30K) == want
 
@@ -525,6 +526,15 @@ def test_coefficients_beyond_int64():
     poly = (-(10 ** 40 + 1), 0, 1)
     primes = [2, 3, 5, 7, 17, 5882353, 1000003] + BELOW_BOUND
     assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, p) for p in primes]
+
+
+@pytest.mark.parametrize("poly", [(-2, 0, 1), X4_X_1, (-(10 ** 40 + 1), 0, 1)])
+def test_int64_array_matches_list(poly):
+    # the oracle passes int64 arrays: primes above the bound and a
+    # discriminant beyond int64 still reach object arrays
+    primes = [2, 3, 5, 7, 17, 5882353, 1000003] + BELOW_BOUND + ABOVE_BOUND + NEAR_1E12
+    got = reference.splitting_counts(poly, np.array(primes, dtype=np.int64))
+    assert got == reference.splitting_counts(poly, primes) == [ddf_counts(poly, p) for p in primes]
 
 
 def test_ramified_prime_above_the_bound():
