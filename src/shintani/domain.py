@@ -14,9 +14,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
-from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
+from .dyadic import START_PREC, Iv, Ladder, adaptive_sign, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
 from .exactlinalg import as_fraction, mat_det
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
@@ -25,8 +24,10 @@ from .geometry import (
     Simplex,
     barycentric,
     basis_inverse,
+    coordinates,
     field_map,
     int_map,
+    project_ell,
 )
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
@@ -77,38 +78,26 @@ class SignedCone:
         self.inverse = basis_inverse(self.generators, field)
         self._simplex = None
         # e_n is off every face plane (no zero sign) and outside the cone (a face is open)
-        e_n = IvVec.wrap([0] * (field.degree - 1) + [1])
-        signs, _ = field_map(field).solve(e_n.at, field.prec_cap, False, "cone coordinate",
-                                          self.inverse)
-        self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN for s in signs)
+        e_n = (0,) * (field.degree - 1) + (1,)
+        self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN
+                           for s in coordinates(e_n, self.inverse, field, False).signs)
         assert FLAG_OPEN in self.flags
 
     # ---- certified membership ----
 
+    def _contains(self, v, cap=None) -> bool:
+        """The half-open rule on the certified signs of v's cone coordinates."""
+        return all(map(_admits, coordinates(v, self.inverse, self.field, cap=cap).signs,
+                       self.flags))
+
     def contains_vector(self, vfn, cap=None) -> bool:
-        """Membership for an adaptive vector evaluator (certified).  Each
-        rung tests the still-undecided coordinates in order and returns at
-        the first failed flag."""
-        fmap = field_map(self.field)
-        pending = range(self.field.degree)
-        for prec in Ladder(self.field.prec_cap if cap is None else cap,
-                           "cone membership sign", zero_possible=True):
-            nums = int_map(self.inverse[0], fmap.numerators(vfn(prec), prec))
-            undecided = []
-            for i in pending:
-                s = nums[i].sign()
-                if s is None:
-                    undecided.append(i)
-                elif not _admits(s * fmap.det_sign, self.flags[i]):
-                    return False
-            if not undecided:
-                return True
-            pending = undecided
+        """Membership for an adaptive vector evaluator (certified): every
+        coordinate sign is certified before the flags are read."""
+        return self._contains(IvVec(vfn), cap)
 
     def contains_element(self, x: FieldElement) -> bool:
         """Exact membership for a field-rational point: by the signs of A x."""
-        return all(map(_admits, (sum(map(mul, row, x.coeffs)) for row in self.inverse[0]),
-                       self.flags))
+        return self._contains(x)
 
     def to_json(self):
         return {
@@ -128,37 +117,28 @@ def cone_contains(cone: SignedCone, x) -> bool:
 
 def projected_simplex(cone: SignedCone) -> Simplex:
     """The simplex cut out of the hyperplane slice by the cone (vertices are
-    the projected generators); cached per cone."""
+    the projected generators l(f_i)); cached per cone."""
     if cone._simplex is None:
-        field = cone.field
-
-        def rows_fn(prec):
-            verts = []
-            for g in cone.generators:
-                conj = field._positive_conjugates(g, prec)
-                verts.append([c.div(conj[-1], prec) for c in conj[:-1]])
-            return verts
-
-        cone._simplex = Simplex(rows_fn=rows_fn, known_sign=None,
-                                cap=field.prec_cap)
+        verts = [project_ell(g) for g in cone.generators]
+        cone._simplex = Simplex(rows_fn=lambda prec: [v.at(prec) for v in verts],
+                                cap=cone.field.prec_cap)
     return cone._simplex
 
 
 def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
     """Independent membership route: project to the hyperplane slice and test
-    the half-open simplex via barycentric signs (same flag per vertex)."""
+    the half-open simplex via barycentric signs (same flag per vertex).
+    l(x) = l(-x), so a point with x_n <= 0 is answered outside first: every
+    point of the cone is strictly positive."""
     field = cone.field
-    simplex = projected_simplex(cone)
-
     if isinstance(x, FieldElement):
-        def pfn(prec):
-            conj = field._positive_conjugates(x, prec)
-            return [c.div(conj[-1], prec) for c in conj[:-1]]
-        p = IvVec(pfn)
+        last = adaptive_sign(lambda prec: field.embed_iv(x, prec)[-1], field.prec_cap,
+                             True, "last coordinate")
     else:
-        seq = tuple(map(as_fraction, x))
-        p = tuple(c / seq[-1] for c in seq[:-1])
-    coords = barycentric(p, simplex, cap=field.prec_cap)
+        last = as_fraction(x[-1])
+    if last <= 0:
+        return False
+    coords = barycentric(project_ell(x), projected_simplex(cone), cap=field.prec_cap)
     return all(map(_admits, coords.signs, cone.flags))
 
 

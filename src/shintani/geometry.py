@@ -12,8 +12,10 @@ conjugates of the power basis (one per field), C the rational coefficients.
 So cone coordinates are C^-1 y: C^-1 = A / m is exact (:func:`basis_inverse`),
 y = V^-1 v is the coefficient vector of a field element, and otherwise comes
 from the field's one :class:`CramerMap` (:func:`field_map`), whose adjugate is
-computed once per precision.  A simplex owns the map of its lifted vertex
-matrix.
+computed once per precision.  :func:`coordinates` is the one routine that
+forms them: the cone flags, cone membership, :func:`cone_coordinates` and
+:func:`pierces_cone` all read their signs from it.  A simplex owns the map of
+its lifted vertex matrix.
 """
 
 from __future__ import annotations
@@ -178,21 +180,30 @@ def basis_inverse(basis, field: NumberField):
         raise DependentBasis("basis elements are Q-linearly dependent")
 
 
-def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> Coordinates:
-    """Solve v = sum_i c_i f_i with certified coefficient signs: exactly for
-    a field element, otherwise adaptively through the field map.  Pass
-    ``zero_possible=False`` when a vanishing coefficient is ruled out (e.g.
-    v = e_n), so hitting the cap raises PrecisionCapExceeded rather than
-    UndecidableSign.  The denominator m det V is nonzero, so failing to
-    certify it at the cap raises PrecisionCapExceeded.
-    """
-    a, m = inverse = basis_inverse(basis, field)
+def coordinates(v, inverse, field: NumberField, zero_possible: bool = True,
+                cap: int | None = None) -> Coordinates:
+    """The coordinates A y / m of v in the basis whose exact inverse is
+    (A, m) = :func:`basis_inverse`, with certified signs: exact for a field
+    element (y its coefficients), else one ladder of the field map up to
+    ``cap`` (default the field's cap).  ``zero_possible=False`` rules out a
+    vanishing coordinate (e.g. v = e_n), so the cap raises
+    PrecisionCapExceeded rather than UndecidableSign, as it does for the
+    nonzero denominator m det V."""
+    a, m = inverse
     if isinstance(v, FieldElement):
-        c = tuple(sum(map(mul, row, v.coeffs)) / m for row in a)
-        return Coordinates(((x > 0) - (x < 0) for x in c), c, True)
-    signs, values = field_map(field).solve(IvVec.wrap(v).at, field.prec_cap, zero_possible,
-                                           "cone coordinate", inverse)
+        nums = [sum(map(mul, row, v.coeffs)) for row in a]
+        return Coordinates(((x > 0) - (x < 0) for x in nums),
+                           lambda: tuple(x / m for x in nums), True)
+    signs, values = field_map(field).solve(IvVec.wrap(v).at,
+                                           field.prec_cap if cap is None else cap,
+                                           zero_possible, "cone coordinate", inverse)
     return Coordinates(signs, values, False)
+
+
+def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> Coordinates:
+    """Solve v = sum_i c_i f_i with certified coefficient signs, as
+    :func:`coordinates` (DependentBasis for a dependent basis)."""
+    return coordinates(v, basis_inverse(basis, field), field, zero_possible)
 
 
 class Simplex:
@@ -299,4 +310,5 @@ def pierces_simplex(x, y, simplex: Simplex) -> bool:
 
 def pierces_cone(x, y, basis, field: NumberField) -> bool:
     """Cone version: coordinates of x must be > 0 wherever y's vanish."""
-    return _pierces(lambda p: cone_coordinates(p, basis, field), x, y, "cone")
+    inverse = basis_inverse(basis, field)
+    return _pierces(lambda p: coordinates(p, inverse, field), x, y, "cone")

@@ -25,9 +25,9 @@ _REFERENCE = ("box_sum", "box_sums", "splitting_counts")
 class ZetaValue:
     """A truncated sum with its certified error bound, its number of terms
     and its radius: the simplex level of a Shintani sum, the prime cap of
-    the Euler-product oracle."""
+    the Euler-product oracle.  The value is complex for an L-function."""
 
-    value: float
+    value: complex
     error_bound: float
     terms: int
     radius: int

@@ -224,14 +224,6 @@ def trivial_character(order: Order) -> CharacterTable:
                           FractionalIdeal.whole_ring(order))
 
 
-@dataclass
-class LValue:
-    value: complex
-    error_bound: float
-    terms: int
-    radius: int
-
-
 # Points per block of the R-set path: one block's kernel arrays hold
 # P * N floats, N = C(L + n - 1, n - 1) the longest slab, and P is at most
 # _BLOCK // N (at least 1), so a block costs about the memory of one
@@ -239,7 +231,7 @@ class LValue:
 _BLOCK = 2 ** 12
 
 
-def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> LValue:
+def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     """Sum of weight * zeta and of bound_weight * its error bound over the
     jobs (cone, z, target, weight, bound_weight), zeta being
     shintani_zeta(s, z, cone, target, scale) bit for bit; a job of None is
@@ -283,8 +275,8 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> LValue:
                (job[3] * zvs[i].value, job[4] * zvs[i].error_bound,
                 zvs[i].terms, zvs[i].radius)
                for i, job in enumerate(jobs)]
-    return LValue(sum(r[0] for r in results), sum(r[1] for r in results),
-                  sum(r[2] for r in results), max((r[3] for r in results), default=0))
+    return ZetaValue(sum(r[0] for r in results), sum(r[1] for r in results),
+                     sum(r[2] for r in results), max((r[3] for r in results), default=0))
 
 
 def _require_units_in_order(units, order: Order) -> None:
@@ -311,7 +303,7 @@ def _require_integral(ideal: FractionalIdeal, what: str) -> None:
 
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
                params: ZetaParams, order: Order | None = None,
-               domain: SignedDomain | None = None) -> LValue:
+               domain: SignedDomain | None = None) -> ZetaValue:
     """L(s, chi) as the triple sum over class representatives, cones, and
     R-set points, for Re(s) > 1.
 
@@ -349,7 +341,7 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
 
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
                  order: Order | None = None,
-                 domain: SignedDomain | None = None) -> LValue:
+                 domain: SignedDomain | None = None) -> ZetaValue:
     """zeta(s, ray class of a mod f*infinity) for Re(s) > 1.
 
     ``ray_class`` is (a, f, units) with a an integral representative, f the
@@ -375,13 +367,13 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
     target = per_term * (n_a ** s)
     total = _sum_jobs(s, [(cone, z, target, cone.w, 1) for cone, z in points],
                       f_int, params)
-    return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
-                  total.terms, total.radius)
+    return ZetaValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
+                     total.terms, total.radius)
 
 
 def dedekind_zeta_via_domain(s: float, units, field: NumberField,
                              params: ZetaParams,
-                             order: Order | None = None) -> LValue:
+                             order: Order | None = None) -> ZetaValue:
     """The partial zeta function of the principal narrow ideal class at s,
     assembled from the signed domain (trivial character on one class).
     This is zeta_k(s) only when k has narrow class number 1; Q(sqrt3), for

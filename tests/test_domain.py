@@ -21,9 +21,11 @@ from shintani.errors import (
     DependentUnits,
     NotAUnit,
     NotTotallyPositive,
+    UndecidableSign,
     YNotInSimplex,
 )
-from shintani.geometry import pierces_cone
+from shintani.field import FieldElement
+from shintani.geometry import IvVec, pierces_cone
 
 from fixtures import (
     cubic_81,
@@ -153,6 +155,36 @@ def test_membership_agrees_with_piercing_and_simplex():
                     pier = False
                 assert inside == pier
                 assert inside == cone_contains_via_simplex(cone, x)
+
+
+def test_negated_points_are_outside_on_every_route():
+    # l(-x) = l(x) and x is inside, so the simplex route must read the sign
+    # of x_n itself; -1 once climbed to the cap there, -(1, 2) was let in
+    fld, (eps,) = q_sqrt2()
+    (cone,) = build_signed_domain([eps], fld).cones
+    for x in ((1, 2), fld.one, fld.one + eps):
+        assert cone_contains(cone, x) and cone_contains_via_simplex(cone, x)
+        neg = -x if isinstance(x, FieldElement) else tuple(-c for c in x)
+        assert not cone_contains(cone, neg)
+        with pytest.raises(YNotInSimplex):
+            pierces_cone((0, 1), neg, cone.generators, fld)
+        assert not cone_contains_via_simplex(cone, neg)
+
+
+def test_contains_vector_honours_its_cap():
+    # 1 = f_1 has two coordinates exactly 0 on irrational faces, so no rung
+    # decides them: the ladder stops at the cap it is given, not the field's
+    fld, units = cubic_81()
+    cone = build_signed_domain(units, fld).cones[0]
+    asked = []
+
+    def vfn(prec):
+        asked.append(prec)
+        return IvVec.wrap((1, 1, 1)).at(prec)
+
+    with pytest.raises(UndecidableSign, match=r"\b128 bits"):
+        cone.contains_vector(vfn, 128)
+    assert max(asked) == 128 < fld.prec_cap
 
 
 def test_orbit_net_count_unit_point():

@@ -151,17 +151,11 @@ def test_en_has_no_zero_cone_coordinate():
 
 def test_origin_avoids_face_spans():
     fld, units = cubic_81()
-    from shintani.domain import build_signed_domain
+    from shintani.domain import build_signed_domain, projected_simplex
     dom = build_signed_domain(units, fld)
     origin = (0,) * (fld.degree - 1)
     for cone in dom.cones:
-        def rows_fn(prec, cone=cone):
-            verts = []
-            for g in cone.generators:
-                conj = fld._positive_conjugates(g, prec)
-                verts.append([c.div(conj[-1], prec) for c in conj[:-1]])
-            return verts
-        s = Simplex(rows_fn=rows_fn)
+        s = projected_simplex(cone)
         for i in range(fld.degree):
             assert face_span_det_sign(s, i, origin) != 0
 
@@ -170,18 +164,10 @@ def test_coordinate_transfer_signs():
     # sign vector of cone coordinates (in R^n) matches sign vector of
     # barycentric coordinates of the projected point (in R^(n-1))
     fld, units = cubic_81()
-    from shintani.domain import build_signed_domain
+    from shintani.domain import build_signed_domain, projected_simplex
     dom = build_signed_domain(units, fld)
     cone = dom.cones[0]
-
-    def rows_fn(prec):
-        verts = []
-        for g in cone.generators:
-            conj = fld._positive_conjugates(g, prec)
-            verts.append([c.div(conj[-1], prec) for c in conj[:-1]])
-        return verts
-
-    s = Simplex(rows_fn=rows_fn)
+    s = projected_simplex(cone)
     rng = random.Random(11)
     for _ in range(25):
         x = tuple(Fraction(rng.uniform(0.05, 20)) for _ in range(fld.degree))

@@ -31,7 +31,6 @@ from shintani.ideals import (
 from shintani.kernels import box_sum, reference
 from shintani.zeta import (
     CharacterTable,
-    LValue,
     ZetaParams,
     ZetaValue,
     dedekind_zeta_via_domain,
@@ -481,8 +480,8 @@ def test_trivial_character_forms_no_ideal_product_per_point(dom2, monkeypatch, r
 
 
 def _reference_sum(results):
-    return LValue(sum(r[0] for r in results), sum(r[1] for r in results),
-                  sum(r[2] for r in results), max((r[3] for r in results), default=0))
+    return ZetaValue(sum(r[0] for r in results), sum(r[1] for r in results),
+                     sum(r[2] for r in results), max((r[3] for r in results), default=0))
 
 
 def reference_l_function(s, chi, dom, order, target):
@@ -522,8 +521,8 @@ def reference_partial_zeta(s, a, f, dom, target):
         zv = shintani_zeta(s, z, cone, params, scale=f_int)
         results.append((cone.w * zv.value, zv.error_bound, zv.terms, zv.radius))
     total = _reference_sum(results)
-    return LValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
-                  total.terms, total.radius)
+    return ZetaValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
+                     total.terms, total.radius)
 
 
 DEFAULT_BLOCK = zeta._BLOCK
@@ -598,7 +597,7 @@ def test_units_outside_the_order_rejected(fn):
 @pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
 def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
     # every job at the threshold 0 (all NumPy) and at infinity (all scalar
-    # for an integer s): the same LValue, float for float.  The conductor
+    # for an integer s): the same ZetaValue, float for float.  The conductor
     # (2) gives partial_zeta the scale 2 and l_function a zero character
     # value on the points not coprime to it.
     fld, units = ALL_NET_COUNT[name]()
