@@ -2,7 +2,10 @@
 
 For each permutation of the units the generators are the partial products;
 the cone sign is a ratio of determinant signs, and each face is half-open on
-the side away from the distinguished basis vector e_n.  The net-count
+the side away from the distinguished basis vector e_n.  One generator pass
+and one exact elimination per permutation give both the sign of the
+generators' determinant and the exact inverse the cone keeps; every later
+decision reads only the signs of cone coordinates.  The net-count
 verifier enumerates, for a sample point x, every unit power that could land
 in a cone (via a certified box in log coordinates) and adds up the signed
 memberships; the theorem under test says the total is 1 for every positive x.
@@ -17,13 +20,12 @@ from fractions import Fraction
 
 from .dyadic import START_PREC, Iv, Ladder, adaptive_sign, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
-from .exactlinalg import as_fraction, mat_det
+from .exactlinalg import as_fraction, signed_inverse
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
 from .geometry import (
-    IvVec,
     Simplex,
+    adaptive_vector,
     barycentric,
-    basis_inverse,
     coordinates,
     field_map,
     int_map,
@@ -47,21 +49,27 @@ def colmez_generators(units, sigma, field: NumberField):
     return gens
 
 
+def _signed_cone(units, sigma, field: NumberField, reg_sign: int):
+    """(generators, w_sigma, (A, m)) for one permutation, from one generator
+    pass and one elimination of the coefficient matrix C, whose inverse is
+    A / m (None when C is singular, and then w = 0).
+    w_sigma = (-1)^(n-1) sgn(sigma) sign(det f) / sign(det Log eps): the
+    embedded f is V C (V the conjugates of the power basis), and det V has
+    the embedding order's parity."""
+    n = field.degree
+    gens = colmez_generators(units, sigma, field)
+    det_sign, inverse = signed_inverse([[g.coeffs[i] for g in gens] for i in range(n)])
+    w = (-1) ** (n - 1) * _perm_sign(sigma) * field.vandermonde_sign * det_sign * reg_sign
+    return gens, w, inverse
+
+
 def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> int:
-    """w_sigma = (-1)^(n-1) sgn(sigma) sign(det f) / sign(det Log eps).  The
-    embedded f is V C (V the conjugates of the power basis, C the exact
-    coefficients), and det V has the embedding order's parity."""
+    """w_sigma, 0 for a degenerate cone (see :func:`_signed_cone`)."""
     if reg_sign is None:
         reg_sign = field.signed_regulator_sign(units)
     if reg_sign == 0:
         raise DependentUnits("units are multiplicatively dependent")
-    n = field.degree
-    gens = colmez_generators(units, sigma, field)
-    det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
-    if det == 0:
-        return 0
-    sign = field.vandermonde_sign * (1 if det > 0 else -1)
-    return (-1) ** (n - 1) * _perm_sign(sigma) * sign * reg_sign
+    return _signed_cone(units, sigma, field, reg_sign)[1]
 
 
 class SignedCone:
@@ -70,30 +78,30 @@ class SignedCone:
 
     __slots__ = ("sigma", "generators", "w", "flags", "field", "inverse", "_simplex")
 
-    def __init__(self, sigma, generators, w, field):
+    def __init__(self, sigma, generators, w, field, inverse):
         self.sigma = tuple(sigma)
         self.generators = tuple(generators)
         self.w = w
         self.field = field
-        self.inverse = basis_inverse(self.generators, field)
+        self.inverse = inverse
         self._simplex = None
         # e_n is off every face plane (no zero sign) and outside the cone (a face is open)
         e_n = (0,) * (field.degree - 1) + (1,)
         self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN
-                           for s in coordinates(e_n, self.inverse, field, False).signs)
+                           for s in coordinates(e_n, inverse, field, False))
         assert FLAG_OPEN in self.flags
 
     # ---- certified membership ----
 
     def _contains(self, v, cap=None) -> bool:
         """The half-open rule on the certified signs of v's cone coordinates."""
-        return all(map(_admits, coordinates(v, self.inverse, self.field, cap=cap).signs,
-                       self.flags))
+        return all(map(_admits, coordinates(v, self.inverse, self.field, cap=cap), self.flags))
 
     def contains_vector(self, vfn, cap=None) -> bool:
-        """Membership for an adaptive vector evaluator (certified): every
-        coordinate sign is certified before the flags are read."""
-        return self._contains(IvVec(vfn), cap)
+        """Membership for an adaptive vector ``vfn(prec) -> list of Iv``
+        (certified): every coordinate sign is certified before the flags
+        are read."""
+        return self._contains(vfn, cap)
 
     def contains_element(self, x: FieldElement) -> bool:
         """Exact membership for a field-rational point: by the signs of A x."""
@@ -112,7 +120,7 @@ def cone_contains(cone: SignedCone, x) -> bool:
     """Membership of a strictly positive point in the half-open cone."""
     if isinstance(x, FieldElement):
         return cone.contains_element(x)
-    return cone.contains_vector(IvVec.wrap(x).at)
+    return cone.contains_vector(adaptive_vector(x))
 
 
 def projected_simplex(cone: SignedCone) -> Simplex:
@@ -120,7 +128,7 @@ def projected_simplex(cone: SignedCone) -> Simplex:
     the projected generators l(f_i)); cached per cone."""
     if cone._simplex is None:
         verts = [project_ell(g) for g in cone.generators]
-        cone._simplex = Simplex(rows_fn=lambda prec: [v.at(prec) for v in verts],
+        cone._simplex = Simplex(rows_fn=lambda prec: [v(prec) for v in verts],
                                 cap=cone.field.prec_cap)
     return cone._simplex
 
@@ -138,8 +146,8 @@ def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
         last = as_fraction(x[-1])
     if last <= 0:
         return False
-    coords = barycentric(project_ell(x), projected_simplex(cone), cap=field.prec_cap)
-    return all(map(_admits, coords.signs, cone.flags))
+    signs = barycentric(project_ell(x), projected_simplex(cone), cap=field.prec_cap)
+    return all(map(_admits, signs, cone.flags))
 
 
 # ---- the float64 stage ----
@@ -569,9 +577,9 @@ def build_signed_domain(units, field: NumberField) -> SignedDomain:
         raise DependentUnits("units are multiplicatively dependent")
     cones = []
     for sigma in itertools.permutations(range(field.degree - 1)):
-        w = cone_sign(units, sigma, field, reg_sign=reg_sign)
+        gens, w, inverse = _signed_cone(units, sigma, field, reg_sign)
         if w != 0:
-            cones.append(SignedCone(sigma, colmez_generators(units, sigma, field), w, field))
+            cones.append(SignedCone(sigma, gens, w, field, inverse))
     return SignedDomain(field, units, cones, reg_sign)
 
 

@@ -329,10 +329,6 @@ class Ladder:
     the cap itself.  Asking for a rung past the cap raises UndecidableSign
     when ``zero_possible`` (the caller cannot rule out an exact zero of an
     irrational quantity), PrecisionCapExceeded otherwise.
-
-    A caller whose pending quantity changes mid-climb (every sign certified,
-    only a known-nonzero denominator left) updates ``what`` and
-    ``zero_possible`` between rungs.
     """
 
     __slots__ = ("cap", "what", "zero_possible", "start")

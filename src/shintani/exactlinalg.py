@@ -49,16 +49,26 @@ def mat_det(mat) -> Fraction:
     return Fraction(det, d ** len(mat))
 
 
-def int_inverse(mat):
-    """(A, m) with mat^-1 = A / m, A an integer matrix and m > 0 in lowest
-    terms; ZeroDivisionError if mat is singular."""
-    a, _, d = _eliminate(mat)
+def signed_inverse(mat):
+    """(s, (A, m)) from one elimination: s the sign of det mat, and
+    mat^-1 = A / m, A an integer matrix and m > 0 in lowest terms;
+    (0, None) if mat is singular."""
+    a, det, d = _eliminate(mat)
     if a is None:
-        raise ZeroDivisionError("singular matrix")
+        return 0, None
     n, p = len(mat), a[0][0]
     inv = [[x * (d if p > 0 else -d) for x in row[n:]] for row in a]
     g = math.gcd(p, *(x for row in inv for x in row))
-    return [[x // g for x in row] for row in inv], abs(p) // g
+    return (1 if det > 0 else -1), ([[x // g for x in row] for row in inv], abs(p) // g)
+
+
+def int_inverse(mat):
+    """(A, m) as :func:`signed_inverse`; ZeroDivisionError if mat is
+    singular."""
+    s, inverse = signed_inverse(mat)
+    if not s:
+        raise ZeroDivisionError("singular matrix")
+    return inverse
 
 
 def mat_solve(mat, rhs):

@@ -1,21 +1,26 @@
 """Projection to the hyperplane slice, cone and barycentric coordinates, and
 the piercing predicates.
 
-Sign decisions follow one rule everywhere: exact rational arithmetic when the
-inputs are field-rational (a FieldElement, or exact rational vertices), and
-adaptive interval refinement on the dyadic ladder otherwise.  A refinement
-that reaches the cap ends in UndecidableSign, or in PrecisionCapExceeded for
-a quantity known to be nonzero; nothing is ever decided by tolerance.
+Coordinates are returned as their certified signs, which is all that cone
+membership, the flags and piercing read.  Sign decisions follow one rule
+everywhere: exact rational arithmetic when the inputs are field-rational (a
+FieldElement, or exact rational vertices), and adaptive interval refinement
+on the dyadic ladder otherwise.  A refinement that reaches the cap ends in
+UndecidableSign, or in PrecisionCapExceeded for a quantity known to be
+nonzero; nothing is ever decided by tolerance.  An adaptive vector is a
+plain callable ``prec -> list of Iv`` whose enclosures shrink as prec grows
+(:func:`adaptive_vector`).
 
 The embedded matrix of a basis of field elements factors as V C, V the
 conjugates of the power basis (one per field), C the rational coefficients.
 So cone coordinates are C^-1 y: C^-1 = A / m is exact (:func:`basis_inverse`),
 y = V^-1 v is the coefficient vector of a field element, and otherwise comes
 from the field's one :class:`CramerMap` (:func:`field_map`), whose adjugate is
-computed once per precision.  :func:`coordinates` is the one routine that
-forms them: the cone flags, cone membership, :func:`cone_coordinates` and
-:func:`pierces_cone` all read their signs from it.  A simplex owns the map of
-its lifted vertex matrix.
+computed once per precision.  The denominators m and det V have known signs,
+so a coordinate's sign is that of its numerator.  :func:`coordinates` is the
+one routine that forms them: the cone flags, cone membership,
+:func:`cone_coordinates` and :func:`pierces_cone` all read their signs from
+it.  A simplex owns the map of its lifted vertex matrix.
 """
 
 from __future__ import annotations
@@ -34,26 +39,15 @@ from .exactlinalg import as_fraction, int_inverse, mat_det, mat_solve
 from .field import FieldElement, NumberField
 
 
-class IvVec:
-    """Adaptive interval vector: ``at(prec)`` returns enclosures that shrink
-    as prec grows."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def at(self, prec: int):
-        return self._fn(prec)
-
-    @staticmethod
-    def wrap(x) -> "IvVec":
-        if isinstance(x, IvVec):
-            return x
-        if isinstance(x, FieldElement):
-            return IvVec(lambda p: x.field.embed_iv(x, p))
-        seq = tuple(map(as_fraction, x))
-        return IvVec(lambda p: [Iv.from_fraction(c, p) for c in seq])
+def adaptive_vector(x):
+    """x as an adaptive vector: a FieldElement's embedding, a rational
+    sequence's enclosure, or x itself when it is one already."""
+    if callable(x):
+        return x
+    if isinstance(x, FieldElement):
+        return lambda p: x.field.embed_iv(x, p)
+    seq = tuple(map(as_fraction, x))
+    return lambda p: [Iv.from_fraction(c, p) for c in seq]
 
 
 def project_ell(x):
@@ -68,38 +62,19 @@ def project_ell(x):
         if seq[-1] == 0:
             raise LastCoordinateZero("projection needs x_n != 0")
         return tuple(c / seq[-1] for c in seq[:-1])
-    vv = IvVec.wrap(x)
+    vv = adaptive_vector(x)
     cap = x.field.prec_cap if isinstance(x, FieldElement) else DEFAULT_PREC_CAP
 
     def fn(prec):
         for p in Ladder(cap, "last coordinate sign", zero_possible=True, start=prec):
-            ivs = vv.at(p)
+            ivs = vv(p)
             s = ivs[-1].sign()
             if s == 0:
                 raise LastCoordinateZero("projection needs x_n != 0")
             if s is not None:
                 return [iv.div(ivs[-1], prec) for iv in ivs[:-1]]
 
-    return IvVec(fn)
-
-
-class Coordinates:
-    """Coefficients of a vector in a basis (cone or barycentric), with
-    certified signs.  Interval values come as a thunk and are formed on
-    first access: most callers read the signs alone."""
-
-    __slots__ = ("signs", "_values", "exact")
-
-    def __init__(self, signs, values, exact):
-        self.signs = tuple(signs)
-        self._values = values
-        self.exact = exact
-
-    @property
-    def values(self) -> tuple:
-        if callable(self._values):
-            self._values = self._values()
-        return self._values
+    return fn
 
 
 def int_map(a, y):
@@ -111,7 +86,8 @@ class CramerMap:
     """Cramer's rule on an adaptive interval matrix ``rows_at(prec)``, with
     its adjugate cached per precision: each numerator det(rows with column
     i -> v) is one dot product with a cofactor column.  ``det_sign`` is the
-    known sign of det(rows); the coordinates solve() returns carry it."""
+    known sign of det(rows), so a coordinate's sign is its numerator's
+    times det_sign."""
 
     __slots__ = ("_rows_at", "_adj", "det_sign")
 
@@ -131,30 +107,19 @@ class CramerMap:
         """det(rows with column i -> v) at prec, for every i."""
         return [sum(map(mul, v, col), Iv.ZERO) for col in zip(*self.adjugate(prec)[0])]
 
-    def solve(self, col_at, cap: int, zero_possible: bool, what: str, inverse=None):
-        """The certified sign of every coordinate of ``col_at`` in the
-        columns, and a thunk of the coordinates numerator / det; with
-        ``inverse`` = (A, m), of the coordinates mapped by A / m.  One ladder
-        climbs until every sign and the denominator are certified; a sign
-        missing at the cap raises per ``zero_possible``, the denominator
-        (known to be nonzero) PrecisionCapExceeded."""
-        a, m = inverse or (None, 1)
-        signs: dict[int, int] = {}
-        steps = Ladder(cap, f"{what} sign", zero_possible)
-        for prec in steps:
+    def solve(self, col_at, cap: int, zero_possible: bool, what: str, a=None) -> tuple:
+        """The certified sign of every coordinate of the adaptive vector
+        ``col_at`` in the columns; with an integer matrix ``a`` (A of
+        C^-1 = A / m, m > 0), of the coordinates mapped by it.  One ladder
+        climbs until every numerator sign is certified at one rung; a sign
+        missing at the cap raises per ``zero_possible``."""
+        for prec in Ladder(cap, f"{what} sign", zero_possible):
             nums = self.numerators(col_at(prec), prec)
             if a is not None:
                 nums = int_map(a, nums)
-            for i, num in enumerate(nums):
-                if i not in signs and num.sign() is not None:
-                    signs[i] = num.sign() * self.det_sign
-            if len(signs) == len(nums):
-                det = self.adjugate(prec)[1]
-                if det.sign() is not None:
-                    break
-                steps.what, steps.zero_possible = f"{what} determinant", False
-        return (tuple(signs[i] for i in range(len(nums))),
-                lambda: tuple(num.div(det.mul_int(m), prec) for num in nums))
+            signs = [num.sign() for num in nums]
+            if None not in signs:
+                return tuple(s * self.det_sign for s in signs)
 
 
 def field_map(field: NumberField) -> CramerMap:
@@ -181,27 +146,24 @@ def basis_inverse(basis, field: NumberField):
 
 
 def coordinates(v, inverse, field: NumberField, zero_possible: bool = True,
-                cap: int | None = None) -> Coordinates:
-    """The coordinates A y / m of v in the basis whose exact inverse is
-    (A, m) = :func:`basis_inverse`, with certified signs: exact for a field
+                cap: int | None = None) -> tuple:
+    """The certified signs of the coordinates A y / m of v in the basis
+    whose exact inverse is (A, m) = :func:`basis_inverse`: exact for a field
     element (y its coefficients), else one ladder of the field map up to
-    ``cap`` (default the field's cap).  ``zero_possible=False`` rules out a
-    vanishing coordinate (e.g. v = e_n), so the cap raises
-    PrecisionCapExceeded rather than UndecidableSign, as it does for the
-    nonzero denominator m det V."""
-    a, m = inverse
+    ``cap`` (default the field's cap) for a rational sequence or an
+    adaptive vector.  ``zero_possible=False`` rules out a vanishing
+    coordinate (e.g. v = e_n), so the cap raises PrecisionCapExceeded
+    rather than UndecidableSign."""
+    a, _ = inverse
     if isinstance(v, FieldElement):
-        nums = [sum(map(mul, row, v.coeffs)) for row in a]
-        return Coordinates(((x > 0) - (x < 0) for x in nums),
-                           lambda: tuple(x / m for x in nums), True)
-    signs, values = field_map(field).solve(IvVec.wrap(v).at,
-                                           field.prec_cap if cap is None else cap,
-                                           zero_possible, "cone coordinate", inverse)
-    return Coordinates(signs, values, False)
+        nums = (sum(map(mul, row, v.coeffs)) for row in a)
+        return tuple((x > 0) - (x < 0) for x in nums)
+    return field_map(field).solve(adaptive_vector(v), field.prec_cap if cap is None else cap,
+                                  zero_possible, "cone coordinate", a)
 
 
-def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> Coordinates:
-    """Solve v = sum_i c_i f_i with certified coefficient signs, as
+def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> tuple:
+    """The certified signs of the c_i in v = sum_i c_i f_i, as
     :func:`coordinates` (DependentBasis for a dependent basis)."""
     return coordinates(v, basis_inverse(basis, field), field, zero_possible)
 
@@ -255,22 +217,21 @@ class Simplex:
 
 def _lifted(point):
     """The adaptive lifted column (point, 1)."""
-    pv = IvVec.wrap(point)
-    return lambda prec: list(pv.at(prec)) + [Iv.ONE]
+    pv = adaptive_vector(point)
+    return lambda prec: list(pv(prec)) + [Iv.ONE]
 
 
-def barycentric(p, simplex: Simplex, cap: int = DEFAULT_PREC_CAP) -> Coordinates:
-    """Coefficients b with sum(b) = 1 and sum(b_i * vertex_i) = p."""
+def barycentric(p, simplex: Simplex, cap: int = DEFAULT_PREC_CAP) -> tuple:
+    """The certified signs of the b with sum(b) = 1 and
+    sum(b_i * vertex_i) = p."""
     if simplex.exact and isinstance(p, (list, tuple)):
         pt = [Fraction(c) for c in p]
         try:
             b = mat_solve(simplex._lift_exact(), pt + [Fraction(1)])
         except ZeroDivisionError:
             raise DegenerateSimplex("vertices affinely dependent")
-        signs = tuple((x > 0) - (x < 0) for x in b)
-        return Coordinates(signs, tuple(b), True)
-    signs, values = simplex._map.solve(_lifted(p), cap, True, "barycentric coordinate")
-    return Coordinates(signs, values, False)
+        return tuple((x > 0) - (x < 0) for x in b)
+    return simplex._map.solve(_lifted(p), cap, True, "barycentric coordinate")
 
 
 def face_span_det_sign(simplex: Simplex, i: int, point, cap: int = DEFAULT_PREC_CAP) -> int:
@@ -292,13 +253,13 @@ def face_span_det_sign(simplex: Simplex, i: int, point, cap: int = DEFAULT_PREC_
 def _pierces(coordinates, x, y, what: str) -> bool:
     """True iff the segment from x to y meets the interior: the coordinates
     of x are > 0 wherever those of y vanish."""
-    cy = coordinates(y).signs
+    cy = coordinates(y)
     if any(s < 0 for s in cy):
         raise YNotInSimplex(f"final point outside the closed {what}")
     zero_idx = [i for i, s in enumerate(cy) if s == 0]
     if not zero_idx:
         return True                      # y interior: every segment pierces
-    cx = coordinates(x).signs
+    cx = coordinates(x)
     return all(cx[i] > 0 for i in zero_idx)
 
 

@@ -1,7 +1,7 @@
 """A dead-code lint for ``src/shintani``, on the standard library's ``ast``
 alone: no module imports a name it never uses, and no module-private
-function or class (a module-level ``_name``) goes unreferenced in the
-package."""
+function or class (a module-level ``_name``) and no private method (a
+``_name`` in a class body) goes unreferenced in the package."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,16 @@ def _imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _private_defs(tree):
+    """The names of the module-level functions and classes and of the
+    methods in class bodies that are ``_name`` but not ``__dunder__``."""
+    bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)]
+    return [node.name for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
 def test_no_unused_imports():
     unused = []
     for name, tree in _modules().items():
@@ -63,15 +73,18 @@ def test_no_unused_imports():
 def test_no_unreferenced_private_helpers():
     modules = _modules()
     used = set().union(*map(_used_names, modules.values()))
-    dead = [f"{name} {node.name}" for name, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in used]
-    assert not dead, "module-private and referenced nowhere in the package: " + ", ".join(dead)
+    dead = [f"{name} {helper}" for name, tree in modules.items()
+            for helper in _private_defs(tree) if helper not in used]
+    assert not dead, "private and referenced nowhere in the package: " + ", ".join(dead)
 
 
 def test_the_lint_sees_an_unused_import_and_a_dead_helper():
     tree = ast.parse("from operator import mul\nimport os.path\n\n"
-                     "def _dead():\n    return os.sep\n")
-    assert [b for b, _ in _imported_names(tree) if b not in _used_names(tree)] == ["mul"]
-    assert "_dead" not in _used_names(tree)
+                     "def _dead():\n    return os.sep\n\n"
+                     "class Box:\n"
+                     "    def __init__(self):\n        self._live()\n\n"
+                     "    def _live(self):\n        pass\n\n"
+                     "    def _dead_method(self):\n        pass\n")
+    used = _used_names(tree)
+    assert [b for b, _ in _imported_names(tree) if b not in used] == ["mul"]
+    assert [d for d in _private_defs(tree) if d not in used] == ["_dead", "_dead_method"]

@@ -25,7 +25,7 @@ from shintani.errors import (
     YNotInSimplex,
 )
 from shintani.field import FieldElement
-from shintani.geometry import IvVec, pierces_cone
+from shintani.geometry import adaptive_vector, pierces_cone
 
 from fixtures import (
     cubic_81,
@@ -180,7 +180,7 @@ def test_contains_vector_honours_its_cap():
 
     def vfn(prec):
         asked.append(prec)
-        return IvVec.wrap((1, 1, 1)).at(prec)
+        return adaptive_vector((1, 1, 1))(prec)
 
     with pytest.raises(UndecidableSign, match=r"\b128 bits"):
         cone.contains_vector(vfn, 128)
@@ -259,6 +259,34 @@ def test_degree_6_domain_and_net_counts():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ZETA13_CONES
     rep = verify_net_counts(dom, samples=10, seed=11)
     assert rep["ok"] and rep["failures"] == [] and rep["samples"] == 10
+
+
+@pytest.mark.parametrize("make", [cubic_81, quartic_725, q_zeta13_plus],
+                         ids=lambda make: make.__name__)
+def test_one_generator_pass_and_one_elimination_per_cone(make, monkeypatch):
+    # the build reads w and the cone's exact inverse off one elimination of
+    # the generators' coefficient matrix, formed in one generator pass
+    from collections import Counter
+    from math import factorial
+
+    from shintani import domain, exactlinalg
+
+    fld, units = make()
+    calls = Counter()
+
+    def counting(name, fn):
+        def f(*args):
+            calls[name] += 1
+            return fn(*args)
+        return f
+
+    monkeypatch.setattr(domain, "colmez_generators",
+                        counting("generators", domain.colmez_generators))
+    monkeypatch.setattr(exactlinalg, "_eliminate",
+                        counting("eliminations", exactlinalg._eliminate))
+    build_signed_domain(units, fld)
+    perms = factorial(fld.degree - 1)
+    assert calls == {"generators": perms, "eliminations": perms}
 
 
 def test_embedding_order_invariance_small():

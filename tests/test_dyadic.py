@@ -245,14 +245,6 @@ def test_ladder_rungs_end_at_the_cap():
     assert seen == [256, 512, 1024]
 
 
-def test_ladder_error_class_can_change_mid_climb():
-    # signs done, only a known-nonzero denominator left: a precision failure
-    steps = Ladder(128, "coordinate sign", zero_possible=True)
-    with pytest.raises(PrecisionCapExceeded, match="denominator"):
-        for prec in steps:
-            steps.what, steps.zero_possible = "denominator", False
-
-
 def _float_encloses(f: float, exact: Fraction, below: bool) -> bool:
     """f <= exact (below) or f >= exact, with f the nearest such float."""
     if math.isinf(f):

@@ -7,15 +7,15 @@ from shintani.dyadic import START_PREC, Iv
 from shintani.errors import (
     DependentBasis,
     LastCoordinateZero,
-    PrecisionCapExceeded,
     UndecidableSign,
     YNotInSimplex,
 )
+from shintani.exactlinalg import mat_solve
 from shintani.field import NumberField
 from shintani.geometry import (
-    IvVec,
     Simplex,
     barycentric,
+    basis_inverse,
     cone_coordinates,
     face_span_det_sign,
     pierces_cone,
@@ -26,6 +26,23 @@ from shintani.geometry import (
 from fixtures import ALL_NET_COUNT, cubic_81, q_sqrt2, q_zeta11_plus, quartic_725
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
+
+
+def _signs(xs):
+    return tuple((x > 0) - (x < 0) for x in xs)
+
+
+def exact_coordinates(z, basis, fld):
+    """The exact cone coordinates A y / m of a field element z, y its
+    coefficients and (A, m) the basis inverse."""
+    a, m = basis_inverse(basis, fld)
+    return tuple(Fraction(sum(c * y for c, y in zip(row, z.coeffs)), m) for row in a)
+
+
+def exact_barycentric(p, simplex):
+    """The exact barycentric coordinates of a rational point in a simplex
+    with exact vertices."""
+    return tuple(mat_solve(simplex._lift_exact(), [Fraction(c) for c in p] + [Fraction(1)]))
 
 
 def test_project_ell_exact():
@@ -48,35 +65,32 @@ def test_project_ell_multiplicative():
 def test_project_ell_adaptive():
     fld, (eps,) = q_sqrt2()
     lv = project_ell(eps)
-    out = lv.at(64)
+    out = lv(64)
     # l(eps) = eps^(1)/eps^(2) = (3-2*sqrt2)/(3+2*sqrt2) = 17 - 12*sqrt2
     assert out[0].contains(17 - 12 * SQRT2)
     # a last coordinate enclosed by the exact point 0 is an input error
     with pytest.raises(LastCoordinateZero):
-        project_ell(fld.zero).at(64)
+        project_ell(fld.zero)(64)
 
 
 def test_cone_coordinates_basis_vector():
     fld, (eps,) = q_sqrt2()
     basis = [fld.one, eps]
-    c = cone_coordinates(fld.one, basis, fld)
-    assert c.exact and c.values == (Fraction(1), Fraction(0))
-    assert c.signs == (1, 0)
+    assert exact_coordinates(fld.one, basis, fld) == (Fraction(1), Fraction(0))
+    assert cone_coordinates(fld.one, basis, fld) == (1, 0)
 
 
 def test_cone_coordinates_e2_hand_value():
     # e_2 = c_1 * 1 + c_2 * (3+2*sqrt2): c_1 < 0 < c_2, c_2 = 1/(4*sqrt2)
     fld, (eps,) = q_sqrt2()
-    c = cone_coordinates((0, 1), [fld.one, eps], fld)
-    assert c.signs == (-1, 1)
-    assert c.values[1].contains(1 / (4 * SQRT2))
+    assert cone_coordinates((0, 1), [fld.one, eps], fld) == (-1, 1)
 
 
 def test_cone_coordinates_exact_combination():
     fld, (eps,) = q_sqrt2()
     v = fld.one * 2 + eps * 3
-    c = cone_coordinates(v, [fld.one, eps], fld)
-    assert c.values == (Fraction(2), Fraction(3))
+    assert exact_coordinates(v, [fld.one, eps], fld) == (Fraction(2), Fraction(3))
+    assert cone_coordinates(v, [fld.one, eps], fld) == (1, 1)
 
 
 def test_cone_coordinates_dependent_basis():
@@ -91,11 +105,11 @@ def simplex2():
 
 def test_barycentric_vertices_and_centroid():
     s = simplex2()
-    b = barycentric((0, 0), s)
-    assert b.values == (Fraction(1), Fraction(0), Fraction(0))
-    b = barycentric((Fraction(1, 3), Fraction(1, 3)), s)
-    assert b.values == (Fraction(1, 3),) * 3
-    assert sum(b.values) == 1
+    assert exact_barycentric((0, 0), s) == (Fraction(1), Fraction(0), Fraction(0))
+    assert barycentric((0, 0), s) == (1, 0, 0)
+    centroid = (Fraction(1, 3), Fraction(1, 3))
+    assert exact_barycentric(centroid, s) == (Fraction(1, 3),) * 3
+    assert barycentric(centroid, s) == (1, 1, 1)
 
 
 def test_barycentric_affinity():
@@ -106,8 +120,9 @@ def test_barycentric_affinity():
         y = (Fraction(rng.randint(-10, 10), 7), Fraction(rng.randint(-10, 10), 2))
         t = Fraction(rng.randint(-5, 5), 4)
         mix = tuple((1 - t) * a + t * b for a, b in zip(x, y))
-        bx, by, bm = (barycentric(p, s).values for p in (x, y, mix))
+        bx, by, bm = (exact_barycentric(p, s) for p in (x, y, mix))
         assert all((1 - t) * a + t * b == c for a, b, c in zip(bx, by, bm))
+        assert all(barycentric(p, s) == _signs(b) for p, b in ((x, bx), (y, by), (mix, bm)))
 
 
 def test_pierces_simplex_basic():
@@ -146,7 +161,7 @@ def test_en_has_no_zero_cone_coordinate():
         e_n = tuple(Fraction(int(i == fld.degree - 1)) for i in range(fld.degree))
         for cone in dom.cones:
             c = cone_coordinates(e_n, cone.generators, fld, zero_possible=False)
-            assert all(s != 0 for s in c.signs)
+            assert all(s != 0 for s in c)
 
 
 def test_origin_avoids_face_spans():
@@ -173,32 +188,28 @@ def test_coordinate_transfer_signs():
         x = tuple(Fraction(rng.uniform(0.05, 20)) for _ in range(fld.degree))
         c = cone_coordinates(x, cone.generators, fld)
         b = barycentric(project_ell(x), s)
-        assert c.signs == b.signs
+        assert c == b
 
 
 def test_barycentric_interval_reconstruction():
-    # interval path: the coefficients sum to 1 and reconstruct the point
+    # interval path: a point z = sum_i c_i f_i built from nonzero rational
+    # c projects to sum_i b_i l(f_i) with b_i = c_i f_i^(n) / z^(n), so for
+    # a totally positive z the barycentric signs are those of c
     fld, units = cubic_81()
     from shintani.domain import build_signed_domain, projected_simplex
     dom = build_signed_domain(units, fld)
     cone = dom.cones[0]
     s = projected_simplex(cone)
     rng = random.Random(2)
-    for _ in range(10):
-        x = tuple(Fraction(rng.uniform(0.1, 5.0)) for _ in range(3))
-        p = project_ell(x)
-        b = barycentric(p, s)
-        total = b.values[0]
-        for v in b.values[1:]:
-            total = total + v
-        assert total.contains(Fraction(1))
-        # reconstruction: sum b_i * vertex_i contains the projected point
-        verts = s._rows_fn(96)
-        for k in range(2):
-            acc = b.values[0] * verts[0][k]
-            for i in range(1, 3):
-                acc = acc + b.values[i] * verts[i][k]
-            assert acc.lo_fraction() <= p[k] <= acc.hi_fraction()
+    done = 0
+    while done < 10:
+        c = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9))
+             for _ in range(3)]
+        z = sum((f * ci for f, ci in zip(cone.generators, c)), fld.zero)
+        if not fld.is_totally_positive(z):
+            continue
+        assert barycentric(project_ell(z), s) == _signs(c)
+        done += 1
 
 
 def test_degenerate_simplex_rejected():
@@ -271,10 +282,10 @@ def test_cone_coordinates_of_a_cassini_basis_certify_at_cap_128():
     a, b, d = _fibonacci(149), _fibonacci(148), _fibonacci(147)
     fld = NumberField([-2, 0, 1], prec_cap=128)
     basis = [fld.element([a, b]), fld.element([b, d])]
-    assert cone_coordinates((0, 1), basis, fld, zero_possible=False).signs == (-1, 1)
+    assert cone_coordinates((0, 1), basis, fld, zero_possible=False) == (-1, 1)
     for z in (fld.element([0, 1]), fld.element([5, -3]), fld.element([-7, 5])):
-        vv = IvVec(lambda p, z=z: fld.embed_iv(z, p))
-        assert cone_coordinates(vv, basis, fld).signs == cone_coordinates(z, basis, fld).signs
+        vv = lambda p, z=z: fld.embed_iv(z, p)
+        assert cone_coordinates(vv, basis, fld) == cone_coordinates(z, basis, fld)
 
 
 def test_cone_coordinates_near_zero_stop_at_cap():
@@ -285,9 +296,9 @@ def test_cone_coordinates_near_zero_stop_at_cap():
         fld = NumberField([-2, 0, 1], prec_cap=cap)
         eps = fld.element([3, 2])
         z = fld.one + eps * Fraction(1, 1 << 200)
-        vv = IvVec(lambda p, fld=fld, z=z: fld.embed_iv(z, p))
+        vv = lambda p, fld=fld, z=z: fld.embed_iv(z, p)
         if ok:
-            assert cone_coordinates(vv, [fld.one, eps], fld).signs == (1, 1)
+            assert cone_coordinates(vv, [fld.one, eps], fld) == (1, 1)
         else:
             with pytest.raises(UndecidableSign):
                 cone_coordinates(vv, [fld.one, eps], fld)
@@ -309,9 +320,9 @@ DIFFERENTIAL = dict(
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_interval_coordinates_enclose_the_exact_ones(name):
-    # per cone, 30 seeded field elements z: the exact route (y = the
-    # coefficients of z) reconstructs z, and the interval route (y = V^-1
-    # of its embedding) gives the same signs and encloses the same values
+    # per cone, 30 seeded field elements z: the exact coordinates A y / m
+    # (y = the coefficients of z) reconstruct z, and both the exact route
+    # and the interval route (y = V^-1 of its embedding) give their signs
     from shintani.domain import build_signed_domain
     fld, units = DIFFERENTIAL[name]()
     dom = build_signed_domain(units, fld)
@@ -322,14 +333,13 @@ def test_interval_coordinates_enclose_the_exact_ones(name):
         while done < 30:
             z = fld.element([Fraction(rng.randint(-60, 60), rng.randint(1, 9))
                              for _ in range(fld.degree)])
-            exact = cone_coordinates(z, gens, fld)
-            if 0 in exact.signs:            # not generic: a face hyperplane
+            exact = exact_coordinates(z, gens, fld)
+            if 0 in exact:                  # not generic: a face hyperplane
                 continue
-            assert sum((f * c for f, c in zip(gens, exact.values)), fld.zero) == z
-            vv = IvVec(lambda p, z=z: fld.embed_iv(z, p))
-            got = cone_coordinates(vv, gens, fld)
-            assert got.signs == exact.signs
-            assert all(iv.contains(c) for iv, c in zip(got.values, exact.values))
+            assert sum((f * c for f, c in zip(gens, exact)), fld.zero) == z
+            assert cone_coordinates(z, gens, fld) == _signs(exact)
+            vv = lambda p, z=z: fld.embed_iv(z, p)
+            assert cone_coordinates(vv, gens, fld) == _signs(exact)
             done += 1
 
 
@@ -340,16 +350,16 @@ def _around(c, k):
     return Iv((c << -k) - 1, k, (c << -k) + 1, k)
 
 
-def test_barycentric_determinant_stops_at_cap():
-    # vertices 2^100 + 1 and 2^100 known to 2^(100 - prec): the coordinate
-    # signs of 0 certify at 64 bits, the lifted determinant (1) only at 128
+def test_barycentric_signs_need_no_determinant():
+    # vertices 2^100 + 1 and 2^100 known to 2^(100 - prec): the numerator
+    # signs of 0 certify at 64 bits, the lifted determinant (1) only at 128;
+    # its sign is known, so the signs of 0 come back at cap 64
     big = 1 << 100
     simplex = Simplex(rows_fn=lambda prec: [[_around(big + 1, 100 - prec)],
                                             [_around(big, 100 - prec)]],
                       known_sign=1)
-    with pytest.raises(PrecisionCapExceeded):
-        barycentric((0,), simplex, cap=64)
-    assert barycentric((0,), simplex, cap=128).signs == (-1, 1)
+    assert simplex._map.adjugate(64)[1].sign() is None
+    assert barycentric((0,), simplex, cap=64) == (-1, 1)
 
 
 def test_project_ell_respects_field_cap():
@@ -363,10 +373,10 @@ def test_project_ell_respects_field_cap():
         x = project_ell(fld.element([p, -q]))
         if ok:
             # the ratio's sign is that of p - q sqrt2, i.e. of p^2 - 2 q^2 = +-1
-            assert x.at(START_PREC)[0].sign() == p * p - 2 * q * q
+            assert x(START_PREC)[0].sign() == p * p - 2 * q * q
         else:
             with pytest.raises(UndecidableSign):
-                x.at(START_PREC)
+                x(START_PREC)
 
 
 def test_adjugate_once_per_basis_and_precision(monkeypatch):
@@ -436,7 +446,7 @@ def test_cone_coordinates_follow_the_embedding_order(permuted_first):
     for fld in fields:
         gens = [fld.element(g.coeffs) for g in (base.one, e1, e1 * e2)]
         v = gens[0] * c[0] + gens[1] * c[1] + gens[2] * c[2]
-        vv = IvVec(lambda p, fld=fld, v=v: fld.embed_iv(v, p))
+        vv = lambda p, fld=fld, v=v: fld.embed_iv(v, p)
         for _ in range(2):
-            assert cone_coordinates(vv, gens, fld).signs == (1, -1, 1)
+            assert cone_coordinates(vv, gens, fld) == (1, -1, 1)
         assert pierces_cone(vv, gens[0] + gens[2], gens, fld) is False
