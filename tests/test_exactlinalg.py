@@ -15,6 +15,7 @@ from shintani.exactlinalg import (
     mat_inv,
     mat_solve,
     mat_vec,
+    signed_inverse,
 )
 
 small_mat = st.lists(
@@ -101,11 +102,16 @@ def test_int_inverse_is_the_exact_inverse_in_lowest_terms():
         n = rng.randint(1, 6)
         m = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
              for _ in range(n)]
-        if mat_det(m) == 0:
+        det = mat_det(m)
+        # one elimination gives the determinant's sign and the inverse
+        assert signed_inverse(m)[0] == (det > 0) - (det < 0)
+        if det == 0:
+            assert signed_inverse(m) == (0, None)
             with pytest.raises(ZeroDivisionError):
                 int_inverse(m)
             continue
         a, d = int_inverse(m)
+        assert signed_inverse(m)[1] == (a, d)
         assert d > 0 and math.gcd(d, *(x for row in a for x in row)) == 1
         assert all(type(x) is int for row in a for x in row)
         prod = [[sum(m[i][k] * a[k][j] for k in range(n)) for j in range(n)]
