@@ -201,6 +201,9 @@ class NumberField:
         self._log_cache: dict[tuple, tuple] = {}
         # the power basis's geometry.CramerMap, built by geometry.field_map
         self._power_map = None
+        # generator numbers, (s, face) -> certified face integral and
+        # (s, cone generators) -> face sums, filled by zeta._face_sums
+        self._face_cache: dict[tuple, object] = {}
         self.one = self.element([1] + [0] * (n - 1))
         self.zero = self.element([0] * n)
         self.gen = self.element([0, 1] + [0] * (n - 2))

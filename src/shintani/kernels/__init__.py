@@ -2,9 +2,9 @@
 Shintani zeta series, for a block of shifts at once (with
 `box_sum_roundoff`, its float error), and the prime-splitting scan for the
 Euler-product oracle.  Both are NumPy code in `reference`; `BACKEND` names
-it for benchmark stamps.  `scalar` evaluates the simplex sum of an integer
-exponent s <= 8 in Python floats, bit for bit as `reference` does, for the
-jobs too small to pay for importing NumPy.
+it for benchmark stamps.  `scalar` evaluates the simplex sum of an exponent
+s in 1/2 Z, 1 <= s <= 8, in Python floats, bit for bit as `reference` does,
+for the jobs too small to pay for importing NumPy.
 
 Importing the package loads no NumPy: `box_sum_roundoff`, `scalar` and
 `ZetaValue` are NumPy-free, and `box_sum`, `box_sums` and

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .scalar import half_integer_power
+
 
 def _graded_bases(zs, c, radius):
     """The values z_j + sum_{i>=1} m_i c[i][j] at the points
@@ -46,14 +48,15 @@ def box_sums(zs, gens, s, radius, scale=1.0):
     one add per axis, for all P shifts at once: the per-slab Python work is
     paid once per block, and the block's working arrays hold P * N floats,
     N = C(radius + n - 1, n - 1) the longest slab.  Term by term: the n
-    factors are multiplied left to right, an integer power s <= 8 is the
-    (s-1)-fold product followed by one reciprocal, other s go through `**`;
+    factors are multiplied left to right, a power s = k or k + 1/2 in
+    [1, 8] is the (k-1)-fold product P^k, times sqrt(P) for the half,
+    followed by one reciprocal, other s go through np.power;
     each slab of each shift is one pairwise row sum (np.add.reduce along
     axis 1), and the slab totals of a shift are added by one math.fsum.
     Elementwise operations do not depend on their neighbours, so every sum
     is bit for bit the sum of a one-shift block, and
     `scalar.box_sum_roundoff` counts exactly these operations for each;
-    `scalar.box_sums` repeats them in Python floats for an integer s.
+    `scalar.box_sums` repeats them in Python floats for s in 1/2 Z.
     """
     zs = np.asarray(zs, dtype=float)
     npts, n = zs.shape
@@ -62,7 +65,7 @@ def box_sums(zs, gens, s, radius, scale=1.0):
         bases, ends = [zs], np.ones(radius + 1, dtype=np.int64)
     else:
         bases, ends = _graded_bases(zs, c, radius)
-    k = int(s) if s == int(s) and 1 <= s <= 8 else 0
+    k, half = half_integer_power(s)
     prod = np.empty(bases[0].size)
     tmp = np.empty(bases[0].size)
     totals = np.empty((radius + 1, npts))
@@ -79,6 +82,8 @@ def box_sums(zs, gens, s, radius, scale=1.0):
             np.copyto(t, p)
             for _ in range(k - 1):
                 t *= p
+            if half:
+                t *= np.sqrt(p, out=p)
             np.divide(1.0, t, out=t)
         else:
             np.power(p, -s, out=t)

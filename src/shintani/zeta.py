@@ -21,11 +21,37 @@ sum_{k>L} k^(-a-1) with the integral from L:
 The terms are convex in k, so the sum is below the integral from L + 1/2;
 that slack, about a/(2L), covers evaluating the bound in floats.  Bounding
 through max_i m_i needs the box {0..M}^n and n (1 + 1/(M+1))^(n-1) for
-1/(n-1)!; at equal target the simplex has (n!)^(-1/(s-1))/n! of its terms."""
+1/(n-1)!; at equal target the simplex has (n!)^(-1/(s-1))/n! of its terms.
+
+Face bound.  AM-GM is tight only at the generators; a wide cone is far
+from it inside.  As z is totally positive, term(m) <= scale^(-ns) F(m) with
+F(x) = N(sum_i x_i f_i)^-s.  On the positive orthant N^(1/n), the geometric
+mean of n positive linear forms, is concave and 1-homogeneous, and
+t^(-ns) is convex and decreasing, so F = (N^(1/n))^(-ns) is convex.  Take m
+with support S: m_i >= 1 on S and 0 off it.  By convexity F(m) is at most
+the mean of F over the unit cube of R^S centred at m; the cubes of
+distinct m do not overlap and lie in {x_S >= 1/2, |x| >= |m| - |S|/2}.
+So the terms of support S beyond level L sum to at most the integral of F
+over {x in R^S, x >= 0, |x| >= L + 1 - |S|/2}.  With x = t y, y on the
+simplex sum_{i in S} y_i = 1 (dx = t^(|S|-1) dt dy, projected measure),
+F(t y) = t^(-ns) F(y), and summing over the supports:
+
+    tail(L) <= scale^(-ns) sum_{S != {}} J_S (L + 1 - |S|/2)^(|S|-ns) / (ns - |S|),
+
+J_S the integral of F over that simplex: 1 for a ray, as N(f_i) = 1, and
+at most 1/(|S|-1)! by AM-GM.  `_face_integral` certifies an upper bound on
+each J_S from the linear interpolants of F on a bisected simplex (F is
+convex), `_face_sums` adds them per |S|, and `_face_tail_bound` evaluates
+the sum.  `_cone_level` takes at every level the smaller of the two
+bounds, so no sum has more terms than `tail_bound` alone gives it."""
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 from . import kernels
@@ -58,13 +84,14 @@ from .kernels import ZetaValue
 # raises TailBoundUnachievable
 _M_CAP = 200_000
 
-# Box terms up to which a job of integer s <= 8 is summed by
+# Box terms up to which a job of s in 1/2 Z, 1 <= s <= 8, is summed by
 # `kernels.scalar`, which needs no NumPy, instead of `kernels.box_sums`.
 # Importing NumPy costs about 110 ms.  Per term the scalar sum costs about
-# 0.3 us on long slabs and up to 1 us on many short ones (hundreds of
-# shifts at radius 9, n = 3), NumPy 0.01-0.1 us.  So NumPy repays its
-# import from about 10^5 terms at the slowest scalar rate, and from 3 10^5
-# at the fastest: below 10^5 the scalar sum is never the slower.
+# 0.3 us on long slabs and up to 0.8 us on many short ones (hundreds of
+# shifts at radius 9, n = 3, which its point-major blocks share), NumPy
+# 0.01-0.1 us.  So NumPy repays its import from about 1.4 10^5 terms at the
+# slowest scalar rate, and from 3 10^5 at the fastest: below 10^5 the
+# scalar sum is never the slower.
 _SCALAR_TERMS = 10 ** 5
 
 
@@ -77,9 +104,9 @@ def __getattr__(name):
 
 def _box_sums(s: float, terms: int):
     """The simplex-sum evaluator of a job of `terms` box terms at s: the
-    scalar one for an integer s <= 8 and at most _SCALAR_TERMS terms,
-    NumPy's otherwise.  Both give the same floats."""
-    if float(s).is_integer() and 1 <= s <= 8 and terms <= _SCALAR_TERMS:
+    scalar one for s in 1/2 Z, 1 <= s <= 8, and at most _SCALAR_TERMS
+    terms, NumPy's otherwise.  Both give the same floats."""
+    if kernels.scalar.half_integer_power(s)[0] and terms <= _SCALAR_TERMS:
         return kernels.scalar.box_sums
     return kernels.box_sums
 
@@ -120,6 +147,205 @@ def required_radius(n: int, s: float, scale: int, target: float, m_cap: int) -> 
     return radius
 
 
+# Splits per cone in the certified face integrals (`_face_integral`),
+# shared by its faces of two or more generators, a face of k generators
+# weighing 2^(k-2) (at small L the faces of most generators dominate the
+# face bound): 64 for the one face at n = 2; 12 per edge and 25 for the
+# top face at n = 3; 3, 7 and 14 at n = 4.  A split costs about 10 us, so
+# a job's face integrals cost about 0.1 ms at n = 2, 1 ms at n = 3 and
+# 2.5 ms at n = 4 (43 distinct faces over six cones) on a 2-core host that
+# takes 0.25 ms for sum(range(10^4)).  A face stops splitting early once
+# its largest gain is below _FACE_TOL of its bound.  With fewer than
+# _FACE_MIN_SPLITS per edge (n >= 5) the faces stay near their AM-GM
+# values, where `_face_tail_bound` exceeds `tail_bound`, so they are not
+# bounded: 283 distinct faces at n = 5 and 2131 at n = 6 would cost about
+# 10 and 75 ms for no fewer terms.
+_FACE_SPLITS = 64
+_FACE_MIN_SPLITS = 2
+_FACE_TOL = 2.0 ** -6
+
+# `_face_sums` numbers generators and fills a field's face cache, which the
+# thread pool's blocks share
+_FACE_LOCK = threading.Lock()
+
+_U = 2.0 ** -53
+
+
+@functools.lru_cache(maxsize=None)
+def _bisection_rules(k: int):
+    """The edges (i, j), i < j, of a simplex of k vertices, and how a
+    bisected cell's squared edge lengths give its children's: the midpoint c
+    of ab has |xc|^2 = (|xa|^2 + |xb|^2) / 2 - |ab|^2 / 4 (Apollonius) and
+    |ac|^2 = |ab|^2 / 4.  rules[e][t] lists, per edge of the child in which
+    end t of edge e = ab is replaced by c, the (f, g, w) of its squared
+    length (len_f + len_g) / 2 - w len_e."""
+    edges = tuple(itertools.combinations(range(k), 2))
+    rules = []
+    for a, b in edges:
+        per_end = []
+        for r, o in ((a, b), (b, a)):
+            rule = []
+            for f, (i, j) in enumerate(edges):
+                if r not in (i, j):
+                    rule.append((f, f, 0.0))
+                elif o in (i, j):
+                    rule.append((f, f, 0.75))
+                else:
+                    x = i + j - r
+                    rule.append((f, edges.index((min(o, x), max(o, x))), 0.25))
+            per_end.append(tuple(rule))
+        rules.append(tuple(per_end))
+    return edges, tuple(rules)
+
+
+def _face_integral(rows, s: float, delta: float, splits: int) -> float:
+    """Certified upper bound on the face integral J_S of the generators whose
+    float conjugates (relative error <= delta) are the k rows: the integral
+    of F(y) = N(sum_i y_i f_i)^-s over the simplex sum_i y_i = 1, y >= 0,
+    in projected measure (total volume 1/(k-1)!).
+
+    F is convex (see the module docstring), so on a simplex cell it lies
+    below the linear interpolant of its vertex values: the cell contributes
+    at most vol * (mean of F at its vertices).  The cell whose bisection
+    gains most is bisected across its longest edge ab, through the midpoint
+    c: its two children contribute vol (F(a) + F(b) - 2 F(c)) / (2k) less.
+    At most `splits` cells are split, and splitting stops once the largest
+    gain is below _FACE_TOL of the bound.  A midpoint's
+    conjugate sums are the mean of its edge's ends, one rounding per level,
+    so at depth d they are within (1 + delta) (1 + gamma_d) above the exact
+    sums, and F there is at most F' (1 + delta)^(nS) (1 + gamma_R),
+    S = ceil(s), R = nS d + S (n - 1) + 8 for the product and the power
+    (pow allowed 4 ulps, as in `kernels.box_sum_roundoff`).  The k - 1
+    additions and the division of a mean, the fsum of the cells, the
+    division by (k-1)! and the factor 1 + rho add k + 4 roundings, and one
+    more is spare for evaluating rho."""
+    k, n = len(rows), len(rows[0])
+    if k == 1:
+        return 1.0                      # N(f_i) = 1
+    edges, rules = _bisection_rules(k)
+    prod, push, ldexp = math.prod, heapq.heappush, math.ldexp
+    # a cell: (-2 gain / vol of the face, tie-break, depth, vertices as
+    # (conjugate sums, F), squared edge lengths, longest edge, its midpoint)
+    cells = []
+
+    def add(vs, lens, depth, tie):
+        e = lens.index(max(lens))
+        a, b = edges[e]
+        (ca, fa), (cb, fb) = vs[a], vs[b]
+        conj = [(p + q) * 0.5 for p, q in zip(ca, cb)]
+        f = prod(conj) ** -s
+        push(cells, (ldexp(2 * f - fa - fb, -depth), tie, depth, vs, lens, e, (conj, f)))
+
+    root = [(row, prod(row) ** -s) for row in rows]
+    add(root, [2.0] * len(edges), 0, 0)
+    total = sum(v[1] for v in root)     # of vol * sum of F, vol in 2^-depth
+    for split in range(1, splits + 1):
+        if -cells[0][0] < _FACE_TOL * total:
+            break
+        loss, _, depth, vs, lens, e, mid = heapq.heappop(cells)
+        total += loss / 2
+        le = lens[e]
+        for t, r in enumerate(edges[e]):
+            add(vs[:r] + [mid] + vs[r + 1:],
+                [(lens[f] + lens[g]) * 0.5 - w * le for f, g, w in rules[e][t]],
+                depth + 1, 2 * split + t)
+    big_s = math.ceil(s)
+    depth = max(c[2] for c in cells)
+    rounds = n * big_s * depth + big_s * (n - 1) + 8 + k + 5
+    gamma = rounds * _U / (1 - rounds * _U)
+    rho = math.expm1(math.log1p(gamma) + n * big_s * math.log1p(delta))
+    bound = math.fsum(ldexp(sum([v[1] for v in c[3]]) / k, -c[2]) for c in cells)
+    return bound / math.factorial(k - 1) * (1 + rho)
+
+
+def _face_splits(n: int, k: int) -> int:
+    """The splits of a face of k >= 2 generators at degree n: its share of
+    the cone's _FACE_SPLITS, a face of k generators weighing 2^(k-2)."""
+    weight = sum(math.comb(n, j) << (j - 2) for j in range(2, n + 1))
+    return (_FACE_SPLITS << (k - 2)) // weight
+
+
+def _face_sums(cone, s: float) -> list[float] | None:
+    """c_k = sum of the certified face integrals J_S over the faces of k
+    generators of the cone, k = 1, ..., n (c_1 = n: a ray has J = 1).  Each
+    face is bounded once per field and s, whatever cones share it, with
+    `_face_splits`; None when an edge's share is below _FACE_MIN_SPLITS."""
+    field, gens = cone.field, cone.generators
+    n = field.degree
+    if _face_splits(n, 2) < _FACE_MIN_SPLITS:
+        return None
+    cache = field._face_cache
+    with _FACE_LOCK:
+        # generators are numbered per field, so faces are keyed by small ints
+        numbers = cache.setdefault("generators", {})
+        ids = [numbers.setdefault(g.coeffs, len(numbers)) for g in gens]
+        key = (s, tuple(ids))
+        sums = cache.get(key)
+        if sums is not None:
+            return sums
+        floats, deltas = _embed_floats(field, gens)
+        sums = [float(n)]
+        for k in range(2, n + 1):
+            parts = []
+            for face in itertools.combinations(range(n), k):
+                fkey = (s, frozenset(ids[i] for i in face))
+                bound = cache.get(fkey)
+                if bound is None:
+                    delta = math.nextafter(max(deltas[i] for i in face), math.inf)
+                    bound = _face_integral([floats[i] for i in face], s, delta,
+                                           _face_splits(n, k))
+                    cache[fkey] = bound
+                parts.append(bound)
+            sums.append(math.fsum(parts))
+        cache[key] = sums
+    return sums
+
+
+def _face_tail_bound(n: int, s: float, scale: int, radius: int, sums) -> float:
+    """Certified remainder of a cone's simplex sum outside |m| <= radius from
+    its face sums c_k (`_face_sums`): scale^(-ns) sum_k c_k
+    (radius + 1 - k/2)^(k - ns) / (ns - k), see the module docstring."""
+    ns = n * s
+    if radius + 1 - n / 2 <= 0:
+        return math.inf
+    total = math.fsum(c * (radius + 1 - k / 2) ** (k - ns) / (ns - k)
+                      for k, c in enumerate(sums, 1))
+    # ns and k - ns are rounded once each, so the exponents are off by at
+    # most 2 u ns, which moves the powers of radius + 1 - k/2 and of the
+    # scale by at most exp(2 u ns log((radius + 1) scale)); the fsum of the
+    # c_k and of the terms, the two powers (4 ulps each), the product, the
+    # difference and the division of a term and the last two products
+    # round at most 26 times.  2^-50 = 8u covers both with room to spare.
+    slack = 2.0 ** -50 * (ns * math.log((radius + 1) * scale) + 8)
+    return total * scale ** -ns * (1 + slack)
+
+
+def _cone_level(cone, s: float, scale: int, target: float) -> tuple[int, float]:
+    """(L, tail): the smallest simplex level L >= 4 at which the smaller of
+    `tail_bound` and `_face_tail_bound` meets the target, and that smaller
+    bound at L.  L is never above `required_radius`."""
+    n = cone.field.degree
+    sums = _face_sums(cone, s)
+    try:
+        hi = required_radius(n, s, scale, target, _M_CAP)
+    except TailBoundUnachievable:
+        if sums is None or _face_tail_bound(n, s, scale, _M_CAP, sums) > target:
+            raise
+        hi = _M_CAP
+    if sums is None:
+        return hi, tail_bound(n, s, scale, hi)
+    lo = 3
+    # the face bound is decreasing in L: bisect (lo, hi] for its first level
+    # that meets the target, hi itself meeting tail_bound's
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _face_tail_bound(n, s, scale, mid, sums) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi, min(tail_bound(n, s, scale, hi), _face_tail_bound(n, s, scale, hi, sums))
+
+
 def _embed_floats(field: NumberField, elems):
     """Float conjugates of totally positive elements, the midpoints of outward
     floats 0 < lo <= x <= hi, and per element its relative error
@@ -152,14 +378,13 @@ def _zeta_block(s: float, cone, points, params: ZetaParams,
     max(delta_z, delta of the generators), rounded up."""
     field = cone.field
     n = field.degree
-    radius = required_radius(n, s, scale, params.target_error, _M_CAP)
+    radius, tail = _cone_level(cone, s, scale, params.target_error)
     terms = math.comb(radius + n, n)
     box_sums = box_sums or _box_sums(s, len(points) * terms)
     floats, deltas = _embed_floats(field, [*points, *cone.generators])
     k = len(points)
     values = box_sums(floats[:k], floats[k:], s, radius, float(scale))
     gen_delta = max(deltas[k:])
-    tail = tail_bound(n, s, scale, radius)
     return [ZetaValue(value, tail + kernels.box_sum_roundoff(
                 value, n, s, radius, math.nextafter(max(d, gen_delta), math.inf)),
                       terms, radius)
@@ -252,7 +477,7 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     for members in groups.values():
         cone, _z, target = jobs[members[0]][:3]
         n = cone.field.degree
-        radius = required_radius(n, s, scale, target, _M_CAP)
+        radius = _cone_level(cone, s, scale, target)[0]
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
         blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
         terms += len(members) * math.comb(radius + n, n)

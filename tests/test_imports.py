@@ -75,9 +75,9 @@ NUMPY_KERNEL = ("numpy", "shintani.kernels.reference")
 
 
 @pytest.mark.parametrize("s, target, few_terms", [(2.0, 1e-3, True), (2.5, 1e-3, True),
-                                                  (2.0, 1e-6, False)])
+                                                  (2.25, 1e-3, True), (2.0, 1e-6, False)])
 def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms):
-    # the scalar simplex sum takes an integer s <= 8 and at most
+    # the scalar simplex sum takes s in 1/2 Z, 1 <= s <= 8, and at most
     # zeta._SCALAR_TERMS box terms; any other job loads NumPy's kernel
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"field": field_to_json(*fixtures.q_sqrt2()),
@@ -87,7 +87,7 @@ def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms)
                 f"print(sorted(set({NUMPY_KERNEL!r}) & set(sys.modules)))")
     terms = json.loads(out.splitlines()[0])["terms"]
     assert (terms <= zeta._SCALAR_TERMS) == few_terms
-    scalar = s == 2.0 and few_terms
+    scalar = (2 * s).is_integer() and few_terms
     assert out.splitlines()[-1] == str([] if scalar else list(NUMPY_KERNEL))
 
 

@@ -68,7 +68,8 @@ def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
             last = level - sums[idx]
             bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
             sums, ends = level, np.cumsum(ends)
-    k = int(s) if s == int(s) and 1 <= s <= 8 else 0
+    # s = k + 1/2 in [1, 8] is 1 / (P^k sqrt(P)), s = k is 1 / P^k
+    k, half = scalar.half_integer_power(s)
     totals = []
     for m0 in range(radius + 1):
         cnt = ends[radius - m0]
@@ -79,6 +80,8 @@ def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
             t = p.copy()
             for _ in range(k - 1):
                 t *= p
+            if half:
+                t *= np.sqrt(p)
             t = 1.0 / t
         else:
             t = np.power(p, -s)
@@ -87,7 +90,7 @@ def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 2.25])
 def test_box_sums_rows_match_one_shift_sum(n, s):
     # every row of a block is bit for bit the one-shift sum, for blocks of
     # 1 and of 7 shifts, at levels with slabs below and above 8 and 128
@@ -170,7 +173,7 @@ POSITIVE = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
 def simplex_sum_inputs(draw):
     n = draw(st.integers(1, 5))
     radius = draw(st.integers(0, RADIUS[n]))
-    s = float(draw(st.integers(1, 8)))
+    s = draw(st.integers(2, 16)) / 2
     gens = draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     zs = draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n),
@@ -186,14 +189,15 @@ def test_scalar_box_sums_match_reference_bit_for_bit(args):
 
 
 def test_scalar_box_sums_every_level():
-    # every radius from 0, one shift and several, n = 1 to 5 and s = 1 to 8
+    # every radius from 0, one shift and several, n = 1 to 5 and s = 1,
+    # 1.5, ..., 8
     rng = np.random.default_rng(7)
     for n in range(1, 6):
         gens = rng.uniform(0.2, 3.0, (n, n)).tolist()
         zs = rng.uniform(0.1, 4.0, (3, n)).tolist()
         for radius in range(6):
-            for s in range(1, 9):
-                args = (zs, gens, float(s), radius, 3.0)
+            for s in range(2, 17):
+                args = (zs, gens, s / 2, radius, 3.0)
                 assert scalar.box_sums(*args) == reference.box_sums(*args)
 
 
@@ -206,8 +210,8 @@ def test_scalar_pairwise_is_the_model(n):
     assert scalar._pairwise(a, 5, n) == _pairwise(a[5:], n)[0]
 
 
-@pytest.mark.parametrize("s", [2.5, 0.0, 9.0])
-def test_scalar_box_sums_integer_exponents_only(s):
+@pytest.mark.parametrize("s", [2.25, 0.0, 0.5, 8.5, 9.0, math.nan])
+def test_scalar_box_sums_half_integer_exponents_only(s):
     with pytest.raises(ValueError):
         scalar.box_sums([[1.0, 1.0]], [[1.0, 1.0], [0.2, 5.0]], s, 3)
 

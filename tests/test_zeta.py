@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -43,12 +45,17 @@ from shintani.zeta import (
     trivial_character,
 )
 
+from shintani.polyroots import poly_discriminant
+
 from fixtures import (
     ALL_NET_COUNT,
     cubic_81,
+    cubic_signed_witness,
     maximal_order,
     q_sqrt2,
     q_sqrt5,
+    q_zeta11_plus,
+    q_zeta13_plus,
     quartic_725,
 )
 
@@ -133,15 +140,18 @@ def _exact_simplex_sum(fld, z, gens, s, radius, scale):
     (quartic_725, 2.0, 1, 1e-5), (quartic_725, 2.5, 1, 1e-7)])
 def test_roundoff_allowance_covers_mpmath_sum(make, s, scale, target):
     # the float simplex sum is within the derived roundoff allowance of the
-    # exact sum of the exact conjugates, and the allowance stays small
+    # exact sum of the exact conjugates, and the allowance stays small; the
+    # allowance is the error bound less the tail the sum used (the smaller
+    # of the AM-GM and the face bound at its level)
     fld, units = make()
     dom = build_signed_domain(units, fld)
     for cone in dom.cones[:2]:
         z = fld.one + cone.generators[-1]
         zv = shintani_zeta(s, z, cone, ZetaParams(target_error=target), scale)
-        assert 8 <= zv.radius <= 60
+        radius, tail = zeta._cone_level(cone, s, scale, target)
+        assert zv.radius == radius and 8 <= radius <= 60
         assert zv.terms == math.comb(zv.radius + fld.degree, fld.degree)
-        roundoff = zv.error_bound - tail_bound(fld.degree, s, scale, zv.radius)
+        roundoff = zv.error_bound - tail
         with mpmath.workprec(160):
             exact = _exact_simplex_sum(fld, z, cone.generators, s, zv.radius, scale)
             assert abs(mpmath.mpf(zv.value) - exact) <= roundoff
@@ -555,15 +565,15 @@ def test_l_function_block_path_is_single_point_sum(dom2, monkeypatch, block, thr
     got = l_function(2.5, chi, units, fld, ZetaParams(target_error=target, threads=threads),
                      order=order, domain=dom)
     assert got == want
-    # 16 live points at L = 16 and 112 at L = 4: slabs of N = 17 and 5
-    assert sorted(sizes) == {1: [1] * 128, 150: [8, 8, 22, 30, 30, 30],
+    # 16 live points at L = 12 and 112 at L = 4: slabs of N = 13 and 5
+    assert sorted(sizes) == {1: [1] * 128, 150: [5, 11, 22, 30, 30, 30],
                              DEFAULT_BLOCK: [16, 112]}[block]
 
 
 @pytest.mark.parametrize("block", [1, 600, DEFAULT_BLOCK])
 def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     # the cubic_81 ray class of (2) mod (t + 2): 72 and 504 points in two
-    # cones, scale 3, L = 9, N = 55, each block bit for bit its points'
+    # cones, scale 3, L = 6, N = 28, each block bit for bit its points'
     # single-point sums
     fld, units = cubic_81()
     order = integral_basis(fld)
@@ -575,8 +585,8 @@ def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     got = partial_zeta(2.0, (a, p3, units), fld, ZetaParams(target_error=1e-5, threads=2),
                        order=order, domain=dom)
     assert got == want
-    assert sorted(sizes) == {1: [1] * 576, 600: [2, 4] + [10] * 57,
-                             DEFAULT_BLOCK: [60, 72] + [74] * 6}[block]
+    assert sorted(sizes) == {1: [1] * 576, 600: [9] + [21] * 27,
+                             DEFAULT_BLOCK: [66, 72] + [146] * 3}[block]
 
 
 @pytest.mark.parametrize("fn", ["l_function", "partial_zeta"])
@@ -597,7 +607,7 @@ def test_units_outside_the_order_rejected(fn):
 @pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
 def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
     # every job at the threshold 0 (all NumPy) and at infinity (all scalar
-    # for an integer s): the same ZetaValue, float for float.  The conductor
+    # for s in 1/2 Z): the same ZetaValue, float for float.  The conductor
     # (2) gives partial_zeta the scale 2 and l_function a zero character
     # value on the points not coprime to it.
     fld, units = ALL_NET_COUNT[name]()
@@ -616,9 +626,160 @@ def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
         calls.clear()
         results[threshold] = [
             l_function(s, chi, units, fld, ZetaParams(target_error=3e-3), order, dom)
-            for s in (2.0, 3.0)] + [
+            for s in (2.0, 2.5, 3.0)] + [
             partial_zeta(s, (whole, ideal, units), fld, ZetaParams(target_error=3e-3),
                          order, dom)
-            for s in (2.0, 3.0) for ideal in (whole, two)]
+            for s in (2.0, 2.5, 3.0) for ideal in (whole, two)]
         assert bool(calls) == (threshold == math.inf)
     assert results[0] == results[math.inf]
+    # an s outside 1/2 Z stays on NumPy's np.power at any threshold
+    calls.clear()
+    l_function(2.25, chi, units, fld, ZetaParams(target_error=3e-3), order, dom)
+    assert calls == []
+
+
+# ---- the face bound of the tail, and a reference at s = 2 ----
+
+def _shell_sums(cone, zs, s, scale, lo, hi):
+    """Lower bounds on the sums over lo < |m| <= hi of the terms of each
+    shift of zs: the difference of the float simplex sums at hi and at lo,
+    less the roundoff allowance of both."""
+    fld = cone.field
+    floats, deltas = zeta._embed_floats(fld, [*zs, *cone.generators])
+    k = len(zs)
+    delta = math.nextafter(max(deltas), math.inf)
+    out = []
+    for top, bottom in zip(*(reference.box_sums(floats[:k], floats[k:], s, level, float(scale))
+                             for level in (hi, lo))):
+        err = sum(zeta.kernels.box_sum_roundoff(v, fld.degree, s, level, delta)
+                  for v, level in ((top, hi), (bottom, lo)))
+        out.append(top - bottom - err)
+    return out
+
+
+def _face_sums_with(cone, s, splits):
+    """The face sums c_k of a cone at a given split budget per face, for a
+    degree whose faces `zeta._face_sums` leaves unbounded."""
+    floats, deltas = zeta._embed_floats(cone.field, cone.generators)
+    n = cone.field.degree
+    delta = math.nextafter(max(deltas), math.inf)
+    return [float(n)] + [
+        math.fsum(zeta._face_integral([floats[i] for i in face], s, delta, splits)
+                  for face in itertools.combinations(range(n), k))
+        for k in range(2, n + 1)]
+
+
+TAIL_FIELDS = {**ALL_NET_COUNT, "q_zeta11_plus": q_zeta11_plus}
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5])
+@pytest.mark.parametrize("name", sorted(TAIL_FIELDS))
+def test_face_tail_covers_the_shells(name, s):
+    # On every cone, at shifts near 0 (where dropping z costs least) and
+    # scales 1 to 3, the face bound at level L covers the exact shells
+    # L + 1 ... L + K plus the face bound at L + K; q_zeta11_plus, whose
+    # faces the zeta sums leave unbounded, with 4 splits per face
+    fld, units = TAIL_FIELDS[name]()
+    n = fld.degree
+    lo, hi = (4, 12) if n == 5 else (6, 24)
+    for cone in build_signed_domain(units, fld).cones:
+        sums = zeta._face_sums(cone, s) if n <= 4 else _face_sums_with(cone, s, 4)
+        assert sums[0] == n and all(0 < c <= math.comb(n, k) / math.factorial(k - 1)
+                                    for k, c in enumerate(sums, 1))
+        gens = cone.generators
+        zs = [fld.one, (gens[0] + gens[-1]) * Fraction(1, 16),
+              sum(gens[1:], gens[0]) * Fraction(1, 64)]
+        for scale in (1, 2, 3):
+            bound = [zeta._face_tail_bound(n, s, scale, level, sums) for level in (lo, hi)]
+            for shells in _shell_sums(cone, zs, s, scale, lo, hi):
+                assert shells + bound[1] <= bound[0]
+
+
+def _exact_face_integral(rows, s):
+    """J_S of the face whose generators have the float conjugates rows (two
+    or three of them), by mpmath's tanh-sinh quadrature, which resolves the
+    peaks of F at the vertices."""
+    n = len(rows[0])
+
+    def f(*y):
+        return mpmath.fprod(mpmath.fsum(yi * r[j] for yi, r in zip(y, rows))
+                            for j in range(n)) ** -s
+    with mpmath.workdps(15):
+        if len(rows) == 2:
+            return float(mpmath.quad(lambda t: f(1 - t, t), [0, 1]))
+        return float(mpmath.quad(lambda a: mpmath.quad(lambda b: f(1 - a - b, a, b),
+                                                       [0, 1 - a]), [0, 1]))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
+def test_face_integrals_bound_the_exact_ones(name):
+    # every edge of every cone (and the top faces of cubic_81, the tight
+    # case of the lfun-conductor jobs): the certified J_S at its split
+    # budget lies above the quadrature, and within 1.5x of it for an edge
+    # at n <= 3 and 2x for cubic_81's top faces
+    fld, units = ALL_NET_COUNT[name]()
+    n = fld.degree
+    faces = {}
+    for cone in build_signed_domain(units, fld).cones:
+        floats, deltas = zeta._embed_floats(fld, cone.generators)
+        for k in (2, 3) if name == "cubic_81" else (2,):
+            for face in itertools.combinations(range(n), k):
+                key = frozenset(cone.generators[i].coeffs for i in face)
+                faces[key] = ([floats[i] for i in face],
+                              math.nextafter(max(deltas[i] for i in face), math.inf))
+    for rows, delta in faces.values():
+        k = len(rows)
+        bound = zeta._face_integral(rows, 2.0, delta, zeta._face_splits(n, k))
+        exact = _exact_face_integral(rows, 2.0)
+        assert exact <= bound
+        if n <= 3:
+            assert bound <= {2: 1.5, 3: 2.0}[k] * exact
+
+
+def test_face_bounds_shared_by_threads():
+    # eight threads summing the six cones of a fresh quartic field at once,
+    # with a short switch interval, number its generators and fill its face
+    # cache without a lost update: every value is the serial one
+    params = ZetaParams(target_error=1e-3)
+    fld, units = quartic_725()
+    serial = [shintani_zeta(2.0, fld.one, c, params)
+              for c in build_signed_domain(units, fld).cones]
+    fld, units = quartic_725()
+    cones = build_signed_domain(units, fld).cones
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            futures = [ex.submit(shintani_zeta, 2.0, fld.one, c, params) for c in cones * 4]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial * 4
+
+
+# zeta_K(-1) of each fixture field (generalised Bernoulli numbers) and the
+# target of its zeta at s = 2
+ZETA_AT_MINUS_ONE = {
+    "q_sqrt2": (q_sqrt2, Fraction(1, 12), 1e-6),
+    "cubic_81": (cubic_81, Fraction(-1, 9), 1e-6),
+    "cubic_signed_witness": (cubic_signed_witness, Fraction(-1, 9), 1e-6),
+    "quartic_725": (quartic_725, Fraction(2, 15), 1e-6),
+    "q_zeta11_plus": (q_zeta11_plus, Fraction(-20, 33), 1e-5),
+    "q_zeta13_plus": (q_zeta13_plus, Fraction(152, 39), 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZETA_AT_MINUS_ONE))
+def test_zeta_at_two_matches_the_functional_equation(name):
+    # zeta_K(2) = (-2)^n pi^(2n) zeta_K(-1) / d_K^(3/2) (Siegel), with
+    # d_K = disc(f) for these monogenic fields of narrow class number 1:
+    # every value lies within its error bound of it
+    make, zeta_m1, target = ZETA_AT_MINUS_ONE[name]
+    fld, units = make()
+    n = fld.degree
+    with mpmath.workdps(40):
+        ref = ((-2) ** n * mpmath.pi ** (2 * n) * zeta_m1.numerator / zeta_m1.denominator
+               / mpmath.mpf(poly_discriminant(fld.poly)) ** 1.5)
+        zv = dedekind_zeta_via_domain(2.0, units, fld, ZetaParams(target_error=target))
+        assert zv.value.imag == 0 and 0 < zv.error_bound <= target
+        assert abs(zv.value.real - ref) <= zv.error_bound
