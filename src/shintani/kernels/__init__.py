@@ -4,7 +4,9 @@ Shintani zeta series, for a block of shifts at once (with
 Euler-product oracle.  Both are NumPy code in `reference`; `BACKEND` names
 it for benchmark stamps.  `scalar` evaluates the simplex sum of an exponent
 s in 1/2 Z, 1 <= s <= 8, in Python floats, bit for bit as `reference` does,
-for the jobs too small to pay for importing NumPy.
+for the jobs too small to pay for importing NumPy; `em` sums degree-2
+cones row by row to infinity by Euler-Maclaurin, with its own certified
+bound, for the deep ones, and is imported only by the jobs that take it.
 
 Importing the package loads no NumPy: `box_sum_roundoff`, `scalar` and
 `ZetaValue` are NumPy-free, and `box_sum`, `box_sums` and

@@ -134,18 +134,22 @@ def box_sum(z, gens, s, radius, scale=1.0):
 # and the elimination's difference pv * a - c * b, is at most (P - 1)^2 in
 # absolute value, so a sum of k products on top of a residue is exact in
 # int64 while k (P - 1)^2 + (P - 1) < 2^63; `_reduction_interval` is the
-# largest such k, capped at 2n - 1.  No sum needs more: in `_mul_mod` each
-# of the n row products a_i * b and of the n - 1 folds of a high
+# largest such k, capped at 2n.  No sum needs more: in `_mul_mod` each of
+# the n row products a_i * b and of the at most n folds of a high
 # coefficient adds at most one product to a coefficient, and an entry of
-# `_matmul_mod` collects n.  A sum is reduced after every k steps, a high
-# coefficient also just before it is folded in, and each result once at the
-# end.  So the sieve's primes (P <= 10^6, k >= 9 * 10^6) reduce each
-# coefficient once: 2n - 1 row reductions per product, not n (2n - 1).  At
-# _INT64_PRIME_MAX = isqrt(2^63 - 1), P (P - 1) < 2^63 < 2 (P - 1)^2, so
-# k = 1.  The elimination reduces at every step, as each difference is
-# multiplied again.  Larger primes run the same code on object arrays of
-# Python ints, which have no limit (k = 2n - 1): every array the scan
-# allocates takes the dtype of the primes.
+# `_matmul_mod` collects n.  A step of the ladder squares and, for the
+# primes whose bit is 1, multiplies by x: the unreduced square (degree
+# 2n - 2) of those primes moves up one coefficient before the folds, which
+# moves no product and adds the fold of coefficient 2n - 1, so x^2i and
+# x^(2i+1) cost one product each.  A sum is reduced after every k steps, a
+# high coefficient also just before it is folded in, and each result once at
+# the end.  So the sieve's primes (P <= 10^6, k >= 9 * 10^6) reduce each
+# coefficient once: 2n row reductions per ladder step, not 3n - 1 for a
+# square and a product by x.  At _INT64_PRIME_MAX = isqrt(2^63 - 1),
+# P (P - 1) < 2^63 < 2 (P - 1)^2, so k = 1.  The elimination reduces at
+# every step, as each difference is multiplied again.  Larger primes run the
+# same code on object arrays of Python ints, which have no limit (k = 2n):
+# every array the scan allocates takes the dtype of the primes.
 
 _INT64_PRIME_MAX = math.isqrt(2 ** 63 - 1)          # 3037000499
 
@@ -160,43 +164,43 @@ def _reduction_interval(p, n):
     """How many products of residues a sum may collect on top of a residue
     before it is reduced mod the primes of the array p (see above)."""
     if p.dtype == object:
-        return 2 * n - 1
+        return 2 * n
     top = int(p.max()) - 1
-    return min(2 * n - 1, (2 ** 63 - 1 - top) // (top * top))
+    return min(2 * n, (2 ** 63 - 1 - top) // (top * top))
 
 
-def _mul_mod(a, b, red, p, k):
+def _mul_mod(a, b, red, p, k, odd=None):
     """a * b mod (f, p) for (n, B) coefficient arrays (low degree first),
-    one prime per column; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j.
-    Steps 0..n-1 add a_i * b and steps n..2n-2 fold the high coefficients
-    2n-2, ..., n, each reduced first; k steps after each reduction of all
+    one prime per column, times x in the columns where the boolean array
+    odd is set; red[j] = -f_j mod p, so x^n = sum_j red[j] x^j.  Steps
+    0..n-1 add a_i * b, then with odd the product of those columns moves up
+    one coefficient, and the remaining steps fold the high coefficients
+    down to n, each reduced first; k steps after each reduction of all
     coefficients comes the next (see above)."""
     n = len(a)
-    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=p.dtype)
-    for step in range(2 * n - 1):
+    top = 2 * n - 1 if odd is None else 2 * n
+    # a zero row in front: buf[:-1] is the product moved up one coefficient
+    buf = np.zeros((top + 1, a.shape[1]), dtype=p.dtype)
+    prod = buf[1:]
+    for step in range(top):
         if step and step % k == 0:
             prod %= p
         if step < n:
             prod[step:step + n] += a[step] * b
+            if step == n - 1 and odd is not None:
+                prod = np.where(odd, buf[:-1], prod)
         else:
-            c = 3 * n - 2 - step
+            c = top + n - 1 - step
             prod[c] %= p
             prod[c - n:c] += prod[c] * red
     return prod[:n] % p
 
 
-def _mul_x(a, red, p):
-    """x * a mod (f, p) for an (n, B) coefficient array."""
-    out = np.empty_like(a)
-    out[0] = 0
-    out[1:] = a[:-1]
-    return (out + a[-1] * red) % p
-
-
 def _frobenius_matrices(poly, p, k):
     """Q for every prime of the array p, as a (B, n, n) array: x^p by one
-    square-and-multiply ladder over the bits of p, masked per prime, then
-    the columns x^(ip) = x^((i-1)p) * x^p; k is the reduction interval."""
+    square-and-multiply ladder over the bits of p, the product by x folded
+    into the square of the primes whose bit is 1, then the columns
+    x^(ip) = x^((i-1)p) * x^p; k is the reduction interval."""
     n = len(poly) - 1
     # a coefficient beyond int64 is reduced mod p with Python ints
     red = np.stack([(-c) % (p if abs(c) < 2 ** 63 else p.astype(object))
@@ -204,10 +208,8 @@ def _frobenius_matrices(poly, p, k):
     cur = np.zeros((n, len(p)), dtype=p.dtype)
     cur[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        cur = _mul_mod(cur, cur, red, p, k)
         odd = ((p >> bit) & 1).astype(bool)
-        if odd.any():
-            cur = np.where(odd, _mul_x(cur, red, p), cur)
+        cur = _mul_mod(cur, cur, red, p, k, odd if odd.any() else None)
     q = np.zeros((len(p), n, n), dtype=p.dtype)
     q[:, 0, 0] = 1
     col = cur

@@ -43,7 +43,23 @@ at most 1/(|S|-1)! by AM-GM.  `_face_integral` certifies an upper bound on
 each J_S from the linear interpolants of F on a bisected simplex (F is
 convex), `_face_sums` adds them per |S|, and `_face_tail_bound` evaluates
 the sum.  `_cone_level` takes at every level the smaller of the two
-bounds, so no sum has more terms than `tail_bound` alone gives it."""
+bounds, so no sum has more terms than `tail_bound` alone gives it.
+
+Euler-Maclaurin rows.  At n = 2 the simplex has C(L + 2, 2) terms, and L
+runs into the thousands at tight targets.  A group whose simplex would
+cost more than its rows (`_em_wins`) goes to `kernels.em.em_sums`
+instead: for each m_1 <= L the row over every m_0 >= 0.  Along a row the
+summand g(m_0) = scale^-2s ((m_0 + r_1)(m_0 + r_2))^-s (as N(f_0) = 1,
+r_j = (z + scale m_1 f_1)^(j) / (scale f_0^(j))) is completely monotone,
+so after K direct terms Euler-Maclaurin gives the rest as the integral
+from K (in closed form), g(K)/2 and p Bernoulli terms, and the remainder
+lies between 0 and the first omitted term.  Its terms are all positive,
+the rows hold every term of the simplex and more, and the terms they
+leave out, {m_1 > L}, lie in {|m| > L}: the tail bound of level L covers
+them.  The remainder and the roundoff of every operation, the integral's
+truncation and cancellation included, are derived in the comment block of
+`kernels.em`, in the terms of `kernels.scalar.box_sum_roundoff`; `em_sums`
+returns them as one bound per shift, which `_zeta_block` adds to the tail."""
 
 from __future__ import annotations
 
@@ -91,8 +107,23 @@ _M_CAP = 200_000
 # shifts at radius 9, n = 3, which its point-major blocks share), NumPy
 # 0.01-0.1 us.  So NumPy repays its import from about 1.4 10^5 terms at the
 # slowest scalar rate, and from 3 10^5 at the fastest: below 10^5 the
-# scalar sum is never the slower.
+# scalar sum is never the slower.  The terms of groups that go to the
+# Euler-Maclaurin sum (below) do not count.
 _SCALAR_TERMS = 10 ** 5
+
+# The cost of the Euler-Maclaurin sum (`kernels.em.em_sums`) in terms
+# of the scalar simplex sum at n = 2: a row (one m_1, summed over every
+# m_0) costs about 3-4 us without direct terms and a direct term about
+# 0.5 us, against 0.25-0.45 us per simplex term at levels 40 to 400
+# (s = 2, 2.5 and 3, two shifts, on a 2-core host that takes 0.25 ms for
+# sum(range(10^4))): _EM_ROW and _EM_DIRECT terms.  A group goes to it when
+# its C(L + 2, 2) simplex terms per shift cost more than its L + 1 rows with
+# the most direct terms a row can take (`em_direct_terms`, 13-16 at
+# s = 2-3), that is from L = 83 at s = 2.  NumPy's sum never wins there:
+# from L = 83 to the cap the rows cost 0.3 ms to 0.8 s, the import alone
+# 110 ms and the 4 10^3 to 2 10^10 terms 0.01-0.1 us each.
+_EM_ROW = 16
+_EM_DIRECT = 2
 
 
 def __getattr__(name):
@@ -100,6 +131,21 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
     return getattr(oracle, name)
+
+
+def _em_wins(n: int, s: float, radius: int) -> bool:
+    """Whether a group of degree n at this level goes to
+    `kernels.em.em_sums`: n = 2, s in 1/2 Z with 1 < s <= 8, and the
+    simplex terms cost more than the rows (see _EM_ROW).  It reads the
+    group alone, so a point's sum does not depend on its job.  Below
+    L = 2 _EM_ROW - 1 no row is cheaper, and `kernels.em` is not imported."""
+    if n != 2 or s <= 1 or not kernels.scalar.half_integer_power(s)[0]:
+        return False
+    if radius + 2 <= 2 * _EM_ROW:
+        return False
+    from .kernels import em
+    row = _EM_ROW + _EM_DIRECT * em.em_direct_terms(s)
+    return math.comb(radius + 2, 2) > (radius + 1) * row
 
 
 def _box_sums(s: float, terms: int):
@@ -372,21 +418,27 @@ def _embed_floats(field: NumberField, elems):
 def _zeta_block(s: float, cone, points, params: ZetaParams,
                 scale: int = 1, box_sums=None) -> list[ZetaValue]:
     """shintani_zeta(s, z, cone, params, scale) for every z of points, by one
-    call of box_sums (by default the evaluator `_box_sums` picks for the
-    block's terms): each value, radius and bound is bit for bit that of the
-    single-point sum, whose float inputs have relative error
-    max(delta_z, delta of the generators), rounded up."""
+    call of `kernels.em.em_sums` where `_em_wins`, else of box_sums (by
+    default the evaluator `_box_sums` picks for the block's terms): each
+    value, radius and bound is bit for bit that of the single-point sum,
+    whose float inputs have relative error max(delta_z, delta of the
+    generators), rounded up."""
     field = cone.field
     n = field.degree
     radius, tail = _cone_level(cone, s, scale, params.target_error)
-    terms = math.comb(radius + n, n)
-    box_sums = box_sums or _box_sums(s, len(points) * terms)
     floats, deltas = _embed_floats(field, [*points, *cone.generators])
     k = len(points)
-    values = box_sums(floats[:k], floats[k:], s, radius, float(scale))
     gen_delta = max(deltas[k:])
-    return [ZetaValue(value, tail + kernels.box_sum_roundoff(
-                value, n, s, radius, math.nextafter(max(d, gen_delta), math.inf)),
+    deltas = [math.nextafter(max(d, gen_delta), math.inf) for d in deltas[:k]]
+    if _em_wins(n, s, radius):
+        from .kernels.em import em_sums
+        return [ZetaValue(value, tail + bound, terms, radius)
+                for value, bound, terms in em_sums(
+                    floats[:k], floats[k:], s, radius, float(scale), deltas)]
+    terms = math.comb(radius + n, n)
+    box_sums = box_sums or _box_sums(s, len(points) * terms)
+    values = box_sums(floats[:k], floats[k:], s, radius, float(scale))
+    return [ZetaValue(value, tail + kernels.box_sum_roundoff(value, n, s, radius, d),
                       terms, radius)
             for value, d in zip(values, deltas)]
 
@@ -394,7 +446,9 @@ def _zeta_block(s: float, cone, points, params: ZetaParams,
 def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
                   scale: int = 1) -> ZetaValue:
     """Sum over m >= 0, |m| <= L, of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
-    with a certified tail bound plus the derived float-roundoff bound."""
+    with a certified tail bound plus the derived float-roundoff bound; where
+    `_em_wins`, over m_1 <= L and every m_0 instead (see the module
+    docstring)."""
     if s <= 1:
         raise ValueError("the series converges for s > 1 only")
     if not cone.field.is_totally_positive(z):
@@ -465,9 +519,10 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     The jobs are grouped by cone and target, so a group has one radius L,
     and each group is cut into blocks of at most _BLOCK // N points, which
     the thread pool (params.threads) maps over.  The results are added in
-    job order, so the sums do not depend on the blocks or the threads.  One
-    evaluator (`_box_sums`) sums every block, picked for the total terms
-    of all groups."""
+    job order, so the sums do not depend on the blocks or the threads.  A
+    group that `_em_wins` is summed by Euler-Maclaurin; one evaluator
+    (`_box_sums`) sums every other block, picked for the total terms of
+    those groups."""
     groups = {}
     for i, job in enumerate(jobs):
         if job is not None:
@@ -480,7 +535,8 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
         radius = _cone_level(cone, s, scale, target)[0]
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
         blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
-        terms += len(members) * math.comb(radius + n, n)
+        if not _em_wins(n, s, radius):
+            terms += len(members) * math.comb(radius + n, n)
     box_sums = _box_sums(s, terms)
 
     def run(block):

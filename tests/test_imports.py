@@ -74,21 +74,51 @@ def test_import_kernels_loads_no_numpy():
 NUMPY_KERNEL = ("numpy", "shintani.kernels.reference")
 
 
+def numpy_kernel_after(command, job) -> tuple[dict, list]:
+    """The output of a CLI job run in a fresh interpreter, and which of
+    NUMPY_KERNEL it loaded."""
+    out = fresh(f"{cli(command, job)}\nimport json, sys\n"
+                f"print(json.dumps(sorted(set({NUMPY_KERNEL!r}) & set(sys.modules))))")
+    return json.loads(out.splitlines()[0]), json.loads(out.splitlines()[-1])
+
+
 @pytest.mark.parametrize("s, target, few_terms", [(2.0, 1e-3, True), (2.5, 1e-3, True),
                                                   (2.25, 1e-3, True), (2.0, 1e-6, False)])
 def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms):
     # the scalar simplex sum takes s in 1/2 Z, 1 <= s <= 8, and at most
-    # zeta._SCALAR_TERMS box terms; any other job loads NumPy's kernel
+    # zeta._SCALAR_TERMS box terms; any other job loads NumPy's kernel.  The
+    # job above the range is cubic: a quadratic one that deep goes to the
+    # Euler-Maclaurin sum, which loads no NumPy (below)
+    make, conductor = ((fixtures.q_sqrt2, [[3, 0], [0, 3]]) if few_terms else
+                       (fixtures.cubic_81, [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*fixtures.q_sqrt2()),
+    job.write_text(json.dumps({"field": field_to_json(*make()),
                                "s": s, "target_error": target,
-                               "conductor": {"hnf": [[3, 0], [0, 3]], "den": 1}}))
-    out = fresh(f"{cli('lfun', job)}\nimport sys\n"
-                f"print(sorted(set({NUMPY_KERNEL!r}) & set(sys.modules)))")
-    terms = json.loads(out.splitlines()[0])["terms"]
-    assert (terms <= zeta._SCALAR_TERMS) == few_terms
+                               "conductor": {"hnf": conductor, "den": 1}}))
+    out, loaded = numpy_kernel_after("lfun", job)
+    assert (out["terms"] <= zeta._SCALAR_TERMS) == few_terms
     scalar = (2 * s).is_integer() and few_terms
-    assert out.splitlines()[-1] == str([] if scalar else list(NUMPY_KERNEL))
+    assert loaded == ([] if scalar else list(NUMPY_KERNEL))
+
+
+Q3_CLASSES = [{"hnf": [[1, 0], [0, 1]], "den": 1}, {"hnf": [[1, 1], [0, 2]], "den": 1}]
+
+
+@pytest.mark.parametrize("command, make, s, target, ideals", [
+    ("lfun", fixtures.q_sqrt2, 2.0, 3e-8, None),
+    ("zeta", fixtures.q_sqrt3, 2.5, 2e-11, Q3_CLASSES[0]),
+    ("zeta", fixtures.q_sqrt3, 2.5, 2e-11, Q3_CLASSES[1])],
+    ids=["q_sqrt2", "q_sqrt3-class1", "q_sqrt3-class2"])
+def test_deep_quadratic_jobs_load_no_numpy(tmp_path, command, make, s, target, ideals):
+    # millions of simplex terms each, summed by Euler-Maclaurin in Python
+    # floats: the deep quadratic shapes of the benchmark load no NumPy
+    job = tmp_path / "job.json"
+    extra = {} if ideals is None else {"ideals": [ideals, Q3_CLASSES[0]]}
+    job.write_text(json.dumps({"field": field_to_json(*make()), "s": s,
+                               "target_error": target, **extra}))
+    out, loaded = numpy_kernel_after(command, job)
+    assert out["M"] > 1000 and 0 < out["error_bound"] <= target
+    assert loaded == []
 
 
 def test_oracle_loads_the_kernels_but_not_the_zeta_stack(tmp_path):

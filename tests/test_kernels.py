@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shintani.kernels import BACKEND, box_sum, reference, scalar, splitting_counts
+from shintani.kernels import BACKEND, box_sum, em, reference, scalar, splitting_counts
 from shintani.polyroots import poly_discriminant
 
 BACKENDS = [reference]
@@ -583,21 +583,22 @@ def test_reduction_interval(n):
     top = reference._INT64_PRIME_MAX - 1
     assert _interval(reference._INT64_PRIME_MAX, n) == 1
     assert top * top + top < 2 ** 63 < 2 * top * top
-    # the sieve's primes: one reduction per coefficient (2n - 1 products)
-    assert _interval(10 ** 6, n) == 2 * n - 1
-    assert _interval(3, n) == 2 * n - 1
-    assert reference._reduction_interval(np.array(ABOVE_BOUND, dtype=object), n) == 2 * n - 1
+    # the sieve's primes: one reduction per coefficient (n row products and
+    # n folds, the last for the product by x)
+    assert _interval(10 ** 6, n) == 2 * n
+    assert _interval(3, n) == 2 * n
+    assert reference._reduction_interval(np.array(ABOVE_BOUND, dtype=object), n) == 2 * n
 
 
 def _last_single_reduction_prime(n):
-    """The largest P for which 2n - 1 products of residues mod P, on top of
-    a residue, still fit in int64."""
+    """The largest P for which 2n products of residues mod P, on top of a
+    residue, still fit in int64."""
     lo, hi = 2, reference._INT64_PRIME_MAX
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _interval(mid, n) == 2 * n - 1 else (lo, mid)
+        lo, hi = (mid, hi) if _interval(mid, n) == 2 * n else (lo, mid)
     top = lo - 1
-    assert (2 * n - 1) * top * top + top < 2 ** 63 <= (2 * n - 1) * (top + 1) ** 2 + top + 1
+    assert 2 * n * top * top + top < 2 ** 63 <= 2 * n * (top + 1) ** 2 + top + 1
     return lo
 
 
@@ -612,5 +613,189 @@ def test_single_reduction_at_its_largest_primes(poly):
         if _is_prime(p):
             primes.append(p)
         p -= 1
-    assert _interval(primes[0], n) == 2 * n - 1 and _interval(primes[0] + 2 ** 20, n) < 2 * n - 1
+    assert _interval(primes[0], n) == 2 * n and _interval(primes[0] + 2 ** 20, n) < 2 * n
     assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, q) for q in primes]
+
+
+def _primes_from(p, count, step):
+    """count primes from p on, walking by step (+1 or -1)."""
+    out = []
+    while len(out) < count:
+        if _is_prime(p):
+            out.append(p)
+        p += step
+    return out
+
+
+def _x_to_the_p(poly, p):
+    """x^p mod (poly, p) by Python integers, low degree first."""
+    n = len(poly) - 1
+    base, out, e = [0, 1] + [0] * (n - 2), [1] + [0] * (n - 1), p
+    while e:
+        if e & 1:
+            out = [c % p for c in _poly_mod_monic(_poly_mul(out, base, p), poly)]
+        base = [c % p for c in _poly_mod_monic(_poly_mul(base, base, p), poly)]
+        e >>= 1
+    return out
+
+
+def _poly_mod_monic(a, poly):
+    n = len(poly) - 1
+    a = list(a) + [0] * max(0, n - len(a))
+    for c in range(len(a) - 1, n - 1, -1):
+        top, a[c] = a[c], 0
+        for j in range(n):
+            a[c - n + j] -= top * poly[j]
+    return a[:n]
+
+
+@pytest.mark.parametrize("poly", [(-2, 0, 1), (1, 1, -3, -1, 1), X5_X_1, Z13_PLUS])
+def test_ladder_folds_x_into_the_square(poly):
+    # the primes on both sides of the largest P that still reduces each
+    # coefficient once (2n products), just below and above the int64
+    # bound (one product per reduction; object arrays) and near 10^12:
+    # the ladder's x^p is Python's, column by column, and the counts are
+    # the plain DDF's
+    n = len(poly) - 1
+    edge = _last_single_reduction_prime(n)
+    chunks = [_primes_from(edge, 4, -1), _primes_from(edge + 1, 4, 1),
+              BELOW_BOUND[-4:], ABOVE_BOUND[:4], NEAR_1E12[:4]]
+    assert _interval(max(chunks[0]), n) == 2 * n > _interval(max(chunks[1]), n)
+    for primes in chunks:
+        arr = np.array(primes, dtype=object if primes[0] > reference._INT64_PRIME_MAX
+                       else np.int64)
+        k = reference._reduction_interval(arr, n)
+        q = reference._frobenius_matrices(list(poly), arr, k)
+        assert [[int(c) for c in q[i, :, 1]] for i in range(len(primes))] == [
+            _x_to_the_p(poly, p) for p in primes]
+        assert reference.splitting_counts(poly, primes) == [ddf_counts(poly, p) for p in primes]
+
+
+# ---- Euler-Maclaurin inner sums of degree 2 ----
+
+def _inner_sum(lo, hi, s):
+    """sum over m >= 0 of ((m + lo)(m + hi))^-s in mpmath (30 digits, lo
+    and hi mpf): 40 direct terms, then mpmath's own Euler-Maclaurin sum
+    (numerical derivatives and quadrature) of the tail scaled to 1 at
+    m = 40, as sumem's tolerance is absolute."""
+    s = mpmath.mpf(s)
+
+    def f(m):
+        return ((m + lo) * (m + hi)) ** -s
+    with mpmath.workdps(30):
+        f40 = f(40)
+        return (mpmath.fsum(f(m) for m in range(40))
+                + f40 * mpmath.sumem(lambda m: f(m) / f40, [40, mpmath.inf]))
+
+
+def _quadratic(d, unit):
+    """Q(sqrt d) as x^2 - d, and its unit from power-basis coordinates."""
+    from shintani.field import NumberField
+    fld = NumberField([-d, 0, 1])
+    return fld, fld.element(unit)
+
+
+EM_FIELDS = {"q_sqrt2": (2, [3, 2]), "q_sqrt3": (3, [2, 1]),
+             "q_sqrt5": (5, [1.5, 0.5]), "q_sqrt2_mod3": (2, [577, 408])}
+EM_S = (1.5, 2.0, 2.5, 3.0, 8.0)
+
+
+def _row(fld, elem):
+    """Certified float conjugates of a totally positive element, their
+    relative error, and its exact conjugates as mpf, sorted."""
+    from fractions import Fraction
+    from shintani.zeta import _embed_floats
+    floats, deltas = _embed_floats(fld, [elem])
+    a, b = (Fraction(c) for c in elem.coeffs)
+    d = -fld.poly[0]
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(d)
+        conj = sorted(mpmath.mpf(a.numerator) / a.denominator
+                      + sign * mpmath.mpf(b.numerator) / b.denominator * root
+                      for sign in (-1, 1))
+    return floats[0], math.nextafter(deltas[0], math.inf), conj
+
+
+@pytest.mark.parametrize("name", sorted(EM_FIELDS))
+def test_em_rows_within_their_bound(name):
+    # the row m_1 of the cone (1, eps) at the shift z is the inner sum of
+    # z + m_1 eps over m_0 >= 0: from z = 1 (the two roots meet at m_1 = 0)
+    # and a generic shift, at m_1 = 0 ... 10^5, each value lies within its
+    # certified bound of mpmath's sum, and the bound is below 10^-12 of it
+    from fractions import Fraction
+    d, unit = EM_FIELDS[name]
+    fld, eps = _quadratic(d, [Fraction(c) for c in unit])
+    for z in (fld.one, (fld.one + eps * 3) * Fraction(1, 7)):
+        for m1 in (0, 1, 10, 10 ** 3, 10 ** 5):
+            floats, delta, (lo, hi) = _row(fld, z + eps * m1)
+            for s in EM_S:
+                (value, bound, terms), = em.em_sums(
+                    [floats], [[1.0, 1.0], [1.0, 1.0]], s, 0, 1.0, [delta])
+                ref = _inner_sum(lo, hi, s)
+                assert abs(value - ref) <= bound <= 1e-12 * value, (name, m1, s)
+                assert terms >= 1
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5])
+@pytest.mark.parametrize("name", ["q_sqrt2", "q_sqrt2_mod3"])
+def test_em_sums_add_their_rows(name, s):
+    # a block of two shifts on the cone (1, eps) at level 6: rows
+    # m_1 = 0..6 formed from the float generator, within the bound of the
+    # exact rows' sum, each shift as in a block of one
+    from fractions import Fraction
+    from shintani.zeta import _embed_floats
+    d, unit = EM_FIELDS[name]
+    fld, eps = _quadratic(d, unit)
+    zs = [fld.one, (fld.one + eps) * Fraction(1, 5)]
+    floats, deltas = _embed_floats(fld, [*zs, fld.one, eps])
+    delta = [math.nextafter(max(dz, *deltas[2:]), math.inf) for dz in deltas[:2]]
+    got = em.em_sums(floats[:2], floats[2:], s, 6, 1.0, delta)
+    assert got == [em.em_sums([z], floats[2:], s, 6, 1.0, [dz])[0]
+                   for z, dz in zip(floats[:2], delta)]
+    for z, (value, bound, _) in zip(zs, got):
+        exact = mpmath.fsum(_inner_sum(*_row(fld, z + eps * m1)[2], s) for m1 in range(7))
+        assert abs(value - exact) <= bound
+
+
+@pytest.mark.parametrize("s", EM_S)
+def test_em_remainder_bounds_a_short_expansion(monkeypatch, s):
+    # every threshold lowered to 4: a row with lo >= 4 takes one Bernoulli
+    # term and no direct term, the others direct terms up to 4.  The first
+    # omitted term, about 10^-4 of a row, is then most of the bound, and
+    # the values still lie within it
+    plan = em._em_plan(s)._replace(thresholds=[math.inf] + [4.0] * em._EM_P)
+    monkeypatch.setattr(em, "_em_plan", lambda s: plan)
+    for lo, hi in [(4.5, 4.5), (4.2, 30.0), (1.0, 6.0), (10.0, 2000.0), (6.0, 9.0)]:
+        (value, bound, terms), = em.em_sums([[lo, hi]], [[1.0, 1.0], [1.0, 1.0]],
+                                                s, 0, 1.0, [0.0])
+        ref = _inner_sum(mpmath.mpf(lo), mpmath.mpf(hi), s)
+        assert abs(value - ref) <= bound
+        assert (terms == 1) == (lo >= 4)
+        assert lo < 4 or bound > 1e-9 * value
+
+
+def test_em_bernoulli_table():
+    # B_2j / 2j from the recurrence sum_{j <= m} C(m + 1, j) B_j = 0
+    from fractions import Fraction
+    b = [Fraction(1)]
+    for m in range(1, 2 * em._EM_P + 3):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    assert em._BERNOULLI == tuple(b[2 * j] / (2 * j) for j in range(1, em._EM_P + 2))
+
+
+@pytest.mark.parametrize("s", [1.0, 2.25, 8.5, 9.0])
+def test_em_sums_half_integer_exponents_above_one_only(s):
+    with pytest.raises(ValueError):
+        em.em_sums([[1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], s, 3, 1.0, [0.0])
+
+
+def test_em_log_within_two_ulps():
+    # the elementary antiderivative's log, at the q = 1 + D/U it meets
+    # (q >= 3), is within 2 ulps of mpmath's
+    rng = np.random.default_rng(5)
+    for q in np.concatenate([3 + rng.exponential(5.0, 2000), 10 ** rng.uniform(0.5, 9, 2000)]):
+        q = float(q)
+        got = math.log(q)
+        with mpmath.workdps(40):
+            want = mpmath.log(q)
+        assert abs(got - want) <= 2 * math.ulp(got)

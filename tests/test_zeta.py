@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from shintani.ideals import (
     ideal_add,
     smallest_positive_rational_integer,
 )
-from shintani.kernels import box_sum, reference
+from shintani.kernels import box_sum, em, reference
 from shintani.zeta import (
     CharacterTable,
     ZetaParams,
@@ -53,6 +54,7 @@ from fixtures import (
     cubic_signed_witness,
     maximal_order,
     q_sqrt2,
+    q_sqrt3,
     q_sqrt5,
     q_zeta11_plus,
     q_zeta13_plus,
@@ -570,6 +572,31 @@ def test_l_function_block_path_is_single_point_sum(dom2, monkeypatch, block, thr
                              DEFAULT_BLOCK: [16, 112]}[block]
 
 
+@pytest.mark.parametrize("block", [1, DEFAULT_BLOCK])
+def test_em_blocks_are_single_point_sums_at_any_threads(dom2, monkeypatch, block):
+    # at 1e-7 the conductor-3 character of the block test above puts some
+    # groups at levels where `_em_wins` and the rest on the simplex sum:
+    # blocks of one point and whole groups, one thread and two, give the
+    # job-order sum of single-point sums bit for bit
+    fld, units, dom, order = dom2
+    three = principal_ideal(order, fld.element([3, 0]))
+    reps = [FractionalIdeal.whole_ring(order), principal_ideal(order, fld.element([3, 1]))]
+    chi = CharacterTable(reps, [1j, -1 + 0j], three,
+                         resolve=lambda ideal: int(ideal.norm()) % 2)
+    target = 1e-7
+    want = reference_l_function(2.5, chi, dom, order, target)
+    levels = []
+    em_sums = em.em_sums
+    monkeypatch.setattr(em, "em_sums", lambda *a: levels.append(a[3]) or em_sums(*a))
+    sizes = _spy_blocks(monkeypatch, block)
+    for threads in (1, 2):
+        got = l_function(2.5, chi, units, fld,
+                         ZetaParams(target_error=target, threads=threads),
+                         order=order, domain=dom)
+        assert got == want
+    assert levels and min(levels) >= 83 and len(levels) < len(sizes)
+
+
 @pytest.mark.parametrize("block", [1, 600, DEFAULT_BLOCK])
 def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     # the cubic_81 ray class of (2) mod (t + 2): 72 and 504 points in two
@@ -736,16 +763,30 @@ def test_face_integrals_bound_the_exact_ones(name):
             assert bound <= {2: 1.5, 3: 2.0}[k] * exact
 
 
+class _SlowNumbering(dict):
+    """A generator numbering whose size, once read, is handed back only
+    after the other threads have run: without the lock, two threads read
+    the same size and give two generators one number."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(1e-3)
+        return size
+
+
 def test_face_bounds_shared_by_threads():
     # eight threads summing the six cones of a fresh quartic field at once,
-    # with a short switch interval, number its generators and fill its face
-    # cache without a lost update: every value is the serial one
+    # with a short switch interval and a numbering that yields between
+    # reading its size and storing the number, number its generators and
+    # fill its face cache without a lost update: every value is the serial
+    # one
     params = ZetaParams(target_error=1e-3)
     fld, units = quartic_725()
     serial = [shintani_zeta(2.0, fld.one, c, params)
               for c in build_signed_domain(units, fld).cones]
     fld, units = quartic_725()
     cones = build_signed_domain(units, fld).cones
+    fld._face_cache["generators"] = _SlowNumbering()
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -758,9 +799,9 @@ def test_face_bounds_shared_by_threads():
 
 
 # zeta_K(-1) of each fixture field (generalised Bernoulli numbers) and the
-# target of its zeta at s = 2
+# target of its zeta at s = 2 (q_sqrt2's goes to the Euler-Maclaurin rows)
 ZETA_AT_MINUS_ONE = {
-    "q_sqrt2": (q_sqrt2, Fraction(1, 12), 1e-6),
+    "q_sqrt2": (q_sqrt2, Fraction(1, 12), 1e-10),
     "cubic_81": (cubic_81, Fraction(-1, 9), 1e-6),
     "cubic_signed_witness": (cubic_signed_witness, Fraction(-1, 9), 1e-6),
     "quartic_725": (quartic_725, Fraction(2, 15), 1e-6),
@@ -783,3 +824,69 @@ def test_zeta_at_two_matches_the_functional_equation(name):
         zv = dedekind_zeta_via_domain(2.0, units, fld, ZetaParams(target_error=target))
         assert zv.value.imag == 0 and 0 < zv.error_bound <= target
         assert abs(zv.value.real - ref) <= zv.error_bound
+
+
+# ---- independent exact references for real quadratic fields ----
+
+def divisor_sum_zeta_minus_one(d):
+    """zeta_K(-1) of the real quadratic field of discriminant d from
+    Siegel's divisor sum (Zagier 1976): (1/60) sum over b^2 < d, b = d mod 2,
+    of sigma_1((d - b^2)/4).  It needs no cones, units or ideals."""
+    def sigma1(m):
+        return sum(q for q in range(1, m + 1) if m % q == 0)
+    top = math.isqrt(d - 1)
+    return Fraction(sum(sigma1((d - b * b) // 4) for b in range(-top, top + 1)
+                        if (b - d) % 2 == 0), 60)
+
+
+def test_divisor_sum_gives_the_bernoulli_values():
+    # the generalised Bernoulli values of Q(sqrt5), Q(sqrt2) and Q(sqrt3)
+    assert [divisor_sum_zeta_minus_one(d) for d in (5, 8, 12)] == [
+        Fraction(1, 30), Fraction(1, 12), Fraction(1, 6)]
+    assert divisor_sum_zeta_minus_one(8) == ZETA_AT_MINUS_ONE["q_sqrt2"][1]
+
+
+def _narrow_classes_q_sqrt3():
+    fld, units = q_sqrt3()
+    order = integral_basis(fld)
+    whole = FractionalIdeal.whole_ring(order)
+    return fld, units, [whole, FractionalIdeal(order, [[1, 1], [0, 2]])], whole
+
+
+@pytest.mark.parametrize("name", ["q_sqrt2", "q_sqrt3"])
+def test_zeta_at_two_brackets_the_divisor_sum(name):
+    # float to exact: the domain's zeta_K(2) +- its bound, mapped through
+    # zeta_K(-1) = zeta_K(2) d^(3/2) / (4 pi^4) in interval arithmetic, must
+    # hold the divisor sum's rational.  Q(sqrt3) has narrow class number 2:
+    # zeta_K is the sum of its two narrow classes.  At 1e-9 these sums go
+    # to the Euler-Maclaurin evaluator (L in the tens of thousands), and the
+    # interval is below 10^-9 wide, so a wrong discriminant or a unit of
+    # index 2 lands far outside it
+    target = 1e-9
+    if name == "q_sqrt2":
+        fld, units = q_sqrt2()
+        zvs = [dedekind_zeta_via_domain(2.0, units, fld, ZetaParams(target_error=target))]
+        d = 8
+    else:
+        fld, units, classes, whole = _narrow_classes_q_sqrt3()
+        zvs = [partial_zeta(2.0, (a, whole, units), fld, ZetaParams(target_error=target))
+               for a in classes]
+        d = 12
+    assert all(zv.radius > 10 ** 4 and 0 < zv.error_bound <= target for zv in zvs)
+    value = math.fsum(zv.value.real for zv in zvs)
+    bound = sum(zv.error_bound for zv in zvs)
+    iv, dps = mpmath.iv, mpmath.iv.dps
+    exact = divisor_sum_zeta_minus_one(d)
+    try:
+        iv.dps = 40
+        zeta2 = iv.mpf(value) + iv.mpf([-bound, bound])
+        zeta_m1 = zeta2 * iv.mpf(d) ** 1.5 / (4 * iv.pi ** 4)
+        want = iv.mpf(exact.numerator) / exact.denominator
+        assert zeta_m1.a <= want.a and want.b <= zeta_m1.b
+        assert zeta_m1.b - zeta_m1.a < 1e-9
+    finally:
+        iv.dps = dps
+    # and exact to float, from the same rational
+    with mpmath.workdps(40):
+        ref = 4 * mpmath.pi ** 4 * exact.numerator / exact.denominator / mpmath.mpf(d) ** 1.5
+        assert abs(value - ref) <= bound
