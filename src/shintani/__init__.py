@@ -21,20 +21,12 @@ _MODULE_OF = {
     "is_true_domain": "domain",
     "orbit_net_count": "domain",
     "verify_net_counts": "domain",
-    "EmbeddedVector": "field",
     "FieldElement": "field",
     "NumberField": "field",
-    "new_field": "field",
-    "Simplex": "geometry",
-    "barycentric": "geometry",
     "cone_coordinates": "geometry",
-    "pierces_cone": "geometry",
-    "pierces_simplex": "geometry",
-    "project_ell": "geometry",
     "FractionalIdeal": "ideals",
     "Order": "ideals",
     "coset_enumerate_R": "ideals",
-    "enumerate_R_sigma": "ideals",
     "ideal_add": "ideals",
     "ideal_inverse": "ideals",
     "ideal_mul": "ideals",

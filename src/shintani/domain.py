@@ -18,19 +18,11 @@ import math
 import random
 from fractions import Fraction
 
-from .dyadic import START_PREC, Iv, Ladder, adaptive_sign, iv_adjugate
+from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
 from .exactlinalg import as_fraction, signed_inverse
 from .field import FieldElement, NumberField, _perm_sign, frac_to_str
-from .geometry import (
-    Simplex,
-    adaptive_vector,
-    barycentric,
-    coordinates,
-    field_map,
-    int_map,
-    project_ell,
-)
+from .geometry import adaptive_vector, coordinates, field_map, int_map
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
 FLAG_OPEN = "open"       # coefficient > 0;  e_n on the far side
@@ -76,7 +68,7 @@ class SignedCone:
     """One cone: permutation, generators, orientation sign, half-open flags,
     and the exact inverse (A, m) of the generators' coefficient matrix."""
 
-    __slots__ = ("sigma", "generators", "w", "flags", "field", "inverse", "_simplex")
+    __slots__ = ("sigma", "generators", "w", "flags", "field", "inverse")
 
     def __init__(self, sigma, generators, w, field, inverse):
         self.sigma = tuple(sigma)
@@ -84,7 +76,6 @@ class SignedCone:
         self.w = w
         self.field = field
         self.inverse = inverse
-        self._simplex = None
         # e_n is off every face plane (no zero sign) and outside the cone (a face is open)
         e_n = (0,) * (field.degree - 1) + (1,)
         self.flags = tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN
@@ -121,33 +112,6 @@ def cone_contains(cone: SignedCone, x) -> bool:
     if isinstance(x, FieldElement):
         return cone.contains_element(x)
     return cone.contains_vector(adaptive_vector(x))
-
-
-def projected_simplex(cone: SignedCone) -> Simplex:
-    """The simplex cut out of the hyperplane slice by the cone (vertices are
-    the projected generators l(f_i)); cached per cone."""
-    if cone._simplex is None:
-        verts = [project_ell(g) for g in cone.generators]
-        cone._simplex = Simplex(rows_fn=lambda prec: [v(prec) for v in verts],
-                                cap=cone.field.prec_cap)
-    return cone._simplex
-
-
-def cone_contains_via_simplex(cone: SignedCone, x) -> bool:
-    """Independent membership route: project to the hyperplane slice and test
-    the half-open simplex via barycentric signs (same flag per vertex).
-    l(x) = l(-x), so a point with x_n <= 0 is answered outside first: every
-    point of the cone is strictly positive."""
-    field = cone.field
-    if isinstance(x, FieldElement):
-        last = adaptive_sign(lambda prec: field.embed_iv(x, prec)[-1], field.prec_cap,
-                             True, "last coordinate")
-    else:
-        last = as_fraction(x[-1])
-    if last <= 0:
-        return False
-    signs = barycentric(project_ell(x), projected_simplex(cone), cap=field.prec_cap)
-    return all(map(_admits, signs, cone.flags))
 
 
 # ---- the float64 stage ----

@@ -99,10 +99,6 @@ class Iv:
     # ---- constructors ----
 
     @staticmethod
-    def from_int(v: int) -> "Iv":
-        return _iv(v, v, 0)
-
-    @staticmethod
     def from_fraction(fr: Fraction, prec: int) -> "Iv":
         q = fr.denominator
         if q & (q - 1) == 0:                 # power of two: exact
@@ -209,12 +205,6 @@ class Iv:
         """Outward float64 pair (lo, hi): lo <= every point <= hi.  Endpoints
         past the float range become -inf / +inf."""
         return _float_down(self.lo, self.e), -_float_down(-self.hi, self.e)
-
-    def mid_float(self) -> float:
-        try:
-            return float(self.mid_fraction())
-        except OverflowError:
-            return math.inf if self.lo > 0 else -math.inf
 
     def __repr__(self) -> str:
         return f"Iv[{float(self.lo_fraction()):.6g}, {float(self.hi_fraction()):.6g}]"

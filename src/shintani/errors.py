@@ -55,18 +55,6 @@ class DependentBasis(InputError):
     pass
 
 
-class LastCoordinateZero(InputError):
-    pass
-
-
-class DegenerateSimplex(InputError):
-    pass
-
-
-class YNotInSimplex(InputError):
-    pass
-
-
 class ZeroIdeal(InputError):
     pass
 

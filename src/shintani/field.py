@@ -129,30 +129,6 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
 
 
-class EmbeddedVector:
-    """Certified conjugate enclosures at a stated precision: the true value
-    of each coordinate lies in its interval, and re-embedding at doubled
-    precision at least halves every width."""
-
-    __slots__ = ("intervals", "precision")
-
-    def __init__(self, intervals, precision: int):
-        self.intervals = tuple(intervals)
-        self.precision = precision
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __getitem__(self, i):
-        return self.intervals[i]
-
-    def __repr__(self):
-        return f"EmbeddedVector({list(self.intervals)!r}, prec={self.precision})"
-
-
 class NumberField:
     """Context object: defining polynomial, ordered certified real roots,
     and a working precision cap (at least START_PREC bits) for all adaptive
@@ -176,7 +152,8 @@ class NumberField:
         self.prec_cap = prec_cap
         self._order_embeddings(embedding_order)
         # the roots, their lock and their ascending enclosures per precision
-        # are shared by every reordering (with_embedding_order)
+        # do not depend on the embedding order: a copy of the field that
+        # _order_embeddings reorders shares them
         self._lock = threading.Lock()
         self._root_iv_cache: dict[int, tuple] = {}
         try:
@@ -253,15 +230,6 @@ class NumberField:
             if not pending:
                 return
 
-    def with_embedding_order(self, order) -> "NumberField":
-        """The same field with its embeddings reordered: the isolated roots
-        and the irreducibility verdict are shared, not recomputed."""
-        import copy
-
-        other = copy.copy(self)
-        other._order_embeddings(order)
-        return other
-
     # ---- exact arithmetic ----
 
     def mul_coeffs(self, a, b):
@@ -335,14 +303,6 @@ class NumberField:
         self._embed_cache[key] = tuple(out)
         return out
 
-    def embed(self, elem: FieldElement, target_width: Fraction) -> EmbeddedVector:
-        """Conjugate enclosures, each of width <= target_width."""
-        target_width = Fraction(target_width)
-        for prec in Ladder(self.prec_cap, f"embedding width {target_width}"):
-            out = self.embed_iv(elem, prec)
-            if all(iv.width_fraction() <= target_width for iv in out):
-                return EmbeddedVector(out, prec)
-
     def conjugate_signs(self, elem: FieldElement):
         """Certified sign of every conjugate; a nonzero element of a field
         has no zero conjugate, so each sign is found on the ladder."""
@@ -393,8 +353,7 @@ class NumberField:
         """Per unit, the log enclosures of all n conjugates: the rows of the
         certified unit-log matrix that the regulator sign, its identity and
         the domain's log lattice read.  Any totally positive element has
-        such a row; log_vector reads one.  Rows are cached per element and
-        precision."""
+        such a row.  Rows are cached per element and precision."""
         rows = []
         for u in units:
             key = (u.coeffs, prec)
@@ -406,13 +365,6 @@ class NumberField:
                 self._log_cache[key] = row
             rows.append(list(row))
         return rows
-
-    def log_vector(self, elem: FieldElement, prec: int = START_PREC):
-        """First n-1 coordinates of the log embedding, as floats certified
-        at the requested working precision."""
-        if not self.is_totally_positive(elem):
-            raise NotTotallyPositive("log vector requires a totally positive element")
-        return [iv.mid_float() for iv in self.unit_logs([elem], prec)[0][:-1]]
 
     def signed_regulator_sign(self, units) -> int:
         """Sign of det(Log eps_1, ..., Log eps_{n-1}); 0 exactly when the
@@ -479,10 +431,6 @@ def _iv_pair(lo: Fraction, hi: Fraction) -> Iv:
 
 # ---- spec-level functions ----
 
-def new_field(coeffs, embedding_order=None, prec_cap: int = DEFAULT_PREC_CAP) -> NumberField:
-    return NumberField(coeffs, embedding_order=embedding_order, prec_cap=prec_cap)
-
-
 def frac_to_str(fr: Fraction) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
@@ -513,9 +461,3 @@ def field_from_json(obj, prec_cap: int = DEFAULT_PREC_CAP):
         raise SchemaError(f'a unit coordinate is not a rational: {exc}')
     return fld, [fld.element(u) for u in coords]
 
-
-def field_to_json(field: NumberField, units):
-    return {
-        "poly": [int(c) for c in field.poly],
-        "units": [[frac_to_str(c) for c in u.coeffs] for u in units],
-    }

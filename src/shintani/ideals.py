@@ -293,18 +293,6 @@ class RSigmaSet:
         self.shift = shift
 
 
-def parallelepiped_index(cone, lattice: FractionalIdeal, scale: int = 1) -> int:
-    """Exact index [lattice : Z-span of the scaled generators], as
-    |det G| / |det B| in power coordinates: the determinant oracle for the
-    enumeration cardinality, independent of the enumeration's own solve."""
-    gens = [g * scale for g in cone.generators]
-    if not all(lattice.contains(g) for g in gens):
-        raise ValueError("scaled generators do not lie in the lattice")
-    n = lattice.order.field.degree
-    g_det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
-    return int(abs(g_det / mat_det(lattice.power_basis_matrix())))
-
-
 def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> RSigmaSet:
     """Points of shift + lattice in the half-open parallelepiped on the
     generators scale * f_i, exactly.
@@ -385,11 +373,6 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
                        tuple(Fraction(x, d) for x in r)))
     assert len(points) == index
     return RSigmaSet(points, index, scale, shift)
-
-
-def enumerate_R_sigma(cone, lattice: FractionalIdeal) -> RSigmaSet:
-    """Lattice points in the half-open parallelepiped of the cone."""
-    return coset_enumerate_R(cone, lattice, shift=0, scale=1)
 
 
 def smallest_positive_rational_integer(ideal: FractionalIdeal) -> int:

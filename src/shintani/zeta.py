@@ -174,25 +174,6 @@ def tail_bound(n: int, s: float, scale: int, radius: int) -> float:
     return c * scale ** (-n * s) * radius ** (-a) / a
 
 
-def required_radius(n: int, s: float, scale: int, target: float, m_cap: int) -> int:
-    """Smallest simplex level whose tail bound meets the target."""
-    a = n * s - n
-    log_est = (-math.lgamma(n) - math.log(a) - math.log(target)
-               - n * s * math.log(scale)) / a
-    if log_est > math.log(m_cap) + 1:
-        raise TailBoundUnachievable(
-            f"target {target} needs radius beyond the cap {m_cap}")
-    radius = max(4, int(math.exp(log_est)))
-    while radius <= m_cap and tail_bound(n, s, scale, radius) > target:
-        radius = max(radius + 1, int(radius * 1.1))
-    if radius > m_cap:
-        raise TailBoundUnachievable(
-            f"target {target} needs radius > cap {m_cap}")
-    while radius > 4 and tail_bound(n, s, scale, radius - 1) <= target:
-        radius -= 1
-    return radius
-
-
 # Splits per cone in the certified face integrals (`_face_integral`),
 # shared by its faces of two or more generators, a face of k generators
 # weighing 2^(k-2) (at small L the faces of most generators dominate the
@@ -367,29 +348,27 @@ def _face_tail_bound(n: int, s: float, scale: int, radius: int, sums) -> float:
 
 
 def _cone_level(cone, s: float, scale: int, target: float) -> tuple[int, float]:
-    """(L, tail): the smallest simplex level L >= 4 at which the smaller of
-    `tail_bound` and `_face_tail_bound` meets the target, and that smaller
-    bound at L.  L is never above `required_radius`."""
+    """(L, tail): the smallest simplex level 4 <= L <= _M_CAP at which the
+    smaller of `tail_bound` and `_face_tail_bound` (`tail_bound` alone when
+    the cone has no face sums) meets the target, and that bound at L.  Both
+    bounds are non-increasing in L, so one bisection finds it."""
     n = cone.field.degree
     sums = _face_sums(cone, s)
-    try:
-        hi = required_radius(n, s, scale, target, _M_CAP)
-    except TailBoundUnachievable:
-        if sums is None or _face_tail_bound(n, s, scale, _M_CAP, sums) > target:
-            raise
-        hi = _M_CAP
-    if sums is None:
-        return hi, tail_bound(n, s, scale, hi)
-    lo = 3
-    # the face bound is decreasing in L: bisect (lo, hi] for its first level
-    # that meets the target, hi itself meeting tail_bound's
+
+    def tail(level):
+        bound = tail_bound(n, s, scale, level)
+        return bound if sums is None else min(bound, _face_tail_bound(n, s, scale, level, sums))
+
+    if tail(_M_CAP) > target:
+        raise TailBoundUnachievable(f"target {target} needs radius beyond the cap {_M_CAP}")
+    lo, hi = 3, _M_CAP
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _face_tail_bound(n, s, scale, mid, sums) <= target:
+        if tail(mid) <= target:
             hi = mid
         else:
             lo = mid
-    return hi, min(tail_bound(n, s, scale, hi), _face_tail_bound(n, s, scale, hi, sums))
+    return hi, tail(hi)
 
 
 def _embed_floats(field: NumberField, elems):
@@ -415,9 +394,10 @@ def _embed_floats(field: NumberField, elems):
     return floats, deltas
 
 
-def _zeta_block(s: float, cone, points, params: ZetaParams,
+def _zeta_block(s: float, cone, points, level: tuple[int, float],
                 scale: int = 1, box_sums=None) -> list[ZetaValue]:
-    """shintani_zeta(s, z, cone, params, scale) for every z of points, by one
+    """shintani_zeta(s, z, cone, params, scale) for every z of points, at
+    the level (L, tail) that `_cone_level` gives params.target_error, by one
     call of `kernels.em.em_sums` where `_em_wins`, else of box_sums (by
     default the evaluator `_box_sums` picks for the block's terms): each
     value, radius and bound is bit for bit that of the single-point sum,
@@ -425,7 +405,7 @@ def _zeta_block(s: float, cone, points, params: ZetaParams,
     generators), rounded up."""
     field = cone.field
     n = field.degree
-    radius, tail = _cone_level(cone, s, scale, params.target_error)
+    radius, tail = level
     floats, deltas = _embed_floats(field, [*points, *cone.generators])
     k = len(points)
     gen_delta = max(deltas[k:])
@@ -453,7 +433,8 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
         raise ValueError("the series converges for s > 1 only")
     if not cone.field.is_totally_positive(z):
         raise NotTotallyPositive("shift must be strictly positive at all embeddings")
-    return _zeta_block(s, cone, [z], params, scale)[0]
+    return _zeta_block(s, cone, [z], _cone_level(cone, s, scale, params.target_error),
+                       scale)[0]
 
 
 @dataclass
@@ -532,18 +513,18 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     for members in groups.values():
         cone, _z, target = jobs[members[0]][:3]
         n = cone.field.degree
-        radius = _cone_level(cone, s, scale, target)[0]
+        level = _cone_level(cone, s, scale, target)
+        radius = level[0]
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
-        blocks += [members[lo:lo + size] for lo in range(0, len(members), size)]
+        blocks += [(cone, members[lo:lo + size], level)
+                   for lo in range(0, len(members), size)]
         if not _em_wins(n, s, radius):
             terms += len(members) * math.comb(radius + n, n)
     box_sums = _box_sums(s, terms)
 
     def run(block):
-        cone, _z, target = jobs[block[0]][:3]
-        return _zeta_block(s, cone, [jobs[i][1] for i in block],
-                           ZetaParams(target_error=target),
-                           scale, box_sums)
+        cone, members, level = block
+        return _zeta_block(s, cone, [jobs[i][1] for i in members], level, scale, box_sums)
 
     if params.threads <= 1 or len(blocks) <= 1:
         values = [run(b) for b in blocks]
@@ -551,7 +532,8 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=params.threads) as ex:
             values = list(ex.map(run, blocks))
-    zvs = {i: zv for block, vs in zip(blocks, values) for i, zv in zip(block, vs)}
+    zvs = {i: zv for (_, members, _), vs in zip(blocks, values)
+           for i, zv in zip(members, vs)}
     results = [(0j, 0.0, 0, 0) if job is None else
                (job[3] * zvs[i].value, job[4] * zvs[i].error_bound,
                 zvs[i].terms, zvs[i].radius)

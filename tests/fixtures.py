@@ -9,9 +9,11 @@ fundamental ones.  The remaining fixtures only need independent totally
 positive units (any finite index works for the net count).
 """
 
+import copy
 from fractions import Fraction
 
-from shintani.field import NumberField
+from shintani.exactlinalg import mat_det
+from shintani.field import NumberField, frac_to_str
 
 F12 = Fraction(1, 2)
 
@@ -141,3 +143,28 @@ def maximal_order(name, fld):
     if name == "q_sqrt5":
         return integral_basis(fld, [fld.one, fld.element([F12, F12])])
     return integral_basis(fld)
+
+
+def with_embedding_order(fld, order):
+    """The same field with its embeddings reordered: the isolated roots and
+    the irreducibility verdict are shared, not recomputed."""
+    other = copy.copy(fld)
+    other._order_embeddings(order)
+    return other
+
+
+def field_to_json(fld, units):
+    """The "field" object of a job file."""
+    return {"poly": [int(c) for c in fld.poly],
+            "units": [[frac_to_str(c) for c in u.coeffs] for u in units]}
+
+
+def parallelepiped_index(cone, lattice):
+    """Exact index [lattice : Z-span of the generators], as |det G| / |det B|
+    in power coordinates: the determinant oracle for the R-set cardinality,
+    independent of the enumeration's own solve."""
+    gens = cone.generators
+    assert all(lattice.contains(g) for g in gens)
+    n = lattice.order.field.degree
+    g_det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
+    return int(abs(g_det / mat_det(lattice.power_basis_matrix())))

@@ -10,7 +10,6 @@ from shintani.domain import (
     build_signed_domain,
     colmez_generators,
     cone_contains,
-    cone_contains_via_simplex,
     cone_sign,
     is_true_domain,
     orbit_net_count,
@@ -22,11 +21,11 @@ from shintani.errors import (
     NotAUnit,
     NotTotallyPositive,
     UndecidableSign,
-    YNotInSimplex,
 )
 from shintani.field import FieldElement
-from shintani.geometry import adaptive_vector, pierces_cone
+from shintani.geometry import adaptive_vector
 
+from crosscheck import YNotInSimplex, cone_contains_via_simplex, pierces_cone
 from fixtures import (
     cubic_81,
     cubic_signed_witness,
@@ -34,6 +33,7 @@ from fixtures import (
     q_zeta11_plus,
     q_zeta13_plus,
     quartic_725,
+    with_embedding_order,
 )
 
 
@@ -150,7 +150,7 @@ def test_membership_agrees_with_piercing_and_simplex():
                 try:
                     pier = pierces_cone(
                         tuple(Fraction(int(i == n - 1)) for i in range(n)),
-                        x, cone.generators, fld)
+                        x, cone.inverse, fld)
                 except YNotInSimplex:
                     pier = False
                 assert inside == pier
@@ -167,7 +167,7 @@ def test_negated_points_are_outside_on_every_route():
         neg = -x if isinstance(x, FieldElement) else tuple(-c for c in x)
         assert not cone_contains(cone, neg)
         with pytest.raises(YNotInSimplex):
-            pierces_cone((0, 1), neg, cone.generators, fld)
+            pierces_cone((0, 1), neg, cone.inverse, fld)
         assert not cone_contains_via_simplex(cone, neg)
 
 
@@ -292,7 +292,7 @@ def test_one_generator_pass_and_one_elimination_per_cone(make, monkeypatch):
 def test_embedding_order_invariance_small():
     fld, units = cubic_81()
     for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)):
-        fld2 = fld.with_embedding_order(order)
+        fld2 = with_embedding_order(fld, order)
         units2 = [fld2.element(u.coeffs) for u in units]
         dom = build_signed_domain(units2, fld2)
         for i in range(10):

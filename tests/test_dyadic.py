@@ -21,6 +21,11 @@ def dyadics(draw):
     return m, draw(st.integers(-1200, 1200))
 
 
+def _int(v):
+    """The exact interval [v, v] of an integer."""
+    return Iv(v, 0, v, 0)
+
+
 def _value(m, e):
     return Fraction(m) * Fraction(2) ** e
 
@@ -100,8 +105,8 @@ def test_division_rounds_each_endpoint_by_value(x, y, c, prec):
 def test_zero_mantissa_does_not_lengthen_the_other():
     # a zero endpoint or a zero operand carries no scale: aligning to its
     # exponent would turn the 64-bit mantissas below into 302-bit ones
-    for iv in (Iv.ZERO + Iv.from_int(3 << 300).round(64),
-               Iv.from_int(3 << 300).round(64) + Iv.ZERO,
+    for iv in (Iv.ZERO + _int(3 << 300).round(64),
+               _int(3 << 300).round(64) + Iv.ZERO,
                Iv.bounds(0, 3 << 300, 64),
                Iv.bounds(-(3 << 300), 0, 64)):
         assert max(abs(iv.lo), abs(iv.hi)).bit_length() <= 65
@@ -149,9 +154,9 @@ def test_round_widens_outward():
 
 
 def test_sign_classification():
-    assert Iv.from_int(3).sign() == 1
-    assert Iv.from_int(-3).sign() == -1
-    assert Iv.from_int(0).sign() == 0
+    assert _int(3).sign() == 1
+    assert _int(-3).sign() == -1
+    assert _int(0).sign() == 0
     assert Iv(-1, 0, 1, 0).sign() is None
 
 
@@ -181,13 +186,13 @@ def test_log_containment(x, prec):
 
 
 def test_log_monotone_bounds():
-    a = log_iv(Iv.from_int(2), 64)
-    b = log_iv(Iv.from_int(3), 64)
+    a = log_iv(_int(2), 64)
+    b = log_iv(_int(3), 64)
     assert a.hi_fraction() < b.lo_fraction()
 
 
 def test_iv_det_2x2():
-    rows = [[Iv.from_int(1), Iv.from_int(2)], [Iv.from_int(3), Iv.from_int(4)]]
+    rows = [[_int(1), _int(2)], [_int(3), _int(4)]]
     d = iv_det(rows)
     assert d.contains(Fraction(-2))
     assert d.width_fraction() == 0
@@ -199,9 +204,9 @@ def test_iv_adjugate_is_exact_on_integer_matrices(n):
     rng = random.Random(n)
     for _ in range(5):
         ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        cof, det = iv_adjugate([[Iv.from_int(x) for x in row] for row in ints])
+        cof, det = iv_adjugate([[_int(x) for x in row] for row in ints])
         assert det.width_fraction() == 0 and det.contains(mat_det(ints))
-        assert iv_det([[Iv.from_int(x) for x in row] for row in ints]).contains(mat_det(ints))
+        assert iv_det([[_int(x) for x in row] for row in ints]).contains(mat_det(ints))
         for k in range(n):
             for i in range(n):
                 acc = Iv.ZERO

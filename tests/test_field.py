@@ -8,26 +8,26 @@ from shintani.errors import (
     InputError,
     NotIrreducible,
     NotSquarefree,
-    NotTotallyPositive,
     NotTotallyReal,
     PrecisionCapExceeded,
     ZeroElement,
 )
-from shintani.field import NumberField, field_from_json, field_to_json, new_field
+from shintani.dyadic import START_PREC
+from shintani.field import NumberField, field_from_json
 
-from fixtures import REDUCIBLE
+from fixtures import REDUCIBLE, field_to_json, with_embedding_order
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
 
 
 @pytest.fixture(scope="module")
 def q2():
-    return new_field([-2, 0, 1])
+    return NumberField([-2, 0, 1])
 
 
 @pytest.fixture(scope="module")
 def cubic():
-    return new_field([-1, -3, 0, 1])
+    return NumberField([-1, -3, 0, 1])
 
 
 def test_new_field_sqrt2(q2):
@@ -47,17 +47,17 @@ def test_new_field_cubic_roots(cubic):
 
 def test_new_field_rejections():
     with pytest.raises(NotTotallyReal):
-        new_field([1, 0, 1])          # x^2 + 1
+        NumberField([1, 0, 1])          # x^2 + 1
     with pytest.raises(NotSquarefree):
-        new_field([1, 2, 1])          # (x+1)^2
+        NumberField([1, 2, 1])          # (x+1)^2
     with pytest.raises(DegreeTooSmall):
-        new_field([3, 1])
+        NumberField([3, 1])
 
 
 @pytest.mark.parametrize("poly", REDUCIBLE)
 def test_reducible_polynomial_rejected(poly):
     with pytest.raises(NotIrreducible):
-        new_field(poly)
+        NumberField(poly)
 
 
 @pytest.mark.parametrize("poly", [[1, 0, -10, 0, 1], [-1, 3, 6, -4, -5, 1, 1],
@@ -65,18 +65,18 @@ def test_reducible_polynomial_rejected(poly):
 def test_irreducible_polynomial_accepted(poly):
     # sqrt2 + sqrt3, Q(zeta13)^+, and a constant term that trial division
     # could not factor in reasonable time
-    assert new_field(poly).degree == len(poly) - 1
+    assert NumberField(poly).degree == len(poly) - 1
 
 
 def test_embed_rational(q2):
-    out = q2.embed(q2.one, Fraction(1, 1000))
+    out = q2.embed_iv(q2.one, START_PREC)
     for iv in out:
         assert iv.contains(Fraction(1))
         assert iv.width_fraction() == 0
 
 
 def test_embed_generator(q2):
-    out = q2.embed(q2.gen, Fraction(1, 10 ** 9))
+    out = q2.embed_iv(q2.gen, START_PREC)
     assert out[0].contains(-SQRT2)
     assert out[1].contains(SQRT2)
     assert all(iv.width_fraction() <= Fraction(1, 10 ** 9) for iv in out)
@@ -84,16 +84,18 @@ def test_embed_generator(q2):
 
 def test_embed_unit(q2):
     eps = q2.element([3, 2])
-    out = q2.embed(eps, Fraction(1, 10 ** 9))
+    out = q2.embed_iv(eps, START_PREC)
     assert out[0].contains(3 - 2 * SQRT2)     # ~0.17157
     assert out[1].contains(3 + 2 * SQRT2)     # ~5.82843
     assert out[0].is_positive()
 
 
 def test_embed_precision_cap():
+    # the log rows climb the ladder until the conjugates are certified
+    # positive; for -1 that never happens, and the ladder stops at the cap
     f = NumberField([-2, 0, 1], prec_cap=128)
     with pytest.raises(PrecisionCapExceeded):
-        f.embed(f.gen, Fraction(1, 1 << 4000))
+        f.unit_logs([-f.one], START_PREC)
 
 
 def test_is_totally_positive(q2):
@@ -115,7 +117,7 @@ def test_is_unit(q2, cubic):
 
 
 def test_is_unit_rational_coords():
-    f = new_field([-5, 0, 1])
+    f = NumberField([-5, 0, 1])
     phi2 = f.element([Fraction(3, 2), Fraction(1, 2)])    # (3+sqrt5)/2
     assert f.is_unit(phi2)
     assert f.is_totally_positive(phi2)
@@ -155,28 +157,31 @@ def test_arithmetic_and_inverse(q2):
 
 
 def test_log_vector_zero_for_one(q2):
-    assert q2.log_vector(q2.one) == [0.0]
+    (row,) = q2.unit_logs([q2.one], START_PREC)
+    assert all(iv.contains(0) and iv.width_fraction() < Fraction(1, 1 << 60) for iv in row)
 
 
 def test_log_vector_value(q2):
     eps = q2.element([3, 2])
-    (v,) = q2.log_vector(eps)
-    assert abs(v - (-1.7627471740390861)) < 1e-12   # log(3-2*sqrt2)
+    (row,) = q2.unit_logs([eps], START_PREC)
+    log_eps = Fraction(-1.7627471740390861)         # log(3-2*sqrt2) to 1e-16
+    assert row[0].lo_fraction() > log_eps - Fraction(1, 10 ** 15)
+    assert row[0].hi_fraction() < log_eps + Fraction(1, 10 ** 15)
+    assert (row[0] + row[1]).contains(0)            # the norm is 1
 
 
 def test_log_vector_requires_positive(q2):
-    with pytest.raises(NotTotallyPositive):
-        q2.log_vector(q2.gen)
+    # sqrt2 has a negative conjugate, so its log row is never formed
+    with pytest.raises(PrecisionCapExceeded):
+        q2.unit_logs([q2.gen], START_PREC)
 
 
 def test_log_homomorphism(cubic):
     a = cubic.element([1, 2, 1])
     b = cubic.element([0, 0, 1])
-    la = cubic.log_vector(a, 80)
-    lb = cubic.log_vector(b, 80)
-    lab = cubic.log_vector(a * b, 80)
+    la, lb, lab = cubic.unit_logs([a, b, a * b], 80)
     for x, y, z in zip(la, lb, lab):
-        assert abs(x + y - z) < 1e-15
+        assert (x + y - z).contains(0)
 
 
 def test_signed_regulator_sign(q2):
@@ -208,7 +213,7 @@ def test_regulator_identity(q2, cubic):
 
 
 def test_embedding_order_permutation():
-    f = new_field([-2, 0, 1], embedding_order=(1, 0))
+    f = NumberField([-2, 0, 1], embedding_order=(1, 0))
     r = f.roots_iv(40)
     assert r[0].contains(SQRT2)
     assert r[1].contains(-SQRT2)
@@ -243,7 +248,7 @@ def test_conjugate_signs_always_certify(cubic):
 
 def test_concurrent_refinement_safe():
     import threading
-    fld = new_field([-1, -3, 0, 1])
+    fld = NumberField([-1, -3, 0, 1])
     elem = fld.element([1, 2, 1])
     errors = []
 
@@ -300,10 +305,7 @@ def test_escalation_respects_cap(q2):
 
 def test_embedded_vector_width_halves(q2):
     # one precision-doubling refinement at least halves every width
-    from shintani.field import EmbeddedVector
     eps = q2.element([3, 2])
-    ev = q2.embed(eps, Fraction(1, 1 << 20))
-    assert isinstance(ev, EmbeddedVector)
     w1 = q2.embed_iv(eps, 64)[0].width_fraction()
     w2 = q2.embed_iv(eps, 128)[0].width_fraction()
     assert w2 * 2 <= w1
@@ -334,7 +336,7 @@ def test_reordering_shares_the_isolated_roots(poly, monkeypatch):
     monkeypatch.setattr(field, "isolate_real_roots",
                         lambda coeffs: calls.append(coeffs) or isolate(coeffs))
     for order, want in fresh.items():
-        got = base.with_embedding_order(order)
+        got = with_embedding_order(base, order)
         assert got.embedding_order == order
         assert got.vandermonde_sign == want.vandermonde_sign
         assert ([_key(got.roots_iv(p)) for p in PRECS]

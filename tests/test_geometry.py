@@ -4,26 +4,31 @@ from fractions import Fraction
 import pytest
 
 from shintani.dyadic import START_PREC, Iv
-from shintani.errors import (
-    DependentBasis,
-    LastCoordinateZero,
-    UndecidableSign,
-    YNotInSimplex,
-)
+from shintani.errors import DependentBasis, UndecidableSign
 from shintani.exactlinalg import mat_solve
 from shintani.field import NumberField
-from shintani.geometry import (
+from shintani.geometry import basis_inverse, cone_coordinates, coordinates
+
+from crosscheck import (
+    DegenerateSimplex,
+    LastCoordinateZero,
     Simplex,
+    YNotInSimplex,
     barycentric,
-    basis_inverse,
-    cone_coordinates,
-    face_span_det_sign,
+    cone_contains_via_simplex,
     pierces_cone,
     pierces_simplex,
     project_ell,
+    projected_simplex,
 )
-
-from fixtures import ALL_NET_COUNT, cubic_81, q_sqrt2, q_zeta11_plus, quartic_725
+from fixtures import (
+    ALL_NET_COUNT,
+    cubic_81,
+    q_sqrt2,
+    q_zeta11_plus,
+    quartic_725,
+    with_embedding_order,
+)
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
 
@@ -42,7 +47,7 @@ def exact_coordinates(z, basis, fld):
 def exact_barycentric(p, simplex):
     """The exact barycentric coordinates of a rational point in a simplex
     with exact vertices."""
-    return tuple(mat_solve(simplex._lift_exact(), [Fraction(c) for c in p] + [Fraction(1)]))
+    return tuple(mat_solve(simplex.exact, [Fraction(c) for c in p] + [Fraction(1)]))
 
 
 def test_project_ell_exact():
@@ -140,16 +145,16 @@ def test_pierces_simplex_basic():
 
 def test_pierces_cone_hand_cases():
     fld, (eps,) = q_sqrt2()
-    basis = [fld.one, eps]
+    inverse = basis_inverse([fld.one, eps], fld)
     e2 = (0, 1)
     # y = f_1: c(y) = (1, 0); piercing from e_2 iff c_2(e_2) > 0, which holds
-    assert pierces_cone(e2, fld.one, basis, fld)
+    assert pierces_cone(e2, fld.one, inverse, fld)
     # y = f_2: c(y) = (0, 1); x = -f_1 has c_1 = -1 < 0
-    assert not pierces_cone(-fld.one, eps, basis, fld)
+    assert not pierces_cone(-fld.one, eps, inverse, fld)
     # y interior
-    assert pierces_cone((-5, -5), fld.one + eps, basis, fld)
+    assert pierces_cone((-5, -5), fld.one + eps, inverse, fld)
     with pytest.raises(YNotInSimplex):
-        pierces_cone(e2, -fld.one, basis, fld)
+        pierces_cone(e2, -fld.one, inverse, fld)
 
 
 def test_en_has_no_zero_cone_coordinate():
@@ -165,21 +170,21 @@ def test_en_has_no_zero_cone_coordinate():
 
 
 def test_origin_avoids_face_spans():
+    # l(e_n), the origin of the slice, lies on no face span of a projected
+    # simplex: e_n has no zero cone coordinate, which the flags certify
     fld, units = cubic_81()
-    from shintani.domain import build_signed_domain, projected_simplex
+    from shintani.domain import build_signed_domain
     dom = build_signed_domain(units, fld)
-    origin = (0,) * (fld.degree - 1)
+    e_n = (0,) * (fld.degree - 1) + (1,)
     for cone in dom.cones:
-        s = projected_simplex(cone)
-        for i in range(fld.degree):
-            assert face_span_det_sign(s, i, origin) != 0
+        assert 0 not in coordinates(e_n, cone.inverse, fld, zero_possible=False)
 
 
 def test_coordinate_transfer_signs():
     # sign vector of cone coordinates (in R^n) matches sign vector of
     # barycentric coordinates of the projected point (in R^(n-1))
     fld, units = cubic_81()
-    from shintani.domain import build_signed_domain, projected_simplex
+    from shintani.domain import build_signed_domain
     dom = build_signed_domain(units, fld)
     cone = dom.cones[0]
     s = projected_simplex(cone)
@@ -196,7 +201,7 @@ def test_barycentric_interval_reconstruction():
     # c projects to sum_i b_i l(f_i) with b_i = c_i f_i^(n) / z^(n), so for
     # a totally positive z the barycentric signs are those of c
     fld, units = cubic_81()
-    from shintani.domain import build_signed_domain, projected_simplex
+    from shintani.domain import build_signed_domain
     dom = build_signed_domain(units, fld)
     cone = dom.cones[0]
     s = projected_simplex(cone)
@@ -213,7 +218,6 @@ def test_barycentric_interval_reconstruction():
 
 
 def test_degenerate_simplex_rejected():
-    from shintani.errors import DegenerateSimplex
     with pytest.raises(DegenerateSimplex):
         Simplex([(0, 0), (1, 1), (2, 2)])
 
@@ -246,8 +250,7 @@ def test_boundary_vector_decisions():
 def test_origin_piercing_matches_simplex_membership():
     # membership in the half-open simplex (decided from the flags) is the
     # same as the segment from the origin piercing the closed simplex
-    from shintani.domain import (build_signed_domain, cone_contains_via_simplex,
-                                 projected_simplex)
+    from shintani.domain import build_signed_domain
     for make in (q_sqrt2, cubic_81):
         fld, units = make()
         dom = build_signed_domain(units, fld)
@@ -306,7 +309,7 @@ def test_cone_coordinates_near_zero_stop_at_cap():
 
 def _reordered(make, order):
     fld, units = make()
-    other = fld.with_embedding_order(order)
+    other = with_embedding_order(fld, order)
     return other, [other.element(u.coeffs) for u in units]
 
 
@@ -353,12 +356,12 @@ def _around(c, k):
 def test_barycentric_signs_need_no_determinant():
     # vertices 2^100 + 1 and 2^100 known to 2^(100 - prec): the numerator
     # signs of 0 certify at 64 bits, the lifted determinant (1) only at 128;
-    # its sign is known, so the signs of 0 come back at cap 64
+    # its sign is certified once, up front, so the signs of 0 come back at
+    # cap 64
     big = 1 << 100
-    simplex = Simplex(rows_fn=lambda prec: [[_around(big + 1, 100 - prec)],
-                                            [_around(big, 100 - prec)]],
-                      known_sign=1)
-    assert simplex._map.adjugate(64)[1].sign() is None
+    simplex = Simplex([lambda prec: [_around(big + 1, 100 - prec)],
+                       lambda prec: [_around(big, 100 - prec)]], cap=128)
+    assert simplex.map.adjugate(64)[1].sign() is None
     assert barycentric((0,), simplex, cap=64) == (-1, 1)
 
 
@@ -386,8 +389,7 @@ def test_adjugate_once_per_basis_and_precision(monkeypatch):
     from collections import Counter
 
     from shintani import geometry
-    from shintani.domain import (build_signed_domain, cone_contains,
-                                 cone_contains_via_simplex, projected_simplex)
+    from shintani.domain import build_signed_domain, cone_contains
 
     calls = Counter()
     adjugate = geometry.iv_adjugate
@@ -415,7 +417,7 @@ def test_adjugate_once_per_basis_and_precision(monkeypatch):
             for x in points:
                 inside[cone.sigma, x] = cone_contains(cone, x)
                 try:
-                    pier = pierces_cone(e_n, x, cone.generators, fld)
+                    pier = pierces_cone(e_n, x, cone.inverse, fld)
                 except YNotInSimplex:
                     pier = False
                 assert inside[cone.sigma, x] == pier
@@ -428,7 +430,7 @@ def test_adjugate_once_per_basis_and_precision(monkeypatch):
                 assert inside[cone.sigma, x] == cone_contains_via_simplex(cone, x)
         simplex_keys = set()
         for cone in dom.cones:
-            smap = projected_simplex(cone)._map
+            smap = projected_simplex(cone).map
             simplex_keys |= {key(smap._rows_at(p)) for p in smap._adj}
         assert set(calls) - cone_keys == simplex_keys
         assert max(calls.values()) == 1
@@ -439,7 +441,7 @@ def test_cone_coordinates_follow_the_embedding_order(permuted_first):
     # the same generators under two embedding orders: each field has its
     # own map, so sum_i c_i f_i gets the signs of c in both, in either order
     base, (e1, e2) = cubic_81()
-    fields = [base, base.with_embedding_order((1, 0, 2))]
+    fields = [base, with_embedding_order(base, (1, 0, 2))]
     if permuted_first:
         fields.reverse()
     c = (Fraction(3), Fraction(-2), Fraction(5, 7))
@@ -449,4 +451,4 @@ def test_cone_coordinates_follow_the_embedding_order(permuted_first):
         vv = lambda p, fld=fld, v=v: fld.embed_iv(v, p)
         for _ in range(2):
             assert cone_coordinates(vv, gens, fld) == (1, -1, 1)
-        assert pierces_cone(vv, gens[0] + gens[2], gens, fld) is False
+        assert pierces_cone(vv, gens[0] + gens[2], basis_inverse(gens, fld), fld) is False

@@ -10,12 +10,10 @@ from shintani.errors import NotValidated, ZeroIdeal
 from shintani.ideals import (
     FractionalIdeal,
     coset_enumerate_R,
-    enumerate_R_sigma,
     ideal_add,
     ideal_inverse,
     ideal_mul,
     integral_basis,
-    parallelepiped_index,
     principal_ideal,
     smallest_positive_rational_integer,
 )
@@ -25,6 +23,7 @@ from fixtures import (
     cubic_81,
     cubic_signed_witness,
     maximal_order,
+    parallelepiped_index,
     q_sqrt2,
     q_sqrt5,
     quartic_725,
@@ -139,7 +138,7 @@ def test_enumerate_R_sqrt2_hand(ok2):
     # R = {1, 2+sqrt2} with box coordinates (1, 0) and (1/2, 1/2)
     fld, units, order = ok2
     dom = build_signed_domain(units, fld)
-    r = enumerate_R_sigma(dom.cones[0], FractionalIdeal.whole_ring(order))
+    r = coset_enumerate_R(dom.cones[0], FractionalIdeal.whole_ring(order), 0)
     assert r.index == 2
     got = sorted((z.coeffs, t) for z, t in r.points)
     assert got == [
@@ -155,7 +154,7 @@ def test_enumerate_R_cardinality_matches_index():
         dom = build_signed_domain(units, fld)
         lat = FractionalIdeal.whole_ring(order)
         for cone in dom.cones:
-            r = enumerate_R_sigma(cone, lat)
+            r = coset_enumerate_R(cone, lat, shift=0, scale=1)
             assert r.index == parallelepiped_index(cone, lat)
             assert len(r.points) == r.index
 
@@ -166,7 +165,7 @@ def test_enumerate_R_halfopen_membership():
     dom = build_signed_domain(units, fld)
     lat = FractionalIdeal.whole_ring(order)
     for cone in dom.cones:
-        r = enumerate_R_sigma(cone, lat)
+        r = coset_enumerate_R(cone, lat, shift=0, scale=1)
         for z, t in r.points:
             for ti, fl in zip(t, cone.flags):
                 if fl == "open":
@@ -184,8 +183,9 @@ def test_coset_enumerate_matches_plain(ok2):
     fld, units, order = ok2
     dom = build_signed_domain(units, fld)
     lat = FractionalIdeal.whole_ring(order)
-    plain = enumerate_R_sigma(dom.cones[0], lat)
-    coset = coset_enumerate_R(dom.cones[0], lat, shift=0, scale=1)
+    # a shift of 0 is the zero element
+    plain = coset_enumerate_R(dom.cones[0], lat, shift=0, scale=1)
+    coset = coset_enumerate_R(dom.cones[0], lat, shift=fld.zero, scale=1)
     assert [(z.coeffs, t) for z, t in plain.points] == \
            [(z.coeffs, t) for z, t in coset.points]
 
@@ -194,7 +194,7 @@ def test_coset_enumerate_scaled_cardinality(ok2):
     fld, units, order = ok2
     dom = build_signed_domain(units, fld)
     lat = FractionalIdeal.whole_ring(order)
-    base = enumerate_R_sigma(dom.cones[0], lat)
+    base = coset_enumerate_R(dom.cones[0], lat, shift=0, scale=1)
     for scale in (2, 3):
         r = coset_enumerate_R(dom.cones[0], lat, shift=0, scale=scale)
         assert len(r.points) == scale ** fld.degree * base.index
@@ -289,7 +289,7 @@ def test_translation_completeness():
     lat = FractionalIdeal.whole_ring(order)
     rng = random.Random(8)
     for cone in dom.cones:
-        r = enumerate_R_sigma(cone, lat)
+        r = coset_enumerate_R(cone, lat, shift=0, scale=1)
         zset = {z.coeffs for z, _ in r.points}
         for _ in range(25):
             p = fld.element([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)])

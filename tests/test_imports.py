@@ -15,7 +15,6 @@ import pytest
 import fixtures
 import shintani
 from shintani import zeta
-from shintani.field import field_to_json
 
 SRC = Path(shintani.__file__).parents[1]
 README = SRC.parent / "README.md"
@@ -53,7 +52,7 @@ def test_import_shintani_loads_nothing_heavy():
 @pytest.mark.parametrize("command", ["cones", "regcheck"])
 def test_cones_and_regcheck_load_neither_numpy_nor_zeta(tmp_path, command, name):
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*FIELDS[name]())}))
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*FIELDS[name]())}))
     assert loaded_after(cli(command, job)) == []
 
 
@@ -62,7 +61,7 @@ def test_cones_and_regcheck_load_neither_numpy_nor_zeta(tmp_path, command, name)
 def test_verify_loads_nothing_heavy(tmp_path, threads, name):
     # the float stage is scalar Python: verify loads no NumPy either
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*FIELDS[name]()),
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*FIELDS[name]()),
                                "samples": 4}))
     assert loaded_after(cli("verify", job, "--threads", threads)) == []
 
@@ -92,7 +91,7 @@ def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms)
     make, conductor = ((fixtures.q_sqrt2, [[3, 0], [0, 3]]) if few_terms else
                        (fixtures.cubic_81, [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*make()),
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*make()),
                                "s": s, "target_error": target,
                                "conductor": {"hnf": conductor, "den": 1}}))
     out, loaded = numpy_kernel_after("lfun", job)
@@ -114,7 +113,7 @@ def test_deep_quadratic_jobs_load_no_numpy(tmp_path, command, make, s, target, i
     # floats: the deep quadratic shapes of the benchmark load no NumPy
     job = tmp_path / "job.json"
     extra = {} if ideals is None else {"ideals": [ideals, Q3_CLASSES[0]]}
-    job.write_text(json.dumps({"field": field_to_json(*make()), "s": s,
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*make()), "s": s,
                                "target_error": target, **extra}))
     out, loaded = numpy_kernel_after(command, job)
     assert out["M"] > 1000 and 0 < out["error_bound"] <= target
@@ -123,7 +122,7 @@ def test_deep_quadratic_jobs_load_no_numpy(tmp_path, command, make, s, target, i
 
 def test_oracle_loads_the_kernels_but_not_the_zeta_stack(tmp_path):
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"field": field_to_json(*fixtures.quartic_725()),
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*fixtures.quartic_725()),
                                "prime_cap": 1000}))
     assert loaded_after(cli("oracle", job)) == ["numpy", "shintani.kernels"]
 

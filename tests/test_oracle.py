@@ -12,10 +12,10 @@ import pytest
 from shintani import oracle
 from shintani.cli import main
 from shintani.errors import TailBoundUnachievable
-from shintani.field import NumberField, field_to_json
+from shintani.field import NumberField
 from shintani.kernels import reference
 
-from fixtures import ALL_NET_COUNT
+from fixtures import ALL_NET_COUNT, field_to_json
 
 
 def streamed_primes(cap):

@@ -124,7 +124,7 @@ def test_verify_certifies_each_unit_log_once(tmp_path, capsys, monkeypatch):
     # the regulator sign and the domain's log lattice read the same rows:
     # n (n - 1) logs at 64 bits for the quartic, not twice that
     from shintani import field
-    from shintani.field import field_to_json
+    from fixtures import field_to_json
 
     calls = []
     log_iv = field.log_iv

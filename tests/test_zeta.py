@@ -23,7 +23,6 @@ from shintani.errors import (
 from shintani.ideals import (
     FractionalIdeal,
     coset_enumerate_R,
-    enumerate_R_sigma,
     ideal_inverse,
     integral_basis,
     principal_ideal,
@@ -40,7 +39,6 @@ from shintani.zeta import (
     euler_product_oracle,
     l_function,
     partial_zeta,
-    required_radius,
     shintani_zeta,
     tail_bound,
     trivial_character,
@@ -73,7 +71,7 @@ def test_box_sum_monotone_in_radius(dom2):
     cone = dom.cones[0]
     z = [1.0, 1.0]
     gens = [[1.0, 1.0],
-            [iv.mid_float() for iv in fld.embed_iv(units[0], 64)]]
+            [float(iv.mid_fraction()) for iv in fld.embed_iv(units[0], 64)]]
     vals = [box_sum(z, gens, 2.0, m) for m in (10, 20, 40, 80, 160)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a                     # positive terms
@@ -83,7 +81,7 @@ def test_tail_bound_is_true_upper_bound(dom2):
     # doubling the radius adds less than the reported tail at the old radius
     fld, units, dom, order = dom2
     gens = [[1.0, 1.0],
-            [iv.mid_float() for iv in fld.embed_iv(units[0], 64)]]
+            [float(iv.mid_fraction()) for iv in fld.embed_iv(units[0], 64)]]
     for radius in (50, 100, 200):
         s1 = box_sum([1.0, 1.0], gens, 2.0, radius)
         s2 = box_sum([1.0, 1.0], gens, 2.0, 4 * radius)
@@ -160,16 +158,43 @@ def test_roundoff_allowance_covers_mpmath_sum(make, s, scale, target):
         assert 0 < roundoff <= 1e-13 * zv.value
 
 
-def test_required_radius_minimal():
-    for (n, s, scale, target) in ((2, 2.0, 1, 1e-6), (3, 2.0, 1, 2e-7), (3, 1.5, 2, 1e-4)):
-        m = required_radius(n, s, scale, target, 10 ** 7)
-        assert tail_bound(n, s, scale, m) <= target
-        assert tail_bound(n, s, scale, m - 1) > target
+def test_required_radius_minimal(monkeypatch):
+    # a cone's level is the least L >= 4 whose bound meets the target: the
+    # smaller of the AM-GM and the face bound, and with the face sums
+    # patched to None the AM-GM bound alone, at a level no lower
+    cases = [(q_sqrt2, 2.0, 1, 1e-6), (cubic_81, 2.0, 1, 2e-7), (cubic_81, 1.5, 2, 1e-4)]
+    levels = {}
+    for faces in (True, False):
+        if not faces:
+            monkeypatch.setattr(zeta, "_face_sums", lambda cone, s: None)
+        for make, s, scale, target in cases:
+            fld, units = make()
+            cone = build_signed_domain(units, fld).cones[0]
+            n, sums = fld.degree, zeta._face_sums(cone, s)
+            assert (sums is None) == (not faces)
+
+            def bound(level):
+                amgm = tail_bound(n, s, scale, level)
+                return amgm if sums is None else min(
+                    amgm, zeta._face_tail_bound(n, s, scale, level, sums))
+
+            level, tail = zeta._cone_level(cone, s, scale, target)
+            assert tail == bound(level) <= target
+            assert level == 4 or bound(level - 1) > target
+            levels[faces, make, s] = level
+    for make, s, _scale, _target in cases:
+        assert levels[True, make, s] <= levels[False, make, s]
 
 
-def test_required_radius_cap():
-    with pytest.raises(TailBoundUnachievable):
-        required_radius(2, 1.1, 1, 1e-12, 1000)
+def test_required_radius_cap(monkeypatch):
+    # no level up to the cap meets the target, with the face bound or without
+    fld, units = q_sqrt2()
+    cone = build_signed_domain(units, fld).cones[0]
+    with pytest.raises(TailBoundUnachievable, match="needs radius beyond the cap 200000"):
+        zeta._cone_level(cone, 1.1, 1, 1e-12)
+    monkeypatch.setattr(zeta, "_face_sums", lambda cone, s: None)
+    with pytest.raises(TailBoundUnachievable, match="needs radius beyond the cap 200000"):
+        zeta._cone_level(cone, 1.1, 1, 1e-12)
 
 
 def test_shintani_zeta_rejects_bad_inputs(dom2):
@@ -180,17 +205,18 @@ def test_shintani_zeta_rejects_bad_inputs(dom2):
     with pytest.raises(NotTotallyPositive):
         shintani_zeta(2.0, fld.gen, cone, ZetaParams())
     # the block path certifies positivity from its float enclosures
+    level = zeta._cone_level(cone, 2.0, 1, 1e-6)
     with pytest.raises(NotTotallyPositive):
-        zeta._zeta_block(2.0, cone, [fld.one, fld.gen], ZetaParams())
+        zeta._zeta_block(2.0, cone, [fld.one, fld.gen], level)
     with pytest.raises(ZeroElement):
-        zeta._zeta_block(2.0, cone, [fld.zero], ZetaParams())
+        zeta._zeta_block(2.0, cone, [fld.zero], level)
 
 
 def test_quadratic_zeta_pair_matches_oracle(dom2):
     # zeta_sigma(2, 1) + zeta_sigma(2, 2+sqrt2) = zeta_K(2) to 1e-6
     fld, units, dom, order = dom2
     cone = dom.cones[0]
-    r = enumerate_R_sigma(cone, FractionalIdeal.whole_ring(order))
+    r = coset_enumerate_R(cone, FractionalIdeal.whole_ring(order), 0)
     params = ZetaParams(target_error=2.5e-7)
     val = 0.0
     bound = 0.0
@@ -442,9 +468,9 @@ def test_dedekind_zeta_closed_form(name):
     assert lv.value.imag == 0
 
 
-def _fake_block(s, cone, points, params, scale=1, box_sums=None):
-    # reports each point's whole truncation budget as its error bound
-    return [ZetaValue(1.0, params.target_error, 1, 4)] * len(points)
+def _fake_block(s, cone, points, level, scale=1, box_sums=None):
+    # reports the tail of its level as each point's error bound
+    return [ZetaValue(1.0, level[1], 1, level[0])] * len(points)
 
 
 def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
@@ -455,6 +481,8 @@ def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
     three = principal_ideal(order, fld.element([3, 0]))
     chi = CharacterTable([FractionalIdeal.whole_ring(order)], [1 + 0j], three)
     calls = []
+    # each point's level spends its whole truncation budget
+    monkeypatch.setattr(zeta, "_cone_level", lambda cone, s, scale, target: (4, target))
     monkeypatch.setattr(zeta, "_zeta_block",
                         lambda *a, **kw: calls.extend(a[2]) or _fake_block(*a, **kw))
     target = 1e-3
