@@ -6,7 +6,8 @@ mantissas over one shared exponent, so +, -, * are exact and need no
 comparison of scales: only division, conversion from a general rational,
 and the logarithm round.  They round outward, each endpoint to about prec
 bits of its own value, so an endpoint never depends on how its interval
-happens to be stored.
+happens to be stored, nor a determinant on the order of its terms: the
+cofactor expansion computes each minor once (:func:`iv_adjugate`).
 
 Adaptive precision lives in one place, :class:`Ladder`: it owns the start
 (64 bits), the doubling, the cap, and the error class raised when a
@@ -223,36 +224,35 @@ Iv.ONE = Iv(1, 0, 1, 0)
 
 def iv_adjugate(rows: list[list[Iv]]) -> tuple[list[list[Iv]], Iv]:
     """(cof, det): cof[j][i] is the cofactor of entry (j, i), so that
-    det(rows with column i replaced by v) = sum_j v_j cof[j][i], and det is
-    expanded along row 0.  This is the only cofactor loop of the library;
-    the minors go through :func:`iv_det`, fine for the n <= 6 sizes here."""
-    return _cofactor_rows(rows, len(rows))
-
-
-def _cofactor_rows(rows, count):
-    """The first ``count`` rows of the cofactor matrix, and the determinant."""
-    n = len(rows)
-    if n == 1:
-        return [[Iv.ONE]], rows[0][0]
-    cof = []
-    for j in range(count):
-        others = rows[:j] + rows[j + 1:]
-        row = []
-        for i in range(n):
-            d = iv_det([r[:i] + r[i + 1:] for r in others])
-            row.append(-d if (i + j) % 2 else d)
-        cof.append(row)
-    det = rows[0][0] * cof[0][0]
-    for i in range(1, n):
-        det = det + rows[0][i] * cof[0][i]
-    return cof, det
+    det(rows with column i replaced by v) = sum_j v_j cof[j][i].  Each
+    minor, det included, is computed once, in one :func:`_minor` table."""
+    idx, memo = tuple(range(len(rows))), {}
+    cof = [[_minor(rows, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
+            .mul_int((-1) ** (i + j)) for i in idx] for j in idx]
+    return cof, _minor(rows, idx, idx, memo)
 
 
 def iv_det(rows: list[list[Iv]]) -> Iv:
     """Determinant by cofactor expansion along row 0."""
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return _cofactor_rows(rows, 1)[1]
+    idx = tuple(range(len(rows)))
+    return _minor(rows, idx, idx, {})
+
+
+def _minor(rows, rs, cs, memo):
+    """det of the rows rs and columns cs (increasing tuples) along its first
+    row, kept in memo; interval +, - and * are exact, so no sharing moves an
+    endpoint.  The library's only cofactor loop."""
+    if len(rs) <= 1:
+        return rows[rs[0]][cs[0]] if rs else Iv.ONE
+    key = rs, cs
+    d = memo.get(key)
+    if d is None:
+        d = Iv.ZERO
+        for p, c in enumerate(cs):
+            t = rows[rs[0]][c] * _minor(rows, rs[1:], cs[:p] + cs[p + 1:], memo)
+            d = d - t if p % 2 else d + t
+        memo[key] = d
+    return d
 
 
 # ---- certified logarithm ----

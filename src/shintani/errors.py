@@ -83,6 +83,10 @@ class NonMonogenicPrime(InputError):
     """Euler-product oracle hit a prime dividing the power-basis index."""
 
 
+class ExponentTooLarge(InputError):
+    """s beyond the float roundoff analysis of the Shintani sums."""
+
+
 class SchemaError(InputError):
     """Malformed job JSON."""
 

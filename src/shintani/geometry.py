@@ -14,10 +14,10 @@ conjugates of the power basis (one per field), C the rational coefficients.
 So cone coordinates are C^-1 y: C^-1 = A / m is exact (:func:`basis_inverse`),
 y = V^-1 v is the coefficient vector of a field element, and otherwise comes
 from the field's one :class:`CramerMap` (:func:`field_map`), whose adjugate is
-computed once per precision.  The denominators m and det V have known signs,
-so a coordinate's sign is that of its numerator.  :func:`coordinates` is the
-one routine that forms them: the cone flags, cone membership and
-:func:`cone_coordinates` all read their signs from it.
+computed once per precision, each minor once.  The denominators m and det V
+have known signs, so a coordinate's sign is that of its numerator.
+:func:`coordinates` is the one routine that forms them: the cone flags,
+cone membership and :func:`cone_coordinates` all read their signs from it.
 """
 
 from __future__ import annotations

@@ -75,6 +75,7 @@ from .dyadic import Ladder
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
+    ExponentTooLarge,
     InvalidCharacter,
     NonIntegralIdeal,
     NotTotallyPositive,
@@ -423,14 +424,33 @@ def _zeta_block(s: float, cone, points, level: tuple[int, float],
             for value, d in zip(values, deltas)]
 
 
+def _require_s(s: float, n: int) -> None:
+    """The check of s on entry to every Shintani sum at degree n: ValueError
+    unless s > 1, where the series converge, and ExponentTooLarge past the
+    s at which a roundoff bound would count too many roundings.
+
+    A bound that counts K roundings uses gamma_K = K u / (1 - K u), read
+    as at most 2 K u, which needs K u <= 1/2.  With S = ceil(s) the counts
+    are at most S (65 n - 1) + n + 13 in `_face_integral` (its depth is at
+    most its splits, at most _FACE_SPLITS = 64, and k <= n), and at most
+    S (n^2 + 3 n) + n + 2^18 in `kernels.box_sum_roundoff` (its constants
+    and the bit length of C(L + n - 1, n - 1) < 2^(L + n - 1), L <= _M_CAP,
+    stay below n + 2^18); `kernels.em` takes s <= 8 only.  Both are below
+    S n (n + 65) + n + 2^18, so S n (n + 65) <= 2^51 keeps every K u < 1/2."""
+    if not s > 1:
+        raise ValueError("the series converge for s > 1 only")
+    if not s <= 2 ** 51 // (n * (n + 65)):
+        raise ExponentTooLarge(f"s = {s!r} is too large: the roundoff bounds of the "
+                               f"Shintani sums at degree {n} need ceil(s) n (n + 65) <= 2^51")
+
+
 def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
                   scale: int = 1) -> ZetaValue:
     """Sum over m >= 0, |m| <= L, of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
     with a certified tail bound plus the derived float-roundoff bound; where
     `_em_wins`, over m_1 <= L and every m_0 instead (see the module
     docstring)."""
-    if s <= 1:
-        raise ValueError("the series converges for s > 1 only")
+    _require_s(s, cone.field.degree)
     if not cone.field.is_totally_positive(z):
         raise NotTotallyPositive("shift must be strictly positive at all embeddings")
     return _zeta_block(s, cone, [z], _cone_level(cone, s, scale, params.target_error),
@@ -573,8 +593,7 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
     Contract: the units must generate the full group of totally positive
     units (finite index is not enough here; the caller asserts it).
     """
-    if s <= 1:
-        raise ValueError("the series representation needs s > 1")
+    _require_s(s, field.degree)
     order = order or integral_basis(field)
     _require_units_in_order(units, order)
     for rep in chi.representatives:
@@ -611,8 +630,7 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
     conductor's finite part, and units generating the totally positive units
     congruent to 1 mod f (caller-asserted, as in the L-function contract).
     """
-    if s <= 1:
-        raise ValueError("the series representation needs s > 1")
+    _require_s(s, field.degree)
     a_ideal, conductor, units = ray_class
     order = order or integral_basis(field)
     _require_units_in_order(units, order)

@@ -83,6 +83,16 @@ def q_zeta13_plus():
     return _real_cyclotomic([-1, 3, 6, -4, -5, 1, 1])
 
 
+def q_zeta17_plus():
+    """Q(zeta17)^+: x^8 + x^7 - 7x^6 - 6x^5 + 15x^4 + 10x^3 - 10x^2 - 4x + 1,
+    with the units (sin(pi a/17) / sin(pi/17))^2, a = 2, ..., 8, in power
+    coordinates (recovered in mpmath; `check_units` confirms them)."""
+    fld = NumberField([1, -4, -10, 10, 15, -6, -7, 1, 1])
+    coords = [(2, 1), (1, 2, 1), (0, 0, 2, 1), (1, -2, -1, 2, 1),
+              (2, 1, -4, -2, 2, 1), (1, 4, 2, -6, -3, 2, 1), (0, 0, 8, 4, -8, -4, 2, 1)]
+    return fld, [fld.element(list(c) + [0] * (8 - len(c))) for c in coords]
+
+
 def cubic_signed_witness():
     """x^3 - 3x - 1 with the unit pair ((1+t)^2, (1+t)^4 t^-2): found by
     search; its domain has cone signs (-1, +1), so it exercises the signed

@@ -130,6 +130,27 @@ def test_zeta_tail_cap_exit_3(tmp_path, capsys):
     assert out["error"] == "TailBoundUnachievable"
 
 
+@pytest.mark.parametrize("s", [1e15, 1e20])
+@pytest.mark.parametrize("cmd", ["zeta", "lfun"])
+def test_huge_s_exit_2(tmp_path, capsys, cmd, s):
+    # s = 1e20 overflowed a face integral's power (exit 1), and at s = 1e15
+    # a rounding count k had k u > 1 (exit 2, an untyped math domain error)
+    job = write_job(tmp_path, {"field": Q2, "s": s})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 2 and out["error"] == "ExponentTooLarge"
+    assert out["detail"].startswith(f"s = {s!r} is too large")
+
+
+@pytest.mark.parametrize("cmd", ["zeta", "lfun"])
+def test_largest_s_runs(tmp_path, capsys, cmd):
+    # at degree 2 the check admits ceil(s) <= 2^51 // (2 * 67), and no more
+    s = 2 ** 51 // 134
+    code, out = run(capsys, [cmd, "--job", write_job(tmp_path, {"field": Q2, "s": s})])
+    assert code == 0 and 0 < out["error_bound"] < 0.1
+    code, out = run(capsys, [cmd, "--job", write_job(tmp_path, {"field": Q2, "s": s + 0.5})])
+    assert code == 2 and out["error"] == "ExponentTooLarge"
+
+
 def test_lfun_trivial_matches_zeta(tmp_path, capsys):
     job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-5})
     code, out = run(capsys, ["lfun", "--job", job])

@@ -1,12 +1,16 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from shintani.domain import (
     FLAG_CLOSED,
     FLAG_OPEN,
+    SignedCone,
+    _signed_cone,
     build_signed_domain,
     colmez_generators,
     cone_contains,
@@ -16,6 +20,7 @@ from shintani.domain import (
     sample_point,
     verify_net_counts,
 )
+from shintani.dyadic import Iv
 from shintani.errors import (
     DependentUnits,
     NotAUnit,
@@ -23,7 +28,7 @@ from shintani.errors import (
     UndecidableSign,
 )
 from shintani.field import FieldElement
-from shintani.geometry import adaptive_vector
+from shintani.geometry import adaptive_vector, field_map
 
 from crosscheck import YNotInSimplex, cone_contains_via_simplex, pierces_cone
 from fixtures import (
@@ -32,6 +37,7 @@ from fixtures import (
     q_sqrt2,
     q_zeta11_plus,
     q_zeta13_plus,
+    q_zeta17_plus,
     quartic_725,
     with_embedding_order,
 )
@@ -259,6 +265,59 @@ def test_degree_6_domain_and_net_counts():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ZETA13_CONES
     rep = verify_net_counts(dom, samples=10, seed=11)
     assert rep["ok"] and rep["failures"] == [] and rep["samples"] == 10
+
+
+def _roots_60(fld):
+    """The real roots of the defining polynomial at 60 digits, ascending:
+    the field's default embedding order."""
+    with mpmath.workdps(60):
+        return sorted(mpmath.re(r) for r in mpmath.polyroots(
+            [int(c) for c in reversed(fld.poly)], maxsteps=200, extraprec=400))
+
+
+def test_degree_8_units_regulator_and_field_map():
+    # Q(zeta17)^+: the units are units, the certified regulator sign is the
+    # sign of the 60-digit determinant of the unit logs, and the 64-bit
+    # field map's adjugate satisfies sum_j V[j][k] cof[j][i] = det [i == k]
+    fld, units = q_zeta17_plus()
+    fld.check_units(units)
+    n = fld.degree
+    roots = _roots_60(fld)
+    with mpmath.workdps(60):
+        logs = mpmath.matrix([[mpmath.log(mpmath.polyval([int(c) for c in reversed(u.coeffs)], t))
+                               for u in units] for t in roots[:n - 1]])
+        want = 1 if mpmath.det(logs) > 0 else -1
+    assert fld.signed_regulator_sign(units) == want == -1
+    rows = field_map(fld)._rows_at(64)
+    cof, det = field_map(fld).adjugate(64)
+    assert det.sign() == fld.vandermonde_sign
+    for k in range(n):
+        for i in range(n):
+            acc = sum((rows[j][k] * cof[j][i] for j in range(n)), Iv.ZERO)
+            if i == k:           # both enclose det V
+                assert acc.lo_fraction() <= det.hi_fraction()
+                assert det.lo_fraction() <= acc.hi_fraction()
+            else:
+                assert acc.contains(0)
+
+
+def test_degree_8_flags_certify():
+    # the flags of the first 40 cones of Q(zeta17)^+ certify through the
+    # field map, and are the signs of the 60-digit coordinates of e_n
+    fld, units = q_zeta17_plus()
+    n = fld.degree
+    reg_sign = fld.signed_regulator_sign(units)
+    with mpmath.workdps(60):
+        vand = mpmath.matrix([[t ** k for k in range(n)] for t in _roots_60(fld)])
+        y = mpmath.lu_solve(vand, mpmath.matrix([0] * (n - 1) + [1]))
+    for sigma in itertools.islice(itertools.permutations(range(n - 1)), 40):
+        gens, w, inverse = _signed_cone(units, sigma, fld, reg_sign)
+        assert w in (1, -1)
+        cone = SignedCone(sigma, gens, w, fld, inverse)
+        with mpmath.workdps(60):
+            signs = [mpmath.sign(mpmath.fsum(a * yk for a, yk in zip(row, y)))
+                     for row in inverse[0]]
+        assert cone.flags == tuple(FLAG_CLOSED if s > 0 else FLAG_OPEN for s in signs)
 
 
 @pytest.mark.parametrize("make", [cubic_81, quartic_725, q_zeta13_plus],

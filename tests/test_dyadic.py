@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shintani import dyadic
 from shintani.dyadic import Iv, Ladder, adaptive_sign, iv_adjugate, iv_det, log2_iv, log_iv
 from shintani.errors import PrecisionCapExceeded, UndecidableSign
 from shintani.exactlinalg import mat_det
+from shintani.geometry import field_map
+
+import fixtures
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 
@@ -214,6 +218,114 @@ def test_iv_adjugate_is_exact_on_integer_matrices(n):
                     acc = acc + cof[j][i].mul_int(ints[j][k])
                 assert acc.width_fraction() == 0
                 assert acc.contains(mat_det(ints) if i == k else 0)
+
+
+def _laplace_det(rows):
+    """The reference: plain cofactor expansion along row 0, every minor
+    recomputed (about n n! products)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = Iv.ZERO
+    for i, a in enumerate(rows[0]):
+        t = a * _laplace_det([r[:i] + r[i + 1:] for r in rows[1:]])
+        det = det - t if i % 2 else det + t
+    return det
+
+
+def _laplace_adjugate(rows):
+    n = len(rows)
+    if n == 1:
+        return [[Iv.ONE]], rows[0][0]
+    cof = [[_laplace_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for i in range(n)] for j in range(n)]
+    cof = [[-m if (i + j) % 2 else m for i, m in enumerate(row)] for j, row in enumerate(cof)]
+    return cof, _laplace_det(rows)
+
+
+def _assert_as_laplace(rows):
+    """iv_adjugate and iv_det give the reference's endpoints exactly."""
+    cof, det = iv_adjugate(rows)
+    ref_cof, ref_det = _laplace_adjugate(rows)
+    assert _ends(det) == _ends(iv_det(rows)) == _ends(ref_det)
+    assert [list(map(_ends, row)) for row in cof] == [list(map(_ends, row)) for row in ref_cof]
+
+
+def _random_iv(rng):
+    """A dyadic interval with independent endpoint exponents; a point or 0
+    now and then, so exact cancellations occur too."""
+    a = rng.randint(-(1 << 70), 1 << 70), rng.randint(-90, 10)
+    kind = rng.random()
+    if kind < 0.1:
+        return Iv.ZERO
+    if kind < 0.3:
+        return Iv(*a, *a)
+    b = rng.randint(-(1 << 70), 1 << 70), rng.randint(-90, 10)
+    lo, hi = sorted((a, b), key=lambda d: _value(*d))
+    return Iv(*lo, *hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_minor_table_matches_laplace_on_random_matrices(n):
+    rng = random.Random(100 + n)
+    for _ in range(6 if n < 6 else 2):
+        _assert_as_laplace([[_random_iv(rng) for _ in range(n)] for _ in range(n)])
+    # equal rows, whose determinant encloses 0 by cancellation
+    row = [_random_iv(rng) for _ in range(n)]
+    _assert_as_laplace([row] * n)
+    assert n == 1 or iv_det([row] * n).contains(0)
+
+
+@pytest.mark.parametrize("make", [fixtures.q_sqrt2, fixtures.cubic_81, fixtures.quartic_725,
+                                  fixtures.q_zeta11_plus, fixtures.q_zeta13_plus],
+                         ids=lambda make: make.__name__)
+def test_minor_table_matches_laplace_on_field_maps(make):
+    fld, _units = make()
+    for prec in (64, 128):
+        _assert_as_laplace(field_map(fld)._rows_at(prec))
+
+
+LOG_FIXTURES = {**fixtures.ALL_NET_COUNT, **fixtures.INVERTED_UNITS,
+                "cubic_signed_witness": fixtures.cubic_signed_witness,
+                "q_zeta11_plus": fixtures.q_zeta11_plus,
+                "q_zeta13_plus": fixtures.q_zeta13_plus,
+                "q_zeta17_plus": fixtures.q_zeta17_plus}
+
+
+@pytest.mark.parametrize("name", LOG_FIXTURES)
+def test_minor_table_matches_laplace_on_log_matrices(name):
+    # the regulator's matrix (field.signed_regulator_sign) and the log
+    # lattice's (domain._enum_data), at 64 bits
+    fld, units = LOG_FIXTURES[name]()
+    rows = fld.unit_logs(units, 64)
+    r = fld.degree - 1
+    _assert_as_laplace([[row[j] for row in rows] for j in range(r)])
+    _assert_as_laplace([[row[j] - row[-1] for row in rows] for j in range(r)])
+
+
+def _table_size(rows, monkeypatch):
+    """The entries of the one memo that iv_adjugate(rows) fills."""
+    memos = []
+    minor = dyadic._minor
+
+    def spy(rows, rs, cs, memo):
+        memos.append(memo)
+        return minor(rows, rs, cs, memo)
+
+    monkeypatch.setattr(dyadic, "_minor", spy)
+    iv_adjugate(rows)
+    assert all(m is memos[0] for m in memos)
+    return len(memos[0])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_minor_table_holds_at_most_n_2_to_the_n_minors(n, monkeypatch):
+    # the work bound that replaces n n!: a stored minor of size k >= 2 has
+    # one of k + 1 row sets (a suffix of the rows, with at most one row
+    # left out) and one of C(n, k) column sets, and sum_k (k + 1) C(n, k)
+    # <= n 2^n; each entry costs at most n products
+    rng = random.Random(n)
+    rows = [[_int(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+    assert _table_size(rows, monkeypatch) <= n << n
 
 
 def test_adaptive_sign_refines():
