@@ -71,10 +71,8 @@ def _verify_chunk(payload):
     """Worker: rebuilds the domain and verifies one index range (results are
     deterministic per index, so assembly order does not matter)."""
     poly, unit_coords, cap, seed, start, stop = payload
-    from fractions import Fraction
-
     fld = NumberField(poly, prec_cap=cap)
-    units = [fld.element([Fraction(c) for c in u]) for u in unit_coords]
+    units = [fld.element(u) for u in unit_coords]
     dom = build_signed_domain(units, fld)
     rep = verify_net_counts(dom, stop - start, seed, start=start)
     return rep["failures"], rep["resamples"]

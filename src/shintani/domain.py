@@ -21,7 +21,7 @@ from fractions import Fraction
 from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
 from .exactlinalg import as_fraction, signed_inverse
-from .field import FieldElement, NumberField, _perm_sign, frac_to_str
+from .field import FieldElement, NumberField, _perm_sign, common_denominator, frac_to_str
 from .geometry import adaptive_vector, coordinates, field_map, int_map
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
@@ -50,7 +50,7 @@ def _signed_cone(units, sigma, field: NumberField, reg_sign: int):
     the embedding order's parity."""
     n = field.degree
     gens = colmez_generators(units, sigma, field)
-    det_sign, inverse = signed_inverse([[g.coeffs[i] for g in gens] for i in range(n)])
+    det_sign, inverse = signed_inverse(*common_denominator(gens))
     w = (-1) ** (n - 1) * _perm_sign(sigma) * field.vandermonde_sign * det_sign * reg_sign
     return gens, w, inverse
 

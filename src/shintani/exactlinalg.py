@@ -1,23 +1,20 @@
 """Exact linear algebra: fraction-free elimination and integer HNF.
 
-Everything here is small (n <= 6 ambient dimension), so clarity beats
-asymptotics: one fraction-free elimination over the integers for
-determinants, inverses and solves, and gcd-style row reduction.
+Matrices are lists of rows.  One fraction-free elimination over the
+integers gives determinants and exact inverses as an integer matrix over
+one denominator, and gcd-style row reduction gives Hermite normal forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 
 def as_fraction(x) -> Fraction:
     """x as a Fraction; a Fraction is returned as it is, not rebuilt."""
     return x if type(x) is Fraction else Fraction(x)
 
-
-# ---- rational matrices (lists of lists of Fraction) ----
 
 def _eliminate(mat):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968: exact divisions)
@@ -49,46 +46,32 @@ def mat_det(mat) -> Fraction:
     return Fraction(det, d ** len(mat))
 
 
-def signed_inverse(mat):
+def signed_inverse(mat, den: int = 1):
     """(s, (A, m)) from one elimination: s the sign of det mat, and
-    mat^-1 = A / m, A an integer matrix and m > 0 in lowest terms;
-    (0, None) if mat is singular."""
+    (mat / den)^-1 = A / m, A an integer matrix and m > 0 in lowest terms,
+    for den > 0; (0, None) if mat is singular."""
     a, det, d = _eliminate(mat)
     if a is None:
         return 0, None
     n, p = len(mat), a[0][0]
-    inv = [[x * (d if p > 0 else -d) for x in row[n:]] for row in a]
+    d *= den if p > 0 else -den
+    inv = [[x * d for x in row[n:]] for row in a]
     g = math.gcd(p, *(x for row in inv for x in row))
     return (1 if det > 0 else -1), ([[x // g for x in row] for row in inv], abs(p) // g)
 
 
-def int_inverse(mat):
+def int_inverse(mat, den: int = 1):
     """(A, m) as :func:`signed_inverse`; ZeroDivisionError if mat is
     singular."""
-    s, inverse = signed_inverse(mat)
+    s, inverse = signed_inverse(mat, den)
     if not s:
         raise ZeroDivisionError("singular matrix")
     return inverse
 
 
-def mat_solve(mat, rhs):
-    """Solve mat @ x = rhs exactly; raises ZeroDivisionError if singular."""
-    inv, m = int_inverse(mat)
-    return [Fraction(sum(map(mul, row, rhs)), m) for row in inv]
-
-
-def mat_inv(mat):
-    inv, m = int_inverse(mat)
-    return [[Fraction(x, m) for x in row] for row in inv]
-
-
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
 def charpoly(mat):

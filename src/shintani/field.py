@@ -45,7 +45,7 @@ from .errors import (
     SchemaError,
     ZeroElement,
 )
-from .exactlinalg import charpoly, mat_solve
+from .exactlinalg import charpoly, int_inverse
 from .polyroots import _poly_rem, count_real_roots, is_squarefree, isolate_real_roots
 
 
@@ -58,41 +58,74 @@ def _perm_sign(perm) -> int:
     return s
 
 
+def reduced(num, den: int):
+    """(num, den) as the one stored form of the rational vector num / den:
+    integer numerators over one denominator den > 0 with gcd(num, den) = 1
+    (Cohen, GTM 138, 4.2), so equal vectors are equal tuples."""
+    if den < 0:
+        num, den = [-a for a in num], -den
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [a // g for a in num], den // g
+    return tuple(num), den
+
+
+def common_denominator(elems):
+    """(M, d): the columns of M / d are the elements in power coordinates,
+    M an integer matrix and d the lcm of their denominators."""
+    d = math.lcm(*(e.den for e in elems))
+    return [list(row) for row in zip(*([a * (d // e.den) for a in e.num] for e in elems))], d
+
+
 class FieldElement:
-    """Element with exact rational coordinates in the power basis."""
+    """Element (sum_i num[i] t^i) / den of the field, in :func:`reduced`
+    form over the power basis 1, t, ..., t^(n-1)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: "NumberField", coeffs):
+    def __init__(self, field: "NumberField", num, den: int = 1):
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != field.degree:
+        self.num, self.den = reduced(num, den)
+        if len(self.num) != field.degree:
             raise ValueError("coordinate vector has wrong length")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power coordinates as Fractions, for output."""
+        return tuple(Fraction(a, self.den) for a in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other):
         other = self.field.element_like(other)
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d, e = self.den, other.den
+        return FieldElement(self.field, [a * e + b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __sub__(self, other):
         other = self.field.element_like(other)
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        d, e = self.den, other.den
+        return FieldElement(self.field, [a * e - b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         other = self.field.element_like(other)
-        return FieldElement(self.field, self.field.mul_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(self.field, self.field.mul_coeffs(self.num, other.num),
+                            self.den * other.den)
 
     def __truediv__(self, other):
         other = self.field.element_like(other)
         return self * other.inverse()
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_coeffs(self.coeffs))
+        """(num / den)^-1 = den * num^-1, num^-1 the first column of the
+        inverse of the matrix of multiplication by num."""
+        if self.is_zero():
+            raise ZeroElement("inverse of zero")
+        a, m = int_inverse(self.field.mult_matrix(self.num))
+        return FieldElement(self.field, [self.den * row[0] for row in a], m)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -110,11 +143,12 @@ class FieldElement:
         return (
             isinstance(other, FieldElement)
             and self.field.poly == other.field.poly
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field.poly, self.coeffs))
+        return hash((self.field.poly, self.num, self.den))
 
     def norm(self) -> Fraction:
         cp = self.field.charpoly_of(self)
@@ -188,7 +222,11 @@ class NumberField:
     # ---- construction helpers ----
 
     def element(self, coeffs) -> FieldElement:
-        return FieldElement(self, [Fraction(c) for c in coeffs])
+        """The element with the given rational power coordinates: ints,
+        Fractions or anything else Fraction reads, such as "p/q"."""
+        fr = [Fraction(c) for c in coeffs]
+        d = math.lcm(*(c.denominator for c in fr))
+        return FieldElement(self, [c.numerator * (d // c.denominator) for c in fr], d)
 
     def element_like(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -196,7 +234,7 @@ class NumberField:
                 raise ValueError("element from a different field")
             return v
         if isinstance(v, (int, Fraction)):
-            return self.element([v] + [0] * (self.degree - 1))
+            return FieldElement(self, [v.numerator] + [0] * (self.degree - 1), v.denominator)
         raise TypeError(f"cannot coerce {type(v)!r}")
 
     def _check_irreducible(self):
@@ -233,41 +271,33 @@ class NumberField:
     # ---- exact arithmetic ----
 
     def mul_coeffs(self, a, b):
-        n = self.degree
-        prod = [Fraction(0)] * (2 * n - 1)
+        """The integer power coordinates of a * b for integer ones: the
+        product polynomial reduced modulo the monic integral poly."""
+        n, poly = self.degree, self.poly
+        prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
         for k in range(2 * n - 2, n - 1, -1):
             q = prod[k]
             if q:
-                prod[k] = 0
                 for j in range(n):
-                    prod[k - n + j] -= q * self.poly[j]
-        return tuple(prod[:n])
-
-    def inv_coeffs(self, a):
-        if not any(a):
-            raise ZeroElement("inverse of zero")
-        m = self.mult_matrix(a)
-        return tuple(mat_solve(m, [Fraction(int(i == 0)) for i in range(self.degree)]))
+                    prod[k - n + j] -= q * poly[j]
+        return prod[:n]
 
     def mult_matrix(self, a):
-        """Matrix of multiplication by a on the power basis (columns a*x^j)."""
-        n = self.degree
-        cols = []
-        cur = tuple(Fraction(c) for c in a)
-        cols.append(cur)
-        shift_one = tuple(Fraction(int(i == 1)) for i in range(n))
-        for _ in range(n - 1):
-            cur = self.mul_coeffs(cur, shift_one)
-            cols.append(cur)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        """Integer matrix of multiplication by integer power coordinates a
+        (columns a * t^j)."""
+        t = [int(i == 1) for i in range(self.degree)]
+        cols = [list(a)]
+        for _ in range(self.degree - 1):
+            cols.append(self.mul_coeffs(cols[-1], t))
+        return [list(row) for row in zip(*cols)]
 
     def charpoly_of(self, elem: FieldElement):
-        return charpoly(self.mult_matrix(elem.coeffs))
+        return charpoly([[Fraction(x, elem.den) for x in row]
+                         for row in self.mult_matrix(elem.num)])
 
     # ---- certified embeddings ----
 
@@ -286,12 +316,13 @@ class NumberField:
     def embed_iv(self, elem: FieldElement, prec: int):
         """Interval enclosures of all conjugates, in embedding order.
         Memoized: generators and unit powers recur in the hot loops."""
-        key = (elem.coeffs, prec)
+        key = (elem.num, elem.den, prec)
         cached = self._embed_cache.get(key)
         if cached is not None:
             return list(cached)
         roots = self.roots_iv(prec)
-        cs = [Iv.from_fraction(c, prec + 8) for c in elem.coeffs]
+        # each coordinate rounded from its own lowest terms
+        cs = [Iv.from_fraction(Fraction(a, elem.den), prec + 8) for a in elem.num]
         out = []
         for t in roots:
             acc = cs[-1]
@@ -356,7 +387,7 @@ class NumberField:
         such a row.  Rows are cached per element and precision."""
         rows = []
         for u in units:
-            key = (u.coeffs, prec)
+            key = (u.num, u.den, prec)
             row = self._log_cache.get(key)
             if row is None:
                 row = tuple(log_iv(iv, prec) for iv in self._positive_conjugates(u, prec))
@@ -456,8 +487,8 @@ def field_from_json(obj, prec_cap: int = DEFAULT_PREC_CAP):
     if any(len(u) != fld.degree for u in units):
         raise SchemaError(f"each unit needs {fld.degree} coordinates, got {units!r}")
     try:
-        coords = [[Fraction(c) for c in u] for u in units]
+        units = [fld.element(u) for u in units]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f'a unit coordinate is not a rational: {exc}')
-    return fld, [fld.element(u) for u in coords]
+    return fld, units
 

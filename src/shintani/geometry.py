@@ -27,7 +27,7 @@ from operator import mul
 from .dyadic import Iv, Ladder, iv_adjugate
 from .errors import DependentBasis
 from .exactlinalg import as_fraction, int_inverse
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, common_denominator
 
 
 def adaptive_vector(x):
@@ -87,19 +87,19 @@ def field_map(field: NumberField) -> CramerMap:
     det V is a Vandermonde determinant, of sign ``field.vandermonde_sign``."""
     if field._power_map is None:
         n = field.degree
-        powers = [field.element([int(i == k) for i in range(n)]) for k in range(n)]
+        powers = [FieldElement(field, [int(i == k) for i in range(n)]) for k in range(n)]
         field._power_map = CramerMap(
             lambda prec: [list(row) for row in zip(*(field.embed_iv(b, prec) for b in powers))],
             field.vandermonde_sign)
     return field._power_map
 
 
-def basis_inverse(basis, field: NumberField):
+def basis_inverse(basis):
     """(A, m) with C^-1 = A / m, C the coefficient matrix of a basis of field
     elements: its columns are the basis in power coordinates
     (DependentBasis for a dependent basis)."""
     try:
-        return int_inverse([[b.coeffs[i] for b in basis] for i in range(field.degree)])
+        return int_inverse(*common_denominator(basis))
     except ZeroDivisionError:
         raise DependentBasis("basis elements are Q-linearly dependent")
 
@@ -115,7 +115,7 @@ def coordinates(v, inverse, field: NumberField, zero_possible: bool = True,
     rather than UndecidableSign."""
     a, _ = inverse
     if isinstance(v, FieldElement):
-        nums = (sum(map(mul, row, v.coeffs)) for row in a)
+        nums = (sum(map(mul, row, v.num)) for row in a)
         return tuple((x > 0) - (x < 0) for x in nums)
     return field_map(field).solve(adaptive_vector(v), a, field.prec_cap if cap is None else cap,
                                   zero_possible, "cone coordinate")
@@ -124,4 +124,4 @@ def coordinates(v, inverse, field: NumberField, zero_possible: bool = True,
 def cone_coordinates(v, basis, field: NumberField, zero_possible: bool = True) -> tuple:
     """The certified signs of the c_i in v = sum_i c_i f_i, as
     :func:`coordinates` (DependentBasis for a dependent basis)."""
-    return coordinates(v, basis_inverse(basis, field), field, zero_possible)
+    return coordinates(v, basis_inverse(basis), field, zero_possible)

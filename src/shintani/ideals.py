@@ -7,56 +7,45 @@ equality is literal equality.  Ideal arithmetic is integer-lattice code over
 the order's multiplication table (`Order.table`, the structure constants of
 the basis): products and sums stack integer rows, and the inverse is the
 dual lattice (O : a).  Field elements appear only where the R-set code needs
-points.  All R-set work is exact rational arithmetic end to end: membership
-in a half-open interval is discrete and must be bit-exact.
+points.  Every rational vector here is integers over one denominator, as
+field elements are (`field.reduced`): membership in a half-open interval is
+discrete, and integer arithmetic decides it exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import NotValidated, SchemaError, ZeroIdeal
-from .exactlinalg import (
-    hnf_rows,
-    hnf_solve,
-    int_inverse,
-    mat_det,
-    mat_inv,
-    mat_solve,
-    mat_vec,
-)
-from .field import FieldElement, NumberField, _json_int
+from .exactlinalg import hnf_rows, hnf_solve, int_inverse, mat_det, mat_mul
+from .field import FieldElement, NumberField, _json_int, common_denominator, reduced
 
 
 class Order:
     """Ring of integers given by an explicit Z-basis (default: the power
-    basis, with a declared monogenicity assumption)."""
+    basis, with a declared monogenicity assumption).  NotValidated if the
+    basis is not closed under multiplication."""
 
     def __init__(self, field: NumberField, basis, assumed_maximal: bool):
         self.field = field
         self.basis = tuple(basis)
         self.assumed_maximal = assumed_maximal
-        n = field.degree
-        # columns = basis elements in power coordinates
-        self.basis_matrix = [[Fraction(self.basis[j].coeffs[i]) for j in range(n)]
-                             for i in range(n)]
-        self.basis_matrix_inv = mat_inv(self.basis_matrix)
-        # structure constants: table[i][j] = order coordinates of b_i * b_j,
-        # each an int where its denominator is 1
-        self.table = tuple(
-            tuple(tuple(int(c) if c.denominator == 1 else c
-                        for c in self.to_order_coords(bi * bj))
-                  for bj in self.basis)
-            for bi in self.basis)
+        # B = basis_matrix / basis_den, columns the basis elements in power
+        # coordinates, and B^-1 = A / m with (A, m) = self.inverse
+        self.basis_matrix, self.basis_den = common_denominator(self.basis)
+        self.inverse = int_inverse(self.basis_matrix, self.basis_den)
+        # structure constants: table[i][j] = order coordinates of b_i * b_j
+        table = [[self.to_order_coords(bi * bj) for bj in self.basis] for bi in self.basis]
+        if any(den != 1 for row in table for _, den in row):
+            raise NotValidated("basis not closed under multiplication")
+        self.table = tuple(tuple(num for num, _ in row) for row in table)
 
     def to_order_coords(self, elem: FieldElement):
-        return mat_vec(self.basis_matrix_inv, list(elem.coeffs))
-
-    def from_order_coords(self, coords) -> FieldElement:
-        return self.field.element(mat_vec(self.basis_matrix, [Fraction(c) for c in coords]))
+        """(x, d): the order coordinates of elem are x / d in lowest terms."""
+        a, m = self.inverse
+        return reduced([sum(map(mul, row, elem.num)) for row in a], m * elem.den)
 
     def mul_basis(self, x):
         """Order coordinates of x * b_j for every basis element b_j, with x
@@ -67,9 +56,9 @@ class Order:
                 for j in range(n)]
 
     def contains(self, elem: FieldElement) -> bool:
-        return all(c.denominator == 1 for c in self.to_order_coords(elem))
+        return self.to_order_coords(elem)[1] == 1
 
-    def discriminant(self) -> Fraction:
+    def discriminant(self):
         n = self.field.degree
         tr = [[(self.basis[i] * self.basis[j]).trace() for j in range(n)]
               for i in range(n)]
@@ -77,8 +66,7 @@ class Order:
 
     def power_basis_index(self) -> int:
         """Index [O : Z[theta]] (the order must contain the power order)."""
-        d = mat_det(self.basis_matrix)
-        idx = 1 / abs(d)
+        idx = 1 / abs(mat_det(self.basis_matrix) / self.basis_den ** self.field.degree)
         if idx.denominator != 1:
             raise NotValidated("order does not contain the power basis")
         return int(idx)
@@ -101,14 +89,11 @@ def integral_basis(field: NumberField, basis=None) -> Order:
         order = Order(field, basis, assumed_maximal=False)
     except ZeroDivisionError:
         raise NotValidated("basis is not full rank")
-    one_coords = order.to_order_coords(field.one)
-    if any(c.denominator != 1 for c in one_coords):
+    if not order.contains(field.one):
         raise NotValidated("1 is not in the span of the basis")
     for b in basis:
         if not order.contains(b * field.gen):
             raise NotValidated("basis not closed under multiplication by the generator")
-    if any(isinstance(c, Fraction) for row in order.table for entry in row for c in entry):
-        raise NotValidated("basis not closed under multiplication")
     idx = order.power_basis_index()
     power_disc = Order(field, integral_basis(field).basis, True).discriminant()
     if order.discriminant() * idx * idx != power_disc:
@@ -155,47 +140,34 @@ class FractionalIdeal:
         return FractionalIdeal(order, h, den)
 
     @staticmethod
-    def from_rational_rows(order: Order, rows) -> "FractionalIdeal":
-        """Module generated by vectors of rational order-coordinates."""
-        rows = [[Fraction(x) for x in row] for row in rows]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        return FractionalIdeal.from_int_rows(
-            order, [[int(x * den) for x in row] for row in rows], den)
-
-    @staticmethod
     def from_generators(order: Order, elems) -> "FractionalIdeal":
         """O-module generated by field elements (Z-span of elem * basis)."""
         coords = [order.to_order_coords(order.field.element_like(e)) for e in elems]
-        den = math.lcm(*(c.denominator for v in coords for c in v))
-        rows = [row for v in coords for row in order.mul_basis([int(c * den) for c in v])]
+        den = math.lcm(*(d for _, d in coords))
+        rows = [row for x, d in coords for row in order.mul_basis([c * (den // d) for c in x])]
         if not any(any(r) for r in rows):
             raise ZeroIdeal("zero ideal")
         return FractionalIdeal.from_int_rows(order, rows, den)
 
     # ---- accessors ----
 
-    def basis_elements(self):
-        return [self.order.from_order_coords([Fraction(x, self.den) for x in row])
-                for row in self.hnf]
-
     def power_basis_matrix(self):
-        """Columns = lattice basis vectors in power coordinates."""
-        n = self.order.field.degree
-        elems = self.basis_elements()
-        return [[elems[j].coeffs[i] for j in range(n)] for i in range(n)]
+        """(M, d): the columns of M / d are the lattice basis vectors in
+        power coordinates."""
+        order = self.order
+        return mat_mul(order.basis_matrix, [list(col) for col in zip(*self.hnf)]), \
+            order.basis_den * self.den
 
-    def norm(self) -> Fraction:
-        n = self.order.field.degree
-        det = 1
-        for i in range(n):
-            det *= self.hnf[i][i]
-        return Fraction(det, self.den ** n)
+    def norm(self):
+        return mat_det(self.hnf) / self.den ** self.order.field.degree
 
     def contains(self, elem: FieldElement) -> bool:
-        coords = [c * self.den for c in self.order.to_order_coords(elem)]
-        if any(c.denominator != 1 for c in coords):
+        """den * (order coordinates x / d of elem) is in L; x / d is in
+        lowest terms, so den * x / d is integral exactly when d divides den."""
+        x, d = self.order.to_order_coords(elem)
+        if self.den % d:
             return False
-        return hnf_solve(self.hnf, [int(c) for c in coords]) is not None
+        return hnf_solve(self.hnf, [c * (self.den // d) for c in x]) is not None
 
     def is_whole_ring(self) -> bool:
         return self == FractionalIdeal.whole_ring(self.order)
@@ -267,30 +239,31 @@ def ideal_inverse(a: FractionalIdeal) -> FractionalIdeal:
     of a = (1/den) L, as a dual lattice.  The rows of the matrices of
     multiplication by each g span a lattice with HNF H; x satisfies every
     condition iff H x lies in den * Z^n, so (O : a) is spanned by the
-    columns of den * H^-1."""
+    columns of den * H^-1 = den * A / m."""
     order = a.order
     n = order.field.degree
     rows = []
     for g in a.hnf:
         rows += zip(*order.mul_basis(g))       # rows of the matrix of g
-    h_inv = mat_inv(hnf_rows(rows, n))
-    return FractionalIdeal.from_rational_rows(
-        order, [[a.den * h_inv[i][j] for i in range(n)] for j in range(n)])
+    h_inv, m = int_inverse(hnf_rows(rows, n))
+    return FractionalIdeal.from_int_rows(order, [[a.den * x for x in col] for col in zip(*h_inv)],
+                                         m)
 
 
 # ---- R-set enumeration ----
 
 class RSigmaSet:
     """All lattice (or coset) points in the half-open parallelepiped spanned
-    by the scaled cone generators, with their exact box coordinates."""
+    by the scaled cone generators, with their exact box coordinates t / den."""
 
-    __slots__ = ("points", "index", "scale", "shift")
+    __slots__ = ("points", "index", "scale", "shift", "den")
 
-    def __init__(self, points, index, scale, shift):
-        self.points = points            # list of (FieldElement, tuple[Fraction])
+    def __init__(self, points, index, scale, shift, den):
+        self.points = points            # list of (FieldElement, t: tuple[int])
         self.index = index
         self.scale = scale
         self.shift = shift
+        self.den = den
 
 
 def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> RSigmaSet:
@@ -303,82 +276,58 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
     shifted coordinatewise into [0,1) or (0,1] according to the cone's
     half-open flags.  The loop runs in integers over one common denominator
     D of G^-1 shift and N^-1: t D is reduced by % into [0, D) or (0, D], and
-    the numerators of z = G t over den(G) D are integer dot products.  Each
-    point's membership in shift + lattice is checked on its own, in the
-    lattice's HNF in order coordinates, independently of N.
+    z = G t is a field element.  Each point's membership in shift + lattice
+    is checked on its own, in the lattice's HNF, independently of N.
     """
-    order = lattice.order
-    field = order.field
+    field = lattice.order.field
     n = field.degree
     if cone.w == 0:
         raise ValueError("enumeration needs a nondegenerate cone")
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    shift = field.element_like(shift) if not isinstance(shift, FieldElement) else shift
+    shift = field.element_like(shift)
 
-    b = lattice.power_basis_matrix()
-    g_mat = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
-             for i in range(n)]
+    # B = b / bd, the lattice basis, and G = scale C = scale c / cd, the
+    # scaled generators, in power coordinates; C^-1 = A / m from the cone
+    b, bd = lattice.power_basis_matrix()
+    c, cd = common_denominator(cone.generators)
+    a, m = cone.inverse
     # N = B^-1 G: integer iff every scaled generator lies in the lattice
-    b_inv, mb = int_inverse(b)
-    n_mat = [[Fraction(sum(map(mul, row, col)), mb) for col in zip(*g_mat)] for row in b_inv]
-    if any(x.denominator != 1 for row in n_mat for x in row):
+    b_inv, mb = int_inverse(b, bd)
+    n_num, n_den = mat_mul(b_inv, c), mb * cd
+    if any(scale * x % n_den for row in n_num for x in row):
         raise ValueError("scaled generators do not lie in the lattice")
-    n_mat = [[int(x) for x in row] for row in n_mat]
+    n_mat = [[scale * x // n_den for x in row] for row in n_num]
     index = abs(int(mat_det(n_mat)))
 
     # residues of N^-1 Z^n / Z^n ~ Z^n / N Z^n via the HNF diagonal box
-    h = hnf_rows([[n_mat[i][j] for i in range(n)] for j in range(n)], n)
-    diag = [h[i][next(k for k, x in enumerate(h[i]) if x)] for i in range(len(h))]
+    h = hnf_rows([list(col) for col in zip(*n_mat)])
+    diag = [next(x for x in row if x) for row in h]
     assert len(diag) == n
 
-    # G^-1 = A / (m scale) from the cone's C^-1 = A / m: tau0 = G^-1 shift
-    # and N^-1 = G^-1 B
-    a, m = cone.inverse
-    tau0 = [Fraction(sum(map(mul, row, shift.coeffs)), m * scale) for row in a]
-    n_inv = [[Fraction(sum(map(mul, row, col)), m * scale) for col in zip(*b)] for row in a]
-    d = math.lcm(*(x.denominator for x in tau0),
-                 *(x.denominator for row in n_inv for x in row))
-    t0 = [int(x * d) for x in tau0]
-    n_inv_d = [[int(x * d) for x in row] for row in n_inv]
-    gd = math.lcm(*(x.denominator for row in g_mat for x in row))
-    g_num = [[int(x * gd) for x in row] for row in g_mat]
-    e = gd * d                                  # z = z_num / e
-    # membership: den * (order coordinates of z - shift) = m_num (z_num -
-    # shift_num) / (bd e) must be an integer vector in the HNF lattice
-    shift_num = [x * e for x in shift.coeffs]
-    assert all(x.denominator == 1 for x in shift_num)
-    shift_num = [int(x) for x in shift_num]
-    bd = math.lcm(*(x.denominator for row in order.basis_matrix_inv for x in row))
-    m_num = [[int(x * bd) * lattice.den for x in row] for row in order.basis_matrix_inv]
-    q = bd * e
+    # tau0 = G^-1 shift and N^-1 = G^-1 B over one denominator D
+    d = m * scale * shift.den * bd
+    t0 = [sum(map(mul, row, shift.num)) * bd for row in a]
+    n_inv = [[x * shift.den for x in row] for row in mat_mul(a, b)]
 
     open_flags = [fl == "open" for fl in cone.flags]
     points = []
-    seen = set()
     for u in itertools.product(*[range(k) for k in diag]):
         r = []
-        for t0_i, row, is_open in zip(t0, n_inv_d, open_flags):
-            x = (t0_i + sum(a * uj for a, uj in zip(row, u))) % d
+        for t0_i, row, is_open in zip(t0, n_inv, open_flags):
+            x = (t0_i + sum(map(mul, row, u))) % d
             r.append(d if is_open and x == 0 else x)    # (0, D] or [0, D)
-        z_num = [sum(a * rj for a, rj in zip(row, r)) for row in g_num]
-        diff = [a - c for a, c in zip(z_num, shift_num)]
-        v = [sum(a * x for a, x in zip(row, diff)) for row in m_num]
-        assert all(x % q == 0 for x in v)
-        assert hnf_solve(lattice.hnf, [x // q for x in v]) is not None
-        key = tuple(z_num)
-        assert key not in seen
-        seen.add(key)
-        points.append((field.element([Fraction(x, e) for x in z_num]),
-                       tuple(Fraction(x, d) for x in r)))
-    assert len(points) == index
-    return RSigmaSet(points, index, scale, shift)
+        z = FieldElement(field, [scale * sum(map(mul, row, r)) for row in c], cd * d)
+        assert lattice.contains(z - shift)
+        points.append((z, tuple(r)))
+    assert len(set(z for z, _ in points)) == len(points) == index
+    return RSigmaSet(points, index, scale, shift, d)
 
 
 def smallest_positive_rational_integer(ideal: FractionalIdeal) -> int:
     """Positive generator of Z intersected with the ideal: the least t with
-    t * den * (coordinates of 1) in the HNF lattice."""
-    order = ideal.order
-    scaled = [c * ideal.den for c in order.to_order_coords(order.field.one)]
-    coords = mat_solve([list(col) for col in zip(*ideal.hnf)], scaled)
-    return math.lcm(*(q.denominator for q in coords))
+    t * den * (coordinates of 1) in the HNF lattice, the denominator of the
+    lattice coordinates of den * 1."""
+    x, d = ideal.order.to_order_coords(ideal.order.field.one)
+    a, m = int_inverse([list(col) for col in zip(*ideal.hnf)])
+    return reduced([sum(map(mul, row, x)) * ideal.den for row in a], m * d)[1]

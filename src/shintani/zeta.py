@@ -306,7 +306,7 @@ def _face_sums(cone, s: float) -> list[float] | None:
     with _FACE_LOCK:
         # generators are numbered per field, so faces are keyed by small ints
         numbers = cache.setdefault("generators", {})
-        ids = [numbers.setdefault(g.coeffs, len(numbers)) for g in gens]
+        ids = [numbers.setdefault((g.num, g.den), len(numbers)) for g in gens]
         key = (s, tuple(ids))
         sums = cache.get(key)
         if sums is not None:

@@ -19,9 +19,27 @@ from fractions import Fraction
 from shintani.domain import FLAG_CLOSED
 from shintani.dyadic import DEFAULT_PREC_CAP, Iv, Ladder, adaptive_sign, iv_det
 from shintani.errors import InputError
-from shintani.exactlinalg import as_fraction, mat_det, mat_solve
+from shintani.exactlinalg import as_fraction, mat_det
 from shintani.field import FieldElement
 from shintani.geometry import CramerMap, adaptive_vector, coordinates
+
+
+def fraction_solve(mat, rhs):
+    """x with mat x = rhs by Gauss-Jordan elimination in Fractions, the
+    test side's reference solve (ZeroDivisionError if mat is singular)."""
+    n = len(mat)
+    a = [[*map(Fraction, row), Fraction(r)] for row, r in zip(mat, rhs)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n] for row in a]
 
 
 class LastCoordinateZero(InputError):
@@ -92,7 +110,7 @@ def barycentric(p, simplex: Simplex, cap: int = DEFAULT_PREC_CAP) -> tuple:
     """The certified signs of the b with sum(b) = 1 and
     sum(b_i * vertex_i) = p (p rational when the simplex is)."""
     if simplex.exact is not None:
-        b = mat_solve(simplex.exact, [*map(Fraction, p), Fraction(1)])
+        b = fraction_solve(simplex.exact, [*map(Fraction, p), Fraction(1)])
         return tuple((x > 0) - (x < 0) for x in b)
     pv = adaptive_vector(p)
     return simplex.map.solve(lambda prec: [*pv(prec), Iv.ONE], simplex.identity, cap, True,

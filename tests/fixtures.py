@@ -177,4 +177,12 @@ def parallelepiped_index(cone, lattice):
     assert all(lattice.contains(g) for g in gens)
     n = lattice.order.field.degree
     g_det = mat_det([[g.coeffs[i] for g in gens] for i in range(n)])
-    return int(abs(g_det / mat_det(lattice.power_basis_matrix())))
+    b, d = lattice.power_basis_matrix()
+    return int(abs(g_det / mat_det(b) * d ** n))
+
+
+def lattice_basis(lattice):
+    """The lattice's basis as field elements, the columns of its power-basis
+    matrix."""
+    b, d = lattice.power_basis_matrix()
+    return [lattice.order.field.element([Fraction(x, d) for x in col]) for col in zip(*b)]

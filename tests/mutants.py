@@ -78,6 +78,23 @@ MUTANTS = (
            "return c > 0 or (c == 0 and flag == FLAG_OPEN)",
            ("tests/test_geometry.py::test_boundary_vector_decisions",
             "tests/test_domain.py::test_negated_points_are_outside_on_every_route")),
+    Mutant("field element: no gcd normalisation",
+           "src/shintani/field.py",
+           "    g = math.gcd(den, *num)\n",
+           "    g = 1\n",
+           ("tests/test_field.py::test_elements_are_stored_in_lowest_terms",
+            "tests/test_golden_cli.py::test_cli_output_matches_its_golden_digest")),
+    Mutant("field element: no sign normalisation of the denominator",
+           "src/shintani/field.py",
+           "        num, den = [-a for a in num], -den\n",
+           "        pass\n",
+           ("tests/test_field.py::test_elements_are_stored_in_lowest_terms",)),
+    Mutant("order membership: the denominator ignored",
+           "src/shintani/ideals.py",
+           "return self.to_order_coords(elem)[1] == 1",
+           "return self.to_order_coords(elem)[1] >= 1",
+           ("tests/test_cli.py::test_unit_outside_the_order_exit_2",
+            "tests/test_golden_cli.py::test_cli_output_matches_its_golden_digest")),
 )
 
 

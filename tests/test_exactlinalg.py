@@ -1,5 +1,6 @@
 import math
 import random
+from operator import mul
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,10 @@ from shintani.exactlinalg import (
     hnf_solve,
     int_inverse,
     mat_det,
-    mat_inv,
-    mat_solve,
-    mat_vec,
     signed_inverse,
 )
+
+from crosscheck import fraction_solve
 
 small_mat = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
@@ -80,20 +80,25 @@ def test_hnf_membership(m):
         w[1] += 1 if h[0][0] <= 1 < h[1][1] else 0
         w[2] += 1 if h[0][0] <= 1 and h[1][1] <= 1 and h[2][2] > 1 else 0
         if w != v:
-            assert hnf_solve(h, w) is None or mat_vec(
-                [[Fraction(x) for x in r] for r in zip(*h)], hnf_solve(h, w)) == w
+            x = hnf_solve(h, w)
+            assert x is None or [sum(map(mul, col, x)) for col in zip(*h)] == w
 
 
-def test_mat_solve_and_inv():
-    m = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
-    rhs = [1, 2, 3]
-    x = mat_solve(m, rhs)
-    assert mat_vec([[Fraction(v) for v in row] for row in m], x) == \
-        [Fraction(r) for r in rhs]
-    inv = mat_inv(m)
-    prod = [[sum(Fraction(m[i][k]) * inv[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
-    assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_inverse_over_a_denominator_matches_a_fraction_solve():
+    # (mat / den)^-1 = A / m solves (mat / den) x = e_j column by column
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        den = rng.choice([1, 2, 6, 35])
+        if mat_det(m) == 0:
+            continue
+        a, d = int_inverse(m, den)
+        assert d > 0 and math.gcd(d, *(x for row in a for x in row)) == 1
+        for j in range(n):
+            col = fraction_solve([[Fraction(x, den) for x in row] for row in m],
+                                 [int(i == j) for i in range(n)])
+            assert col == [Fraction(row[j], d) for row in a]
 
 
 def test_int_inverse_is_the_exact_inverse_in_lowest_terms():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,21 @@ from shintani.errors import (
     PrecisionCapExceeded,
     ZeroElement,
 )
-from shintani.dyadic import START_PREC
-from shintani.field import NumberField, field_from_json
+from shintani.dyadic import START_PREC, Iv
+from shintani.exactlinalg import charpoly, mat_det
+from shintani.field import FieldElement, NumberField, field_from_json
 
-from fixtures import REDUCIBLE, field_to_json, with_embedding_order
+from crosscheck import fraction_solve
+from fixtures import (
+    ALL_NET_COUNT,
+    REDUCIBLE,
+    cubic_signed_witness,
+    field_to_json,
+    q_zeta11_plus,
+    q_zeta13_plus,
+    q_zeta17_plus,
+    with_embedding_order,
+)
 
 SQRT2 = Fraction("1.41421356237309504880168872420969808")
 
@@ -344,3 +357,134 @@ def test_reordering_shares_the_isolated_roots(poly, monkeypatch):
         assert _key(got.embed_iv(got.gen + 1, 64)) == _key(want.embed_iv(want.gen + 1, 64))
     assert calls == []          # the roots were isolated once, by base
     assert _key(base.roots_iv(64)) == _key(fresh[tuple(range(len(poly) - 1))].roots_iv(64))
+
+
+# ---- integer numerators over one denominator against a Fraction reference ----
+
+def fraction_mul(poly, a, b):
+    """The product of two elements with Fraction power coordinates, reduced
+    modulo the monic poly: the reference for field.mul_coeffs."""
+    n = len(poly) - 1
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        q, prod[k] = prod[k], Fraction(0)
+        for j in range(n):
+            prod[k - n + j] -= q * poly[j]
+    return tuple(prod[:n])
+
+
+def fraction_matrix(poly, a):
+    """The Fraction matrix of multiplication by a, columns a * t^j."""
+    n = len(poly) - 1
+    cols = [tuple(a)]
+    for _ in range(n - 1):
+        cols.append(fraction_mul(poly, cols[-1], [Fraction(int(i == 1)) for i in range(n)]))
+    return [list(row) for row in zip(*cols)]
+
+
+def fraction_inverse(poly, a):
+    n = len(poly) - 1
+    return tuple(fraction_solve(fraction_matrix(poly, a), [int(i == 0) for i in range(n)]))
+
+
+def fraction_power(poly, a, k):
+    base = fraction_inverse(poly, a) if k < 0 else tuple(a)
+    acc = tuple(Fraction(int(i == 0)) for i in range(len(poly) - 1))
+    for _ in range(abs(k)):
+        acc = fraction_mul(poly, acc, base)
+    return acc
+
+
+FIELD_FIXTURES = dict(ALL_NET_COUNT, cubic_signed_witness=cubic_signed_witness,
+                      q_zeta11_plus=q_zeta11_plus, q_zeta13_plus=q_zeta13_plus,
+                      q_zeta17_plus=q_zeta17_plus)
+
+
+def random_coords(n, rng):
+    """Random rational coordinates, with a random denominator per entry."""
+    while True:
+        c = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+             for _ in range(n)]
+        if any(c):
+            return c
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_arithmetic_matches_the_fraction_reference(name):
+    fld, units = FIELD_FIXTURES[name]()
+    poly, n = fld.poly, fld.degree
+    rng = random.Random(name)
+    for _ in range(6):
+        a, b = random_coords(n, rng), random_coords(n, rng)
+        x, y = fld.element(a), fld.element(b)
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+        assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+        assert (-x).coeffs == tuple(-p for p in a)
+        assert (x * y).coeffs == fraction_mul(poly, a, b)
+        assert x.inverse().coeffs == fraction_inverse(poly, a)
+        assert (x / y).coeffs == fraction_mul(poly, a, fraction_inverse(poly, b))
+        for k in (-2, -1, 0, 3):
+            assert (x ** k).coeffs == fraction_power(poly, a, k)
+        m = fraction_matrix(poly, a)
+        assert x.norm() == mat_det(m)
+        assert x.trace() == sum(m[i][i] for i in range(n))
+    # is_unit on units, unit quotients, rational multiples and random elements
+    for _ in range(4):
+        u = units[rng.randrange(len(units))] ** rng.choice((-2, -1, 1, 2))
+        for x in (u, u / units[0], u * Fraction(1, 2), fld.element(random_coords(n, rng))):
+            cp = charpoly(fraction_matrix(poly, x.coeffs))
+            assert fld.is_unit(x) == (all(c.denominator == 1 for c in cp) and abs(cp[0]) == 1)
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_elements_are_stored_in_lowest_terms(name):
+    fld, _ = FIELD_FIXTURES[name]()
+    rng = random.Random(name)
+    for _ in range(10):
+        x = fld.element(random_coords(fld.degree, rng))
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        assert x.coeffs == tuple(Fraction(a, x.den) for a in x.num)
+        k = rng.choice((-6, -1, 2, 35))
+        for y in (FieldElement(fld, [a * k for a in x.num], x.den * k),
+                  fld.element(list(x.coeffs)), x * 1, x + fld.zero):
+            assert y == x and hash(y) == hash(x)
+            assert (y.num, y.den) == (x.num, x.den)
+    assert (fld.zero.num, fld.zero.den) == ((0,) * fld.degree, 1)
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_embedding_rounds_each_coordinate_from_its_lowest_terms(name):
+    fld, _ = FIELD_FIXTURES[name]()
+    rng = random.Random(name)
+    for _ in range(4):
+        x = fld.element(random_coords(fld.degree, rng))
+        for prec in (64, 128):
+            cs = [Iv.from_fraction(c, prec + 8) for c in x.coeffs]
+            want = []
+            for t in fld.roots_iv(prec):
+                acc = cs[-1]
+                for c in reversed(cs[:-1]):
+                    acc = acc * t + c
+                want.append(acc.round(prec + 8))
+            got = fld.embed_iv(x, prec)
+            assert [(iv.lo, iv.hi, iv.e) for iv in got] == [(iv.lo, iv.hi, iv.e) for iv in want]
+
+
+def test_unit_products_build_no_fraction(monkeypatch):
+    fld, units = q_zeta17_plus()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    prod = units[0] * units[1]
+    quot = units[2] / units[3]
+    monkeypatch.undo()
+    assert built == []
+    assert prod.den == quot.den == 1 and fld.is_unit(prod) and fld.is_unit(quot)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -18,10 +19,12 @@ from shintani.ideals import (
     smallest_positive_rational_integer,
 )
 
+from crosscheck import fraction_solve
 from fixtures import (
     ALL_NET_COUNT,
     cubic_81,
     cubic_signed_witness,
+    lattice_basis,
     maximal_order,
     parallelepiped_index,
     q_sqrt2,
@@ -140,7 +143,7 @@ def test_enumerate_R_sqrt2_hand(ok2):
     dom = build_signed_domain(units, fld)
     r = coset_enumerate_R(dom.cones[0], FractionalIdeal.whole_ring(order), 0)
     assert r.index == 2
-    got = sorted((z.coeffs, t) for z, t in r.points)
+    got = sorted((z.coeffs, tuple(Fraction(x, r.den) for x in t)) for z, t in r.points)
     assert got == [
         ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))),
         ((Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(1, 2))),
@@ -167,6 +170,7 @@ def test_enumerate_R_halfopen_membership():
     for cone in dom.cones:
         r = coset_enumerate_R(cone, lat, shift=0, scale=1)
         for z, t in r.points:
+            t = [Fraction(x, r.den) for x in t]
             for ti, fl in zip(t, cone.flags):
                 if fl == "open":
                     assert 0 < ti <= 1
@@ -208,25 +212,25 @@ def fraction_coset_points(cone, lattice, shift, scale):
     """Reference R-set in Fraction arithmetic: for each residue u of the
     HNF diagonal box, t = G^-1 shift + N^-1 u, each t_i moved into (0, 1]
     or [0, 1) by ceil/floor, and z = G t."""
-    from shintani.exactlinalg import hnf_rows, mat_inv, mat_solve, mat_vec
+    from shintani.exactlinalg import hnf_rows
 
     field = lattice.order.field
     n = field.degree
-    b = lattice.power_basis_matrix()
+    b = [[x.coeffs[i] for x in lattice_basis(lattice)] for i in range(n)]
     g_mat = [[Fraction(scale) * cone.generators[j].coeffs[i] for j in range(n)]
              for i in range(n)]
-    n_cols = [mat_solve(b, [g_mat[i][j] for i in range(n)]) for j in range(n)]
+    n_cols = [fraction_solve(b, [g_mat[i][j] for i in range(n)]) for j in range(n)]
     n_mat = [[int(n_cols[j][i]) for j in range(n)] for i in range(n)]
     h = hnf_rows([[n_mat[i][j] for i in range(n)] for j in range(n)], n)
     diag = [next(x for x in row if x) for row in h]
-    tau0 = mat_solve(g_mat, list(shift.coeffs))
-    n_inv = mat_inv([[Fraction(x) for x in row] for row in n_mat])
+    tau0 = fraction_solve(g_mat, list(shift.coeffs))
+    n_inv_cols = [fraction_solve(n_mat, [int(i == j) for i in range(n)]) for j in range(n)]
     points = []
     for u in itertools.product(*[range(d) for d in diag]):
-        t = [tau0[i] + sum(n_inv[i][j] * u[j] for j in range(n)) for i in range(n)]
+        t = [tau0[i] + sum(n_inv_cols[j][i] * u[j] for j in range(n)) for i in range(n)]
         tt = tuple(ti - (math.ceil(ti) - 1) if fl == "open" else ti - math.floor(ti)
                    for ti, fl in zip(t, cone.flags))
-        points.append((field.element(mat_vec(g_mat, tt)), tt))
+        points.append((field.element([sum(map(mul, row, tt)) for row in g_mat]), tt))
     return points
 
 
@@ -275,9 +279,9 @@ def test_coset_enumerate_matches_fraction_reference(name, units, order, cases):
         for cone in dom.cones:
             got = coset_enumerate_R(cone, lattice, shift, scale)
             want = fraction_coset_points(cone, lattice, shift, scale)
-            assert [(z.coeffs, t) for z, t in got.points] == \
-                   [(z.coeffs, t) for z, t in want]
-            assert all(type(x) is Fraction for z, t in got.points for x in z.coeffs + t)
+            assert [(z.coeffs, tuple(Fraction(x, got.den) for x in t))
+                    for z, t in got.points] == [(z.coeffs, t) for z, t in want]
+            assert all(type(x) is int for z, t in got.points for x in z.num + t + (z.den,))
             assert all(lattice.contains(z - shift) for z, _ in want)
 
 
@@ -293,9 +297,8 @@ def test_translation_completeness():
         zset = {z.coeffs for z, _ in r.points}
         for _ in range(25):
             p = fld.element([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)])
-            from shintani.exactlinalg import mat_solve
             g_mat = [[cone.generators[j].coeffs[i] for j in range(3)] for i in range(3)]
-            t = mat_solve(g_mat, list(p.coeffs))
+            t = fraction_solve(g_mat, list(p.coeffs))
             import math as _m
             tt = []
             for ti, fl in zip(t, cone.flags):
@@ -338,21 +341,32 @@ def test_ideal_json_validation(ok2):
 
 # ---- the integer-lattice ideal code against field-element references ----
 
+def ref_coords(order, e):
+    """Order coordinates of e by a Fraction solve in the basis."""
+    n = order.field.degree
+    return fraction_solve([[b.coeffs[i] for b in order.basis] for i in range(n)], e.coeffs)
+
+
+def ref_ideal(order, rows):
+    """The module generated by rows of rational order coordinates."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return FractionalIdeal.from_int_rows(order, [[int(x * den) for x in row] for row in rows],
+                                         den)
+
+
 def ref_principal(order, e):
     """Z-span of e * b over the order basis, multiplied as field elements."""
-    return FractionalIdeal.from_rational_rows(
-        order, [order.to_order_coords(e * b) for b in order.basis])
+    return ref_ideal(order, [ref_coords(order, e * b) for b in order.basis])
 
 
 def ref_mul(a, b):
-    rows = [a.order.to_order_coords(x * y)
-            for x in a.basis_elements() for y in b.basis_elements()]
-    return FractionalIdeal.from_rational_rows(a.order, rows)
+    rows = [ref_coords(a.order, x * y) for x in lattice_basis(a) for y in lattice_basis(b)]
+    return ref_ideal(a.order, rows)
 
 
 def ref_add(a, b):
-    rows = [a.order.to_order_coords(x) for x in a.basis_elements() + b.basis_elements()]
-    return FractionalIdeal.from_rational_rows(a.order, rows)
+    rows = [ref_coords(a.order, x) for x in lattice_basis(a) + lattice_basis(b)]
+    return ref_ideal(a.order, rows)
 
 
 def random_element(fld, rng):
@@ -418,6 +432,6 @@ def test_inverse_in_maximal_order(name):
 def test_rows_of_deficient_rank_rejected(ok2):
     _, _, order = ok2
     with pytest.raises(ZeroIdeal):
-        FractionalIdeal.from_rational_rows(order, [[1, 2], [Fraction(1, 2), 1]])
+        FractionalIdeal.from_int_rows(order, [[2, 4], [1, 2]], 2)
     with pytest.raises(ZeroIdeal):
-        FractionalIdeal.from_rational_rows(order, [[3, 1]])
+        FractionalIdeal.from_int_rows(order, [[3, 1]])
