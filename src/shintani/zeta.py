@@ -444,6 +444,21 @@ def _require_s(s: float, n: int) -> None:
                                f"Shintani sums at degree {n} need ceil(s) n (n + 65) <= 2^51")
 
 
+def _require_norm_power(norm, s: float) -> None:
+    """ExponentTooLarge unless s log2 N <= 958 for the norm N of the ideal
+    whose R-set a sum runs over, checked before any sum.
+
+    A point z of that lattice has N(z) >= 1/N, so the sums' terms reach N^s,
+    and the sums are scaled by N^-s.  Both, every sum of such terms and
+    every bound on one must stay finite floats.  With N^s <= 2^958, N^-s is
+    a normal float, and a sum of fewer than 2^64 terms (more is never
+    evaluated), each at most N^s, stays below 2^1022, half the float
+    range, which leaves room for its bounds."""
+    if s * math.log2(norm) > 958:
+        raise ExponentTooLarge(f"s = {s!r} is too large for an ideal of norm {norm}: "
+                               "the sums reach norm^s, so s log2(norm) must be <= 958")
+
+
 def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
                   scale: int = 1) -> ZetaValue:
     """Sum over m >= 0, |m| <= L, of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
@@ -604,6 +619,7 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
     terms = []
     for rep in chi.representatives:
         af = ideal_mul(rep, chi.conductor)
+        _require_norm_power(af.norm(), s)
         n_af = float(af.norm())
         lattice = ideal_inverse(af)
         for cone in dom.cones:
@@ -636,6 +652,7 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
     _require_units_in_order(units, order)
     _require_integral(a_ideal, "representative")
     _require_integral(conductor, "conductor")
+    _require_norm_power(a_ideal.norm(), s)
     dom = domain or build_signed_domain(units, field)
     f_int = smallest_positive_rational_integer(conductor)
     lattice = ideal_mul(ideal_inverse(a_ideal), conductor)

@@ -151,6 +151,21 @@ def test_largest_s_runs(tmp_path, capsys, cmd):
     assert code == 2 and out["error"] == "ExponentTooLarge"
 
 
+@pytest.mark.parametrize("cmd, extra", [
+    ("lfun", {"conductor": {"hnf": [[3, 0], [0, 3]]}}),
+    ("zeta", {"ideals": [{"hnf": [[3, 0], [0, 3]]}]}),
+])
+def test_large_s_over_an_ideal_of_norm_9_exit_2(tmp_path, capsys, cmd, extra):
+    # the sums reach 9^s: lfun divided by 9^-s = 0.0 at s = 1000 and zeta
+    # overflowed in 9^s at s = 400 (both exit 1); at s = 200 both keep their
+    # output (tests/test_golden_cli.py)
+    for s in (400, 1000):
+        job = write_job(tmp_path, {"field": Q2, "s": s, **extra})
+        code, out = run(capsys, [cmd, "--job", job])
+        assert code == 2 and out["error"] == "ExponentTooLarge"
+        assert out["detail"].startswith(f"s = {float(s)!r} is too large for an ideal of norm 9")
+
+
 def test_lfun_trivial_matches_zeta(tmp_path, capsys):
     job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-5})
     code, out = run(capsys, ["lfun", "--job", job])
