@@ -66,7 +66,7 @@ class Order:
 
     def power_basis_index(self) -> int:
         """Index [O : Z[theta]] (the order must contain the power order)."""
-        idx = 1 / abs(mat_det(self.basis_matrix) / self.basis_den ** self.field.degree)
+        idx = self.basis_den ** self.field.degree / abs(mat_det(self.basis_matrix))
         if idx.denominator != 1:
             raise NotValidated("order does not contain the power basis")
         return int(idx)
@@ -155,8 +155,8 @@ class FractionalIdeal:
         """(M, d): the columns of M / d are the lattice basis vectors in
         power coordinates."""
         order = self.order
-        return mat_mul(order.basis_matrix, [list(col) for col in zip(*self.hnf)]), \
-            order.basis_den * self.den
+        hnf_cols = [list(col) for col in zip(*self.hnf)]
+        return mat_mul(order.basis_matrix, hnf_cols), order.basis_den * self.den
 
     def norm(self):
         return mat_det(self.hnf) / self.den ** self.order.field.degree
@@ -246,8 +246,8 @@ def ideal_inverse(a: FractionalIdeal) -> FractionalIdeal:
     for g in a.hnf:
         rows += zip(*order.mul_basis(g))       # rows of the matrix of g
     h_inv, m = int_inverse(hnf_rows(rows, n))
-    return FractionalIdeal.from_int_rows(order, [[a.den * x for x in col] for col in zip(*h_inv)],
-                                         m)
+    cols = [[a.den * x for x in col] for col in zip(*h_inv)]
+    return FractionalIdeal.from_int_rows(order, cols, m)
 
 
 # ---- R-set enumeration ----
