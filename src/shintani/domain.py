@@ -18,10 +18,10 @@ import math
 import random
 from fractions import Fraction
 
-from .dyadic import START_PREC, Iv, Ladder, iv_adjugate
+from .dyadic import START_PREC, U, UP, Iv, Ladder, iv_adjugate
 from .errors import DependentUnits, UndecidableSign
 from .exactlinalg import as_fraction, signed_inverse
-from .field import FieldElement, NumberField, _perm_sign, common_denominator, frac_to_str
+from .field import FieldElement, NumberField, _perm_sign, common_denominator
 from .geometry import adaptive_vector, coordinates, field_map, int_map
 
 FLAG_CLOSED = "closed"   # coefficient >= 0; e_n on the generator's side
@@ -102,7 +102,7 @@ class SignedCone:
         return {
             "sigma": [i + 1 for i in self.sigma],
             "w": self.w,
-            "generators": [[frac_to_str(c) for c in g.coeffs] for g in self.generators],
+            "generators": [[str(c) for c in g.coeffs] for g in self.generators],
             "flags": list(self.flags),
         }
 
@@ -139,23 +139,21 @@ def cone_contains(cone: SignedCone, x) -> bool:
 # outside the range go to the ladder, and logs, exponents and the log-lattice
 # data are far below 2^300 for any input that fits in memory (the inverse
 # too: its determinant is n times the regulator of the units, and every
-# regulator exceeds 0.2, Friedman 1989).  No product meets more than
+# regulator exceeds field._REGULATOR_MIN = 1/5, Friedman 1989).  No product meets more than
 # three such factors and one constant >= 2^-53, so it is 0 or lies in
 # [2^-953, 2^900], in the normal range.  A sum below the normal range is exact.
 #
 # Every radius is a sum of products of nonnegative floats.  Evaluated with
 # k < 2^12 roundings its computed value is at least (1 - u)^k times the exact
-# one, so one more product with _UP gives an upper bound:
+# one, so one more product with UP gives an upper bound:
 # (1 - u)^(k+1) (1 + 2^-40) >= (1 - 2^-41)(1 + 2^-40) > 1.
 
-_U = 2.0 ** -53
 _SAFE = 2.0 ** -300
-_UP = 1.0 + 2.0 ** -40
 
 
 def _gamma(k: int) -> float:
     """An upper bound of gamma_k for ku <= 1/2, exact in floats."""
-    return 2 * k * _U
+    return 2 * k * U
 
 
 def _in_range(v) -> bool:
@@ -202,7 +200,7 @@ def _positive_floats(ivs):
         return [1.0] * len(bounds), math.inf
     width = max(math.nextafter(math.nextafter(hi - lo, math.inf) / lo, math.inf)
                 for lo, hi in bounds)
-    return [lo for lo, _ in bounds], float(math.ceil(width / _U))
+    return [lo for lo, _ in bounds], float(math.ceil(width / U))
 
 
 _LOG2 = 0.6931471805599453      # the float nearest log 2: |_LOG2 - log 2| < 2^-54
@@ -253,7 +251,7 @@ def _log_enclosure(iv: Iv) -> tuple[float, float]:
         raise ValueError("log over an interval not certified positive")
     y, rad = _log_float(iv.lo, iv.e)
     y_hi, rad_hi = _log_float(iv.hi, iv.e)
-    return y, _UP * (abs(y_hi - y) + rad + rad_hi)
+    return y, UP * (abs(y_hi - y) + rad + rad_hi)
 
 
 def _lattice_corners(d, target):
@@ -272,14 +270,14 @@ def _lattice_corners(d, target):
             cm += tm * m
             rad += (tr + _gamma(r) * abs(tm)) * abs(m)
             err += (abs(tm) + tr) * mr
-        cr = _UP * (rad + err)
+        cr = UP * (rad + err)
         # one rounding each, so one nextafter step outward encloses the ends
         ranges.append(range(math.ceil(math.nextafter(cm - cr, -math.inf)),
                             math.floor(math.nextafter(cm + cr, math.inf)) + 1))
     # The corner's log image mat a has centre fl(sum_i lm[k][i] a_i) and
     # radius fl(sum_i q[k][i] |a_i|); it meets the target iff the centres
     # differ by at most the sum of the radii; the difference is rounded
-    # once, inside _UP.  Both sums are built one exponent at a time, so the
+    # once, inside UP.  Both sums are built one exponent at a time, so the
     # corners of one prefix share its partial sums.
     cols = d["log_cols"]
     out = []
@@ -293,7 +291,7 @@ def _lattice_corners(d, target):
             return
         for a in ranges[i]:
             for c, m, w, q, (tm, tr) in zip(cen, lm_col, rad, q_col, target):
-                if not abs(c + m * a - tm) <= _UP * (_UP * (w + q * abs(a)) + tr):
+                if not abs(c + m * a - tm) <= UP * (UP * (w + q * abs(a)) + tr):
                     break
             else:
                 out.append(prefix + (a,))
@@ -319,7 +317,7 @@ def _orbit_floats(xf, count, a, top, tables):
             return None
     if not count <= 2.0 ** 40:
         return None
-    return v, 2 * _U * count
+    return v, 2 * U * count
 
 
 class SignedDomain:
@@ -389,7 +387,7 @@ class SignedDomain:
             boxes.setdefault(box, []).append(c)
         lm, lr = _mid_rad_rows(mat)
         im, ir = _mid_rad_rows(inv)
-        q = [[_UP * (rad + _gamma(r) * abs(m)) for m, rad in zip(mrow, rrow)]
+        q = [[UP * (rad + _gamma(r) * abs(m)) for m, rad in zip(mrow, rrow)]
              for mrow, rrow in zip(lm, lr)]
         self._enum = {
             # per column i of mat, its centres lm[k][i] and, per unit of
@@ -420,7 +418,7 @@ class SignedDomain:
         for box, members in d["boxes"]:
             # target = box - log x; the centre is rounded once, so it is off
             # by at most u |bm - ym| <= u (|bm| + |ym|)
-            target = [_tame(bm - ym, _UP * (br + yr + _U * (abs(bm) + abs(ym))))
+            target = [_tame(bm - ym, UP * (br + yr + U * (abs(bm) + abs(ym))))
                       for (bm, br), (ym, yr) in zip(box, logx)]
             cands = _lattice_corners(d, target)
             for c in members:
@@ -517,7 +515,7 @@ class SignedDomain:
                         coord += vj * m
                         rad += vj * cr
                         mag += vj * am
-                    bound = _UP * ((1 + rho) * rad + (rho + gamma_n) * mag)
+                    bound = UP * ((1 + rho) * rad + (rho + gamma_n) * mag)
                     if coord < -bound:
                         verdict = 0
                         break

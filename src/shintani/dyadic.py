@@ -13,6 +13,9 @@ Adaptive precision lives in one place, :class:`Ladder`: it owns the start
 (64 bits), the doubling, the cap, and the error class raised when a
 refinement would have to go past the cap.  Every refinement loop in the
 library iterates a ladder; :func:`adaptive_sign` is its simplest consumer.
+
+The float roundoff model that every float error bound reads lives here
+too: the unit roundoff U, the upward factor UP and :func:`gamma`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,22 @@ from .errors import PrecisionCapExceeded, UndecidableSign
 
 START_PREC = 64
 DEFAULT_PREC_CAP = 4096
+
+# IEEE float64, round to nearest: fl(a op b) = (a op b)(1 + d), |d| <= U
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+# section 2.2).  A bound made of sums and products of nonnegative floats
+# with k < 2^12 roundings comes out at least (1 - U)^k times its exact
+# value, and (1 - U)^(2^12 + 1) UP > 1, so one more product with UP puts it
+# above.
+U = 2.0 ** -53
+UP = 1.0 + 2.0 ** -40
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k U / (1 - k U), for k U < 1: a product of k factors
+    (1 + d)^(+-1), |d| <= U, is 1 + theta with |theta| <= gamma_k (Higham,
+    Lemma 3.1)."""
+    return k * U / (1 - k * U)
 
 
 def _round_down(m: int, e: int, prec: int) -> tuple[int, int]:

@@ -163,6 +163,14 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
 
 
+# Every number field K has regulator R_K > 0.2052 (Friedman, Invent. Math.
+# 97, 1989).  For n - 1 independent units generating V, |det Log eps| =
+# [E : V] R_K >= R_K > 0.2052, E the units modulo torsion; for dependent
+# units det = 0.  So an enclosure of det inside (-1/5, 1/5) proves
+# dependence, and any other enclosure that holds 0 goes to the next rung.
+_REGULATOR_MIN = Fraction(1, 5)
+
+
 class NumberField:
     """Context object: defining polynomial, ordered certified real roots,
     and a working precision cap (at least START_PREC bits) for all adaptive
@@ -374,11 +382,16 @@ class NumberField:
 
     def _positive_conjugates(self, elem: FieldElement, prec: int):
         """Conjugate enclosures certified positive, refining as needed past
-        the requested precision (the element must be totally positive)."""
+        the requested precision: ZeroElement for 0, and NotTotallyPositive
+        as soon as a conjugate is certified negative."""
         for p in Ladder(self.prec_cap, "conjugate positivity", start=prec):
             conj = self.embed_iv(elem, p)
             if all(iv.is_positive() for iv in conj):
                 return conj
+            if elem.is_zero():
+                raise ZeroElement("conjugates of zero are not positive")
+            if any(iv.sign() == -1 for iv in conj):
+                raise NotTotallyPositive(f"{elem!r} is not totally positive")
 
     def unit_logs(self, units, prec: int):
         """Per unit, the log enclosures of all n conjugates: the rows of the
@@ -398,41 +411,21 @@ class NumberField:
         return rows
 
     def signed_regulator_sign(self, units) -> int:
-        """Sign of det(Log eps_1, ..., Log eps_{n-1}); 0 exactly when the
-        units are multiplicatively dependent (confirmed in exact
-        arithmetic), otherwise certified by adaptive precision."""
+        """Sign of det(Log eps_1, ..., Log eps_{n-1}), certified by adaptive
+        precision; 0 exactly when the units are multiplicatively dependent,
+        certified once an enclosure of det lies inside (-_REGULATOR_MIN,
+        _REGULATOR_MIN)."""
         units = [self.element_like(u) for u in units]
         self.check_units(units)
         r = self.degree - 1
         for prec in Ladder(self.prec_cap, "regulator sign"):
             rows = self.unit_logs(units, prec)
-            s = iv_det([[row[j] for row in rows] for j in range(r)]).sign()
+            det = iv_det([[row[j] for row in rows] for j in range(r)])
+            s = det.sign()
             if s is not None:
                 return s
-            if self._dependence_relation(units, rows, prec) is not None:
+            if -_REGULATOR_MIN < det.lo_fraction() and det.hi_fraction() < _REGULATOR_MIN:
                 return 0
-
-    def _dependence_relation(self, units, rows, prec):
-        """Integer-relation candidate among the first unit logs (entry 0 of
-        each row of unit_logs), confirmed exactly by evaluating the
-        corresponding power product in the field."""
-        if len(units) == 1:
-            return (1,) if units[0] == self.one else None
-        import mpmath
-
-        logs = [row[0].mid_fraction() for row in rows]
-        with mpmath.workprec(prec + 16):
-            vals = [mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) for v in logs]
-            try:
-                rel = mpmath.pslq(vals, tol=mpmath.mpf(2) ** (-(prec // 2)), maxcoeff=10 ** 9)
-            except Exception:
-                rel = None
-        if not rel or not any(rel):
-            return None
-        acc = self.one
-        for u, a in zip(units, rel):
-            acc = acc * u ** int(a)
-        return tuple(int(a) for a in rel) if acc == self.one else None
 
     def check_regulator_identity(self, units, tol: float = 1e-10) -> bool:
         """Diagnostic: det(LOG l(eps_i)) must equal n * det(Log eps_i) to
@@ -461,10 +454,6 @@ def _iv_pair(lo: Fraction, hi: Fraction) -> Iv:
 
 
 # ---- spec-level functions ----
-
-def frac_to_str(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
-
 
 def _json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)

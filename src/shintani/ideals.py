@@ -28,10 +28,9 @@ class Order:
     basis, with a declared monogenicity assumption).  NotValidated if the
     basis is not closed under multiplication."""
 
-    def __init__(self, field: NumberField, basis, assumed_maximal: bool):
+    def __init__(self, field: NumberField, basis):
         self.field = field
         self.basis = tuple(basis)
-        self.assumed_maximal = assumed_maximal
         # B = basis_matrix / basis_den, columns the basis elements in power
         # coordinates, and B^-1 = A / m with (A, m) = self.inverse
         self.basis_matrix, self.basis_den = common_denominator(self.basis)
@@ -81,12 +80,12 @@ def integral_basis(field: NumberField, basis=None) -> Order:
         gen_powers = [field.one]
         for _ in range(field.degree - 1):
             gen_powers.append(gen_powers[-1] * field.gen)
-        return Order(field, gen_powers, assumed_maximal=True)
+        return Order(field, gen_powers)
     basis = [field.element_like(b) for b in basis]
     if len(basis) != field.degree:
         raise NotValidated("basis must have n elements")
     try:
-        order = Order(field, basis, assumed_maximal=False)
+        order = Order(field, basis)
     except ZeroDivisionError:
         raise NotValidated("basis is not full rank")
     if not order.contains(field.one):
@@ -95,7 +94,7 @@ def integral_basis(field: NumberField, basis=None) -> Order:
         if not order.contains(b * field.gen):
             raise NotValidated("basis not closed under multiplication by the generator")
     idx = order.power_basis_index()
-    power_disc = Order(field, integral_basis(field).basis, True).discriminant()
+    power_disc = integral_basis(field).discriminant()
     if order.discriminant() * idx * idx != power_disc:
         raise NotValidated("discriminant inconsistent with the basis index")
     return order

@@ -14,9 +14,8 @@ from functools import lru_cache
 from math import ceil, log, sqrt
 from typing import NamedTuple
 
+from ..dyadic import U, UP, gamma
 from .scalar import half_integer_power
-
-_U = 2.0 ** -53
 
 # A degree-2 term is prod_j (z_j + scale (m_0 f_0j + m_1 f_1j))^-s.  For
 # fixed m_1 put a_j = z_j + scale m_1 f_1j, b_j = scale f_0j and r_j =
@@ -87,7 +86,7 @@ _U = 2.0 ** -53
 #    with rounded coefficients at the rounded 1/q is within gamma_{3d+1} P~ of
 #    P at 1/q (d = 2s - 2, P~ the polynomial of the absolute values); with
 #    q^(s-1) (at most S - 1 products and a sqrt), the log (2 ulps, checked
-#    against mpmath in the tests), the constants and two additions, V is
+#    against 40-digit values in the tests), the constants and two additions, V is
 #    within gamma_{3d+S+4} M of V(q), M = q^(s-1) P~ + |c_s| + |l_s| ln q,
 #    computed at run time.  The rounded q is exactly 1 + D'/U with D' within
 #    2.5u of D (as D/U >= 2), and D^(2s-1) takes 2s - 2 products, so the
@@ -144,10 +143,6 @@ _BERNOULLI = (Fraction(1, 12), Fraction(-1, 120), Fraction(1, 252), Fraction(-1,
               Fraction(-3617, 8160), Fraction(43867, 14364))
 
 
-def _gamma(k):
-    return k * _U / (1 - k * _U)
-
-
 @lru_cache(maxsize=None)
 def _em_thresholds(s):
     """U_1 > ... > U_P at s (index 0 unused): where the estimate
@@ -174,19 +169,19 @@ def _em_plan(s):
     rec = [None] + [((2 * m + s2) / (2 * m + 2), (m - 1 + s2) / (m + 1))
                     for m in range(1, 2 * big_p + 1)]
     # relative errors of the c_m
-    eps = [0.0, _gamma(2)]
+    eps = [0.0, gamma(2)]
     for m in range(1, 2 * big_p + 1):
-        e_x = (1 + _gamma(4)) * (1 + eps[m]) - 1
-        e_y = (1 + _gamma(4)) * (1 + eps[m - 1]) - 1
-        eps.append(((2 * e_x + e_y) * (1 + _U) + _U) * (1 + 2.0 ** -40))
-    eta = [(1 + _gamma(2 * m)) * (1 + e) - 1 for m, e in enumerate(eps)]
-    g_rel = _gamma(4 * big_s)
-    sum_rounds = _gamma(big_p)
+        e_x = (1 + gamma(4)) * (1 + eps[m]) - 1
+        e_y = (1 + gamma(4)) * (1 + eps[m - 1]) - 1
+        eps.append(((2 * e_x + e_y) * (1 + U) + U) * UP)
+    eta = [(1 + gamma(2 * m)) * (1 + e) - 1 for m, e in enumerate(eps)]
+    g_rel = gamma(4 * big_s)
+    sum_rounds = gamma(big_p)
     weights = [0.0] + [
-        abs(b[j]) / (1 - _U) / (1 - eta[2 * j - 1]) / (1 - g_rel)
-        * ((1 + _U) ** 2 * (1 + eta[2 * j - 1]) * (1 + sum_rounds) - 1) * (1 + _gamma(2 * big_p))
+        abs(b[j]) / (1 - U) / (1 - eta[2 * j - 1]) / (1 - g_rel)
+        * ((1 + U) ** 2 * (1 + eta[2 * j - 1]) * (1 + sum_rounds) - 1) * (1 + gamma(2 * big_p))
         for j in range(1, big_p + 1)]
-    tails = [0.0] + [abs(b[p + 1]) / ((1 - _U) * (1 - g_rel) * (1 - eta[2 * p + 1]))
+    tails = [0.0] + [abs(b[p + 1]) / ((1 - U) * (1 - g_rel) * (1 - eta[2 * p + 1]))
                      for p in range(1, big_p + 1)]
     e_max = sum(abs(b[j]) * math.comb(s2 + 2 * j - 2, 2 * j - 1) * u_top ** (1 - 2 * j)
                 for j in range(1, big_p + 1))
@@ -196,7 +191,7 @@ def _em_plan(s):
     # the series to its largest x, rounded up: e_k = num / (den (2s + 2k - 1)),
     # C(s+k-1, k) = num / den = prod_{i<k} (2s + 2i) / (2 (i + 1)); the
     # float test of its tail is off by a few roundings, which 2^-55 covers
-    x_max = (theta / (2 + theta)) ** 2 * (1 + 2.0 ** -40)
+    x_max = (theta / (2 + theta)) ** 2 * UP
     num, den, series = 1, 1, []
     while True:
         n_ser = len(series)
@@ -207,8 +202,8 @@ def _em_plan(s):
         if rho * x_max < 1 and tail / (1 - rho * x_max) <= 2.0 ** -56 * series[0]:
             break
     trunc = 2.0 ** -55
-    pert = math.expm1((s2 - 1) * -math.log1p(-(2 + 1.25 * theta) * _U * (1 + 2.0 ** -40)))
-    rho_ser = (1 + _gamma(2 * len(series) + s2 - 2)) * (1 + pert) * (1 + trunc) - 1
+    pert = math.expm1((s2 - 1) * -math.log1p(-(2 + 1.25 * theta) * U * UP))
+    rho_ser = (1 + gamma(2 * len(series) + s2 - 2)) * (1 + pert) * (1 + trunc) - 1
     # the elementary antiderivative
     d = s2 - 2
     poly, c_s, ell = [], Fraction(0), 0
@@ -220,11 +215,11 @@ def _em_plan(s):
         else:
             poly.append(-math.comb(d, j) * (-1) ** j / e)
             c_s += math.comb(d, j) * (-1) ** j / e
-    g_cf = (_gamma(20 * k + 10 * half + big_s - 9) * (1 + _gamma(s2))
-            / (1 - _gamma(3 * d + big_s + 8)))
-    rho_h = (_gamma(2) + g_rel / (1 - g_rel)) / (1 - _gamma(2))
+    g_cf = (gamma(20 * k + 10 * half + big_s - 9) * (1 + gamma(s2))
+            / (1 - gamma(3 * d + big_s + 8)))
+    rho_h = (gamma(2) + g_rel / (1 - g_rel)) / (1 - gamma(2))
     rho_a = max(g_rel / (1 - g_rel), rho_ser / (1 - rho_ser), rho_h)
-    k_sum = _gamma(ceil(u_top) + 1)
+    k_sum = gamma(ceil(u_top) + 1)
     rho_row = (k_sum + rho_a) / (1 - k_sum)
     return _EMPlan(k, half, us, rec, b, weights, tails, theta, series[::-1],
                    [(float(a), abs(float(a))) for a in reversed(poly)],
@@ -259,7 +254,7 @@ def em_sums(zs, gens, s, radius, scale, deltas):
     inv_scale = 1.0 / float(round(scale) ** (2 * k + half))
     out = []
     for z, delta in zip(zs, deltas):
-        lam = -2 * math.log1p(-delta) - 5 * math.log1p(-_U)
+        lam = -2 * math.log1p(-delta) - 5 * math.log1p(-U)
         rows = []
         extra = 0.0
         terms = radius + 1
@@ -336,10 +331,10 @@ def em_sums(zs, gens, s, radius, scale, deltas):
             acc += g * (0.5 + e_sum)
             rows.append(acc)
         total = math.fsum(rows)
-        err = (rho_row * total * (1 + 2 * _U) + extra / (1 - _gamma(radius + 2))
-               + _U * total / (1 - _U) + terms * 2.0 ** -1020)
+        err = (rho_row * total * (1 + 2 * U) + extra / (1 - gamma(radius + 2))
+               + U * total / (1 - U) + terms * 2.0 ** -1020)
         value = total * inv_scale
-        bound = (inv_scale / (1 - _gamma(2)) * (_gamma(2) * total + err
+        bound = (inv_scale / (1 - gamma(2)) * (gamma(2) * total + err
                                           + (total + err) * math.expm1(2 * s * lam))
                  * (1 + 2.0 ** -45))
         out.append((value, bound, terms))

@@ -13,6 +13,8 @@ from itertools import accumulate
 from math import sqrt
 from operator import add
 
+from ..dyadic import gamma
+
 
 def _pairwise(a, lo, n):
     """NumPy's pairwise sum of the n floats a[lo:lo + n]: a plain loop below
@@ -130,7 +132,7 @@ def box_sums(zs, gens, s, radius, scale=1.0):
 #   (h = 1) roundings, both at most S (m + 1) = S (n^2 + 3n), S = ceil(s).
 #   Any other s goes through one np.power, allowed 4 ulps = 8 roundings
 #   (libm's pow is within 1 ulp; the tests check NumPy's SIMD power against
-#   mpmath), so S m + 8 = S (n^2 + 3n - 1) + 8.  A factor in
+#   113-bit values), so S m + 8 = S (n^2 + 3n - 1) + 8.  A factor in
 #   [1/(1+x), 1/(1-x)] raised to s stays within its S-th power, so a term
 #   comes out as t (1 + t')^(-nS) theta, theta a product of that many
 #   roundings.
@@ -149,8 +151,6 @@ def box_sums(zs, gens, s, radius, scale=1.0):
 # overflowing product, an underflowing power) is below 2^-1021 and off by
 # at most that: 2^-1020 per term covers it.
 
-_U = 2.0 ** -53
-
 
 def box_sum_roundoff(value, n, s, radius, delta):
     """Certified bound on |value - V| for value one sum of `box_sums` of n
@@ -162,6 +162,5 @@ def box_sum_roundoff(value, n, s, radius, delta):
     else:
         rounds = big_s * (n * n + 3 * n - 1) + 8
     rounds += 19 + (math.comb(radius + n - 1, n - 1) - 1).bit_length() + 2
-    gamma = rounds * _U / (1 - rounds * _U)
-    rho = math.expm1(math.log1p(gamma) - n * big_s * math.log1p(-delta))
+    rho = math.expm1(math.log1p(gamma(rounds)) - n * big_s * math.log1p(-delta))
     return rho / (1 - rho) * value + math.comb(radius + n, n) * 2.0 ** -1020

@@ -16,6 +16,7 @@ import numbers
 import numpy as np
 
 from . import kernels
+from .dyadic import UP, gamma
 from .errors import InputError, NonMonogenicPrime, TailBoundUnachievable
 from .kernels import ZetaValue
 
@@ -59,7 +60,7 @@ def _segments(cap: int):
 # as for kernels.box_sum_roundoff; "k roundings" is a factor 1 + theta with
 # |theta| <= gamma_k, and such factors compose by adding their k.
 # - libm's pow, log1p, exp and expm1 are within 2 ulps of a normal result
-#   (the tests check the first three against mpmath): 4 roundings each.
+#   (the tests check the first three against 113-bit values): 4 roundings each.
 # - The exponent fl(-d s) is -d s (1 + t), |t| <= u, which multiplies x by
 #   exp(-t d s log p).  For x >= 2^-1021, d s log p <= 1021 log 2 < 708,
 #   so that is 709 roundings, and fl(p ** fl(-d s)) = x' is x with 713.
@@ -75,24 +76,18 @@ def _segments(cap: int):
 #   <= r Z <= r / (1 - r) value, r = expm1(D) (1 + gamma_4) + gamma_4.
 # The bound is a sum, product or quotient of positive floats (1 - r and
 # 1 - rho are near 1), rounded at most 2^12 times since the last product
-# with _UP, whose (1 - u)^(2^12 + 1) (1 + 2^-40) > 1 puts it above its exact
+# with UP, whose (1 - u)^(2^12 + 1) (1 + 2^-40) > 1 puts it above its exact
 # value; expm1 is monotone, so its argument is rounded up first.
-
-_U = 2.0 ** -53
-_UP = 1.0 + 2.0 ** -40
 
 
 def euler_product_roundoff(log_val: float, terms: int, n: int) -> float:
     """Certified bound on |math.exp(log_val) - Z|, log_val being the
     oracle's running sum of at most `terms` local-factor terms of a degree-n
     field and Z the exact product over the same primes (see above)."""
-    def gamma(k):
-        return k * _U / (1 - k * _U)
-
     rho = gamma(1432 + terms)
-    d = _UP * (rho / (1 - rho) * log_val + terms * n * 2.0 ** -1019)
-    r = _UP * (math.expm1(d) * (1 + gamma(4)) + gamma(4))
-    return _UP * (r / (1 - r) * math.exp(log_val))
+    d = UP * (rho / (1 - rho) * log_val + terms * n * 2.0 ** -1019)
+    r = UP * (math.expm1(d) * (1 + gamma(4)) + gamma(4))
+    return UP * (r / (1 - r) * math.exp(log_val))
 
 
 def euler_product_oracle(s: float, field, prime_cap: int, order=None) -> ZetaValue:
@@ -139,11 +134,11 @@ def euler_product_oracle(s: float, field, prime_cap: int, order=None) -> ZetaVal
     # fewer than 2^12 in all); a power below 2^-1021 leaves a tail below
     # n 2^-1018.
     P = float(prime_cap)
-    head = _UP * (_PI_BOUND_C * s / ((s - 1) * math.log(P)) * P ** (1 - s))
-    sum_bound = max(head - prime_count * P ** (-s) / _UP, 0.0)
-    log_tail = _UP * (n * sum_bound / (1 - 2.0 ** (-s)) + n * 2.0 ** -1018)
+    head = UP * (_PI_BOUND_C * s / ((s - 1) * math.log(P)) * P ** (1 - s))
+    sum_bound = max(head - prime_count * P ** (-s) / UP, 0.0)
+    log_tail = UP * (n * sum_bound / (1 - 2.0 ** (-s)) + n * 2.0 ** -1018)
     # expm1 overflows past 709.78
-    bound = _UP * ((value + roundoff) * math.expm1(min(log_tail, 709.0)) + roundoff)
+    bound = UP * ((value + roundoff) * math.expm1(min(log_tail, 709.0)) + roundoff)
     if log_tail > 709.0 or bound == math.inf:
         raise TailBoundUnachievable(f"the tail bound of the Euler product at s = {s} "
                                     f"with prime cap {prime_cap} exceeds the float range")

@@ -71,7 +71,7 @@ import threading
 from dataclasses import dataclass
 
 from . import kernels
-from .dyadic import Ladder
+from .dyadic import Ladder, gamma
 from .domain import SignedDomain, build_signed_domain
 from .errors import (
     ClassResolutionMissing,
@@ -196,8 +196,6 @@ _FACE_TOL = 2.0 ** -6
 # thread pool's blocks share
 _FACE_LOCK = threading.Lock()
 
-_U = 2.0 ** -53
-
 
 @functools.lru_cache(maxsize=None)
 def _bisection_rules(k: int):
@@ -280,8 +278,7 @@ def _face_integral(rows, s: float, delta: float, splits: int) -> float:
     big_s = math.ceil(s)
     depth = max(c[2] for c in cells)
     rounds = n * big_s * depth + big_s * (n - 1) + 8 + k + 5
-    gamma = rounds * _U / (1 - rounds * _U)
-    rho = math.expm1(math.log1p(gamma) + n * big_s * math.log1p(delta))
+    rho = math.expm1(math.log1p(gamma(rounds)) + n * big_s * math.log1p(delta))
     bound = math.fsum(ldexp(sum([v[1] for v in c[3]]) / k, -c[2]) for c in cells)
     return bound / math.factorial(k - 1) * (1 + rho)
 
@@ -396,14 +393,13 @@ def _embed_floats(field: NumberField, elems):
 
 
 def _zeta_block(s: float, cone, points, level: tuple[int, float],
-                scale: int = 1, box_sums=None) -> list[ZetaValue]:
-    """shintani_zeta(s, z, cone, params, scale) for every z of points, at
-    the level (L, tail) that `_cone_level` gives params.target_error, by one
-    call of `kernels.em.em_sums` where `_em_wins`, else of box_sums (by
-    default the evaluator `_box_sums` picks for the block's terms): each
-    value, radius and bound is bit for bit that of the single-point sum,
-    whose float inputs have relative error max(delta_z, delta of the
-    generators), rounded up."""
+                scale: int, box_sums) -> list[ZetaValue]:
+    """The Shintani sum of every z of points at the level (L, tail) that
+    `_cone_level` gives the target, by one call of `kernels.em.em_sums`
+    where `_em_wins`, else of the evaluator box_sums: each value, radius
+    and bound is bit for bit that of the single-point sum, whose float
+    inputs have relative error max(delta_z, delta of the generators),
+    rounded up."""
     field = cone.field
     n = field.degree
     radius, tail = level
@@ -417,7 +413,6 @@ def _zeta_block(s: float, cone, points, level: tuple[int, float],
                 for value, bound, terms in em_sums(
                     floats[:k], floats[k:], s, radius, float(scale), deltas)]
     terms = math.comb(radius + n, n)
-    box_sums = box_sums or _box_sums(s, len(points) * terms)
     values = box_sums(floats[:k], floats[k:], s, radius, float(scale))
     return [ZetaValue(value, tail + kernels.box_sum_roundoff(value, n, s, radius, d),
                       terms, radius)
@@ -468,8 +463,7 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
     _require_s(s, cone.field.degree)
     if not cone.field.is_totally_positive(z):
         raise NotTotallyPositive("shift must be strictly positive at all embeddings")
-    return _zeta_block(s, cone, [z], _cone_level(cone, s, scale, params.target_error),
-                       scale)[0]
+    return _sum_jobs(s, [(cone, z, params.target_error, 1, 1)], scale, params)
 
 
 @dataclass
@@ -528,9 +522,9 @@ _BLOCK = 2 ** 12
 
 def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     """Sum of weight * zeta and of bound_weight * its error bound over the
-    jobs (cone, z, target, weight, bound_weight), zeta being
-    shintani_zeta(s, z, cone, target, scale) bit for bit; a job of None is
-    not evaluated and adds (0j, 0.0).
+    jobs (cone, z, target, weight, bound_weight), zeta being the Shintani
+    sum of z over the cone at that target and scale; a job of None is not
+    evaluated and adds (0j, 0.0).  `shintani_zeta` is the sum of one job.
 
     The jobs are grouped by cone and target, so a group has one radius L,
     and each group is cut into blocks of at most _BLOCK // N points, which

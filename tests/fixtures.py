@@ -11,9 +11,10 @@ positive units (any finite index works for the net count).
 
 import copy
 from fractions import Fraction
+from functools import partial
 
 from shintani.exactlinalg import mat_det
-from shintani.field import NumberField, frac_to_str
+from shintani.field import NumberField
 
 F12 = Fraction(1, 2)
 
@@ -128,6 +129,32 @@ INVERTED_UNITS = {
 }
 
 
+def _power_products(make, exponents):
+    """make()'s field with one unit prod_i eps_i^a_i per exponent row a."""
+    fld, units = make()
+    out = []
+    for row in exponents:
+        acc = fld.one
+        for u, a in zip(units, row):
+            acc = acc * u ** a
+        out.append(acc)
+    return fld, out
+
+
+# Unit sets of the right size whose exponent rows are linearly dependent,
+# so the units are multiplicatively dependent and det Log eps = 0.
+DEPENDENT_UNITS = {
+    "q_sqrt2-one": partial(_power_products, q_sqrt2, [[0]]),
+    "cubic_81-e1-e1": partial(_power_products, cubic_81, [[1, 0], [1, 0]]),
+    "cubic_81-e1-e1^2": partial(_power_products, cubic_81, [[1, 0], [2, 0]]),
+    "cubic_81-e1-e1^5": partial(_power_products, cubic_81, [[1, 0], [5, 0]]),
+    "cubic_81-e1^40-e1^-37": partial(_power_products, cubic_81, [[40, 0], [-37, 0]]),
+    "cubic_81-e1e2-(e1e2)^-3": partial(_power_products, cubic_81, [[1, 1], [-3, -3]]),
+    "quartic_725-e1^3e2^-2": partial(_power_products, quartic_725,
+                                     [[1, 0, 0], [0, 1, 0], [3, -2, 0]]),
+}
+
+
 # Totally real squarefree polynomials that are reducible: x^2 - 1, x^3 - x,
 # (x^2 - 2)(x^2 - 3), (x^3 - 3x - 1)(x^3 - x^2 - 3x + 1) and
 # (x^2 - 2)(x^3 - 3x - 1), the last three without a rational root.
@@ -166,7 +193,7 @@ def with_embedding_order(fld, order):
 def field_to_json(fld, units):
     """The "field" object of a job file."""
     return {"poly": [int(c) for c in fld.poly],
-            "units": [[frac_to_str(c) for c in u.coeffs] for u in units]}
+            "units": [[str(c) for c in u.coeffs] for u in units]}
 
 
 def parallelepiped_index(cone, lattice):

@@ -46,8 +46,8 @@ class Mutant:
 MUTANTS = (
     Mutant("M2: float membership bound without the data radius",
            "src/shintani/domain.py",
-           "bound = _UP * ((1 + rho) * rad + (rho + gamma_n) * mag)",
-           "bound = _UP * ((rho + gamma_n) * mag)",
+           "bound = UP * ((1 + rho) * rad + (rho + gamma_n) * mag)",
+           "bound = UP * ((rho + gamma_n) * mag)",
            SURVIVES),
     Mutant("M3: exponent box without the dot product's gamma_r",
            "src/shintani/domain.py",
@@ -78,6 +78,11 @@ MUTANTS = (
            "return c > 0 or (c == 0 and flag == FLAG_OPEN)",
            ("tests/test_geometry.py::test_boundary_vector_decisions",
             "tests/test_domain.py::test_negated_points_are_outside_on_every_route")),
+    Mutant("regulator bound: raised to 1",
+           "src/shintani/field.py",
+           "_REGULATOR_MIN = Fraction(1, 5)",
+           "_REGULATOR_MIN = Fraction(1, 1)",
+           ("tests/test_field.py::test_regulator_sign_of_every_fixture",)),
     Mutant("field element: no gcd normalisation",
            "src/shintani/field.py",
            "    g = math.gcd(den, *num)\n",

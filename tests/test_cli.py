@@ -10,7 +10,7 @@ import shintani
 from shintani import zeta
 from shintani.cli import main
 
-from fixtures import REDUCIBLE
+from fixtures import DEPENDENT_UNITS, REDUCIBLE, field_to_json
 
 
 def write_job(tmp_path, obj, name="job.json"):
@@ -92,6 +92,13 @@ def test_not_a_unit_exit_2(tmp_path, capsys):
     job = write_job(tmp_path, {"field": {"poly": [-2, 0, 1], "units": [["2", "0"]]}})
     code, out = run(capsys, ["verify", "--job", job])
     assert code == 2 and out["error"] == "NotAUnit"
+
+
+@pytest.mark.parametrize("name", DEPENDENT_UNITS)
+def test_cones_on_dependent_units_exit_2(tmp_path, capsys, name):
+    job = write_job(tmp_path, {"field": field_to_json(*DEPENDENT_UNITS[name]())})
+    code, out = run(capsys, ["cones", "--job", job])
+    assert code == 2 and out["error"] == "DependentUnits"
 
 
 @pytest.mark.parametrize("cmd, extra, error", [

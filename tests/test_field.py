@@ -10,17 +10,20 @@ from shintani.errors import (
     InputError,
     NotIrreducible,
     NotSquarefree,
+    NotTotallyPositive,
     NotTotallyReal,
     PrecisionCapExceeded,
     ZeroElement,
 )
-from shintani.dyadic import START_PREC, Iv
+from shintani import field
+from shintani.dyadic import START_PREC, Iv, iv_det
 from shintani.exactlinalg import charpoly, mat_det
 from shintani.field import FieldElement, NumberField, field_from_json
 
 from crosscheck import fraction_solve
 from fixtures import (
     ALL_NET_COUNT,
+    DEPENDENT_UNITS,
     REDUCIBLE,
     cubic_signed_witness,
     field_to_json,
@@ -105,9 +108,9 @@ def test_embed_unit(q2):
 
 def test_embed_precision_cap():
     # the log rows climb the ladder until the conjugates are certified
-    # positive; for -1 that never happens, and the ladder stops at the cap
+    # positive; -1 is certified negative at the first rung and stops there
     f = NumberField([-2, 0, 1], prec_cap=128)
-    with pytest.raises(PrecisionCapExceeded):
+    with pytest.raises(NotTotallyPositive):
         f.unit_logs([-f.one], START_PREC)
 
 
@@ -185,7 +188,7 @@ def test_log_vector_value(q2):
 
 def test_log_vector_requires_positive(q2):
     # sqrt2 has a negative conjugate, so its log row is never formed
-    with pytest.raises(PrecisionCapExceeded):
+    with pytest.raises(NotTotallyPositive):
         q2.unit_logs([q2.gen], START_PREC)
 
 
@@ -201,13 +204,6 @@ def test_signed_regulator_sign(q2):
     eps = q2.element([3, 2])
     assert q2.signed_regulator_sign([eps]) == -1
     assert q2.signed_regulator_sign([eps.inverse()]) == 1
-
-
-def test_signed_regulator_dependent(cubic):
-    eta1 = cubic.element([1, 2, 1])
-    assert cubic.signed_regulator_sign([eta1, eta1]) == 0
-    # eta1^2 * eta1^-2 = 1 style dependence
-    assert cubic.signed_regulator_sign([eta1, eta1 ** 2]) == 0
 
 
 def test_signed_regulator_antisymmetry(cubic):
@@ -488,3 +484,50 @@ def test_unit_products_build_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert prod.den == quot.den == 1 and fld.is_unit(prod) and fld.is_unit(quot)
+
+
+# ---- the regulator's lower bound decides dependence ----
+#
+# Independent units have |det Log eps| = [E : V] R_K > 0.2052 (Friedman), so
+# an enclosure of det inside (-1/5, 1/5) proves dependence; no fixture's
+# determinant comes near 1/5, and none needs a second rung.
+
+REGULATOR_SIGNS = {"q_sqrt2": -1, "q_sqrt3": -1, "q_sqrt5": -1, "cubic_81": 1,
+                   "cubic_148": -1, "quartic_725": -1, "cubic_signed_witness": -1,
+                   "q_zeta11_plus": 1, "q_zeta13_plus": 1, "q_zeta17_plus": -1}
+
+
+def _count_dets(monkeypatch):
+    """The determinants that signed_regulator_sign forms, one per rung."""
+    dets = []
+    monkeypatch.setattr(field, "iv_det", lambda rows: dets.append(iv_det(rows)) or dets[-1])
+    return dets
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_regulator_sign_of_every_fixture(name, monkeypatch):
+    # q_sqrt5's |det| is 0.962, the smallest: a bound of 1 would call its
+    # unit dependent
+    fld, units = FIELD_FIXTURES[name]()
+    dets = _count_dets(monkeypatch)
+    assert fld.signed_regulator_sign(units) == REGULATOR_SIGNS[name]
+    assert len(dets) == 1
+    lo, hi = dets[0].lo_fraction(), dets[0].hi_fraction()
+    assert lo > field._REGULATOR_MIN or hi < -field._REGULATOR_MIN
+
+
+@pytest.mark.parametrize("name", DEPENDENT_UNITS)
+def test_dependent_units_give_sign_zero_at_the_first_rung(name, monkeypatch):
+    fld, units = DEPENDENT_UNITS[name]()
+    dets = _count_dets(monkeypatch)
+    assert fld.signed_regulator_sign(units) == 0
+    assert len(dets) == 1
+
+
+def test_regulator_sign_refines_an_enclosure_that_straddles_the_bound(monkeypatch):
+    # a determinant enclosure that holds 0 but reaches past 1/5 decides
+    # nothing: the ladder goes on to the next rung
+    fld, units = FIELD_FIXTURES["q_sqrt2"]()
+    wide = iter([Iv.bounds(Fraction(-1, 4), Fraction(1, 100), START_PREC)])
+    monkeypatch.setattr(field, "iv_det", lambda rows: next(wide, None) or iv_det(rows))
+    assert fld.signed_regulator_sign(units) == -1

@@ -42,7 +42,6 @@ def ok2():
 def test_integral_basis_power(ok2):
     fld, _, order = ok2
     assert [b.coeffs for b in order.basis] == [(1, 0), (0, 1)]
-    assert order.assumed_maximal
     assert order.discriminant() == 8
 
 

@@ -3,6 +3,7 @@
 Every check runs in a fresh interpreter, because this process has long
 since imported everything."""
 
+import ast
 import json
 import os
 import re
@@ -64,6 +65,42 @@ def test_verify_loads_nothing_heavy(tmp_path, threads, name):
     job.write_text(json.dumps({"field": fixtures.field_to_json(*FIELDS[name]()),
                                "samples": 4}))
     assert loaded_after(cli("verify", job, "--threads", threads)) == []
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.DEPENDENT_UNITS))
+@pytest.mark.parametrize("command, code", [("cones", 2), ("regcheck", 0)])
+def test_dependent_units_load_no_mpmath(tmp_path, command, code, name):
+    # the regulator's lower bound decides dependence, with no search
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(
+        {"field": fixtures.field_to_json(*fixtures.DEPENDENT_UNITS[name]())}))
+    argv = [command, "--job", str(job)]
+    out = fresh("import contextlib, io, sys\n"
+                "from shintani.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main({argv!r})\n"
+                "print(code, 'mpmath' in sys.modules)")
+    assert out.split() == [str(code), "False"]
+
+
+def _imported_packages(tree):
+    """The top-level package of every absolute import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_mpmath():
+    # mpmath is a test dependency: the package needs NumPy alone
+    assert "mpmath" in _imported_packages(ast.parse("def f():\n    from mpmath import pslq\n"))
+    found = [str(path.relative_to(SRC)) for path in sorted((SRC / "shintani").rglob("*.py"))
+             if "mpmath" in _imported_packages(ast.parse(path.read_text()))]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_import_kernels_loads_no_numpy():

@@ -30,7 +30,7 @@ from shintani.ideals import (
     ideal_add,
     smallest_positive_rational_integer,
 )
-from shintani.kernels import box_sum, em, reference
+from shintani.kernels import box_sum, em, reference, scalar
 from shintani.zeta import (
     CharacterTable,
     ZetaParams,
@@ -207,9 +207,9 @@ def test_shintani_zeta_rejects_bad_inputs(dom2):
     # the block path certifies positivity from its float enclosures
     level = zeta._cone_level(cone, 2.0, 1, 1e-6)
     with pytest.raises(NotTotallyPositive):
-        zeta._zeta_block(2.0, cone, [fld.one, fld.gen], level)
+        zeta._zeta_block(2.0, cone, [fld.one, fld.gen], level, 1, scalar.box_sums)
     with pytest.raises(ZeroElement):
-        zeta._zeta_block(2.0, cone, [fld.zero], level)
+        zeta._zeta_block(2.0, cone, [fld.zero], level, 1, scalar.box_sums)
 
 
 def test_quadratic_zeta_pair_matches_oracle(dom2):
@@ -468,7 +468,7 @@ def test_dedekind_zeta_closed_form(name):
     assert lv.value.imag == 0
 
 
-def _fake_block(s, cone, points, level, scale=1, box_sums=None):
+def _fake_block(s, cone, points, level, scale, box_sums):
     # reports the tail of its level as each point's error bound
     return [ZetaValue(1.0, level[1], 1, level[0])] * len(points)
 
