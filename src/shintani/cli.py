@@ -18,7 +18,6 @@ from .errors import (
     InputError,
     PrecisionError,
     SchemaError,
-    ShintaniError,
 )
 from .field import NumberField, _json_int, field_from_json
 
@@ -267,9 +266,6 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 3
-    except ShintaniError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 2
     except ValueError as exc:
         _emit({"error": "ValueError", "detail": str(exc)})
         return 2

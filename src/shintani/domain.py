@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .dyadic import START_PREC, U, UP, Iv, Ladder, iv_adjugate
-from .errors import DependentUnits, UndecidableSign
+from .errors import DependentUnits, NotTotallyPositive, UndecidableSign
 from .exactlinalg import as_fraction, signed_inverse
 from .field import FieldElement, NumberField, _perm_sign, common_denominator
 from .geometry import adaptive_vector, coordinates, field_map, int_map
@@ -403,7 +403,9 @@ class SignedDomain:
         """Per cone, the list of every exponent vector a (a tuple of ints)
         for which eps^a * x can lie in the closed cone (a certified
         superset), in increasing lexicographic order.  Cones with the same
-        log-range box share one enumeration and one list."""
+        log-range box share one enumeration and one list.  x must be
+        totally positive (NotTotallyPositive otherwise): a field element by
+        its certified conjugates, a coordinate vector entry by entry."""
         field = self.field
         r = field.degree - 1
         if isinstance(x, FieldElement):
@@ -411,6 +413,8 @@ class SignedDomain:
             ratios = [conj[k].div(conj[-1], START_PREC) for k in range(r)]
         else:
             seq = list(map(as_fraction, x))
+            if any(c <= 0 for c in seq):
+                raise NotTotallyPositive(f"{list(x)!r} has a coordinate <= 0")
             ratios = [Iv.from_fraction(c / seq[-1], START_PREC) for c in seq[:-1]]
         logx = [_tame(*_log_enclosure(v)) for v in ratios]
         d = self._enum_data()

@@ -12,7 +12,7 @@ cofactor expansion computes each minor once (:func:`iv_adjugate`).
 Adaptive precision lives in one place, :class:`Ladder`: it owns the start
 (64 bits), the doubling, the cap, and the error class raised when a
 refinement would have to go past the cap.  Every refinement loop in the
-library iterates a ladder; :func:`adaptive_sign` is its simplest consumer.
+library iterates a ladder.
 
 The float roundoff model that every float error bound reads lives here
 too: the unit roundoff U, the upward factor UP and :func:`gamma`.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Callable
 
 from .errors import PrecisionCapExceeded, UndecidableSign
 
@@ -357,20 +356,3 @@ class Ladder:
                 cls = UndecidableSign if self.zero_possible else PrecisionCapExceeded
                 raise cls(f"{self.what}: not certified at {self.cap} bits")
             prec = min(2 * prec, self.cap)
-
-
-def adaptive_sign(
-    evaluate: Callable[[int], Iv],
-    cap: int = DEFAULT_PREC_CAP,
-    zero_possible: bool = False,
-    what: str = "sign",
-) -> int:
-    """Certify the sign of a quantity given an interval evaluator.
-
-    ``evaluate(prec)`` must return an enclosure that (weakly) shrinks as prec
-    grows; the precisions and the error at the cap are the ladder's.
-    """
-    for prec in Ladder(cap, what, zero_possible):
-        s = evaluate(prec).sign()
-        if s is not None:
-            return s

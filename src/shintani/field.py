@@ -28,7 +28,6 @@ from .dyadic import (
     START_PREC,
     Iv,
     Ladder,
-    adaptive_sign,
     iv_det,
     log_iv,
 )
@@ -342,19 +341,30 @@ class NumberField:
         self._embed_cache[key] = tuple(out)
         return out
 
-    def conjugate_signs(self, elem: FieldElement):
-        """Certified sign of every conjugate; a nonzero element of a field
-        has no zero conjugate, so each sign is found on the ladder."""
-        if elem.is_zero():
-            raise ZeroElement("sign of the zero element")
-        return [adaptive_sign(lambda p, j=j: self.embed_iv(elem, p)[j],
-                              cap=self.prec_cap, what=f"conjugate {j}")
-                for j in range(self.degree)]
+    def _positive_conjugates(self, elem: FieldElement, prec: int):
+        """Conjugate enclosures certified positive, refining as needed past
+        the requested precision: ZeroElement for 0, and NotTotallyPositive
+        as soon as a conjugate is certified negative.  The library's one
+        certificate of total positivity."""
+        for p in Ladder(self.prec_cap, "conjugate positivity", start=prec):
+            conj = self.embed_iv(elem, p)
+            if all(iv.is_positive() for iv in conj):
+                return conj
+            if elem.is_zero():
+                raise ZeroElement("conjugates of zero are not positive")
+            if any(iv.sign() == -1 for iv in conj):
+                raise NotTotallyPositive(f"{elem!r} is not totally positive")
 
     # ---- predicates ----
 
     def is_totally_positive(self, elem: FieldElement) -> bool:
-        return all(s > 0 for s in self.conjugate_signs(elem))
+        """Whether every conjugate is positive, decided on the one ladder
+        of :meth:`_positive_conjugates` (ZeroElement for 0)."""
+        try:
+            self._positive_conjugates(elem, START_PREC)
+        except NotTotallyPositive:
+            return False
+        return True
 
     def is_unit(self, elem: FieldElement) -> bool:
         """Algebraic-integer unit test via the exact characteristic
@@ -379,19 +389,6 @@ class NumberField:
                 raise NotTotallyPositive(f"{u!r} is not totally positive")
 
     # ---- logs and the regulator ----
-
-    def _positive_conjugates(self, elem: FieldElement, prec: int):
-        """Conjugate enclosures certified positive, refining as needed past
-        the requested precision: ZeroElement for 0, and NotTotallyPositive
-        as soon as a conjugate is certified negative."""
-        for p in Ladder(self.prec_cap, "conjugate positivity", start=prec):
-            conj = self.embed_iv(elem, p)
-            if all(iv.is_positive() for iv in conj):
-                return conj
-            if elem.is_zero():
-                raise ZeroElement("conjugates of zero are not positive")
-            if any(iv.sign() == -1 for iv in conj):
-                raise NotTotallyPositive(f"{elem!r} is not totally positive")
 
     def unit_logs(self, units, prec: int):
         """Per unit, the log enclosures of all n conjugates: the rows of the
@@ -430,9 +427,12 @@ class NumberField:
     def check_regulator_identity(self, units, tol: float = 1e-10) -> bool:
         """Diagnostic: det(LOG l(eps_i)) must equal n * det(Log eps_i) to
         within tol, decided once the enclosure of the difference is narrower
-        than tol/10 (PrecisionCapExceeded if the cap comes first)."""
+        than tol/10 (PrecisionCapExceeded if the cap comes first).  The
+        units must meet the regulator's contract: DependentUnits when the
+        regulator sign is 0."""
         units = [self.element_like(u) for u in units]
-        self.check_units(units)
+        if self.signed_regulator_sign(units) == 0:
+            raise DependentUnits("units are multiplicatively dependent")
         n = self.degree
         r = n - 1
         for prec in Ladder(self.prec_cap, f"regulator identity at tolerance {tol}"):

@@ -78,10 +78,8 @@ from .errors import (
     ExponentTooLarge,
     InvalidCharacter,
     NonIntegralIdeal,
-    NotTotallyPositive,
     TailBoundUnachievable,
     UnitOutsideOrder,
-    ZeroElement,
 )
 from .field import FieldElement, NumberField
 from .ideals import (
@@ -373,17 +371,13 @@ def _embed_floats(field: NumberField, elems):
     """Float conjugates of totally positive elements, the midpoints of outward
     floats 0 < lo <= x <= hi, and per element its relative error
     max (hi - lo) / lo, exact but for the division (Sterbenz); each climbs
-    to <= 2^-50.  The enclosures certify the positivity: 0 raises
-    ZeroElement, and an enclosure at or below 0 (hi <= 0) NotTotallyPositive."""
+    to <= 2^-50.  Every rung reads the certified positive conjugates of
+    `NumberField._positive_conjugates`, so 0 raises ZeroElement and an
+    element with a negative conjugate NotTotallyPositive."""
     floats, deltas = [], []
     for elem in elems:
-        if elem.is_zero():
-            raise ZeroElement("a shift must be nonzero")
         for prec in Ladder(field.prec_cap, "float conjugates"):
-            rows = [iv.float_bounds() for iv in field.embed_iv(elem, prec)]
-            if any(hi <= 0 for _lo, hi in rows):
-                raise NotTotallyPositive(
-                    "shift must be strictly positive at all embeddings")
+            rows = [iv.float_bounds() for iv in field._positive_conjugates(elem, prec)]
             d = max((hi - lo) / lo if lo > 0 else math.inf for lo, hi in rows)
             if d <= 2.0 ** -50:
                 break
@@ -461,8 +455,6 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
     `_em_wins`, over m_1 <= L and every m_0 instead (see the module
     docstring)."""
     _require_s(s, cone.field.degree)
-    if not cone.field.is_totally_positive(z):
-        raise NotTotallyPositive("shift must be strictly positive at all embeddings")
     return _sum_jobs(s, [(cone, z, params.target_error, 1, 1)], scale, params)
 
 

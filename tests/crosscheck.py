@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 
 from shintani.domain import FLAG_CLOSED
-from shintani.dyadic import DEFAULT_PREC_CAP, Iv, Ladder, adaptive_sign, iv_det
+from shintani.dyadic import DEFAULT_PREC_CAP, Iv, Ladder, iv_det
 from shintani.errors import InputError
 from shintani.exactlinalg import as_fraction, mat_det
 from shintani.field import FieldElement
@@ -77,6 +77,15 @@ def project_ell(x):
     return fn
 
 
+def _ladder_sign(evaluate, cap: int, what: str) -> int:
+    """The certified sign of the enclosures evaluate(prec) on the dyadic
+    ladder; UndecidableSign at the cap, as the quantity may be exactly 0."""
+    for prec in Ladder(cap, what, zero_possible=True):
+        s = evaluate(prec).sign()
+        if s is not None:
+            return s
+
+
 def _lift(vertices, one):
     """The rows of the lifted matrix, whose columns are (vertex, 1)."""
     return [list(row) for row in zip(*vertices)] + [[one] * len(vertices)]
@@ -97,8 +106,7 @@ class Simplex:
         else:
             verts = list(map(adaptive_vector, vertices))
             rows_at = lambda prec: _lift([v(prec) for v in verts], Iv.ONE)
-            sign = adaptive_sign(lambda prec: iv_det(rows_at(prec)), cap, True,
-                                 "simplex determinant")
+            sign = _ladder_sign(lambda prec: iv_det(rows_at(prec)), cap, "simplex determinant")
             self.map = CramerMap(rows_at, sign)
             n = len(verts)
             self.identity = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -154,8 +162,8 @@ def cone_contains_via_simplex(cone, x) -> bool:
     strictly positive."""
     field = cone.field
     if isinstance(x, FieldElement):
-        last = adaptive_sign(lambda prec: field.embed_iv(x, prec)[-1], field.prec_cap,
-                             True, "last coordinate")
+        last = _ladder_sign(lambda prec: field.embed_iv(x, prec)[-1], field.prec_cap,
+                            "last coordinate")
     else:
         last = as_fraction(x[-1])
     if last <= 0:

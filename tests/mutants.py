@@ -83,6 +83,17 @@ MUTANTS = (
            "_REGULATOR_MIN = Fraction(1, 5)",
            "_REGULATOR_MIN = Fraction(1, 1)",
            ("tests/test_field.py::test_regulator_sign_of_every_fixture",)),
+    Mutant("total positivity: no exit at a conjugate certified negative",
+           "src/shintani/field.py",
+           "if any(iv.sign() == -1 for iv in conj):",
+           "if False:",
+           ("tests/test_field.py::test_log_vector_requires_positive",
+            "tests/test_field.py::test_is_totally_positive")),
+    Mutant("total positivity: coordinate vectors not checked",
+           "src/shintani/domain.py",
+           "if any(c <= 0 for c in seq):",
+           "if False:",
+           ("tests/test_domain.py::test_orbit_net_count_rejects_a_vector_not_totally_positive",)),
     Mutant("field element: no gcd normalisation",
            "src/shintani/field.py",
            "    g = math.gcd(den, *num)\n",

@@ -101,6 +101,27 @@ def test_cones_on_dependent_units_exit_2(tmp_path, capsys, name):
     assert code == 2 and out["error"] == "DependentUnits"
 
 
+@pytest.mark.parametrize("name", DEPENDENT_UNITS)
+def test_regcheck_on_dependent_units_exit_2(tmp_path, capsys, name):
+    # det(LOG l(eps)) = n det(Log eps) holds as 0 = n 0, so the identity
+    # alone would pass: the regulator sign rejects the units first
+    job = write_job(tmp_path, {"field": field_to_json(*DEPENDENT_UNITS[name]())})
+    code, out = run(capsys, ["regcheck", "--job", job])
+    assert code == 2 and out["error"] == "DependentUnits"
+
+
+def test_every_error_class_has_an_exit_code():
+    # main maps InputError to exit 2 and PrecisionError to exit 3 and has
+    # no branch for any other ShintaniError, so every class must be one
+    from shintani import errors
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.ShintaniError)]
+    assert len(classes) > 20
+    loose = [c.__name__ for c in classes if c is not errors.ShintaniError
+             and not issubclass(c, (errors.InputError, errors.PrecisionError))]
+    assert loose == []
+
+
 @pytest.mark.parametrize("cmd, extra, error", [
     ("cones", {"field": {"poly": [-2, 0, 2], "units": [["3", "2"]]}}, "NotMonic"),
     ("cones", {"field": {"poly": [-2, 0, 1], "units": [["3", "2", "1"]]}}, "SchemaError"),

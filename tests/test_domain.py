@@ -201,6 +201,15 @@ def test_orbit_net_count_unit_point():
     assert hits == [((0,), (0,))]
 
 
+@pytest.mark.parametrize("x", [[-1, 2], [0, 1], [1.0, -2.0]])
+def test_orbit_net_count_rejects_a_vector_not_totally_positive(x):
+    # a coordinate vector is checked entry by entry where it comes in
+    fld, units = q_sqrt2()
+    dom = build_signed_domain(units, fld)
+    with pytest.raises(NotTotallyPositive):
+        orbit_net_count(dom, x)
+
+
 def test_orbit_net_count_random_and_orbit_invariance():
     fld, units = cubic_81()
     dom = build_signed_domain(units, fld)

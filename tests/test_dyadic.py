@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani import dyadic
-from shintani.dyadic import Iv, Ladder, adaptive_sign, iv_adjugate, iv_det, log2_iv, log_iv
+from shintani.dyadic import Iv, Ladder, iv_adjugate, iv_det, log2_iv, log_iv
 from shintani.errors import PrecisionCapExceeded, UndecidableSign
 from shintani.exactlinalg import mat_det
 from shintani.geometry import field_map
@@ -326,27 +326,6 @@ def test_minor_table_holds_at_most_n_2_to_the_n_minors(n, monkeypatch):
     rng = random.Random(n)
     rows = [[_int(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
     assert _table_size(rows, monkeypatch) <= n << n
-
-
-def test_adaptive_sign_refines():
-    calls = []
-
-    def ev(prec):
-        calls.append(prec)
-        if prec < 256:
-            return Iv(-1, -1, 1, -1)
-        return Iv(1, -60, 1, -50)
-
-    assert adaptive_sign(ev, cap=1024) == 1
-    assert calls == [64, 128, 256]
-
-
-def test_adaptive_sign_cap_errors():
-    straddle = lambda prec: Iv(-1, -1, 1, -1)
-    with pytest.raises(PrecisionCapExceeded):
-        adaptive_sign(straddle, cap=256)
-    with pytest.raises(UndecidableSign):
-        adaptive_sign(straddle, cap=256, zero_possible=True)
 
 
 def test_ladder_rungs_end_at_the_cap():

@@ -243,16 +243,19 @@ def test_field_json_roundtrip(q2):
 
 
 def test_conjugate_signs_always_certify(cubic):
-    # refinement terminates with a certified sign at every coordinate for
-    # nonzero elements
-    import random
+    # the positivity ladder certifies every nonzero element below the cap:
+    # 40 random nonzero cubic elements, each answered as its float
+    # conjugates at the roots 2 cos(pi/9), 2 cos(5 pi/9), 2 cos(7 pi/9) say
+    roots = [2 * math.cos(k * math.pi / 9) for k in (1, 5, 7)]
     rng = random.Random(99)
-    for _ in range(40):
+    seen = 0
+    while seen < 40:
         coeffs = [rng.randint(-20, 20) for _ in range(3)]
         if not any(coeffs):
             continue
-        signs = cubic.conjugate_signs(cubic.element(coeffs))
-        assert all(s in (-1, 1) for s in signs)
+        seen += 1
+        want = all(coeffs[0] + coeffs[1] * t + coeffs[2] * t * t > 0 for t in roots)
+        assert cubic.is_totally_positive(cubic.element(coeffs)) == want
 
 
 def test_concurrent_refinement_safe():
@@ -289,7 +292,7 @@ def test_norm_multiplicative_property(cubic):
         assert (a * b).trace() == (b * a).trace()
 
 
-def test_adaptive_escalation_tiny_conjugate(q2):
+def test_adaptive_escalation_tiny_conjugate(q2, monkeypatch):
     # eps^20 - 2p equals -(3-2*sqrt2)^20 exactly: one conjugate is ~ -2e15,
     # the other ~ -1e-16, undecidable at 64 bits; the kernel must escalate
     # and certify, never guess
@@ -297,9 +300,16 @@ def test_adaptive_escalation_tiny_conjugate(q2):
     e20 = eps ** 20
     elem = e20 - q2.element([2 * e20.coeffs[0], 0])
     assert q2.embed_iv(elem, 64)[1].sign() is None      # really needs refining
-    assert q2.conjugate_signs(elem) == [-1, -1]
+    rungs = []
+    embed_iv = q2.embed_iv
+    monkeypatch.setattr(q2, "embed_iv", lambda x, prec: rungs.append(prec) or embed_iv(x, prec))
+    # the conjugate near -2e15 is certified negative at the first rung
     assert not q2.is_totally_positive(elem)
+    assert rungs == [64]
+    # positivity needs both conjugates, so the tiny one escalates
+    rungs.clear()
     assert q2.is_totally_positive(-elem)
+    assert rungs == [64, 128]
 
 
 def test_escalation_respects_cap(q2):
@@ -308,8 +318,9 @@ def test_escalation_respects_cap(q2):
     eps = fld.element([3, 2])
     e20 = eps ** 20
     elem = e20 - fld.element([2 * e20.coeffs[0], 0])
-    with pytest.raises(PrecisionCapExceeded):
-        fld.conjugate_signs(elem)
+    with pytest.raises(PrecisionCapExceeded,
+                       match="conjugate positivity: not certified at 64 bits"):
+        fld.is_totally_positive(-elem)
 
 
 def test_embedded_vector_width_halves(q2):

@@ -68,7 +68,7 @@ def test_verify_loads_nothing_heavy(tmp_path, threads, name):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.DEPENDENT_UNITS))
-@pytest.mark.parametrize("command, code", [("cones", 2), ("regcheck", 0)])
+@pytest.mark.parametrize("command, code", [("cones", 2), ("regcheck", 2)])
 def test_dependent_units_load_no_mpmath(tmp_path, command, code, name):
     # the regulator's lower bound decides dependence, with no search
     job = tmp_path / "job.json"
