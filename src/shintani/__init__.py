@@ -17,7 +17,6 @@ _MODULE_OF = {
     "build_signed_domain": "domain",
     "colmez_generators": "domain",
     "cone_contains": "domain",
-    "cone_sign": "domain",
     "is_true_domain": "domain",
     "orbit_net_count": "domain",
     "verify_net_counts": "domain",

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .dyadic import START_PREC, U, UP, Iv, Ladder, iv_adjugate
-from .errors import DependentUnits, NotTotallyPositive, UndecidableSign
+from .errors import InputError, NotTotallyPositive, UndecidableSign
 from .exactlinalg import as_fraction, signed_inverse
 from .field import FieldElement, NumberField, _perm_sign, common_denominator
 from .geometry import adaptive_vector, coordinates, field_map, int_map
@@ -53,15 +53,6 @@ def _signed_cone(units, sigma, field: NumberField, reg_sign: int):
     det_sign, inverse = signed_inverse(*common_denominator(gens))
     w = (-1) ** (n - 1) * _perm_sign(sigma) * field.vandermonde_sign * det_sign * reg_sign
     return gens, w, inverse
-
-
-def cone_sign(units, sigma, field: NumberField, reg_sign: int | None = None) -> int:
-    """w_sigma, 0 for a degenerate cone (see :func:`_signed_cone`)."""
-    if reg_sign is None:
-        reg_sign = field.signed_regulator_sign(units)
-    if reg_sign == 0:
-        raise DependentUnits("units are multiplicatively dependent")
-    return _signed_cone(units, sigma, field, reg_sign)[1]
 
 
 class SignedCone:
@@ -405,7 +396,8 @@ class SignedDomain:
         superset), in increasing lexicographic order.  Cones with the same
         log-range box share one enumeration and one list.  x must be
         totally positive (NotTotallyPositive otherwise): a field element by
-        its certified conjugates, a coordinate vector entry by entry."""
+        its certified conjugates, a coordinate vector of n entries
+        (InputError otherwise) entry by entry."""
         field = self.field
         r = field.degree - 1
         if isinstance(x, FieldElement):
@@ -413,6 +405,8 @@ class SignedDomain:
             ratios = [conj[k].div(conj[-1], START_PREC) for k in range(r)]
         else:
             seq = list(map(as_fraction, x))
+            if len(seq) != field.degree:
+                raise InputError(f"need n = {field.degree} coordinates, got {len(seq)}")
             if any(c <= 0 for c in seq):
                 raise NotTotallyPositive(f"{list(x)!r} has a coordinate <= 0")
             ratios = [Iv.from_fraction(c / seq[-1], START_PREC) for c in seq[:-1]]
@@ -536,11 +530,9 @@ class SignedDomain:
 def build_signed_domain(units, field: NumberField) -> SignedDomain:
     """Compute all cone signs and half-open flags, and drop the degenerate
     (w = 0) cones.  The units are checked by the regulator sign
-    (NumberField.check_units)."""
+    (NumberField.check_units; DependentUnits for dependent units)."""
     units = [field.element_like(u) for u in units]
     reg_sign = field.signed_regulator_sign(units)
-    if reg_sign == 0:
-        raise DependentUnits("units are multiplicatively dependent")
     cones = []
     for sigma in itertools.permutations(range(field.degree - 1)):
         gens, w, inverse = _signed_cone(units, sigma, field, reg_sign)

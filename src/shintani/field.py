@@ -408,10 +408,11 @@ class NumberField:
         return rows
 
     def signed_regulator_sign(self, units) -> int:
-        """Sign of det(Log eps_1, ..., Log eps_{n-1}), certified by adaptive
-        precision; 0 exactly when the units are multiplicatively dependent,
-        certified once an enclosure of det lies inside (-_REGULATOR_MIN,
-        _REGULATOR_MIN)."""
+        """Sign (+1 or -1) of det(Log eps_1, ..., Log eps_{n-1}), certified
+        by adaptive precision.  The units' one door: DependentUnits exactly
+        when they are multiplicatively dependent, certified once an
+        enclosure of det (the exact point 0 included) lies inside
+        (-_REGULATOR_MIN, _REGULATOR_MIN)."""
         units = [self.element_like(u) for u in units]
         self.check_units(units)
         r = self.degree - 1
@@ -419,20 +420,19 @@ class NumberField:
             rows = self.unit_logs(units, prec)
             det = iv_det([[row[j] for row in rows] for j in range(r)])
             s = det.sign()
-            if s is not None:
+            if s:
                 return s
             if -_REGULATOR_MIN < det.lo_fraction() and det.hi_fraction() < _REGULATOR_MIN:
-                return 0
+                raise DependentUnits("units are multiplicatively dependent")
 
     def check_regulator_identity(self, units, tol: float = 1e-10) -> bool:
         """Diagnostic: det(LOG l(eps_i)) must equal n * det(Log eps_i) to
         within tol, decided once the enclosure of the difference is narrower
         than tol/10 (PrecisionCapExceeded if the cap comes first).  The
-        units must meet the regulator's contract: DependentUnits when the
-        regulator sign is 0."""
+        units must meet the regulator's contract, which
+        signed_regulator_sign checks (DependentUnits for dependent units)."""
         units = [self.element_like(u) for u in units]
-        if self.signed_regulator_sign(units) == 0:
-            raise DependentUnits("units are multiplicatively dependent")
+        self.signed_regulator_sign(units)
         n = self.degree
         r = n - 1
         for prec in Ladder(self.prec_cap, f"regulator identity at tolerance {tol}"):

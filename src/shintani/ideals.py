@@ -255,13 +255,11 @@ class RSigmaSet:
     """All lattice (or coset) points in the half-open parallelepiped spanned
     by the scaled cone generators, with their exact box coordinates t / den."""
 
-    __slots__ = ("points", "index", "scale", "shift", "den")
+    __slots__ = ("points", "index", "den")
 
-    def __init__(self, points, index, scale, shift, den):
+    def __init__(self, points, index, den):
         self.points = points            # list of (FieldElement, t: tuple[int])
         self.index = index
-        self.scale = scale
-        self.shift = shift
         self.den = den
 
 
@@ -320,7 +318,7 @@ def coset_enumerate_R(cone, lattice: FractionalIdeal, shift, scale: int = 1) -> 
         assert lattice.contains(z - shift)
         points.append((z, tuple(r)))
     assert len(set(z for z, _ in points)) == len(points) == index
-    return RSigmaSet(points, index, scale, shift, d)
+    return RSigmaSet(points, index, d)
 
 
 def smallest_positive_rational_integer(ideal: FractionalIdeal) -> int:

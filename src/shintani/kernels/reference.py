@@ -40,8 +40,8 @@ def _graded_bases(zs, c, radius):
 def box_sums(zs, gens, s, radius, scale=1.0):
     """Truncated Shintani sums over the simplex
     {m >= 0 : m_0 + ... + m_{n-1} <= radius}, one per shift z of the block
-    zs (P shifts of n coordinates) that shares the generators, the radius
-    and the scale.
+    zs (P shifts of n >= 2 coordinates, as every field has degree n >= 2)
+    that shares the generators, the radius and the scale.
 
     The trailing coordinates are enumerated once, graded by their sum, so
     the slab of each m_0 is a prefix of length ends[radius - m_0] and costs
@@ -61,10 +61,7 @@ def box_sums(zs, gens, s, radius, scale=1.0):
     zs = np.asarray(zs, dtype=float)
     npts, n = zs.shape
     c = [[scale * g for g in row] for row in gens]
-    if n == 1:
-        bases, ends = [zs], np.ones(radius + 1, dtype=np.int64)
-    else:
-        bases, ends = _graded_bases(zs, c, radius)
+    bases, ends = _graded_bases(zs, c, radius)
     k, half = half_integer_power(s)
     prod = np.empty(bases[0].size)
     tmp = np.empty(bases[0].size)

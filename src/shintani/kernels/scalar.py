@@ -59,12 +59,13 @@ def half_integer_power(s):
 
 
 def box_sums(zs, gens, s, radius, scale=1.0):
-    """`reference.box_sums` for an exponent s in 1/2 Z, 1 <= s <= 8, in
-    Python floats, float for float: the graded bases z_j + sum_i m_i c_ij
-    added in the order i = 1, ..., n - 1; per slab m_0 the add of m_0 c_0j
-    and the product P of the axes left to right; P^k as the (k-1)-fold
-    product, times sqrt(P) for s = k + 1/2, and one reciprocal; NumPy's
-    pairwise sum of each slab and one math.fsum of a shift's slab totals.
+    """`reference.box_sums` (degree n >= 2) for an exponent s in 1/2 Z,
+    1 <= s <= 8, in Python floats, float for float: the graded bases
+    z_j + sum_i m_i c_ij added in the order i = 1, ..., n - 1; per slab m_0
+    the add of m_0 c_0j and the product P of the axes left to right; P^k
+    as the (k-1)-fold product, times sqrt(P) for s = k + 1/2, and one
+    reciprocal; NumPy's pairwise sum of each slab and one math.fsum of a
+    shift's slab totals.
     Addition and multiplication of two floats are commutative in IEEE
     arithmetic, so the operand order of each is free, and math.sqrt is
     correctly rounded, as np.sqrt is.
@@ -80,22 +81,17 @@ def box_sums(zs, gens, s, radius, scale=1.0):
     npts = len(zs)
     c = [[scale * g for g in row] for row in gens]
     m = range(radius + 1)
-    if n == 1:
-        # one axis: its base is z_0 itself, as in `reference`
-        ends = [1] * (radius + 1)
-        bases = [[z[0] for z in zs]]
-    else:
-        steps, ends = _graded_index(n, radius)
-        # the first coordinate m_1 = x, then each step's gather per shift
-        bases = [[zj + x * cj for x in m for zj in col]
-                 for col, cj in zip(zip(*zs), c[1])]
-        for (idx, last), row in zip(steps, c[2:]):
-            if npts > 1:
-                idx = [i for q in idx for i in range(q * npts, q * npts + npts)]
-                last = [x for x in last for _ in range(npts)]
-            shelf = [[x * cj for x in m] for cj in row]
-            bases = [[b[q] + col[x] for q, x in zip(idx, last)]
-                     for b, col in zip(bases, shelf)]
+    steps, ends = _graded_index(n, radius)
+    # the first coordinate m_1 = x, then each step's gather per shift
+    bases = [[zj + x * cj for x in m for zj in col]
+             for col, cj in zip(zip(*zs), c[1])]
+    for (idx, last), row in zip(steps, c[2:]):
+        if npts > 1:
+            idx = [i for q in idx for i in range(q * npts, q * npts + npts)]
+            last = [x for x in last for _ in range(npts)]
+        shelf = [[x * cj for x in m] for cj in row]
+        bases = [[b[q] + col[x] for q, x in zip(idx, last)]
+                 for b, col in zip(bases, shelf)]
     totals = [[] for _ in zs]
     for m0 in m:
         cnt = ends[radius - m0]

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .dyadic import Ladder, gamma
-from .domain import SignedDomain, build_signed_domain
+from .domain import build_signed_domain
 from .errors import (
     ClassResolutionMissing,
     ExponentTooLarge,
@@ -563,9 +563,21 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
                      sum(r[2] for r in results), max((r[3] for r in results), default=0))
 
 
-def _require_units_in_order(units, order: Order) -> None:
-    """The cone generators are products of the units, and the R-sets are
-    enumerated in ideals of the order: every unit must lie in it."""
+def _prepare(s: float, field: NumberField, units, order: Order | None, reps, conductor):
+    """The one input contract of `l_function` and `partial_zeta`, checked
+    before any sum; returns the order (the maximal one by default) and the
+    signed domain built from the units it checked.
+
+    s passes `_require_s`.  The cone generators are products of the units,
+    and the R-sets are enumerated in ideals of the order, so every unit must
+    lie in it (UnitOutsideOrder); the domain build then holds the units to
+    the regulator's contract (`NumberField.signed_regulator_sign`).  Class
+    representatives and conductors must be integral ideals, that is den = 1
+    in lowest terms (NonIntegralIdeal); otherwise the R-set lattices
+    (a f)^-1 and a^-1 f need not contain the scaled cone generators, or the
+    sums mean another class."""
+    _require_s(s, field.degree)
+    order = order or integral_basis(field)
     for u in units:
         if not order.contains(u):
             basis = ", ".join("(" + ", ".join(map(str, b.coeffs)) + ")"
@@ -573,34 +585,23 @@ def _require_units_in_order(units, order: Order) -> None:
             raise UnitOutsideOrder(
                 f"unit ({', '.join(map(str, u.coeffs))}) does not lie in the "
                 f"order with basis {basis} in power-basis coordinates")
-
-
-def _require_integral(ideal: FractionalIdeal, what: str) -> None:
-    """Class representatives and conductors must be integral ideals, that
-    is den = 1 in lowest terms; otherwise the R-set lattices (a f)^-1 and
-    a^-1 f need not contain the scaled cone generators, or the sums mean
-    another class."""
-    if ideal.den != 1:
-        raise NonIntegralIdeal(f"the {what} with hnf {[list(r) for r in ideal.hnf]} "
-                               f"and den {ideal.den} is not an integral ideal")
+    for what, ideal in [("representative", rep) for rep in reps] + [("conductor", conductor)]:
+        if ideal.den != 1:
+            raise NonIntegralIdeal(f"the {what} with hnf {[list(r) for r in ideal.hnf]} "
+                                   f"and den {ideal.den} is not an integral ideal")
+    return order, build_signed_domain(units, field)
 
 
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
-               params: ZetaParams, order: Order | None = None,
-               domain: SignedDomain | None = None) -> ZetaValue:
+               params: ZetaParams, order: Order | None = None) -> ZetaValue:
     """L(s, chi) as the triple sum over class representatives, cones, and
-    R-set points, for Re(s) > 1.
+    R-set points, for Re(s) > 1.  `_prepare` checks the input contract and
+    builds the domain.
 
     Contract: the units must generate the full group of totally positive
     units (finite index is not enough here; the caller asserts it).
     """
-    _require_s(s, field.degree)
-    order = order or integral_basis(field)
-    _require_units_in_order(units, order)
-    for rep in chi.representatives:
-        _require_integral(rep, "representative")
-    _require_integral(chi.conductor, "conductor")
-    dom = domain or build_signed_domain(units, field)
+    order, dom = _prepare(s, field, units, order, chi.representatives, chi.conductor)
     varies = chi.depends_on_ideal
     terms = []
     for rep in chi.representatives:
@@ -624,22 +625,17 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
 
 
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
-                 order: Order | None = None,
-                 domain: SignedDomain | None = None) -> ZetaValue:
-    """zeta(s, ray class of a mod f*infinity) for Re(s) > 1.
+                 order: Order | None = None) -> ZetaValue:
+    """zeta(s, ray class of a mod f*infinity) for Re(s) > 1.  `_prepare`
+    checks the input contract and builds the domain.
 
     ``ray_class`` is (a, f, units) with a an integral representative, f the
     conductor's finite part, and units generating the totally positive units
     congruent to 1 mod f (caller-asserted, as in the L-function contract).
     """
-    _require_s(s, field.degree)
     a_ideal, conductor, units = ray_class
-    order = order or integral_basis(field)
-    _require_units_in_order(units, order)
-    _require_integral(a_ideal, "representative")
-    _require_integral(conductor, "conductor")
+    _, dom = _prepare(s, field, units, order, [a_ideal], conductor)
     _require_norm_power(a_ideal.norm(), s)
-    dom = domain or build_signed_domain(units, field)
     f_int = smallest_positive_rational_integer(conductor)
     lattice = ideal_mul(ideal_inverse(a_ideal), conductor)
     n_a = float(a_ideal.norm())

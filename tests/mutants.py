@@ -83,6 +83,11 @@ MUTANTS = (
            "_REGULATOR_MIN = Fraction(1, 5)",
            "_REGULATOR_MIN = Fraction(1, 1)",
            ("tests/test_field.py::test_regulator_sign_of_every_fixture",)),
+    Mutant("regulator sign: dependent units read as sign 0",
+           "src/shintani/field.py",
+           "raise DependentUnits(\"units are multiplicatively dependent\")",
+           "return 0",
+           ("tests/test_cli.py::test_cones_on_dependent_units_exit_2",)),
     Mutant("total positivity: no exit at a conjugate certified negative",
            "src/shintani/field.py",
            "if any(iv.sign() == -1 for iv in conj):",
@@ -94,6 +99,11 @@ MUTANTS = (
            "if any(c <= 0 for c in seq):",
            "if False:",
            ("tests/test_domain.py::test_orbit_net_count_rejects_a_vector_not_totally_positive",)),
+    Mutant("orbit net count: coordinate vectors of any length",
+           "src/shintani/domain.py",
+           "if len(seq) != field.degree:",
+           "if False:",
+           ("tests/test_domain.py::test_orbit_net_count_rejects_a_vector_of_the_wrong_length",)),
     Mutant("field element: no gcd normalisation",
            "src/shintani/field.py",
            "    g = math.gcd(den, *num)\n",

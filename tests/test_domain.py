@@ -14,7 +14,6 @@ from shintani.domain import (
     build_signed_domain,
     colmez_generators,
     cone_contains,
-    cone_sign,
     is_true_domain,
     orbit_net_count,
     sample_point,
@@ -23,6 +22,7 @@ from shintani.domain import (
 from shintani.dyadic import Iv
 from shintani.errors import (
     DependentUnits,
+    InputError,
     NotAUnit,
     NotTotallyPositive,
     UndecidableSign,
@@ -61,17 +61,6 @@ def test_full_product_independent_of_sigma():
     full = {tuple(colmez_generators(units, s, fld)[-1].coeffs)
             for s in itertools.permutations(range(3))}
     assert len(full) == 1
-
-
-def test_cone_sign_hand_quadratic():
-    fld, units = q_sqrt2()
-    assert cone_sign(units, (0,), fld) == 1
-
-
-def test_cone_sign_dependent_units():
-    fld, units = cubic_81()
-    with pytest.raises(DependentUnits):
-        cone_sign([units[0], units[0]], (0, 1), fld)
 
 
 def test_build_quadratic_domain_hand():
@@ -207,6 +196,16 @@ def test_orbit_net_count_rejects_a_vector_not_totally_positive(x):
     fld, units = q_sqrt2()
     dom = build_signed_domain(units, fld)
     with pytest.raises(NotTotallyPositive):
+        orbit_net_count(dom, x)
+
+
+@pytest.mark.parametrize("x", [[1, 2, 3], [2]])
+def test_orbit_net_count_rejects_a_vector_of_the_wrong_length(x):
+    # n = 2 coordinates, no more and no fewer: an extra entry was dropped
+    # and a short vector counted 0
+    fld, units = q_sqrt2()
+    dom = build_signed_domain(units, fld)
+    with pytest.raises(InputError, match=f"need n = 2 coordinates, got {len(x)}"):
         orbit_net_count(dom, x)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from shintani.errors import (
     DegreeTooSmall,
+    DependentUnits,
     InputError,
     NotIrreducible,
     NotSquarefree,
@@ -529,9 +530,12 @@ def test_regulator_sign_of_every_fixture(name, monkeypatch):
 
 @pytest.mark.parametrize("name", DEPENDENT_UNITS)
 def test_dependent_units_give_sign_zero_at_the_first_rung(name, monkeypatch):
+    # one determinant, inside (-1/5, 1/5) (the exact point 0 for the unit 1
+    # on q_sqrt2), refuses the units
     fld, units = DEPENDENT_UNITS[name]()
     dets = _count_dets(monkeypatch)
-    assert fld.signed_regulator_sign(units) == 0
+    with pytest.raises(DependentUnits):
+        fld.signed_regulator_sign(units)
     assert len(dets) == 1
 
 

@@ -38,10 +38,10 @@ def test_box_sum_matches_brute_force(impl, n, s, scale):
     assert abs(got - want) < 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_box_sum_every_level(n):
-    # every simplex level from 0, including the single-axis and the
-    # degree-5 gathers, and a non-integer and a large integer exponent
+    # every simplex level from 0, including the degree-5 gathers, and a
+    # non-integer and a large integer exponent
     z = [1.1 + 0.2 * j for j in range(n)]
     gens = [[0.3 + 0.4 * i + 0.25 * j * j for j in range(n)] for i in range(n)]
     for radius in range(4):
@@ -57,17 +57,14 @@ def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
     n = len(z)
     c = [[scale * g for g in row] for row in gens]
     m = np.arange(radius + 1)
-    if n == 1:
-        bases, ends = [np.array([z[0]])], np.ones(radius + 1, dtype=np.int64)
-    else:
-        sums, ends = m, m + 1
-        bases = [zj + m * cj for zj, cj in zip(z, c[1])]
-        for row in c[2:]:
-            level = np.repeat(m, ends)
-            idx = np.arange(len(level)) - np.repeat(np.cumsum(ends) - ends, ends)
-            last = level - sums[idx]
-            bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
-            sums, ends = level, np.cumsum(ends)
+    sums, ends = m, m + 1
+    bases = [zj + m * cj for zj, cj in zip(z, c[1])]
+    for row in c[2:]:
+        level = np.repeat(m, ends)
+        idx = np.arange(len(level)) - np.repeat(np.cumsum(ends) - ends, ends)
+        last = level - sums[idx]
+        bases = [b[idx] + last * cj for b, cj in zip(bases, row)]
+        sums, ends = level, np.cumsum(ends)
     # s = k + 1/2 in [1, 8] is 1 / (P^k sqrt(P)), s = k is 1 / P^k
     k, half = scalar.half_integer_power(s)
     totals = []
@@ -89,14 +86,14 @@ def _one_shift_box_sum(z, gens, s, radius, scale=1.0):
     return math.fsum(totals)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 2.25])
 def test_box_sums_rows_match_one_shift_sum(n, s):
     # every row of a block is bit for bit the one-shift sum, for blocks of
     # 1 and of 7 shifts, at levels with slabs below and above 8 and 128
     rng = np.random.default_rng(10 * n + int(2 * s))
     gens = rng.uniform(0.2, 3.0, (n, n)).tolist()
-    for radius in (0, 3, {1: 40, 2: 200, 3: 25, 4: 9}[n]):
+    for radius in (0, 3, {2: 200, 3: 25, 4: 9}[n]):
         for npts, scale in ((1, 1.0), (7, 3.0)):
             zs = rng.uniform(0.1, 4.0, (npts, n)).tolist()
             got = reference.box_sums(zs, gens, s, radius, scale)
@@ -165,13 +162,13 @@ def test_numpy_sum_is_pairwise(n):
 
 # the largest radius drawn per degree: slabs beyond 128 terms (the halving
 # branch of the pairwise sum) for n = 2, 3, 4 and 5
-RADIUS = {1: 300, 2: 300, 3: 30, 4: 12, 5: 8}
+RADIUS = {2: 300, 3: 30, 4: 12, 5: 8}
 POSITIVE = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def simplex_sum_inputs(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 5))
     radius = draw(st.integers(0, RADIUS[n]))
     s = draw(st.integers(2, 16)) / 2
     gens = draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n),
@@ -189,10 +186,10 @@ def test_scalar_box_sums_match_reference_bit_for_bit(args):
 
 
 def test_scalar_box_sums_every_level():
-    # every radius from 0, one shift and several, n = 1 to 5 and s = 1,
+    # every radius from 0, one shift and several, n = 2 to 5 and s = 1,
     # 1.5, ..., 8
     rng = np.random.default_rng(7)
-    for n in range(1, 6):
+    for n in range(2, 6):
         gens = rng.uniform(0.2, 3.0, (n, n)).tolist()
         zs = rng.uniform(0.1, 4.0, (3, n)).tolist()
         for radius in range(6):

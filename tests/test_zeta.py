@@ -245,21 +245,21 @@ def test_l_function_zero_character(dom2):
     assert lv.value == 0j
 
 
-def test_l_function_weight_sensitivity():
+def test_l_function_weight_sensitivity(monkeypatch):
     # flipping the sign of one cone weight must change the result: the
     # weights are load-bearing
     fld, units = cubic_81()
-    dom = build_signed_domain(units, fld)
     order = integral_basis(fld)
     params = ZetaParams(target_error=1e-4)
-    base = l_function(2.0, trivial_character(order), units, fld, params,
-                      order=order, domain=dom)
-    dom.cones[1].w = -dom.cones[1].w
-    try:
-        flipped = l_function(2.0, trivial_character(order), units, fld, params,
-                             order=order, domain=dom)
-    finally:
+    base = l_function(2.0, trivial_character(order), units, fld, params, order=order)
+
+    def flipped_domain(units, field):
+        dom = build_signed_domain(units, field)
         dom.cones[1].w = -dom.cones[1].w
+        return dom
+
+    monkeypatch.setattr(zeta, "build_signed_domain", flipped_domain)
+    flipped = l_function(2.0, trivial_character(order), units, fld, params, order=order)
     assert abs(base.value - flipped.value) > 1e-3
 
 
@@ -509,11 +509,11 @@ def test_trivial_character_forms_no_ideal_product_per_point(dom2, monkeypatch, r
     monkeypatch.setattr(zeta, "ideal_mul",
                         lambda *args: products.append(args) or ideal_mul(*args))
     params = ZetaParams(target_error=1e-6)
-    lv = l_function(2.0, chi, units, fld, params, order=order, domain=dom)
+    lv = l_function(2.0, chi, units, fld, params, order=order)
     assert len(products) == 1
     points = sum(len(coset_enumerate_R(c, ideal_inverse(a), 0).points) for c in dom.cones)
     assert points == 2 * rep * rep
-    pv = partial_zeta(2.0, (a, ok, units), fld, params, order=order, domain=dom)
+    pv = partial_zeta(2.0, (a, ok, units), fld, params, order=order)
     assert lv.value.imag == 0
     assert lv.value.real == pytest.approx(pv.value, rel=1e-13)
     assert lv.error_bound == pytest.approx(pv.error_bound, rel=1e-13)
@@ -593,7 +593,7 @@ def test_l_function_block_path_is_single_point_sum(dom2, monkeypatch, block, thr
     want = reference_l_function(2.5, chi, dom, order, target)
     sizes = _spy_blocks(monkeypatch, block)
     got = l_function(2.5, chi, units, fld, ZetaParams(target_error=target, threads=threads),
-                     order=order, domain=dom)
+                     order=order)
     assert got == want
     # 16 live points at L = 12 and 112 at L = 4: slabs of N = 13 and 5
     assert sorted(sizes) == {1: [1] * 128, 150: [5, 11, 22, 30, 30, 30],
@@ -620,7 +620,7 @@ def test_em_blocks_are_single_point_sums_at_any_threads(dom2, monkeypatch, block
     for threads in (1, 2):
         got = l_function(2.5, chi, units, fld,
                          ZetaParams(target_error=target, threads=threads),
-                         order=order, domain=dom)
+                         order=order)
         assert got == want
     assert levels and min(levels) >= 83 and len(levels) < len(sizes)
 
@@ -638,7 +638,7 @@ def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     want = reference_partial_zeta(2.0, a, p3, dom, 1e-5)
     sizes = _spy_blocks(monkeypatch, block)
     got = partial_zeta(2.0, (a, p3, units), fld, ZetaParams(target_error=1e-5, threads=2),
-                       order=order, domain=dom)
+                       order=order)
     assert got == want
     assert sorted(sizes) == {1: [1] * 576, 600: [9] + [21] * 27,
                              DEFAULT_BLOCK: [66, 72] + [146] * 3}[block]
@@ -667,7 +667,6 @@ def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
     # value on the points not coprime to it.
     fld, units = ALL_NET_COUNT[name]()
     order = maximal_order(name, fld)
-    dom = build_signed_domain(units, fld)
     two = principal_ideal(order, fld.element([2] + [0] * (fld.degree - 1)))
     whole = FractionalIdeal.whole_ring(order)
     chi = CharacterTable([whole], [1 + 0j], two)
@@ -680,16 +679,15 @@ def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
         monkeypatch.setattr(zeta, "_SCALAR_TERMS", threshold)
         calls.clear()
         results[threshold] = [
-            l_function(s, chi, units, fld, ZetaParams(target_error=3e-3), order, dom)
+            l_function(s, chi, units, fld, ZetaParams(target_error=3e-3), order)
             for s in (2.0, 2.5, 3.0)] + [
-            partial_zeta(s, (whole, ideal, units), fld, ZetaParams(target_error=3e-3),
-                         order, dom)
+            partial_zeta(s, (whole, ideal, units), fld, ZetaParams(target_error=3e-3), order)
             for s in (2.0, 2.5, 3.0) for ideal in (whole, two)]
         assert bool(calls) == (threshold == math.inf)
     assert results[0] == results[math.inf]
     # an s outside 1/2 Z stays on NumPy's np.power at any threshold
     calls.clear()
-    l_function(2.25, chi, units, fld, ZetaParams(target_error=3e-3), order, dom)
+    l_function(2.25, chi, units, fld, ZetaParams(target_error=3e-3), order)
     assert calls == []
 
 
