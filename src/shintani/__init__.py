@@ -15,6 +15,7 @@ _MODULE_OF = {
     "SignedCone": "domain",
     "SignedDomain": "domain",
     "build_signed_domain": "domain",
+    "cheapest_basis": "domain",
     "colmez_generators": "domain",
     "cone_contains": "domain",
     "is_true_domain": "domain",

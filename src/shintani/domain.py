@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .dyadic import START_PREC, U, UP, Iv, Ladder, iv_adjugate
 from .errors import InputError, NotTotallyPositive, UndecidableSign
-from .exactlinalg import as_fraction, signed_inverse
+from .exactlinalg import _eliminate, as_fraction, signed_inverse
 from .field import FieldElement, NumberField, _perm_sign, common_denominator
 from .geometry import adaptive_vector, coordinates, field_map, int_map
 
@@ -93,9 +93,15 @@ class SignedCone:
         return {
             "sigma": [i + 1 for i in self.sigma],
             "w": self.w,
-            "generators": [[str(c) for c in g.coeffs] for g in self.generators],
+            "generators": [[_ratio_str(a, g.den) for a in g.num] for g in self.generators],
             "flags": list(self.flags),
         }
+
+
+def _ratio_str(a: int, den: int) -> str:
+    """str(Fraction(a, den)) for den > 0, without forming the Fraction."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 def cone_contains(cone: SignedCone, x) -> bool:
@@ -532,13 +538,71 @@ def build_signed_domain(units, field: NumberField) -> SignedDomain:
     (w = 0) cones.  The units are checked by the regulator sign
     (NumberField.check_units; DependentUnits for dependent units)."""
     units = [field.element_like(u) for u in units]
-    reg_sign = field.signed_regulator_sign(units)
+    return _signed_domain(units, field, field.signed_regulator_sign(units))
+
+
+def _signed_domain(units, field: NumberField, reg_sign: int) -> SignedDomain:
+    """`build_signed_domain` of units whose regulator sign the caller certified."""
     cones = []
     for sigma in itertools.permutations(range(field.degree - 1)):
         gens, w, inverse = _signed_cone(units, sigma, field, reg_sign)
         if w != 0:
             cones.append(SignedCone(sigma, gens, w, field, inverse))
     return SignedDomain(field, units, cones, reg_sign)
+
+
+# Eliminations `cheapest_basis` may spend, (n - 1)! per basis, in whole sweeps of
+# its moves: 8 at n = 3, 144 at n = 4, 2496 at n = 5, so none at n >= 5.
+_SEARCH_ELIMINATIONS = 600
+
+
+def _basis_cost(units, field: NumberField, bound) -> int | Fraction | None:
+    """sum over sigma of |det C_sigma|, C_sigma the coefficient matrix of
+    the cone's generators (a sum's R-set points per unit covolume), or
+    None once a partial sum reaches the bound.  The generators are the
+    products over prefix sets of sigma, each formed once (without 1)."""
+    prods = [field.one]             # prods[k]: the product over the bits of k
+    for u in units:
+        prods += [u] + [p * u for p in prods[1:]]
+    total = 0
+    for sigma in itertools.permutations(range(len(units))):
+        masks = itertools.accumulate(1 << i for i in sigma)
+        mat, d = common_denominator([prods[m] for m in masks])
+        # C's first column is f_1 = 1 = e_1: det C is that of the minor without it
+        det = abs(_eliminate(mat[1:], False)[1])
+        total += det if d == 1 else Fraction(det, d ** (len(mat) - 1))
+        if total >= bound:
+            return None
+    return total
+
+
+def cheapest_basis(units, field: NumberField) -> list:
+    """The basis of the group the units generate that greedy descent on
+    `_basis_cost` reaches: moves eps_i <- eps_i prod_(j != i) eps_j^(a_j),
+    a_j in {-1, 0, 1}, in a fixed order, each kept only when the cost
+    strictly falls, until a sweep keeps none or the next would pass
+    _SEARCH_ELIMINATIONS.  A move adds other rows of the unit-log matrix to
+    row i: the group, signed regulator, total positivity, order and class
+    mod f stay.  The caller checks the units."""
+    units = [field.element_like(u) for u in units]
+    r = len(units)
+    spent = math.factorial(r)
+    sweep = spent * r * (3 ** (r - 1) - 1)          # r! eliminations per move
+    if not sweep or spent + sweep > _SEARCH_ELIMINATIONS:
+        return units
+    moves = [(i, a) for i in range(r) for a in itertools.product((0, 1, -1), repeat=r)
+             if a[i] == 0 and any(a)]
+    best, kept = _basis_cost(units, field, math.inf), True
+    while kept and spent + sweep <= _SEARCH_ELIMINATIONS:
+        spent, kept = spent + sweep, False
+        powers = [{1: u, -1: u.inverse()} for u in units]
+        for i, a in moves:
+            trial = math.prod((powers[j][e] for j, e in enumerate(a) if e), start=units[i])
+            cost = _basis_cost(units[:i] + [trial] + units[i + 1:], field, best)
+            if cost is not None:
+                best, units[i], kept = cost, trial, True
+                powers[i] = {1: trial, -1: trial.inverse()}
+    return units
 
 
 def is_true_domain(dom: SignedDomain) -> bool:

@@ -16,14 +16,15 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _eliminate(mat):
+def _eliminate(mat, inverse: bool = True):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968: exact divisions)
     of [d mat | I], d the common denominator of the int or Fraction entries:
-    the rows [p I | p (d mat)^-1], p the last pivot, det(d mat) and d."""
+    the rows [p I | p (d mat)^-1], p the last pivot, det(d mat) and d;
+    without the inverse, of d mat alone and below each pivot only."""
     n = len(mat)
     d = math.lcm(*(x.denominator for row in mat for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(mat)]
+    a = [[x.numerator * (d // x.denominator) for x in row]
+         + [int(i == j) for j in range(n) if inverse] for i, row in enumerate(mat)]
     prev = sign = 1
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c]), None)
@@ -33,7 +34,7 @@ def _eliminate(mat):
             a[c], a[piv], sign = a[piv], a[c], -sign
         pc = a[c]
         p = pc[c]
-        for r in range(n):
+        for r in range(n) if inverse else range(c + 1, n):
             if r != c:
                 f = a[r][c]
                 a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pc)]
@@ -42,7 +43,7 @@ def _eliminate(mat):
 
 
 def mat_det(mat) -> Fraction:
-    _, det, d = _eliminate(mat)
+    _, det, d = _eliminate(mat, False)
     return Fraction(det, d ** len(mat))
 
 

@@ -13,7 +13,7 @@ Importing the package loads no NumPy: `box_sum_roundoff`, `scalar` and
 `splitting_counts` import `reference` on first access (PEP 562)."""
 
 import importlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import scalar
 from .scalar import box_sum_roundoff  # noqa: F401
@@ -23,16 +23,12 @@ BACKEND = "reference"
 _REFERENCE = ("box_sum", "box_sums", "splitting_counts")
 
 
-@dataclass
-class ZetaValue:
+class ZetaValue(namedtuple("ZetaValue", "value error_bound terms radius")):
     """A truncated sum with its certified error bound, its number of terms
     and its radius: the simplex level of a Shintani sum, the prime cap of
     the Euler-product oracle.  The value is complex for an L-function."""
 
-    value: complex
-    error_bound: float
-    terms: int
-    radius: int
+    __slots__ = ()
 
 
 def __getattr__(name):

@@ -68,11 +68,11 @@ import heapq
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .dyadic import Ladder, gamma
-from .domain import build_signed_domain
+from .domain import _signed_domain, cheapest_basis
 from .errors import (
     ClassResolutionMissing,
     ExponentTooLarge,
@@ -156,12 +156,10 @@ def _box_sums(s: float, terms: int):
     return kernels.box_sums
 
 
-@dataclass
-class ZetaParams:
+class ZetaParams(namedtuple("ZetaParams", "target_error threads", defaults=(1e-6, 1))):
     """Evaluation request: target absolute error and worker threads."""
 
-    target_error: float = 1e-6
-    threads: int = 1
+    __slots__ = ()
 
 
 def tail_bound(n: int, s: float, scale: int, radius: int) -> float:
@@ -458,7 +456,6 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
     return _sum_jobs(s, [(cone, z, params.target_error, 1, 1)], scale, params)
 
 
-@dataclass
 class CharacterTable:
     """Ray-class character data: one value per narrow-class representative.
 
@@ -468,13 +465,10 @@ class CharacterTable:
     the conductor.
     """
 
-    representatives: list
-    values: list
-    conductor: FractionalIdeal
-    zero_on_noncoprime: bool = True
-    resolve: object = None
-
-    def __post_init__(self):
+    def __init__(self, representatives: list, values: list, conductor: FractionalIdeal,
+                 zero_on_noncoprime: bool = True, resolve=None):
+        self.representatives, self.values, self.conductor = representatives, values, conductor
+        self.zero_on_noncoprime, self.resolve = zero_on_noncoprime, resolve
         if len(self.representatives) != len(self.values):
             raise InvalidCharacter("one value per representative")
         for v in self.values:
@@ -566,16 +560,18 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
 def _prepare(s: float, field: NumberField, units, order: Order | None, reps, conductor):
     """The one input contract of `l_function` and `partial_zeta`, checked
     before any sum; returns the order (the maximal one by default) and the
-    signed domain built from the units it checked.
+    signed domain of the cheapest basis of the group the units generate.
 
     s passes `_require_s`.  The cone generators are products of the units,
     and the R-sets are enumerated in ideals of the order, so every unit must
-    lie in it (UnitOutsideOrder); the domain build then holds the units to
-    the regulator's contract (`NumberField.signed_regulator_sign`).  Class
-    representatives and conductors must be integral ideals, that is den = 1
-    in lowest terms (NonIntegralIdeal); otherwise the R-set lattices
-    (a f)^-1 and a^-1 f need not contain the scaled cone generators, or the
-    sums mean another class."""
+    lie in it (UnitOutsideOrder).  Class representatives and conductors must
+    be integral ideals, that is den = 1 in lowest terms (NonIntegralIdeal);
+    otherwise the R-set lattices (a f)^-1 and a^-1 f need not contain the
+    scaled cone generators, or the sums mean another class.  Then the units
+    meet the regulator's contract (`NumberField.signed_regulator_sign`),
+    and only then does `domain.cheapest_basis` pick the basis of their
+    group with the fewest R-set points it finds: the sums do not depend
+    on the basis, their work does.  (`cones` and `verify` keep the units.)"""
     _require_s(s, field.degree)
     order = order or integral_basis(field)
     for u in units:
@@ -589,14 +585,15 @@ def _prepare(s: float, field: NumberField, units, order: Order | None, reps, con
         if ideal.den != 1:
             raise NonIntegralIdeal(f"the {what} with hnf {[list(r) for r in ideal.hnf]} "
                                    f"and den {ideal.den} is not an integral ideal")
-    return order, build_signed_domain(units, field)
+    reg_sign = field.signed_regulator_sign(units)
+    return order, _signed_domain(cheapest_basis(units, field), field, reg_sign)
 
 
 def l_function(s: float, chi: CharacterTable, units, field: NumberField,
                params: ZetaParams, order: Order | None = None) -> ZetaValue:
     """L(s, chi) as the triple sum over class representatives, cones, and
     R-set points, for Re(s) > 1.  `_prepare` checks the input contract and
-    builds the domain.
+    builds the domain of the cheapest basis of the units' group.
 
     Contract: the units must generate the full group of totally positive
     units (finite index is not enough here; the caller asserts it).
@@ -627,7 +624,8 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
 def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
                  order: Order | None = None) -> ZetaValue:
     """zeta(s, ray class of a mod f*infinity) for Re(s) > 1.  `_prepare`
-    checks the input contract and builds the domain.
+    checks the input contract and builds the domain of the cheapest basis
+    of the units' group.
 
     ``ray_class`` is (a, f, units) with a an integral representative, f the
     conductor's finite part, and units generating the totally positive units

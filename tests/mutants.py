@@ -115,6 +115,21 @@ MUTANTS = (
            "        num, den = [-a for a in num], -den\n",
            "        pass\n",
            ("tests/test_field.py::test_elements_are_stored_in_lowest_terms",)),
+    Mutant("basis search: a kept move squares the unit, an index-2 subgroup",
+           "src/shintani/domain.py",
+           "best, units[i], kept = cost, trial, True",
+           "best, units[i], kept = cost, units[i] ** 2, True",
+           ("tests/test_zeta.py::test_dedekind_zeta_closed_form",
+            "tests/test_zeta.py::test_zeta_at_two_matches_the_functional_equation")),
+    Mutant("basis cost: signed determinants, sum det C_sigma",
+           "src/shintani/domain.py",
+           "det = abs(_eliminate(mat[1:], False)[1])",
+           "det = _eliminate(mat[1:], False)[1]",
+           # the signed sum falls without bound as the units grow, so the
+           # quartic search runs away (10^5-bit coefficients within 15 s)
+           # and the quartic tests never reach their assertions
+           ("tests/test_zeta.py::test_basis_cost_counts_the_r_set_points",
+            "tests/test_zeta.py::test_partial_zeta_block_path_is_single_point_sum")),
     Mutant("order membership: the denominator ignored",
            "src/shintani/ideals.py",
            "return self.to_order_coords(elem)[1] == 1",

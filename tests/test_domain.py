@@ -32,9 +32,12 @@ from shintani.geometry import adaptive_vector, field_map
 
 from crosscheck import YNotInSimplex, cone_contains_via_simplex, pierces_cone
 from fixtures import (
+    ALL_NET_COUNT,
+    INVERTED_UNITS,
     cubic_81,
     cubic_signed_witness,
     q_sqrt2,
+    q_sqrt5,
     q_zeta11_plus,
     q_zeta13_plus,
     q_zeta17_plus,
@@ -393,6 +396,17 @@ def test_true_domain_single_orbit_hit():
         assert count == 1 and len(hits) == 1
 
 
+def _q_sqrt5_inverted():
+    """Q(sqrt5) with the unit (3 - sqrt5)/2: a negative non-integral coordinate."""
+    fld, (eps,) = q_sqrt5()
+    return fld, [eps.inverse()]
+
+
+CONE_TEXT_FIELDS = {**ALL_NET_COUNT, **INVERTED_UNITS, "q_zeta11_plus": q_zeta11_plus,
+                    "q_zeta13_plus": q_zeta13_plus, "q_sqrt5_inverted": _q_sqrt5_inverted,
+                    "cubic_signed_witness": cubic_signed_witness}
+
+
 def test_cones_json_shape():
     fld, units = q_sqrt2()
     dom = build_signed_domain(units, fld)
@@ -403,6 +417,17 @@ def test_cones_json_shape():
         "generators": [["1", "0"], ["3", "2"]],
         "flags": ["open", "closed"],
     }
+
+
+@pytest.mark.parametrize("name", sorted(CONE_TEXT_FIELDS))
+def test_cone_json_reads_the_fraction_text(name):
+    # the generators are printed from their integer numerators over one
+    # denominator, as the Fraction view of each coordinate prints them:
+    # integral and rational coordinates of either sign, n = 2 to 6
+    fld, units = CONE_TEXT_FIELDS[name]()
+    for cone in build_signed_domain(units, fld).cones:
+        assert cone.to_json()["generators"] == [[str(c) for c in g.coeffs]
+                                                for g in cone.generators]
 
 
 def test_hit_and_candidate_counts_bounded():

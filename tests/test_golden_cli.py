@@ -49,9 +49,9 @@ JOBS = [
                                            {"hnf": [[3, 0], [0, 3]]}]}, [],
      "9c8ee3ed30175b926f2fe6974bc90af951594b9b8d0bd673399f31107ab75a12"),
     ("zeta-witness", "zeta", {"field": WITNESS, "s": 2.0, "target_error": 1e-3}, [],
-     "9cc09fe01192dc7482a438c5a335edd238c2e02194e25bd430a0c6382507ce3b"),
+     "ad0ce6f7a4f2410b4717f2276969b2ff90f5883e0adb4715ec41aa4e3c21a18a"),
     ("zeta-quartic", "zeta", {"field": QUARTIC, "s": 3.0, "target_error": 1e-3}, [],
-     "e8a44f0e1b4c4b5e71c66e94fd4ba43d0e9c824184fcdbe5c3f7d27caff722bc"),
+     "23d4b68ee95bae692ff95a9eb1ac67d1cb804c9ce5595927696ed2499f89ff7a"),
     ("lfun-q2-conductor", "lfun", {"field": Q2, "s": 2.0, "target_error": 1e-5,
                                    "conductor": {"hnf": [[3, 0], [0, 3]]}}, [],
      "f303b57d49820062df644f5b44cf54a7adeb143a71b1ba0ae3c4045497436c03"),
@@ -64,10 +64,10 @@ JOBS = [
                                         "conductor": {"hnf": [[2, 0, 0, 0], [0, 2, 0, 0],
                                                               [0, 0, 2, 0], [0, 0, 0, 2]]}},
      [],
-     "e371ad9579883d53d3b8daa755c364de99dee3febc1bb2141b800dba0d900f3e"),
+     "e7d027b31ecd6a626501e2e6c727158893182ab983a9eb7d5bbc66291c569d92"),
     ("lfun-cubic-conductor", "lfun", {"field": CUBIC, "s": 2.0, "target_error": 1e-3,
                                       "conductor": P3}, [],
-     "f13b301870868a4378a75bf710777b5bf1507b91651e43048922d27813ebedc7"),
+     "17f8bfaa054d00cd339bf8f566d1f6d074cb92ffe99dd0040431fcbfabe70104"),
     ("lfun-q2-conductor-s200", "lfun", {"field": Q2, "s": 200,
                                         "conductor": {"hnf": [[3, 0], [0, 3]]}}, [],
      "c2cb2d69f3deda2c6cbb2708a98f15a2abcf7840c3d6080cec7ccf2595079e21"),

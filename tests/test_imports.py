@@ -137,6 +137,23 @@ def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms)
     assert loaded == ([] if scalar else list(NUMPY_KERNEL))
 
 
+@pytest.mark.parametrize("command", ["zeta", "lfun"])
+def test_scalar_jobs_load_neither_numpy_nor_dataclasses(tmp_path, command):
+    # the cubic s = 3 shape of the benchmark's deep jobs: over the cheapest
+    # basis of its unit group it sums under zeta._SCALAR_TERMS terms (147 392
+    # over the typed basis), so it runs on the scalar sum; and the zeta
+    # stack's records are named tuples, which need neither `dataclasses`
+    # nor the `inspect` it imports
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*fixtures.cubic_81()),
+                               "s": 3.0, "target_error": 2e-11}))
+    watched = ("numpy", "dataclasses", "inspect")
+    out = fresh(f"{cli(command, job)}\nimport json, sys\n"
+                f"print(json.dumps(sorted(set({watched!r}) & set(sys.modules))))")
+    assert json.loads(out.splitlines()[0])["terms"] <= zeta._SCALAR_TERMS
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 Q3_CLASSES = [{"hnf": [[1, 0], [0, 1]], "den": 1}, {"hnf": [[1, 1], [0, 2]], "den": 1}]
 
 

@@ -5,21 +5,26 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
 from shintani import oracle, zeta
 
-from shintani.domain import build_signed_domain
+from shintani import domain
+from shintani.domain import build_signed_domain, cheapest_basis, is_true_domain
 from shintani.errors import (
+    DependentUnits,
     InputError,
+    NotAUnit,
     NonMonogenicPrime,
     NotTotallyPositive,
     TailBoundUnachievable,
     UnitOutsideOrder,
     ZeroElement,
 )
+from shintani.exactlinalg import mat_det
 from shintani.ideals import (
     FractionalIdeal,
     coset_enumerate_R,
@@ -48,6 +53,7 @@ from shintani.polyroots import poly_discriminant
 
 from fixtures import (
     ALL_NET_COUNT,
+    DEPENDENT_UNITS,
     cubic_81,
     cubic_signed_witness,
     maximal_order,
@@ -253,12 +259,13 @@ def test_l_function_weight_sensitivity(monkeypatch):
     params = ZetaParams(target_error=1e-4)
     base = l_function(2.0, trivial_character(order), units, fld, params, order=order)
 
-    def flipped_domain(units, field):
-        dom = build_signed_domain(units, field)
+    def flipped_domain(units, field, reg_sign):
+        dom = signed_domain(units, field, reg_sign)
         dom.cones[1].w = -dom.cones[1].w
         return dom
 
-    monkeypatch.setattr(zeta, "build_signed_domain", flipped_domain)
+    signed_domain = zeta._signed_domain
+    monkeypatch.setattr(zeta, "_signed_domain", flipped_domain)
     flipped = l_function(2.0, trivial_character(order), units, fld, params, order=order)
     assert abs(base.value - flipped.value) > 1e-3
 
@@ -627,12 +634,13 @@ def test_em_blocks_are_single_point_sums_at_any_threads(dom2, monkeypatch, block
 
 @pytest.mark.parametrize("block", [1, 600, DEFAULT_BLOCK])
 def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
-    # the cubic_81 ray class of (2) mod (t + 2): 72 and 504 points in two
-    # cones, scale 3, L = 6, N = 28, each block bit for bit its points'
-    # single-point sums
+    # the cubic_81 ray class of (2) mod (t + 2) over the domain `partial_zeta`
+    # sums, that of the cheapest basis: 216 and 144 points in two cones,
+    # scale 3, L = 6, N = 28, each block bit for bit its points' single-point
+    # sums
     fld, units = cubic_81()
     order = integral_basis(fld)
-    dom = build_signed_domain(units, fld)
+    dom = build_signed_domain(cheapest_basis(units, fld), fld)
     a = FractionalIdeal(order, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     p3 = FractionalIdeal(order, [[1, 0, 2], [0, 1, 2], [0, 0, 3]])
     want = reference_partial_zeta(2.0, a, p3, dom, 1e-5)
@@ -640,8 +648,8 @@ def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     got = partial_zeta(2.0, (a, p3, units), fld, ZetaParams(target_error=1e-5, threads=2),
                        order=order)
     assert got == want
-    assert sorted(sizes) == {1: [1] * 576, 600: [9] + [21] * 27,
-                             DEFAULT_BLOCK: [66, 72] + [146] * 3}[block]
+    assert sorted(sizes) == {1: [1] * 360, 600: [6, 18] + [21] * 16,
+                             DEFAULT_BLOCK: [70, 144, 146]}[block]
 
 
 @pytest.mark.parametrize("fn", ["l_function", "partial_zeta"])
@@ -916,3 +924,118 @@ def test_zeta_at_two_brackets_the_divisor_sum(name):
     with mpmath.workdps(40):
         ref = 4 * mpmath.pi ** 4 * exact.numerator / exact.denominator / mpmath.mpf(d) ** 1.5
         assert abs(value - ref) <= bound
+
+
+# ---- the basis a sum runs over ----
+
+def _zeta_two_from_minus_one(fld, zeta_m1):
+    """zeta_K(2) = (-2)^n pi^(2n) zeta_K(-1) / d_K^(3/2) (Siegel), for the
+    monogenic fixture fields (d_K = disc(f))."""
+    n = fld.degree
+    with mpmath.workdps(40):
+        return ((-2) ** n * mpmath.pi ** (2 * n) * zeta_m1.numerator / zeta_m1.denominator
+                / mpmath.mpf(poly_discriminant(fld.poly)) ** 1.5)
+
+
+def _r_set_points(units, fld):
+    # the cost the search minimises: points of the R-sets of O, the lattice
+    # of covolume 1 in power coordinates for these monogenic fields
+    return sum(len(coset_enumerate_R(c, ideal_inverse(FractionalIdeal.whole_ring(
+        integral_basis(fld))), 0).points) for c in build_signed_domain(units, fld).cones)
+
+
+@pytest.mark.parametrize("name", ["cubic_signed_witness", "quartic_725"])
+def test_basis_cost_counts_the_r_set_points(name):
+    # the search's cost is the number of R-set points of O over the cones,
+    # whatever the cones' signs: the witness has a w = -1 cone, and the
+    # quartic fixture's determinants alternate in sign with the permutation
+    fld, units = {"cubic_signed_witness": cubic_signed_witness,
+                  "quartic_725": quartic_725}[name]()
+    for basis in (units, cheapest_basis(units, fld)):
+        assert domain._basis_cost(basis, fld, math.inf) == _r_set_points(basis, fld)
+
+
+def test_witness_units_own_domain_sums_zeta_with_a_negative_cone():
+    # the cheapest basis of the witness's group gives a true domain, so
+    # `l_function` meets no w = -1 cone there; the witness units' own
+    # domain has one, and summed over it, term by term, with its weight -1,
+    # zeta_K(2) still lies within its bound of Siegel's zeta_K(-1) = -1/9
+    fld, units = cubic_signed_witness()
+    order = integral_basis(fld)
+    assert is_true_domain(build_signed_domain(cheapest_basis(units, fld), fld))
+    dom = build_signed_domain(units, fld)
+    assert sorted(c.w for c in dom.cones) == [-1, 1]
+    chi = trivial_character(order)
+    target = 1e-3
+    zv = reference_l_function(2.0, chi, dom, order, target)
+    ref = _zeta_two_from_minus_one(fld, Fraction(-1, 9))
+    assert zv.value.imag == 0 and abs(zv.value.real - ref) <= zv.error_bound <= target
+    # without the negative cone the sum is off by far more than the bounds
+    positive = SimpleNamespace(cones=[c for c in dom.cones if c.w == 1])
+    part = reference_l_function(2.0, chi, positive, order, target)
+    assert abs(part.value.real - ref) > 100 * (zv.error_bound + part.error_bound)
+
+
+def _unimodular(rng, r):
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+        if abs(mat_det(a)) == 1:
+            return a
+
+
+def test_cheapest_basis_does_not_depend_on_the_basis_typed():
+    # three random bases of the quartic fixture's group (unimodular
+    # exponent matrices with entries in [-3, 3]) cost 62, 264 and 10 952
+    # R-set points; from each the search reaches within 2x of the greedy
+    # cost from the fixture's own basis, and zeta_K(2) agrees within the
+    # summed bounds
+    fld, units = quartic_725()
+    rng = random.Random(16)
+    params = ZetaParams(target_error=1e-4)
+    greedy = _r_set_points(cheapest_basis(units, fld), fld)
+    base = dedekind_zeta_via_domain(2.0, units, fld, params)
+    for _ in range(3):
+        a = _unimodular(rng, len(units))
+        typed = [math.prod((u ** e for u, e in zip(units, row)), start=fld.one) for row in a]
+        assert _r_set_points(cheapest_basis(typed, fld), fld) <= 2 * greedy
+        zv = dedekind_zeta_via_domain(2.0, typed, fld, params)
+        assert abs(zv.value - base.value) <= zv.error_bound + base.error_bound
+
+
+def test_quartic_zeta_terms_budget():
+    # zeta_K(2) of quartic_725 at 1e-6 took 6 026 800 terms over the
+    # fixture's basis; over the cheapest basis it takes under 10^6
+    fld, units = quartic_725()
+    zv = dedekind_zeta_via_domain(2.0, units, fld, ZetaParams(target_error=1e-6))
+    assert zv.terms <= 10 ** 6
+
+
+@pytest.mark.parametrize("name", ["q_sqrt2", "cubic_81", "quartic_725", "q_zeta11_plus",
+                                  "q_zeta13_plus"])
+def test_basis_search_stays_within_its_budget(name, monkeypatch):
+    # the search prices at most _SEARCH_ELIMINATIONS / (n - 1)! bases, and
+    # none at n = 2 (one unit) or n >= 5 (a sweep does not fit)
+    fld, units = {**ALL_NET_COUNT, "q_zeta11_plus": q_zeta11_plus,
+                  "q_zeta13_plus": q_zeta13_plus}[name]()
+    dets = []
+    eliminate = domain._eliminate
+    monkeypatch.setattr(domain, "_eliminate", lambda *a: dets.append(a) or eliminate(*a))
+    chosen = cheapest_basis(units, fld)
+    assert len(dets) <= domain._SEARCH_ELIMINATIONS
+    if fld.degree in (2, 5, 6):
+        assert dets == [] and chosen == units
+    else:
+        assert 0 < len(dets) and chosen != units
+
+
+@pytest.mark.parametrize("units, error", [
+    (DEPENDENT_UNITS["cubic_81-e1-e1^2"]()[1], DependentUnits),
+    ([cubic_81()[0].element([2, 0, 0]), cubic_81()[1][1]], NotAUnit),
+    ([cubic_81()[0].gen, cubic_81()[1][1]], NotTotallyPositive)],
+    ids=["dependent", "not-a-unit", "not-totally-positive"])
+def test_units_are_checked_before_the_search(units, error, monkeypatch):
+    fld = units[0].field
+    order = integral_basis(fld)
+    monkeypatch.setattr(zeta, "cheapest_basis", lambda *a: pytest.fail("searched"))
+    with pytest.raises(error):
+        l_function(2.0, trivial_character(order), units, fld, ZetaParams(), order=order)
