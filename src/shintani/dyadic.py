@@ -7,7 +7,9 @@ comparison of scales: only division, conversion from a general rational,
 and the logarithm round.  They round outward, each endpoint to about prec
 bits of its own value, so an endpoint never depends on how its interval
 happens to be stored, nor a determinant on the order of its terms: the
-cofactor expansion computes each minor once (:func:`iv_adjugate`).
+cofactor expansion computes each minor once (:func:`iv_adjugate`).  The log
+sums integer fixed-point series and rounds once (:func:`log_iv`): `Iv` has
+no integer division.
 
 Adaptive precision lives in one place, :class:`Ladder`: it owns the start
 (64 bits), the doubling, the cap, and the error class raised when a
@@ -165,9 +167,6 @@ class Iv:
             return _iv(self.lo * c, self.hi * c, self.e)
         return _iv(self.hi * c, self.lo * c, self.e)
 
-    def scale2(self, k: int) -> "Iv":
-        return _iv(self.lo, self.hi, self.e + k)
-
     # ---- rounding: each endpoint to about prec bits of its own value ----
 
     def div(self, other: "Iv", prec: int) -> "Iv":
@@ -178,12 +177,6 @@ class Iv:
         c, d = other.lo_fraction(), other.hi_fraction()
         quots = (a / c, a / d, b / c, b / d)
         return Iv.bounds(min(quots), max(quots), prec)
-
-    def div_int(self, c: int, prec: int) -> "Iv":
-        lo, hi = Fraction(self.lo, c), Fraction(self.hi, c)
-        if c < 0:
-            lo, hi = hi, lo
-        return Iv.bounds(lo, hi, prec).scale2(self.e)
 
     def round(self, prec: int) -> "Iv":
         lm, le = _round_down(self.lo, self.e, prec)
@@ -275,57 +268,58 @@ def _minor(rows, rs, cs, memo):
 
 # ---- certified logarithm ----
 
-_LOG2_CACHE: dict[int, Iv] = {}
+def _atanh_fixed(num: int, den: int, w: int) -> tuple[int, int]:
+    """(a, err): a <= 2^w atanh(tau) < a + err for tau = num/den in [0, 1/3],
+    summing tau^(2j+1)/(2j+1) in w-bit fixed point (Brent and Zimmermann,
+    Modern Computer Arithmetic, 2010, ch. 4).  Every step floors, so a is a
+    lower bound.  Against P_j = 2^w tau^(2j+1): t = p_0 is short by less
+    than 1, t2 of 2^w tau^2 by less than 2 tau + 1 <= 5/3, and p_j by
+    e_j < e_(j-1) tau^2 + (5/3) tau + 1 <= e_(j-1)/9 + 14/9, so e_j < 2;
+    each term by less than 2 + 1 = 3.  The loop stops at the first p_j = 0,
+    after j + 1 terms, with P_j < 2, so the tail after it is below
+    2 tau^2 / (3 (1 - tau^2)) <= 1/12 < 1."""
+    if not num:
+        return 0, 0
+    t = (num << w) // den
+    t2 = t * t >> w
+    a = p = t
+    j = 0
+    while p:
+        j += 1
+        p = p * t2 >> w
+        a += p // (2 * j + 1)
+    return a, 3 * (j + 1) + 1
 
 
-def _atanh_series(t: Iv, w: int) -> Iv:
-    """Enclosure of atanh(t) for 0 <= t <= 1/3, working at w bits."""
-    # terms decay like 3^-(2k+1); pick K so the tail is below 2^-(w+1)
-    if not (t.lo or t.hi):
-        return Iv.ZERO
-    K = max(1, int(w * 0.3155) + 2)
-    t2 = (t * t).round(w)
-    p = t
-    acc = t
-    for k in range(1, K + 1):
-        p = (p * t2).round(w)
-        acc = acc + p.div_int(2 * k + 1, w)
-    # tail <= t^(2K+3)/(2K+3) * 1/(1-t^2) <= (1/3)^(2K+3) * 9/8 <= 2^-(w+1)
-    tail = Iv(0, 0, 1, -(w + 1))
-    return acc + tail
+_LOG2_CACHE: dict[int, tuple[int, int]] = {}
 
 
-def log2_iv(prec: int) -> Iv:
-    """Certified enclosure of log 2."""
-    iv = _LOG2_CACHE.get(prec)
-    if iv is None:
-        w = prec + 8
-        third = Iv.ONE.div_int(3, w)
-        iv = _atanh_series(third, w).scale2(1).round(prec + 4)
-        _LOG2_CACHE[prec] = iv
-    return iv
-
-
-def _log_dyadic(m: int, e: int, prec: int) -> Iv:
-    """Enclosure of log(m * 2^e) for m > 0."""
-    w = prec + 8
+def _log_fixed(m: int, e: int, prec: int) -> Iv:
+    """Enclosure [lo, hi] 2^-w of log(m 2^e) for m > 0, unrounded.  With
+    h = 2^(bits(m) - 1) and m 2^e = (m/h) 2^k, log(m 2^e) =
+    2 atanh((m - h)/(m + h)) + k log 2, and log 2 = 2 atanh(1/3).  A series
+    stops within w/3 + 1 steps, so err < 2w and hi - lo < 4w (1 + |k|): the
+    guard bits of w keep that below 2^(w - prec - 8)."""
     s = m.bit_length()
-    k = e + s - 1                      # m*2^e = f * 2^k with f in [1,2)
-    # f = m / 2^(s-1); t = (f-1)/(f+1) = (m - 2^(s-1)) / (m + 2^(s-1))
-    half = 1 << (s - 1)
-    t = Iv.from_fraction(Fraction(m - half, m + half), w)
-    logf = _atanh_series(t, w).scale2(1)
-    return logf + log2_iv(w).mul_int(k)
+    h = 1 << (s - 1)
+    k = e + s - 1
+    w = prec + 12 + prec.bit_length() + abs(k).bit_length()
+    log2 = _LOG2_CACHE.get(w)
+    if log2 is None:
+        b, err = _atanh_fixed(1, 3, w)
+        log2 = _LOG2_CACHE[w] = 2 * b, 2 * (b + err)
+    a, err = _atanh_fixed(m - h, m + h, w)
+    lo2, hi2 = log2 if k >= 0 else log2[::-1]
+    return _iv(2 * a + k * lo2, 2 * (a + err) + k * hi2, -w)
 
 
 def log_iv(x: Iv, prec: int) -> Iv:
-    """Certified enclosure of log over a positive interval."""
+    """Certified enclosure of log over a positive interval: one integer
+    series per endpoint (one for an exact point), rounded once."""
     if not x.is_positive():
         raise ValueError("log over an interval not certified positive")
-    lo = _log_dyadic(x.lo, x.e, prec)
-    if x.lo == x.hi:
-        return lo.round(prec + 4)
-    hi = _log_dyadic(x.hi, x.e, prec)
+    lo = _log_fixed(x.lo, x.e, prec)
+    hi = lo if x.hi == x.lo else _log_fixed(x.hi, x.e, prec)
     return Iv(lo.lo, lo.e, hi.hi, hi.e).round(prec + 4)
 
 

@@ -1,14 +1,16 @@
 """Exact linear algebra: fraction-free elimination and integer HNF.
 
-Matrices are lists of rows.  One fraction-free elimination over the
-integers gives determinants and exact inverses as an integer matrix over
-one denominator, and gcd-style row reduction gives Hermite normal forms.
+Matrices are lists of rows.  Over the integers, one fraction-free
+elimination gives determinants and exact inverses over one denominator,
+Faddeev-LeVerrier the characteristic polynomial, and gcd-style row
+reduction Hermite normal forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def as_fraction(x) -> Fraction:
@@ -71,21 +73,24 @@ def int_inverse(mat, den: int = 1):
 
 
 def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def charpoly(mat):
-    """Characteristic polynomial det(xI - M), coefficients low degree first,
-    by the Faddeev-LeVerrier recursion (exact over Q)."""
+def charpoly(mat, den: int = 1):
+    """det(xI - mat/den), coefficients low degree first, for int or Fraction
+    entries and den > 0: Faddeev-LeVerrier (Cohen, GTM 138, section 2.2) on
+    the integer A = d mat, d the common denominator, divides exactly, and
+    A's c_k = -tr(A M_k)/k is the coefficient of x^(n-k) times (d den)^k."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
     coeffs = [Fraction(1)]          # degree n down to 0, built high->low
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(c, (d * den) ** k))
         for i in range(n):
             m[i][i] += c
     return tuple(reversed(coeffs))

@@ -303,8 +303,7 @@ class NumberField:
         return [list(row) for row in zip(*cols)]
 
     def charpoly_of(self, elem: FieldElement):
-        return charpoly([[Fraction(x, elem.den) for x in row]
-                         for row in self.mult_matrix(elem.num)])
+        return charpoly(self.mult_matrix(elem.num), elem.den)
 
     # ---- certified embeddings ----
 

@@ -188,8 +188,8 @@ _FACE_SPLITS = 64
 _FACE_MIN_SPLITS = 2
 _FACE_TOL = 2.0 ** -6
 
-# `_face_sums` numbers generators and fills a field's face cache, which the
-# thread pool's blocks share
+# guards a field's face cache, which `_face_sums` fills, against concurrent
+# library calls on one NumberField: `_sum_jobs`' own pool never reads it
 _FACE_LOCK = threading.Lock()
 
 
@@ -460,32 +460,32 @@ class CharacterTable:
     """Ray-class character data: one value per narrow-class representative.
 
     ``resolve`` maps an integral ideal to its representative index; it may be
-    omitted exactly when there is a single class.  Values must have modulus
-    1 (or be 0); the character is extended by zero on ideals not coprime to
-    the conductor.
+    omitted exactly when there is a single class.  Values are exactly 0 or
+    of modulus 1 (within 1e-12); the character is extended by zero on ideals
+    not coprime to the conductor.
     """
 
     def __init__(self, representatives: list, values: list, conductor: FractionalIdeal,
                  zero_on_noncoprime: bool = True, resolve=None):
         self.representatives, self.values, self.conductor = representatives, values, conductor
-        self.zero_on_noncoprime, self.resolve = zero_on_noncoprime, resolve
+        self.resolve = resolve
+        # decided once: value_of reads it at every R-set point
+        self._coprime_only = zero_on_noncoprime and not conductor.is_whole_ring()
         if len(self.representatives) != len(self.values):
             raise InvalidCharacter("one value per representative")
         for v in self.values:
-            if abs(abs(complex(v)) - 1) > 1e-12 and abs(complex(v)) > 1e-12:
-                raise InvalidCharacter("character values must have modulus 1 or 0")
+            if v != 0 and not abs(abs(complex(v)) - 1) <= 1e-12:
+                raise InvalidCharacter("character values must be 0 or have modulus 1")
 
     @property
     def depends_on_ideal(self) -> bool:
         """Whether value_of reads its ideal: with a resolver, several
         values, or a proper conductor that it must be coprime to."""
-        return (self.resolve is not None or len(self.values) > 1
-                or (self.zero_on_noncoprime and not self.conductor.is_whole_ring()))
+        return self.resolve is not None or len(self.values) > 1 or self._coprime_only
 
     def value_of(self, ideal: FractionalIdeal) -> complex:
-        if self.zero_on_noncoprime and not self.conductor.is_whole_ring():
-            if not ideal_add(ideal, self.conductor).is_whole_ring():
-                return 0j
+        if self._coprime_only and not ideal_add(ideal, self.conductor).is_whole_ring():
+            return 0j
         if self.resolve is not None:
             return complex(self.values[self.resolve(ideal)])
         if len(self.values) == 1:

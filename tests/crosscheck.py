@@ -42,6 +42,23 @@ def fraction_solve(mat, rhs):
     return [row[n] for row in a]
 
 
+def fraction_charpoly(mat):
+    """det(xI - mat), coefficients low degree first, by the Faddeev-LeVerrier
+    recursion on Fraction matrices: the test side's reference for the
+    integer ``exactlinalg.charpoly``."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeffs = [Fraction(1)]          # degree n down to 0, built high->low
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+    return tuple(reversed(coeffs))
+
+
 class LastCoordinateZero(InputError):
     """l(x) needs x_n != 0."""
 

@@ -130,6 +130,28 @@ MUTANTS = (
            # and the quartic tests never reach their assertions
            ("tests/test_zeta.py::test_basis_cost_counts_the_r_set_points",
             "tests/test_zeta.py::test_partial_zeta_block_path_is_single_point_sum")),
+    Mutant("log: the upper bound without its error count",
+           "src/shintani/dyadic.py",
+           "    return a, 3 * (j + 1) + 1\n",
+           "    return a, 0\n",
+           ("tests/test_dyadic.py::test_log_encloses_mpmath_on_adversarial_inputs",)),
+    Mutant("log: the ends of log 2 not swapped for k < 0",
+           "src/shintani/dyadic.py",
+           "    lo2, hi2 = log2 if k >= 0 else log2[::-1]\n",
+           "    lo2, hi2 = log2\n",
+           ("tests/test_dyadic.py::test_log_encloses_mpmath_on_adversarial_inputs",)),
+    Mutant("charpoly: no d^k scaling",
+           "src/shintani/exactlinalg.py",
+           "coeffs.append(Fraction(c, (d * den) ** k))",
+           "coeffs.append(Fraction(c))",
+           ("tests/test_exactlinalg.py::test_charpoly_matches_the_fraction_reference",
+            "tests/test_field.py::test_arithmetic_matches_the_fraction_reference")),
+    Mutant("character: a near-zero value read as modulus 0",
+           "src/shintani/zeta.py",
+           "if v != 0 and not abs(abs(complex(v)) - 1) <= 1e-12:",
+           "if abs(complex(v)) > 1e-12 and not abs(abs(complex(v)) - 1) <= 1e-12:",
+           ("tests/test_zeta.py::test_character_values_are_zero_or_of_modulus_one",
+            "tests/test_cli.py::test_rule_violations_exit_2_with_their_class")),
     Mutant("order membership: the denominator ignored",
            "src/shintani/ideals.py",
            "return self.to_order_coords(elem)[1] == 1",

@@ -127,7 +127,9 @@ def test_every_error_class_has_an_exit_code():
     ("cones", {"field": {"poly": [-2, 0, 1], "units": [["3", "2", "1"]]}}, "SchemaError"),
     ("lfun", {"character": {"values": [[1, 0], [1, 0]]}}, "InvalidCharacter"),
     ("lfun", {"character": {"values": [[0.5, 0.5]]}}, "InvalidCharacter"),
-], ids=["not-monic", "unit-length", "two-values-one-representative", "modulus"])
+    ("lfun", {"character": {"values": [[1e-13, 0.0]]}}, "InvalidCharacter"),
+], ids=["not-monic", "unit-length", "two-values-one-representative", "modulus",
+        "near-zero-modulus"])
 def test_rule_violations_exit_2_with_their_class(tmp_path, capsys, cmd, extra, error):
     job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-3, **extra})
     code, out = run(capsys, [cmd, "--job", job])

@@ -3,12 +3,13 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani import dyadic
-from shintani.dyadic import Iv, Ladder, iv_adjugate, iv_det, log2_iv, log_iv
+from shintani.dyadic import Iv, Ladder, iv_adjugate, iv_det, log_iv
 from shintani.errors import PrecisionCapExceeded, UndecidableSign
 from shintani.exactlinalg import mat_det
 from shintani.geometry import field_map
@@ -63,8 +64,8 @@ def _up(v, prec):
     return -_down(-v, prec)
 
 
-@given(intervals(), intervals(), st.integers(-1000, 1000), st.integers(-50, 50))
-def test_exact_operations_are_exact(x, y, c, k):
+@given(intervals(), intervals(), st.integers(-1000, 1000))
+def test_exact_operations_are_exact(x, y, c):
     (a, b), (p, q) = _ends(x), _ends(y)
     assert a <= b and p <= q
     assert _ends(x + y) == (a + p, b + q)
@@ -73,7 +74,6 @@ def test_exact_operations_are_exact(x, y, c, k):
     prods = (a * p, a * q, b * p, b * q)
     assert _ends(x * y) == (min(prods), max(prods))
     assert _ends(x.mul_int(c)) == (min(a * c, b * c), max(a * c, b * c))
-    assert _ends(x.scale2(k)) == (a * Fraction(2) ** k, b * Fraction(2) ** k)
     assert x.sign() == (1 if a > 0 else -1 if b < 0 else 0 if a == b == 0 else None)
 
 
@@ -94,12 +94,9 @@ def test_from_fraction_rounds_each_endpoint_by_value(v, prec):
         assert _ends(iv) == (_down(v, prec), _up(v, prec))
 
 
-@given(intervals(), intervals(), st.integers(-10 ** 6, 10 ** 6).filter(bool),
-       st.integers(8, 130))
-def test_division_rounds_each_endpoint_by_value(x, y, c, prec):
+@given(intervals(), intervals(), st.integers(8, 130))
+def test_division_rounds_each_endpoint_by_value(x, y, prec):
     a, b = _ends(x)
-    lo, hi = sorted((a / c, b / c))
-    assert _ends(x.div_int(c, prec)) == (_down(lo, prec), _up(hi, prec))
     if y.sign() in (1, -1):
         p, q = _ends(y)
         quots = (a / p, a / q, b / p, b / q)
@@ -168,7 +165,7 @@ LOG2_30 = Fraction("0.693147180559945309417232121458")  # 30 digits
 
 
 def test_log2_value():
-    iv = log2_iv(64)
+    iv = log_iv(_int(2), 64)
     eps = Fraction(1, 10 ** 28)
     assert iv.lo_fraction() <= LOG2_30 + eps
     assert iv.hi_fraction() >= LOG2_30 - eps
@@ -187,6 +184,35 @@ def test_log_containment(x, prec):
     assert lg.lo_fraction() <= approx + Fraction(1, 10 ** 12)
     assert lg.hi_fraction() >= approx - Fraction(1, 10 ** 12)
     assert lg.width_fraction() < Fraction(1, 1 << (prec - 4))
+
+
+def _adversarial_log_inputs():
+    """(lo, hi, e, prec): m a power of two (tau = 0), m = 2^s - 1 (tau just
+    below 1/3) and random m, with x < 1 (k < 0) and |e| up to 10^4, exact
+    points and wide intervals, at 64 to 1024 bits."""
+    rng = random.Random(33)
+    for prec in (64, 65, 200, 1024):
+        for s in (1, 2, 53, 65, prec + 3, 2 * prec):
+            for e in (-s, 1 - s, 1 - s - 10 ** 4, 10 ** 4, rng.randint(-10 ** 4, 10 ** 4)):
+                for m in (1 << (s - 1), (1 << s) - 1, rng.getrandbits(s) | 1 << (s - 1)):
+                    yield m, m, e, prec
+                    yield m, m + rng.getrandbits(rng.randint(1, s + 2)), e, prec
+
+
+def test_log_encloses_mpmath_on_adversarial_inputs():
+    for lo, hi, e, prec in _adversarial_log_inputs():
+        lg = log_iv(Iv(lo, e, hi, e), prec)
+        with mpmath.workprec(2 * prec + 64):
+            a, b = (mpmath.log(mpmath.ldexp(v, e)) for v in (lo, hi))
+            # before the last rounding: the fixed-point ends and their width
+            f = dyadic._log_fixed(lo, e, prec)
+            assert mpmath.ldexp(f.lo, f.e) <= a <= mpmath.ldexp(f.hi, f.e)
+            assert f.hi - f.lo < 1 << (-f.e - prec - 8)
+            assert mpmath.ldexp(lg.lo, lg.e) <= a and b <= mpmath.ldexp(lg.hi, lg.e)
+            # the width bound of test_log_containment, relative once |log| > 1
+            # as the last rounding keeps prec + 4 bits of the endpoint's value
+            slack = (b - a) + max(1, abs(a), abs(b)) * mpmath.ldexp(1, 4 - prec)
+            assert mpmath.ldexp(lg.hi - lg.lo, lg.e) < slack
 
 
 def test_log_monotone_bounds():

@@ -16,7 +16,7 @@ from shintani.exactlinalg import (
     signed_inverse,
 )
 
-from crosscheck import fraction_solve
+from crosscheck import fraction_charpoly, fraction_solve
 
 small_mat = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
@@ -143,3 +143,20 @@ def test_charpoly_cayley_hamilton():
     acc = [[m2[i][j] + cp[1] * m[i][j] + cp[0] * (i == j) for j in range(2)]
            for i in range(2)]
     assert acc == [[0, 0], [0, 0]]
+
+
+def test_charpoly_matches_the_fraction_reference():
+    # the integer recursion on d mat, rescaled by d^k, against the Fraction
+    # recursion, on rational matrices up to n = 6 and on integer matrices
+    # over a denominator
+    rng = random.Random(33)
+    for n in range(1, 7):
+        for _ in range(6):
+            m = [[Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 7, 60)))
+                  for _ in range(n)] for _ in range(n)]
+            assert charpoly(m) == fraction_charpoly(m)
+            num = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+            den = rng.choice((1, 2, 12, 35))
+            cp = charpoly(num, den)
+            assert all(type(c) is Fraction for c in cp)
+            assert cp == fraction_charpoly([[Fraction(x, den) for x in row] for row in num])

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from shintani.errors import (
@@ -18,10 +19,10 @@ from shintani.errors import (
 )
 from shintani import field
 from shintani.dyadic import START_PREC, Iv, iv_det
-from shintani.exactlinalg import charpoly, mat_det
+from shintani.exactlinalg import mat_det
 from shintani.field import FieldElement, NumberField, field_from_json
 
-from crosscheck import fraction_solve
+from crosscheck import fraction_charpoly, fraction_solve
 from fixtures import (
     ALL_NET_COUNT,
     DEPENDENT_UNITS,
@@ -411,6 +412,25 @@ FIELD_FIXTURES = dict(ALL_NET_COUNT, cubic_signed_witness=cubic_signed_witness,
                       q_zeta17_plus=q_zeta17_plus)
 
 
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_unit_logs_contain_the_mpmath_logs(name):
+    # each conjugate from mpmath's roots in the field's embedding order,
+    # its log to 60 digits, inside the certified row at 64 and 128 bits
+    fld, units = FIELD_FIXTURES[name]()
+    with mpmath.workdps(80):
+        roots = sorted(r.real for r in mpmath.polyroots(fld.poly[::-1], maxsteps=200,
+                                                        extraprec=200))
+        roots = [roots[i] for i in fld.embedding_order]
+        for prec in (64, 128):
+            for u, row in zip(units, fld.unit_logs(units, prec)):
+                for r, iv in zip(roots, row):
+                    lg = mpmath.log(sum(c * r ** i for i, c in enumerate(
+                        mpmath.mpf(c.numerator) / c.denominator for c in u.coeffs)))
+                    lo = mpmath.ldexp(iv.lo, iv.e)
+                    hi = mpmath.ldexp(iv.hi, iv.e)
+                    assert lo + mpmath.mpf(10) ** -60 <= lg <= hi - mpmath.mpf(10) ** -60
+
+
 def random_coords(n, rng):
     """Random rational coordinates, with a random denominator per entry."""
     while True:
@@ -443,8 +463,12 @@ def test_arithmetic_matches_the_fraction_reference(name):
     for _ in range(4):
         u = units[rng.randrange(len(units))] ** rng.choice((-2, -1, 1, 2))
         for x in (u, u / units[0], u * Fraction(1, 2), fld.element(random_coords(n, rng))):
-            cp = charpoly(fraction_matrix(poly, x.coeffs))
+            cp = fraction_charpoly(fraction_matrix(poly, x.coeffs))
             assert fld.is_unit(x) == (all(c.denominator == 1 for c in cp) and abs(cp[0]) == 1)
+    # the unit test's polynomial on every unit and unit quotient
+    for u in units:
+        for x in (u, u.inverse(), u / units[-1]):
+            assert fld.charpoly_of(x) == fraction_charpoly(fraction_matrix(poly, x.coeffs))
 
 
 @pytest.mark.parametrize("name", FIELD_FIXTURES)

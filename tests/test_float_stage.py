@@ -19,7 +19,7 @@ from shintani.domain import (
     sample_point,
     verify_net_counts,
 )
-from shintani.dyadic import START_PREC, Iv, iv_det, log2_iv, log_iv
+from shintani.dyadic import START_PREC, Iv, iv_det, log_iv
 
 from fixtures import ALL_NET_COUNT, INVERTED_UNITS, cubic_signed_witness
 
@@ -122,7 +122,7 @@ def near_face_points(dom, rng, count, offset):
 
 
 def test_log2_float_is_nearest():
-    iv = log2_iv(128)
+    iv = log_iv(Iv(2, 0, 2, 0), 128)
     err = max(abs(Fraction(domain._LOG2) - iv.lo_fraction()),
               abs(Fraction(domain._LOG2) - iv.hi_fraction()))
     assert err < Fraction(1, 1 << 54)

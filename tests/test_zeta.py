@@ -17,6 +17,7 @@ from shintani.domain import build_signed_domain, cheapest_basis, is_true_domain
 from shintani.errors import (
     DependentUnits,
     InputError,
+    InvalidCharacter,
     NotAUnit,
     NonMonogenicPrime,
     NotTotallyPositive,
@@ -249,6 +250,37 @@ def test_l_function_zero_character(dom2):
                          FractionalIdeal.whole_ring(order))
     lv = l_function(2.0, chi, units, fld, ZetaParams(target_error=1e-4))
     assert lv.value == 0j
+
+
+@pytest.mark.parametrize("value", [1e-13, 1e-13j, 5e-324, 0.5, 1 + 1e-9, complex("nan")])
+def test_character_values_are_zero_or_of_modulus_one(dom2, value):
+    # a tiny nonzero value is not a value of modulus 0: it would be summed
+    # as it is, since only an exact 0 drops a point
+    fld, units, dom, order = dom2
+    ok = FractionalIdeal.whole_ring(order)
+    with pytest.raises(InvalidCharacter):
+        CharacterTable([ok], [value], ok)
+    for good in (0j, -0.0, 1 + 0j, 1 - 1e-13, 1j, complex(0.6, 0.8)):
+        CharacterTable([ok], [good], ok)
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_character_tests_its_conductor_once(dom2, monkeypatch, proper):
+    # a whole-ring conductor is seen in the constructor; value_of then
+    # compares no ideal with the whole ring, and a proper conductor costs
+    # one coprimality test per call
+    fld, units, dom, order = dom2
+    ok = FractionalIdeal.whole_ring(order)
+    conductor = principal_ideal(order, fld.element([3, 0])) if proper else ok
+    chi = CharacterTable([ok], [1 + 0j], conductor)
+    tests = []
+    monkeypatch.setattr(FractionalIdeal, "is_whole_ring",
+                        lambda self: tests.append(self) or self == ok)
+    # (3) is inert in Q(sqrt2): only the multiples of 3 meet it
+    ideals = [principal_ideal(order, fld.element(c)) for c in ([1, 1], [3, 3], [5, 2], [6, 0])]
+    values = [chi.value_of(a) for a in ideals]
+    assert len(tests) == (len(ideals) if proper else 0)
+    assert values == ([1 + 0j, 0j, 1 + 0j, 0j] if proper else [1 + 0j] * 4)
 
 
 def test_l_function_weight_sensitivity(monkeypatch):
