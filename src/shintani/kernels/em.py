@@ -112,6 +112,21 @@ from .scalar import half_integer_power
 # the rows rounds once; terms leaving the normal range are allowed 2^-1020
 # each, as in `scalar.box_sum_roundoff`; the bound itself is evaluated in a
 # few dozen roundings, which the factor 1 + 2^-45 covers.
+#
+# A priori.  `em_roundoff` bounds that bound by a multiple of the value.
+# A row's integral I(U, D) is at least g(K) U / (2s - 1), as u (u + D) <=
+# U (U + D) (u/U)^2 for u >= U; U >= U_p for the p the row takes (U = lo if
+# p < P), and c_m <= C(2s+m-1, m) U^-m, as v_j <= 1/U.  So the remainder and
+# the error of E are at most (2s - 1) (sum_{j<=p} w_j C(2s+2j-2, 2j-1) U_p^-2j
+# + t_{p+1} C(2s+2p, 2p+1) U_p^(-2p-2)) I, and e_I is g_cf (2s - 1) q^s
+# (q - 1)^(1-2s) M(q) times that lower bound on I, q = 1 + D/U, whose parts
+# (q/(q-1))^(2s-1) P~(1/q), q^s (q-1)^(1-2s) and that times ln q (s >= 2)
+# decrease for q >= 3: their values at q = 1 + theta bound them.  With kappa
+# the larger former term over p plus the latter, a row's extra is at most
+# kappa' = (1 + 2^-20) kappa times the computed row (its integral but for
+# relative errors below 2^-30), and the bound is at most beta value plus
+# 2^-1019 a term, beta the bound's formula at err = rho_row (1 + 2u) +
+# kappa' / (1 - gamma_{L+2}) + u / (1 - u).
 
 _EM_P = 8
 
@@ -229,6 +244,26 @@ def _em_plan(s):
 def em_direct_terms(s):
     """The most direct terms `em_sums` takes in a row at s: ceil(U_P)."""
     return ceil(_em_thresholds(s)[_EM_P])
+
+
+def em_roundoff(value, s, radius, delta):
+    """An upper bound on the bound of `em_sums` at level radius for a shift
+    of computed value at most `value` and inputs within relative delta."""
+    plan, s2, q = _em_plan(s), int(2 * s), 1 + _em_plan(s).theta
+    us, pa = plan.thresholds, 0.0
+    for _, a_abs in plan.poly:
+        pa = pa / q + a_abs
+    kappa = (s2 - 1) * (max(
+        sum(plan.weights[j] * math.comb(s2 + 2 * j - 2, 2 * j - 1) * us[p] ** (-2 * j)
+            for j in range(1, p + 1))
+        + plan.tails[p] * math.comb(s2 + 2 * p, 2 * p + 1) * us[p] ** (-2 * p - 2)
+        for p in range(1, _EM_P + 1)) + plan.g_cf * q ** s * plan.theta ** (1 - s2)
+        * (q ** (s - 1) * pa + plan.c_abs + plan.ell_abs * log(q)))
+    err = (plan.rho_row * (1 + 2 * U) + (1 + 2.0 ** -20) * kappa / (1 - gamma(radius + 2))
+           + U / (1 - U))
+    grow = math.expm1(2 * s * (-2 * math.log1p(-delta) - 5 * math.log1p(-U)))
+    beta = (gamma(2) + err + (1 + err) * grow) / (1 - gamma(2)) * (1 + 2.0 ** -44)
+    return beta * value + (radius + 1) * (1 + em_direct_terms(s)) * 2.0 ** -1019
 
 
 def em_sums(zs, gens, s, radius, scale, deltas):

@@ -59,7 +59,13 @@ leave out, {m_1 > L}, lie in {|m| > L}: the tail bound of level L covers
 them.  The remainder and the roundoff of every operation, the integral's
 truncation and cancellation included, are derived in the comment block of
 `kernels.em`, in the terms of `kernels.scalar.box_sum_roundoff`; `em_sums`
-returns them as one bound per shift, which `_zeta_block` adds to the tail."""
+returns them as one bound per shift, which `_zeta_block` adds to the tail.
+
+Error budget.  A job's error bound sums, weighted by b_i, each live R-set
+point's tail and non-tail (roundoff, Euler-Maclaurin) bounds.  `_sum_jobs`
+bounds the latter a priori by R = sum_i b_i R_i (`_reserve`) and gives each
+point the tail target (target - min(R, target/2)) / (live b_i): the bound
+meets the target whenever R <= target/2, else the tails keep half of it."""
 
 from __future__ import annotations
 
@@ -99,16 +105,17 @@ from .kernels import ZetaValue
 # raises TailBoundUnachievable
 _M_CAP = 200_000
 
-# Box terms up to which a job of s in 1/2 Z, 1 <= s <= 8, is summed by
-# `kernels.scalar`, which needs no NumPy, instead of `kernels.box_sums`.
-# Importing NumPy costs about 110 ms.  Per term the scalar sum costs about
-# 0.3 us on long slabs and up to 0.8 us on many short ones (hundreds of
-# shifts at radius 9, n = 3, which its point-major blocks share), NumPy
-# 0.01-0.1 us.  So NumPy repays its import from about 1.4 10^5 terms at the
-# slowest scalar rate, and from 3 10^5 at the fastest: below 10^5 the
-# scalar sum is never the slower.  The terms of groups that go to the
-# Euler-Maclaurin sum (below) do not count.
-_SCALAR_TERMS = 10 ** 5
+# The whole-process cost in us of a job's simplex sums (s in 1/2 Z, 1 <= s
+# <= 8; other s take NumPy's): `kernels.scalar` costs _SCALAR_TERM a term and
+# _SCALAR_SLAB a slab of each shift, `kernels.box_sums` _NUMPY_TERM a term
+# after _NUMPY_FIXED to import NumPy and tear it down at exit.  On a 2-core
+# host that takes 0.25 ms for sum(range(10^4)), least squares over n = 2-4,
+# levels 8-400 and 1-200 shifts (3 10^3 to 6 10^5 terms) fit the scalar sum
+# within a factor 1.5; the fixed cost, paired process starts with and
+# without NumPy, had medians of 86-116 ms.  So NumPy repays it from about
+# 3 10^5 terms.  The groups that go to the Euler-Maclaurin sum (below) do
+# not count.
+_SCALAR_TERM, _SCALAR_SLAB, _NUMPY_TERM, _NUMPY_FIXED = 0.34, 2.3, 0.012, 100_000
 
 # The cost of the Euler-Maclaurin sum (`kernels.em.em_sums`) in terms
 # of the scalar simplex sum at n = 2: a row (one m_1, summed over every
@@ -147,11 +154,12 @@ def _em_wins(n: int, s: float, radius: int) -> bool:
     return math.comb(radius + 2, 2) > (radius + 1) * row
 
 
-def _box_sums(s: float, terms: int):
-    """The simplex-sum evaluator of a job of `terms` box terms at s: the
-    scalar one for s in 1/2 Z, 1 <= s <= 8, and at most _SCALAR_TERMS
-    terms, NumPy's otherwise.  Both give the same floats."""
-    if kernels.scalar.half_integer_power(s)[0] and terms <= _SCALAR_TERMS:
+def _box_sums(s: float, terms: int, slabs: int):
+    """The simplex-sum evaluator of a job of so many box terms and shift
+    slabs at s: the scalar one where it costs no more (see _SCALAR_TERM),
+    NumPy's otherwise.  Both give the same floats."""
+    if (kernels.scalar.half_integer_power(s)[0] and _SCALAR_TERM * terms + _SCALAR_SLAB * slabs
+            <= _NUMPY_FIXED + _NUMPY_TERM * terms):
         return kernels.scalar.box_sums
     return kernels.box_sums
 
@@ -341,11 +349,11 @@ def _face_tail_bound(n: int, s: float, scale: int, radius: int, sums) -> float:
     return total * scale ** -ns * (1 + slack)
 
 
-def _cone_level(cone, s: float, scale: int, target: float) -> tuple[int, float]:
+def _cone_level(cone, s: float, scale: int, target: float) -> tuple[int, float] | None:
     """(L, tail): the smallest simplex level 4 <= L <= _M_CAP at which the
     smaller of `tail_bound` and `_face_tail_bound` (`tail_bound` alone when
-    the cone has no face sums) meets the target, and that bound at L.  Both
-    bounds are non-increasing in L, so one bisection finds it."""
+    the cone has no face sums) meets the target, and that bound at L, or
+    None.  Both bounds are non-increasing in L, so one bisection finds it."""
     n = cone.field.degree
     sums = _face_sums(cone, s)
 
@@ -354,7 +362,7 @@ def _cone_level(cone, s: float, scale: int, target: float) -> tuple[int, float]:
         return bound if sums is None else min(bound, _face_tail_bound(n, s, scale, level, sums))
 
     if tail(_M_CAP) > target:
-        raise TailBoundUnachievable(f"target {target} needs radius beyond the cap {_M_CAP}")
+        return None
     lo, hi = 3, _M_CAP
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -451,9 +459,13 @@ def shintani_zeta(s: float, z: FieldElement, cone, params: ZetaParams,
     """Sum over m >= 0, |m| <= L, of prod_j (z^(j) + scale*sum m_i f_i^(j))^-s
     with a certified tail bound plus the derived float-roundoff bound; where
     `_em_wins`, over m_1 <= L and every m_0 instead (see the module
-    docstring)."""
+    docstring), as a job of one point."""
     _require_s(s, cone.field.degree)
-    return _sum_jobs(s, [(cone, z, params.target_error, 1, 1)], scale, params)
+    try:
+        head = float(abs(z.norm())) ** -s
+    except (OverflowError, ZeroDivisionError):      # beyond the float range, or z = 0
+        head = math.inf
+    return _sum_jobs(s, [(cone, z, 1, 1, head)], scale, params)
 
 
 class CharacterTable:
@@ -506,36 +518,80 @@ def trivial_character(order: Order) -> CharacterTable:
 _BLOCK = 2 ** 12
 
 
+# The reserve R_i of a point z bounds, at any level L <= _M_CAP, the
+# non-tail part of its error bound.  The terms are positive, so any sum, on
+# the simplex or by rows, is at most the whole series.  Its m = 0 term is
+# N(z)^-s <= head (N(I)^s for z in the lattice I^-1 of an integral ideal I,
+# see `_require_norm_power`); N^(1/n) is concave and 1-homogeneous, so
+# superadditive on the positive orthant, and with the AM-GM bound above
+# term(m) <= (N(z)^(1/n) + scale |m|)^-ns: |m| = 1 adds at most
+# n (head^(-1/ns) + scale)^-ns, the rest tail_bound(n, s, scale, 1), and V,
+# the sum, bounds the exact one.  Inputs are within delta < 2^-49 of exact
+# (`_embed_floats`), and box_sum_roundoff grows with the value, the level and
+# delta: E(v), its bound at (v, _M_CAP, 2^-49), covers the roundoff at any
+# value up to v.  `_require_s` keeps every gamma_K there at K u < 1/4 and
+# n S 2^-49 < 1/16, so rho < (4/3) e^(1/16) - 1 < 1/2 and the computed value
+# is at most V + E(V): R_i = E(V + 2 E(V)) also covers the roundings of V.
+# `kernels.em.em_roundoff` is the Euler-Maclaurin sum's E (below 10^-4 v).
+# Groups may go either way: once a level reaches `_em_wins` the jobs take the
+# larger E, and the levels are found again (they only grow, as R does).
+@functools.lru_cache(maxsize=None)
+def _reserve(n: int, s: float, scale: int, head: float, em: bool) -> float:
+    def bound(v):
+        out = kernels.box_sum_roundoff(v, n, s, _M_CAP, 2.0 ** -49)
+        if em:
+            from .kernels.em import em_roundoff
+            out = max(out, em_roundoff(v, s, _M_CAP, 2.0 ** -49))
+        return out
+
+    v = (head + n * ((head ** (-1 / (n * s)) if head else math.inf) + scale) ** (-n * s)
+         + tail_bound(n, s, scale, 1))
+    return bound(v + 2 * bound(v))
+
+
 def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     """Sum of weight * zeta and of bound_weight * its error bound over the
-    jobs (cone, z, target, weight, bound_weight), zeta being the Shintani
-    sum of z over the cone at that target and scale; a job of None is not
-    evaluated and adds (0j, 0.0).  `shintani_zeta` is the sum of one job.
+    jobs (cone, z, weight, bound_weight, head), zeta being the Shintani sum
+    of z over the cone at the scale and head a bound on its m = 0 term; a
+    job of None is not evaluated and adds (0j, 0.0).  `shintani_zeta` is the
+    sum of one job.  The live jobs share params.target_error as the module
+    docstring's error budget says.
 
-    The jobs are grouped by cone and target, so a group has one radius L,
-    and each group is cut into blocks of at most _BLOCK // N points, which
+    The jobs are grouped by cone and tail target, so a group has one radius
+    L, and each group is cut into blocks of at most _BLOCK // N points, which
     the thread pool (params.threads) maps over.  The results are added in
     job order, so the sums do not depend on the blocks or the threads.  A
     group that `_em_wins` is summed by Euler-Maclaurin; one evaluator
-    (`_box_sums`) sums every other block, picked for the total terms of
+    (`_box_sums`) sums every other block, picked for the terms and slabs of
     those groups."""
-    groups = {}
-    for i, job in enumerate(jobs):
-        if job is not None:
-            groups.setdefault((id(job[0]), job[2]), []).append(i)
+    live = [i for i, job in enumerate(jobs) if job is not None]
+    target, n = params.target_error, jobs[live[0]][0].field.degree if live else 0
+    for em in (False, True):
+        reserve = math.fsum(jobs[i][3] * _reserve(n, s, scale, jobs[i][4], em) for i in live)
+        budget = (target - min(reserve, target / 2)) / max(1, len(live))
+        groups = {}
+        for i in live:
+            groups.setdefault((id(jobs[i][0]), budget / jobs[i][3]), []).append(i)
+        levels = []
+        for (_, tail), members in groups.items():
+            levels.append(_cone_level(jobs[members[0]][0], s, scale, tail))
+            if levels[-1] is None:
+                raise TailBoundUnachievable(
+                    f"target_error {target!r} over {len(live)} live points leaves a tail target"
+                    f" of {tail:.3g} per point, which needs a level beyond the cap {_M_CAP}")
+        if em or not any(_em_wins(n, s, radius) for radius, _ in levels):
+            break
     blocks = []
-    terms = 0
-    for members in groups.values():
-        cone, _z, target = jobs[members[0]][:3]
-        n = cone.field.degree
-        level = _cone_level(cone, s, scale, target)
-        radius = level[0]
+    terms = slabs = 0
+    for members, level in zip(groups.values(), levels):
+        cone, radius = jobs[members[0]][0], level[0]
         size = max(1, _BLOCK // math.comb(radius + n - 1, n - 1))
         blocks += [(cone, members[lo:lo + size], level)
                    for lo in range(0, len(members), size)]
         if not _em_wins(n, s, radius):
             terms += len(members) * math.comb(radius + n, n)
-    box_sums = _box_sums(s, terms)
+            slabs += len(members) * (radius + 1)
+    box_sums = _box_sums(s, terms, slabs)
 
     def run(block):
         cone, members, level = block
@@ -550,7 +606,7 @@ def _sum_jobs(s: float, jobs, scale: int, params: ZetaParams) -> ZetaValue:
     zvs = {i: zv for (_, members, _), vs in zip(blocks, values)
            for i, zv in zip(members, vs)}
     results = [(0j, 0.0, 0, 0) if job is None else
-               (job[3] * zvs[i].value, job[4] * zvs[i].error_bound,
+               (job[2] * zvs[i].value, job[3] * zvs[i].error_bound,
                 zvs[i].terms, zvs[i].radius)
                for i, job in enumerate(jobs)]
     return ZetaValue(sum(r[0] for r in results), sum(r[1] for r in results),
@@ -600,11 +656,12 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
     """
     order, dom = _prepare(s, field, units, order, chi.representatives, chi.conductor)
     varies = chi.depends_on_ideal
-    terms = []
+    jobs = []
     for rep in chi.representatives:
         af = ideal_mul(rep, chi.conductor)
         _require_norm_power(af.norm(), s)
         n_af = float(af.norm())
+        nfac, head = n_af ** -s, n_af ** s
         lattice = ideal_inverse(af)
         for cone in dom.cones:
             rset = coset_enumerate_R(cone, lattice, shift=0, scale=1)
@@ -612,12 +669,8 @@ def l_function(s: float, chi: CharacterTable, units, field: NumberField,
                 # (z) af is formed only when the value can depend on it
                 chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af)
                                        if varies else af)
-                terms.append((cone, z, n_af ** (-s), chi_val))
-    # live jobs' bounds, weighted by nfac, share half the target evenly
-    share = params.target_error / (2 * max(1, sum(t[3] != 0 for t in terms)))
-    jobs = [None if chi_val == 0 else
-            (cone, z, share / nfac, cone.w * nfac * chi_val, nfac * abs(chi_val))
-            for cone, z, nfac, chi_val in terms]
+                jobs.append(None if chi_val == 0 else
+                            (cone, z, cone.w * nfac * chi_val, nfac * abs(chi_val), head))
     return _sum_jobs(s, jobs, 1, params)
 
 
@@ -637,16 +690,10 @@ def partial_zeta(s: float, ray_class, field: NumberField, params: ZetaParams,
     f_int = smallest_positive_rational_integer(conductor)
     lattice = ideal_mul(ideal_inverse(a_ideal), conductor)
     n_a = float(a_ideal.norm())
-    points = []
-    for cone in dom.cones:
-        rset = coset_enumerate_R(cone, lattice, shift=field.one, scale=f_int)
-        points += [(cone, z) for z, _t in rset.points]
-    per_term = params.target_error / (2 * len(points)) if points else params.target_error
-    target = per_term * (n_a ** s)
-    total = _sum_jobs(s, [(cone, z, target, cone.w, 1) for cone, z in points],
-                      f_int, params)
-    return ZetaValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
-                     total.terms, total.radius)
+    nfac, head = n_a ** -s, n_a ** s
+    jobs = [(cone, z, cone.w * nfac, nfac, head) for cone in dom.cones
+            for z, _t in coset_enumerate_R(cone, lattice, shift=field.one, scale=f_int).points]
+    return _sum_jobs(s, jobs, f_int, params)
 
 
 def dedekind_zeta_via_domain(s: float, units, field: NumberField,

@@ -158,6 +158,16 @@ MUTANTS = (
            "return self.to_order_coords(elem)[1] >= 1",
            ("tests/test_cli.py::test_unit_outside_the_order_exit_2",
             "tests/test_golden_cli.py::test_cli_output_matches_its_golden_digest")),
+    Mutant("error budget: reserve dropped, the tails get the whole target",
+           "src/shintani/zeta.py",
+           "budget = (target - min(reserve, target / 2)) / max(1, len(live))",
+           "budget = target / max(1, len(live))",
+           ("tests/test_zeta.py::test_budgets_sum_to_target_less_reserve",)),
+    Mutant("error budget: the target/2 cap on the reserve removed",
+           "src/shintani/zeta.py",
+           "budget = (target - min(reserve, target / 2)) / max(1, len(live))",
+           "budget = (target - reserve) / max(1, len(live))",
+           ("tests/test_zeta.py::test_budgets_sum_to_target_less_reserve",)),
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -158,6 +159,21 @@ def test_zeta_tail_cap_exit_3(tmp_path, capsys):
     code, out = run(capsys, ["zeta", "--job", job])
     assert code == 3
     assert out["error"] == "TailBoundUnachievable"
+
+
+@pytest.mark.parametrize("cmd", ["zeta", "lfun"])
+def test_tail_cap_detail_names_the_job_target_and_the_per_point_share(tmp_path, capsys, cmd):
+    # Q(sqrt2) at s = 2 and 1e-12: the detail gives the job's target_error,
+    # its two live points and the tail target each is left, between a quarter
+    # and a half of it (the reserve takes at most half the target), not that
+    # share alone as "target"
+    job = write_job(tmp_path, {"field": Q2, "s": 2.0, "target_error": 1e-12})
+    code, out = run(capsys, [cmd, "--job", job])
+    assert code == 3 and out["error"] == "TailBoundUnachievable"
+    detail = re.fullmatch(r"target_error 1e-12 over 2 live points leaves a tail target of "
+                          r"(\S+) per point, which needs a level beyond the cap 200000",
+                          out["detail"])
+    assert detail and 2.5e-13 <= float(detail[1]) < 5e-13
 
 
 @pytest.mark.parametrize("s", [1e15, 1e20])

@@ -43,18 +43,18 @@ JOBS = [
      ["--threads", "2"],
      "b86628345b799a76cbc8dcbfe0c59ad3e93d8c68491de6b6810456285604ba94"),
     ("zeta-q2", "zeta", {"field": Q2, "s": 2.0, "target_error": 1e-6}, [],
-     "7213b94cfca1b62712a0cb6b7a2c1d9af3440549445221c9672f00ce6f43d36c"),
+     "fd6e7e74d84ea50e5bfda7165321717f184ed6cd1d06c068fc609228391a90b1"),
     ("zeta-q2-ideals", "zeta", {"field": Q2, "s": 2.5, "target_error": 1e-5,
                                 "ideals": [{"hnf": [[1, 5], [0, 7]]},
                                            {"hnf": [[3, 0], [0, 3]]}]}, [],
-     "9c8ee3ed30175b926f2fe6974bc90af951594b9b8d0bd673399f31107ab75a12"),
+     "cff0c102410c631b71be5bf8448e3b25db4f00b4d95b8e0391e864b24f8a14fd"),
     ("zeta-witness", "zeta", {"field": WITNESS, "s": 2.0, "target_error": 1e-3}, [],
-     "ad0ce6f7a4f2410b4717f2276969b2ff90f5883e0adb4715ec41aa4e3c21a18a"),
+     "81bf9a6bf6717e25dc3661311d7851ee0aff7dbced7ede3f62a9caec1dfdb647"),
     ("zeta-quartic", "zeta", {"field": QUARTIC, "s": 3.0, "target_error": 1e-3}, [],
      "23d4b68ee95bae692ff95a9eb1ac67d1cb804c9ce5595927696ed2499f89ff7a"),
     ("lfun-q2-conductor", "lfun", {"field": Q2, "s": 2.0, "target_error": 1e-5,
                                    "conductor": {"hnf": [[3, 0], [0, 3]]}}, [],
-     "f303b57d49820062df644f5b44cf54a7adeb143a71b1ba0ae3c4045497436c03"),
+     "5706cfa8dd4204ac45ebb01f067a882ce5dae8c831088ee3fa40cb426094a4bc"),
     ("lfun-q2-character", "lfun", {"field": Q2, "s": 3.0, "target_error": 1e-5,
                                    "ideals": [{"hnf": [[1, 5], [0, 7]]}],
                                    "conductor": {"hnf": [[2, 0], [0, 2]]},
@@ -67,7 +67,7 @@ JOBS = [
      "e7d027b31ecd6a626501e2e6c727158893182ab983a9eb7d5bbc66291c569d92"),
     ("lfun-cubic-conductor", "lfun", {"field": CUBIC, "s": 2.0, "target_error": 1e-3,
                                       "conductor": P3}, [],
-     "17f8bfaa054d00cd339bf8f566d1f6d074cb92ffe99dd0040431fcbfabe70104"),
+     "addee5a6ce418f068978f0e7d0c9e0ab4b2fb1417fa23c441d5aed5ed845dbaa"),
     ("lfun-q2-conductor-s200", "lfun", {"field": Q2, "s": 200,
                                         "conductor": {"hnf": [[3, 0], [0, 3]]}}, [],
      "c2cb2d69f3deda2c6cbb2708a98f15a2abcf7840c3d6080cec7ccf2595079e21"),
@@ -100,3 +100,6 @@ def test_cli_output_matches_its_golden_digest(tmp_path, capsys, name, cmd, job, 
     code = main([cmd, "--job", str(path), *argv])
     out = re.sub(r'"runtime_ms": \d+, ', "", capsys.readouterr().out)
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, out
+    if cmd in ("zeta", "lfun") and code == 0:
+        # the error budget: every sum meets its target
+        assert json.loads(out)["error_bound"] <= job.get("target_error", 1e-6)

@@ -118,39 +118,69 @@ def numpy_kernel_after(command, job) -> tuple[dict, list]:
     return json.loads(out.splitlines()[0]), json.loads(out.splitlines()[-1])
 
 
+def scalar_cost_wins(terms: int, slabs: int) -> bool:
+    """Whether `zeta._box_sums`' cost model puts a job of s in 1/2 Z with
+    this many simplex terms and shift slabs on the scalar sum."""
+    return (zeta._SCALAR_TERM * terms + zeta._SCALAR_SLAB * slabs
+            <= zeta._NUMPY_FIXED + zeta._NUMPY_TERM * terms)
+
+
 @pytest.mark.parametrize("s, target, few_terms", [(2.0, 1e-3, True), (2.5, 1e-3, True),
                                                   (2.25, 1e-3, True), (2.0, 1e-6, False)])
 def test_lfun_loads_numpy_above_the_scalar_range(tmp_path, s, target, few_terms):
-    # the scalar simplex sum takes s in 1/2 Z, 1 <= s <= 8, and at most
-    # zeta._SCALAR_TERMS box terms; any other job loads NumPy's kernel.  The
-    # job above the range is cubic: a quadratic one that deep goes to the
-    # Euler-Maclaurin sum, which loads no NumPy (below)
+    # the scalar simplex sum takes s in 1/2 Z, 1 <= s <= 8, where the cost
+    # model of `zeta._box_sums` prefers it; any other job loads NumPy's
+    # kernel.  A shift has at most one slab per term, so a job is scalar when
+    # the model prefers it at slabs = terms, and NumPy's when it does not at
+    # slabs = 0.  The job above the range is quartic: a quadratic one that
+    # deep goes to the Euler-Maclaurin sum, which loads no NumPy (below), and
+    # the deep cubic ones are scalar (below)
     make, conductor = ((fixtures.q_sqrt2, [[3, 0], [0, 3]]) if few_terms else
-                       (fixtures.cubic_81, [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+                       (fixtures.quartic_725, [[int(i == j) for j in range(4)] for i in range(4)]))
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"field": fixtures.field_to_json(*make()),
                                "s": s, "target_error": target,
                                "conductor": {"hnf": conductor, "den": 1}}))
     out, loaded = numpy_kernel_after("lfun", job)
-    assert (out["terms"] <= zeta._SCALAR_TERMS) == few_terms
+    assert scalar_cost_wins(out["terms"], out["terms"] if few_terms else 0) == few_terms
     scalar = (2 * s).is_integer() and few_terms
     assert loaded == ([] if scalar else list(NUMPY_KERNEL))
+
+
+def _jitter(target):
+    """The tightest target the benchmark's jitter gives a template: target
+    times 10^-0.03, written to the job rounded to four digits."""
+    return float(f"{target * 10 ** -0.03:.3e}")
+
+
+@pytest.mark.parametrize("command", ["zeta", "lfun"])
+@pytest.mark.parametrize("s, target", [(2.0, 1e-6), (2.0, _jitter(1e-6)), (2.5, 2e-9),
+                                       (2.5, _jitter(2e-9))])
+def test_deep_cubic_jobs_load_no_numpy(tmp_path, command, s, target):
+    # the deep cubic_81 shapes of the benchmark, at their targets and their
+    # tightest jitters: the reserve leaves them under 2.5 10^5 terms, where
+    # the scalar sum costs less than importing NumPy
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": fixtures.field_to_json(*fixtures.cubic_81()),
+                               "s": s, "target_error": target}))
+    out, loaded = numpy_kernel_after(command, job)
+    assert 10 ** 5 < out["terms"] < 2.5 * 10 ** 5 and 0 < out["error_bound"] <= target
+    assert loaded == []
 
 
 @pytest.mark.parametrize("command", ["zeta", "lfun"])
 def test_scalar_jobs_load_neither_numpy_nor_dataclasses(tmp_path, command):
     # the cubic s = 3 shape of the benchmark's deep jobs: over the cheapest
-    # basis of its unit group it sums under zeta._SCALAR_TERMS terms (147 392
-    # over the typed basis), so it runs on the scalar sum; and the zeta
-    # stack's records are named tuples, which need neither `dataclasses`
-    # nor the `inspect` it imports
+    # basis of its unit group it runs on the scalar sum (147 392 terms over
+    # the typed basis); and the zeta stack's records are named
+    # tuples, which need neither `dataclasses` nor the `inspect` it imports
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"field": fixtures.field_to_json(*fixtures.cubic_81()),
                                "s": 3.0, "target_error": 2e-11}))
     watched = ("numpy", "dataclasses", "inspect")
     out = fresh(f"{cli(command, job)}\nimport json, sys\n"
                 f"print(json.dumps(sorted(set({watched!r}) & set(sys.modules))))")
-    assert json.loads(out.splitlines()[0])["terms"] <= zeta._SCALAR_TERMS
+    assert json.loads(out.splitlines()[0])["error_bound"] <= 2e-11
     assert json.loads(out.splitlines()[-1]) == []
 
 

@@ -771,6 +771,21 @@ def test_em_remainder_bounds_a_short_expansion(monkeypatch, s):
         assert lo < 4 or bound > 1e-9 * value
 
 
+@pytest.mark.parametrize("s", [k / 2 for k in range(3, 17)])
+def test_em_roundoff_covers_the_bound(s):
+    # the a-priori bound that zeta's reserve takes, at the value and level,
+    # covers the bound em_sums returns: on rows where the elementary
+    # integral cancels (hi far above lo), on the series rows, and on rows
+    # at every threshold, and it stays below 10^-4 of the value
+    shifts = [(1.0, 1.0), (0.3, 500.0), (2.0, 1e6), (50.0, 51.0), (1e3, 1e3 + 1), (0.01, 3.0),
+              (7.0, 25.0)] + [(u, 3 * u + 1) for u in em._em_plan(s).thresholds[1:]]
+    for lo, hi in shifts:
+        for radius, delta in ((0, 0.0), (5, 2.0 ** -50), (100, 2.0 ** -52)):
+            (value, bound, _), = em.em_sums([[lo, hi]], [[1.0, 1.0], [1.0, 1.0]], s, radius,
+                                            1.0, [delta])
+            assert 0 < bound <= em.em_roundoff(value, s, radius, delta) < 1e-4 * value
+
+
 def test_em_bernoulli_table():
     # B_2j / 2j from the recurrence sum_{j <= m} C(m + 1, j) B_j = 0
     from fractions import Fraction

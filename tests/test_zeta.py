@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -194,14 +195,21 @@ def test_required_radius_minimal(monkeypatch):
 
 
 def test_required_radius_cap(monkeypatch):
-    # no level up to the cap meets the target, with the face bound or without
+    # no level up to the cap meets the target, with the face bound or without:
+    # the level is None, and the sum raises with the target, the live points
+    # and the per-point tail target
     fld, units = q_sqrt2()
     cone = build_signed_domain(units, fld).cones[0]
-    with pytest.raises(TailBoundUnachievable, match="needs radius beyond the cap 200000"):
-        zeta._cone_level(cone, 1.1, 1, 1e-12)
-    monkeypatch.setattr(zeta, "_face_sums", lambda cone, s: None)
-    with pytest.raises(TailBoundUnachievable, match="needs radius beyond the cap 200000"):
-        zeta._cone_level(cone, 1.1, 1, 1e-12)
+    for faces in (True, False):
+        if not faces:
+            monkeypatch.setattr(zeta, "_face_sums", lambda cone, s: None)
+        assert zeta._cone_level(cone, 1.1, 1, 1e-12) is None
+        with pytest.raises(TailBoundUnachievable) as err:
+            shintani_zeta(1.1, fld.one, cone, ZetaParams(target_error=1e-12))
+        detail = re.fullmatch(r"target_error 1e-12 over 1 live points leaves a tail target "
+                              r"of (\S+) per point, which needs a level beyond the cap "
+                              r"200000", str(err.value))
+        assert detail and 5e-13 <= float(detail[1]) < 1e-12
 
 
 def test_shintani_zeta_rejects_bad_inputs(dom2):
@@ -512,10 +520,14 @@ def _fake_block(s, cone, points, level, scale, box_sums):
     return [ZetaValue(1.0, level[1], 1, level[0])] * len(points)
 
 
-def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
+@pytest.mark.parametrize("target", [1e-3, 1e-15],
+                         ids=["reserve-below-half", "reserve-above-half"])
+def test_budgets_sum_to_target_less_reserve(dom2, monkeypatch, target):
     # conductor (3), inert in Q(sqrt2): some R-set points are not coprime
-    # to it and get no budget; the others' budgets, weighted by
-    # N(af)^-s |chi|, sum to target / 2
+    # to it and get no budget; the others' tail budgets, weighted by
+    # N(af)^-s |chi|, sum to target - min(R, target/2), R the weighted sum of
+    # the live points' reserves, 10^-14 to 10^-13: at 1e-3 the whole target
+    # less R, at 1e-15 half of it
     fld, units, dom, order = dom2
     three = principal_ideal(order, fld.element([3, 0]))
     chi = CharacterTable([FractionalIdeal.whole_ring(order)], [1 + 0j], three)
@@ -524,14 +536,49 @@ def test_l_function_budgets_sum_to_half_target(dom2, monkeypatch):
     monkeypatch.setattr(zeta, "_cone_level", lambda cone, s, scale, target: (4, target))
     monkeypatch.setattr(zeta, "_zeta_block",
                         lambda *a, **kw: calls.extend(a[2]) or _fake_block(*a, **kw))
-    target = 1e-3
+
+    def reserve(norm, scale, live):
+        # E(V + 2 E(V)) at weight N^-s, V = N^s + n (N^(-1/n) + scale)^-ns
+        # + tail_bound(n, s, scale, 1), E the simplex roundoff at the cap
+        def bound(value):
+            return scalar.box_sum_roundoff(value, 2, 2.0, zeta._M_CAP, 2.0 ** -49)
+        v = norm ** 2 + 2 * (norm ** -0.5 + scale) ** -4 + tail_bound(2, 2.0, scale, 1)
+        return live * norm ** -2 * bound(v + 2 * bound(v))
+
     lv = l_function(2.0, chi, units, fld, ZetaParams(target_error=target))
-    assert abs(lv.error_bound - target / 2) <= 1e-12 * target
     rset = coset_enumerate_R(dom.cones[0], ideal_inverse(three), shift=0, scale=1)
     assert 0 < len(calls) < len(rset.points)
+    r = reserve(9.0, 1, len(calls))
+    assert 1e-15 < r < 1e-12
+    assert abs(lv.error_bound - (target - min(r, target / 2))) <= 1e-12 * target
     ok = FractionalIdeal.whole_ring(order)
+    calls.clear()
     pv = partial_zeta(2.0, (ok, three, units), fld, ZetaParams(target_error=target))
-    assert abs(pv.error_bound - target / 2) <= 1e-12 * target
+    r = reserve(1.0, 3, len(calls))
+    assert 1e-15 < r < 1e-12
+    assert abs(pv.error_bound - (target - min(r, target / 2))) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("name, s, target, em", [
+    ("q_sqrt2", 2.0, 1e-9, True), ("q_sqrt5", 2.5, 1e-10, True), ("q_sqrt3", 3.0, 1e-12, True),
+    ("q_sqrt3", 1.5, 1e-3, True), ("q_sqrt2", 2.0, 1e-3, False), ("cubic_81", 2.5, 1e-7, False),
+    ("quartic_725", 2.0, 1e-3, False)])
+def test_reserve_covers_every_non_tail_bound(monkeypatch, name, s, target, em):
+    # each point's bound less its tail, the simplex sum's roundoff or the
+    # whole Euler-Maclaurin bound, is at most the reserve of a point of the
+    # R-set of O (head 1) for its evaluator
+    fld, units = ALL_NET_COUNT[name]()
+    seen = []
+    block = zeta._zeta_block
+    monkeypatch.setattr(zeta, "_zeta_block",
+                        lambda *a: [seen.append((a[3], zv)) or zv for zv in block(*a)])
+    zv = dedekind_zeta_via_domain(s, units, fld, ZetaParams(target_error=target),
+                                  order=maximal_order(name, fld))
+    assert zv.error_bound <= target
+    n = fld.degree
+    assert {zeta._em_wins(n, s, radius) for (radius, _), _ in seen} == {em}
+    for (radius, tail), point in seen:
+        assert 0 < point.error_bound - tail <= zeta._reserve(n, s, 1, 1.0, em)
 
 
 @pytest.mark.parametrize("rep", [1, 3])
@@ -563,45 +610,68 @@ def _reference_sum(results):
                      sum(r[2] for r in results), max((r[3] for r in results), default=0))
 
 
+def _tail_targets(s, scale, target, points):
+    """The live points' tail targets under the error budget of the zeta
+    module docstring, points (cone, bound weight, head): the Euler-Maclaurin
+    reserve is taken once some point's level reaches `_em_wins`."""
+    n = points[0][0].field.degree
+    heads = {}
+    for _, weight, head in points:
+        heads[head] = heads.get(head, 0.0) + weight
+    for em in (False, True):
+        reserve = math.fsum(w * zeta._reserve(n, s, scale, h, em) for h, w in heads.items())
+        budget = (target - min(reserve, target / 2)) / len(points)
+        tails = [budget / weight for _, weight, _ in points]
+        if em or not any(zeta._em_wins(n, s, zeta._cone_level(cone, s, scale, tail)[0])
+                         for (cone, _, _), tail in zip(points, tails)):
+            return tails
+
+
+def _single_point_sum(s, cone, z, tail, scale):
+    """The Shintani sum of z at the level of its tail target, a block of one."""
+    level = zeta._cone_level(cone, s, scale, tail)
+    return zeta._zeta_block(s, cone, [z], level, scale, zeta._box_sums(s, 0, 0))[0]
+
+
 def reference_l_function(s, chi, dom, order, target):
-    """L(s, chi) as the job-order sum of single-point shintani_zeta terms."""
+    """L(s, chi) as the job-order sum of single-point sums."""
     terms = []
     for rep in chi.representatives:
         af = ideal_mul(rep, chi.conductor)
-        nfac = float(af.norm()) ** (-s)
+        n_af = float(af.norm())
         for cone in dom.cones:
             for z, _ in coset_enumerate_R(cone, ideal_inverse(af), 0).points:
                 chi_val = chi.value_of(ideal_mul(principal_ideal(order, z), af))
-                terms.append((cone, z, nfac, chi_val))
-    share = target / (2 * max(1, sum(t[3] != 0 for t in terms)))
+                terms.append((cone, z, n_af ** -s, n_af ** s, chi_val))
+    tails = iter(_tail_targets(s, 1, target, [(cone, nfac * abs(chi_val), head)
+                                               for cone, _, nfac, head, chi_val in terms
+                                               if chi_val != 0]))
     results = []
-    for cone, z, nfac, chi_val in terms:
+    for cone, z, nfac, head, chi_val in terms:
         if chi_val == 0:
             results.append((0j, 0.0, 0, 0))
             continue
-        zv = shintani_zeta(s, z, cone, ZetaParams(target_error=share / nfac))
+        zv = _single_point_sum(s, cone, z, next(tails), 1)
         results.append((cone.w * nfac * chi_val * zv.value,
                         nfac * abs(chi_val) * zv.error_bound, zv.terms, zv.radius))
     return _reference_sum(results)
 
 
 def reference_partial_zeta(s, a, f, dom, target):
-    """zeta(s, class of a mod f) as the job-order sum of single-point
-    shintani_zeta terms."""
+    """zeta(s, class of a mod f) as the job-order sum of single-point sums."""
     fld = dom.cones[0].field
     f_int = smallest_positive_rational_integer(f)
     lattice = ideal_mul(ideal_inverse(a), f)
     points = [(cone, z) for cone in dom.cones
               for z, _ in coset_enumerate_R(cone, lattice, fld.one, f_int).points]
     n_a = float(a.norm())
-    params = ZetaParams(target_error=target / (2 * len(points)) * n_a ** s)
+    tails = _tail_targets(s, f_int, target, [(cone, n_a ** -s, n_a ** s) for cone, _ in points])
     results = []
-    for cone, z in points:
-        zv = shintani_zeta(s, z, cone, params, scale=f_int)
-        results.append((cone.w * zv.value, zv.error_bound, zv.terms, zv.radius))
-    total = _reference_sum(results)
-    return ZetaValue(n_a ** (-s) * total.value, n_a ** (-s) * total.error_bound,
-                     total.terms, total.radius)
+    for (cone, z), tail in zip(points, tails):
+        zv = _single_point_sum(s, cone, z, tail, f_int)
+        results.append((cone.w * n_a ** -s * zv.value, n_a ** -s * zv.error_bound,
+                        zv.terms, zv.radius))
+    return _reference_sum(results)
 
 
 DEFAULT_BLOCK = zeta._BLOCK
@@ -634,8 +704,8 @@ def test_l_function_block_path_is_single_point_sum(dom2, monkeypatch, block, thr
     got = l_function(2.5, chi, units, fld, ZetaParams(target_error=target, threads=threads),
                      order=order)
     assert got == want
-    # 16 live points at L = 12 and 112 at L = 4: slabs of N = 13 and 5
-    assert sorted(sizes) == {1: [1] * 128, 150: [5, 11, 22, 30, 30, 30],
+    # 16 live points at L = 10 and 112 at L = 4: slabs of N = 11 and 5
+    assert sorted(sizes) == {1: [1] * 128, 150: [3, 13, 22, 30, 30, 30],
                              DEFAULT_BLOCK: [16, 112]}[block]
 
 
@@ -668,7 +738,7 @@ def test_em_blocks_are_single_point_sums_at_any_threads(dom2, monkeypatch, block
 def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     # the cubic_81 ray class of (2) mod (t + 2) over the domain `partial_zeta`
     # sums, that of the cheapest basis: 216 and 144 points in two cones,
-    # scale 3, L = 6, N = 28, each block bit for bit its points' single-point
+    # scale 3, L = 5, N = 21, each block bit for bit its points' single-point
     # sums
     fld, units = cubic_81()
     order = integral_basis(fld)
@@ -680,8 +750,8 @@ def test_partial_zeta_block_path_is_single_point_sum(monkeypatch, block):
     got = partial_zeta(2.0, (a, p3, units), fld, ZetaParams(target_error=1e-5, threads=2),
                        order=order)
     assert got == want
-    assert sorted(sizes) == {1: [1] * 360, 600: [6, 18] + [21] * 16,
-                             DEFAULT_BLOCK: [70, 144, 146]}[block]
+    assert sorted(sizes) == {1: [1] * 360, 600: [4, 20] + [28] * 12,
+                             DEFAULT_BLOCK: [21, 144, 195]}[block]
 
 
 @pytest.mark.parametrize("fn", ["l_function", "partial_zeta"])
@@ -701,8 +771,8 @@ def test_units_outside_the_order_rejected(fn):
 
 @pytest.mark.parametrize("name", sorted(ALL_NET_COUNT))
 def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
-    # every job at the threshold 0 (all NumPy) and at infinity (all scalar
-    # for s in 1/2 Z): the same ZetaValue, float for float.  The conductor
+    # every job with NumPy's fixed cost at 0 (all NumPy) and at infinity (all
+    # scalar for s in 1/2 Z): the same ZetaValue, float for float.  The conductor
     # (2) gives partial_zeta the scale 2 and l_function a zero character
     # value on the points not coprime to it.
     fld, units = ALL_NET_COUNT[name]()
@@ -715,17 +785,17 @@ def test_scalar_and_numpy_jobs_agree_bit_for_bit(name, monkeypatch):
     monkeypatch.setattr(zeta.kernels.scalar, "box_sums",
                         lambda *a: calls.append(a[3]) or scalar_sums(*a))
     results = {}
-    for threshold in (0, math.inf):
-        monkeypatch.setattr(zeta, "_SCALAR_TERMS", threshold)
+    for fixed in (0, math.inf):
+        monkeypatch.setattr(zeta, "_NUMPY_FIXED", fixed)
         calls.clear()
-        results[threshold] = [
+        results[fixed] = [
             l_function(s, chi, units, fld, ZetaParams(target_error=3e-3), order)
             for s in (2.0, 2.5, 3.0)] + [
             partial_zeta(s, (whole, ideal, units), fld, ZetaParams(target_error=3e-3), order)
             for s in (2.0, 2.5, 3.0) for ideal in (whole, two)]
-        assert bool(calls) == (threshold == math.inf)
+        assert bool(calls) == (fixed == math.inf)
     assert results[0] == results[math.inf]
-    # an s outside 1/2 Z stays on NumPy's np.power at any threshold
+    # an s outside 1/2 Z stays on NumPy's np.power at any cost
     calls.clear()
     l_function(2.25, chi, units, fld, ZetaParams(target_error=3e-3), order)
     assert calls == []
